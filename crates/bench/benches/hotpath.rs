@@ -19,9 +19,7 @@
 //!   per-token stepping, early exit, at max batch 8.
 //! - `cluster-least-kv` — the routed tier: 10⁵ requests over 4
 //!   memory-modelled replicas under `LeastKvLoaded`, every arrival
-//!   snapshotting all replicas through incremental checkpoints (the
-//!   sweep the old full-replay router could not finish in reasonable
-//!   time).
+//!   snapshotting all replicas through incremental checkpoints.
 //!
 //! `events` counts engine dispatches (batch launches on the static
 //! path; admissions + token steps on the continuous path), so

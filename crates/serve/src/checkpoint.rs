@@ -1,32 +1,25 @@
-//! Incremental engine checkpoints: resume a replica's simulation from
-//! where it left off instead of re-simulating its whole prefix.
+//! Incremental engine checkpoints: one resumable simulation per request
+//! stream, advanced in time order as its arrivals become known.
 //!
-//! The cluster tier's load-aware placements ([`LeastOutstanding`],
-//! [`LeastKvLoaded`]) need, at every routed arrival `t`, each replica's
-//! *simulated* state at `t`. The original implementation answered by
-//! re-running the replica's entire assigned prefix from scratch on
-//! every new assignment — O(n²) engine events across a sweep, which
-//! walled the cluster experiments off from large request counts. An
-//! [`EngineCheckpoint`] instead keeps one resumable
-//! [`EngineState`](crate::engine) per replica and advances it
-//! monotonically: pushes reveal arrivals in time order, `advance_to(t)`
-//! commits exactly the events a full batch replay would have committed
-//! strictly before `t` (decisions whose outcome could still depend on
-//! unrevealed arrivals are stashed, not guessed — see the step
-//! contract in `engine.rs`), and [`finish`](EngineCheckpoint::finish)
-//! drains the stream into the same [`ServiceReport`] a fresh batch run
-//! over the full prefix would produce, bit for bit.
+//! The cluster tier streams every replica through an
+//! [`EngineCheckpoint`]: at each routed arrival `t` it advances the
+//! replica to `t` and reads its load, and after the last arrival it
+//! drains the replica into its report. A checkpoint keeps one
+//! [`EngineState`](crate::engine) and advances it monotonically: pushes
+//! reveal arrivals in time order, `advance_to(t)` commits the events
+//! whose decision instant lies strictly before `t` (decisions whose
+//! outcome could still depend on unrevealed arrivals are stashed, not
+//! guessed — see the step contract in `engine.rs`), and
+//! [`finish`](EngineCheckpoint::finish) drains the stream into the same
+//! [`ServiceReport`] a fresh batch run over everything pushed would
+//! produce, bit for bit.
 //!
-//! The load snapshots are maintained incrementally too, with integer
-//! byte accounting so the reported ratio is bit-identical to the old
-//! full-replay float arithmetic (K/V budgets and claims are exact
-//! `u64` token-byte products far below 2^53, so their `f64` sums are
-//! exact and order-independent):
+//! The load signals read the committed events with integer byte
+//! accounting (K/V budgets and claims are exact `u64` token-byte
+//! products far below 2^53, so the reported ratio is exact):
 //!
 //! - **outstanding** = pushed − |committed responses with
-//!   `finish_ms <= t`| — uncommitted events all finish after `t`, so
-//!   this equals the full replay's "responses finishing after `t`"
-//!   count;
+//!   `finish_ms <= t`|;
 //! - **K/V load** slides two independent min-heaps as `t` advances:
 //!   claims open from the engine's *admission log* when their
 //!   `start_ms` passes — starts are known at the admission event, so
@@ -34,42 +27,26 @@
 //!   measures) are visible long before they retire — and close from
 //!   the response log when their `finish_ms` passes. A claim's start
 //!   never exceeds its finish, so `claimed(t) = Σ opened − Σ closed`
-//!   equals the full replay's "started by `t`, unfinished at `t`" sum.
-//!   (A claim can also start *after* the event that committed it —
-//!   back-to-back prefills at one admission boundary push later
+//!   is the "started by `t`, unfinished at `t`" sum over committed
+//!   events. (A claim can also start *after* the event that committed
+//!   it — back-to-back prefills at one admission boundary push later
 //!   joiners' starts forward — which the start-keyed heap absorbs.)
 //!
 //! Caveats:
 //!
 //! - Snapshot times must be non-decreasing (the heaps only slide
-//!   forward), which routed arrivals are. On the static path a pool
-//!   serving `Wait`-game disciplines can in principle make decisions at
-//!   non-monotone instants; the cluster experiments route over
-//!   continuous-batching replicas, whose event instants are globally
-//!   monotone, and the checkpoint-vs-replay property test pins the
-//!   equivalence.
-//! - When the scheduler stalls — declines to admit (or asks to wait)
-//!   at an instant where the stream knows of no later arrival — the
-//!   outcome of that decision depends on whether another request ever
-//!   joins the stream, so the advance parks there
-//!   ([`is_stalled`](EngineCheckpoint::is_stalled)) rather than guess.
-//!   A prefix replay, by contrast, *assumes the stream is complete*
-//!   and lets the decline resolve against the pool's busy boundaries,
-//!   possibly committing further admissions before `t`. The two
-//!   answers genuinely differ (the replay's guess gets rewritten the
-//!   next time an arrival joins), so stalled snapshots cannot be read
-//!   off the stream: the cluster router falls back to the old cached
-//!   replay exactly while a replica reports `is_stalled`, keeping
-//!   snapshot values bit-identical to the full-replay reference.
-//! - Checkpointed runs report through the same
-//!   [`ServiceReport`] as batch runs, so the cluster tier's pooled
-//!   TTFT/ITL percentiles and energy totals (see
-//!   [`telemetry`](crate::telemetry)) need no checkpoint-specific
-//!   plumbing — `finish` hands back the sorted samples and busy time
-//!   the telemetry layer reads.
-//!
-//! [`LeastOutstanding`]: crate::cluster::LeastOutstanding
-//! [`LeastKvLoaded`]: crate::cluster::LeastKvLoaded
+//!   forward), which routed arrivals are.
+//! - When the scheduler declines to admit (or asks to wait) at an
+//!   instant where the stream knows of no later arrival, the outcome
+//!   depends on whether another request ever joins the stream, so the
+//!   advance parks there. Until the next push resolves the decision,
+//!   `advance_to` commits nothing further and the load signals read
+//!   the events committed before it.
+//! - Checkpointed runs report through the same [`ServiceReport`] as
+//!   batch runs, so the cluster tier's pooled TTFT/ITL percentiles and
+//!   energy totals (see [`telemetry`](crate::telemetry)) need no
+//!   checkpoint-specific plumbing — `finish` hands back the sorted
+//!   samples and busy time the telemetry layer reads.
 
 use crate::backend::Backend;
 use crate::engine::{EngineState, ServiceReport, ServingEngine, StepOutcome};
@@ -187,24 +164,10 @@ impl<'a> EngineCheckpoint<'a> {
         self.state.pushed()
     }
 
-    /// Whether the stream is parked on a stashed scheduler decision (a
-    /// `Wait` or an admission decline made with no later arrival known
-    /// yet). Such a decision resolves differently depending on whether
-    /// another request ever joins the stream, so
-    /// [`advance_to`](Self::advance_to) stops there instead of
-    /// guessing. While stalled, the snapshot accessors answer "state at
-    /// `t` given events committed so far", which can *undercount* load
-    /// relative to a prefix replay that assumes the stream is complete
-    /// — callers needing that assume-complete semantics (the cluster
-    /// snapshot contract) must fall back to a replay while this returns
-    /// `true`.
-    pub fn is_stalled(&self) -> bool {
-        self.state.is_stalled()
-    }
-
     /// Commits every event whose decision instant lies strictly before
-    /// `t` — afterwards the snapshot accessors answer for time `t`
-    /// exactly as a full replay of the pushed prefix would.
+    /// `t`, stopping early at a decision that waits on an unrevealed
+    /// arrival (see the module caveats). Afterwards the load accessors
+    /// answer for time `t` from the committed events.
     ///
     /// # Errors
     ///
@@ -297,18 +260,10 @@ impl<'a> EngineCheckpoint<'a> {
     /// Returns [`SimError::Service`] for an empty stream or a starved
     /// event loop, and propagates engine errors.
     pub fn finish(mut self) -> Result<ServiceReport, SimError> {
-        let n = self.state.pushed();
-        if n == 0 {
+        if self.state.pushed() == 0 {
             return Err(SimError::Service("nothing to serve".into()));
         }
-        while self.state.responses().len() < n {
-            match self.engine.step(&mut self.state, None)? {
-                StepOutcome::Progressed => {}
-                StepOutcome::Blocked | StepOutcome::Exhausted => {
-                    return Err(self.state.starvation_error());
-                }
-            }
-        }
+        self.engine.drain(&mut self.state)?;
         self.engine.build_report(self.state)
     }
 }

@@ -6,21 +6,26 @@
 //! request stream. [`ClusterRouter`] is that front door: it assigns
 //! every arrival to exactly one replica through a pluggable
 //! [`Placement`] policy, simulates each replica's sub-stream on its own
-//! [`ServingEngine`], and aggregates the per-replica
+//! [`ServingEngine`](crate::ServingEngine), and aggregates the per-replica
 //! [`ServiceReport`]s into a [`ClusterReport`] with *pooled*
 //! cross-replica percentiles (see [`stats::merged_percentile`] — never
 //! averaged), a Jain balance index and merged paging counters.
 //!
-//! # Exactness
+//! # Causal routing
 //!
-//! Routing is **incremental-exact**, not approximate: requests are
-//! assigned in arrival order, and a replica's state at time `t` is read
-//! from a full engine simulation of the sub-stream assigned *so far* —
-//! which by causality is its exact state at `t`, because requests that
-//! arrive later cannot influence earlier state. Placements that never
-//! read load ([`Placement::uses_load`] is `false`, e.g.
-//! [`RoundRobin`]) skip the intermediate simulations entirely and each
-//! replica runs once.
+//! Requests are placed in arrival order, and every replica streams its
+//! sub-stream through one [`EngineCheckpoint`] for the whole run. At an
+//! arrival `t` the router advances each checkpoint to `t` and reads the
+//! replica's [`ReplicaSnapshot`] off the events it has committed
+//! strictly before `t`, so no snapshot depends on a request arriving at
+//! or after `t`. A scheduler decision whose outcome depends on whether
+//! another request will arrive (a decline or a wait taken when the
+//! replica knows of no later arrival) stays unresolved until one does:
+//! while a replica waits on such a decision, it commits nothing further
+//! and its snapshot reads the events committed before the decision.
+//! After the last arrival every checkpoint drains to the same
+//! [`ServiceReport`] a batch run of its sub-stream produces, so the
+//! router simulates each engine event once.
 //!
 //! Closed-loop arrivals are rejected with a typed error: a think-time
 //! loop couples submissions to completions on *one* queue, so it binds
@@ -39,7 +44,7 @@
 use crate::arrivals::ArrivalProcess;
 use crate::backend::{Backend, BatchReport, RunReport};
 use crate::checkpoint::EngineCheckpoint;
-use crate::engine::{Request, Response, ServiceReport, ServingEngine};
+use crate::engine::{Request, Response, ServiceReport};
 use crate::scheduler::Scheduler;
 use crate::stats;
 use crate::stepper::{ContinuousStepper, StepEvent};
@@ -64,8 +69,9 @@ pub struct RoutedRequest {
     pub session: Option<u64>,
 }
 
-/// A replica's state at one placement decision, exact at the arrival
-/// instant (see the module docs on incremental-exact routing).
+/// A replica's state at one placement decision: what it committed
+/// strictly before the arrival instant (see the module docs on causal
+/// routing).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaSnapshot {
     /// Replica index in construction order.
@@ -73,16 +79,17 @@ pub struct ReplicaSnapshot {
     /// Requests assigned to this replica so far (queued, running or
     /// finished).
     pub assigned: usize,
-    /// Requests in the replica's system (queued or running) at the
-    /// arrival instant. Zero unless the placement
-    /// [`uses_load`](Placement::uses_load).
+    /// Assigned requests the replica has not committed as finished by
+    /// the arrival instant: the queued and running ones, plus — while
+    /// the replica waits on an unresolved decision — any that finish
+    /// between that decision and the arrival.
     pub outstanding: usize,
-    /// Fraction of the replica's K/V budget claimed by started,
-    /// unfinished requests at the arrival instant (whole
-    /// `input + output` claims against
-    /// [`MemoryModel::kv_budget_bytes`], summed over the replica's
-    /// memory-modelled servers). Zero when no server models memory or
-    /// the placement does not [`uses_load`](Placement::uses_load).
+    /// Fraction of the replica's K/V budget claimed at the arrival
+    /// instant by committed admissions that have started and whose
+    /// committed completion (if any) lies after it: whole
+    /// `input + output` claims against [`MemoryModel::kv_budget_bytes`],
+    /// summed over the replica's memory-modelled servers. Zero when no
+    /// server models memory.
     pub kv_load: f64,
 }
 
@@ -94,14 +101,6 @@ pub struct ReplicaSnapshot {
 pub trait Placement {
     /// Human-readable policy name for reports.
     fn name(&self) -> String;
-
-    /// Whether [`place`](Placement::place) reads the load-derived
-    /// snapshot fields (`outstanding`, `kv_load`). Returning `false`
-    /// (the default) lets the router skip all intermediate replica
-    /// simulations — each replica then runs exactly once.
-    fn uses_load(&self) -> bool {
-        false
-    }
 
     /// Clears per-run state (dispatch counters, session tables).
     fn reset(&mut self) {}
@@ -152,10 +151,6 @@ impl Placement for LeastOutstanding {
         "least-outstanding".into()
     }
 
-    fn uses_load(&self) -> bool {
-        true
-    }
-
     fn place(&mut self, _request: &RoutedRequest, replicas: &[ReplicaSnapshot]) -> usize {
         replicas
             .iter()
@@ -175,10 +170,6 @@ pub struct LeastKvLoaded;
 impl Placement for LeastKvLoaded {
     fn name(&self) -> String {
         "least-kv-loaded".into()
-    }
-
-    fn uses_load(&self) -> bool {
-        true
     }
 
     fn place(&mut self, _request: &RoutedRequest, replicas: &[ReplicaSnapshot]) -> usize {
@@ -217,10 +208,6 @@ impl SessionAffinity {
 impl Placement for SessionAffinity {
     fn name(&self) -> String {
         format!("session-affinity({})", self.fallback.name())
-    }
-
-    fn uses_load(&self) -> bool {
-        self.fallback.uses_load()
     }
 
     fn reset(&mut self) {
@@ -286,51 +273,6 @@ fn replica_name(servers: &[&dyn Backend]) -> String {
     } else {
         let names: Vec<String> = servers.iter().map(|s| s.name()).collect();
         format!("pool({})", names.join(" + "))
-    }
-}
-
-/// One replica behind the router: a server pool plus the sub-stream
-/// assigned to it and a cached simulation of that sub-stream.
-struct Replica<'a> {
-    servers: Vec<&'a dyn Backend>,
-    /// `(global id, workload, arrival ms)` in assignment (= arrival)
-    /// order.
-    assigned: Vec<(u64, Workload, f64)>,
-    /// Simulation of the first `len` assigned requests. Exact for any
-    /// query at or before the newest assigned arrival (causality).
-    cache: Option<(usize, ServiceReport)>,
-    /// The replica's incrementally-advanced engine state, when this run
-    /// snapshots load through checkpoints instead of full prefix
-    /// replays (load-aware placements outside
-    /// [`with_full_replay`](ClusterRouter::with_full_replay) mode).
-    live: Option<EngineCheckpoint<'a>>,
-}
-
-impl Replica<'_> {
-    /// K/V bytes claimed at `t` by started, unfinished requests,
-    /// against the replica's summed budget.
-    fn kv_load_at(&self, report: &ServiceReport, t: f64) -> f64 {
-        let mut budget = 0.0f64;
-        for s in &self.servers {
-            if let Some(m) = s.memory() {
-                // lint: order-sensitive — summed in server index order
-                budget += m.kv_budget_bytes() as f64;
-            }
-        }
-        if budget <= 0.0 {
-            return 0.0;
-        }
-        let mut claimed = 0.0f64;
-        for r in &report.responses {
-            if r.start_ms <= t && r.finish_ms > t {
-                if let Some(m) = self.servers.get(r.server).and_then(|s| s.memory()) {
-                    let tokens = r.request.workload.input_len + r.request.workload.output_len;
-                    // lint: order-sensitive — summed in response order
-                    claimed += m.kv_claim_bytes(tokens) as f64;
-                }
-            }
-        }
-        claimed / budget
     }
 }
 
@@ -444,19 +386,15 @@ impl ClusterReport {
 /// A deterministic router over N serving-engine replicas. See the
 /// module docs for the routing model and its exactness guarantees.
 pub struct ClusterRouter<'a> {
-    replicas: Vec<Replica<'a>>,
+    /// Each replica's server pool, in construction order.
+    replicas: Vec<Vec<&'a dyn Backend>>,
     placement: Box<dyn Placement>,
     make_scheduler: Box<dyn Fn() -> Box<dyn Scheduler> + 'a>,
-    /// Answer load snapshots by re-simulating each replica's full
-    /// assigned prefix (the O(n²) reference path) instead of advancing
-    /// incremental checkpoints. Kept as the oracle the equivalence
-    /// property tests pin the checkpoint path against.
-    full_replay: bool,
 }
 
 impl<'a> ClusterRouter<'a> {
     /// A router over replicas, each a non-empty server pool behind one
-    /// queue ([`ServingEngine::pool`] semantics).
+    /// queue ([`ServingEngine::pool`](crate::ServingEngine::pool) semantics).
     ///
     /// Replica engines default to FIFO; install any discipline with
     /// [`with_scheduler_factory`](ClusterRouter::with_scheduler_factory).
@@ -478,18 +416,9 @@ impl<'a> ClusterRouter<'a> {
             }
         }
         Ok(ClusterRouter {
-            replicas: replicas
-                .into_iter()
-                .map(|servers| Replica {
-                    servers,
-                    assigned: Vec::new(),
-                    cache: None,
-                    live: None,
-                })
-                .collect(),
+            replicas,
             placement,
             make_scheduler: Box::new(|| Box::new(crate::scheduler::Fifo)),
-            full_replay: false,
         })
     }
 
@@ -506,23 +435,10 @@ impl<'a> ClusterRouter<'a> {
     }
 
     /// Installs the scheduler every replica engine runs. A factory, not
-    /// an instance: each replica needs its own scheduler state (one per
-    /// checkpoint, or one per replay in
-    /// [`with_full_replay`](ClusterRouter::with_full_replay) mode).
+    /// an instance: each replica's checkpoint needs its own scheduler
+    /// state.
     pub fn with_scheduler_factory(mut self, factory: impl Fn() -> Box<dyn Scheduler> + 'a) -> Self {
         self.make_scheduler = Box::new(factory);
-        self
-    }
-
-    /// Answers load-aware placement snapshots by re-simulating each
-    /// replica's full assigned prefix at every arrival — the O(n²)
-    /// reference implementation the incremental checkpoints replaced.
-    /// Bit-identical to the default path; kept as the oracle for the
-    /// checkpoint-equivalence property tests and has no effect on
-    /// load-blind placements (which never simulate while routing).
-    #[must_use]
-    pub fn with_full_replay(mut self) -> Self {
-        self.full_replay = true;
         self
     }
 
@@ -583,23 +499,13 @@ impl<'a> ClusterRouter<'a> {
         })?;
 
         self.placement.reset();
-        let uses_load = self.placement.uses_load();
-        // Load-aware placements stream each replica through an
-        // incremental checkpoint: every snapshot advances the replica
-        // from its last simulated event to the new arrival instead of
-        // replaying its whole prefix (O(n) events total, not O(n²)).
-        let incremental = uses_load && !self.full_replay;
-        for r in &mut self.replicas {
-            r.assigned.clear();
-            r.cache = None;
-            r.live = if incremental {
-                Some(EngineCheckpoint::new(
-                    r.servers.clone(),
-                    (self.make_scheduler)(),
-                )?)
-            } else {
-                None
-            };
+        // Each replica's checkpoint, paired with the global ids of the
+        // requests pushed into it (its local ids are push indices).
+        let mut streams: Vec<(EngineCheckpoint<'a>, Vec<u64>)> =
+            Vec::with_capacity(self.replicas.len());
+        for servers in &self.replicas {
+            let live = EngineCheckpoint::new(servers.clone(), (self.make_scheduler)())?;
+            streams.push((live, Vec::new()));
         }
 
         for (i, (&workload, &arrival_ms)) in workloads.iter().zip(&times).enumerate() {
@@ -609,184 +515,53 @@ impl<'a> ClusterRouter<'a> {
                 arrival_ms,
                 session: sessions[i],
             };
-            let snapshots = if incremental {
-                self.snapshots_incremental(arrival_ms)?
-            } else {
-                self.snapshots(arrival_ms, uses_load)?
-            };
+            let mut snapshots = Vec::with_capacity(streams.len());
+            for (index, (live, _)) in streams.iter_mut().enumerate() {
+                live.advance_to(arrival_ms)?;
+                snapshots.push(ReplicaSnapshot {
+                    index,
+                    assigned: live.pushed(),
+                    outstanding: live.outstanding_at(arrival_ms),
+                    kv_load: live.kv_load_at(arrival_ms),
+                });
+            }
             let choice = self.placement.place(&request, &snapshots);
-            if choice >= self.replicas.len() {
+            let Some((live, ids)) = streams.get_mut(choice) else {
                 return Err(SimError::Service(format!(
                     "placement `{}` chose replica {choice} of {}",
                     self.placement.name(),
                     self.replicas.len()
                 )));
-            }
-            let replica = &mut self.replicas[choice];
-            replica.assigned.push((request.id, workload, arrival_ms));
-            if let Some(live) = replica.live.as_mut() {
-                live.push(workload, arrival_ms);
-            }
-        }
-
-        self.finalize(workloads)
-    }
-
-    /// Exact per-replica state at `t` through the incremental
-    /// checkpoints: each replica advances from its last simulated event
-    /// to `t` and answers outstanding/K/V-load from its sliding
-    /// accounting heaps. Bit-identical to [`snapshots`] with
-    /// `uses_load` (the full-replay reference), which the
-    /// checkpoint-equivalence property test pins.
-    ///
-    /// One corner cannot be read off the stream: a replica whose
-    /// scheduler stalled (declined with no later-assigned arrival known
-    /// — see [`EngineCheckpoint::is_stalled`]). The full-replay
-    /// reference resolves that decline by *assuming the sub-stream is
-    /// complete*, which can commit further admissions before `t` that
-    /// the parked stream must not guess at (the replay itself rewrites
-    /// that history once another arrival joins). While a replica is
-    /// stalled, this falls back to the old cached prefix replay for its
-    /// snapshot — same values, and still cached per assignment — and
-    /// the live stream resumes untouched.
-    ///
-    /// [`snapshots`]: ClusterRouter::snapshots
-    fn snapshots_incremental(&mut self, t: f64) -> Result<Vec<ReplicaSnapshot>, SimError> {
-        let mut out = Vec::with_capacity(self.replicas.len());
-        for index in 0..self.replicas.len() {
-            let replica = &mut self.replicas[index];
-            if replica.assigned.is_empty() {
-                out.push(ReplicaSnapshot {
-                    index,
-                    assigned: 0,
-                    outstanding: 0,
-                    kv_load: 0.0,
-                });
-                continue;
-            }
-            let live = replica.live.as_mut().ok_or_else(|| {
-                SimError::Service(format!("replica {index} has no live checkpoint"))
-            })?;
-            live.advance_to(t)?;
-            if live.is_stalled() {
-                self.refresh(index)?;
-                let replica = &self.replicas[index];
-                let report = match &replica.cache {
-                    Some((_, report)) => report,
-                    None => {
-                        return Err(SimError::Service(format!(
-                            "replica {index} has no cached run after refresh"
-                        )))
-                    }
-                };
-                out.push(ReplicaSnapshot {
-                    index,
-                    assigned: replica.assigned.len(),
-                    outstanding: report.responses.iter().filter(|r| r.finish_ms > t).count(),
-                    kv_load: replica.kv_load_at(report, t),
-                });
-                continue;
-            }
-            out.push(ReplicaSnapshot {
-                index,
-                assigned: replica.assigned.len(),
-                outstanding: live.outstanding_at(t),
-                kv_load: live.kv_load_at(t),
-            });
-        }
-        Ok(out)
-    }
-
-    /// Exact per-replica state at `t` (see module docs), answered by
-    /// re-simulating assigned prefixes. Skips all simulation when the
-    /// placement never reads load.
-    fn snapshots(&mut self, t: f64, uses_load: bool) -> Result<Vec<ReplicaSnapshot>, SimError> {
-        let mut out = Vec::with_capacity(self.replicas.len());
-        for index in 0..self.replicas.len() {
-            if !uses_load || self.replicas[index].assigned.is_empty() {
-                out.push(ReplicaSnapshot {
-                    index,
-                    assigned: self.replicas[index].assigned.len(),
-                    outstanding: 0,
-                    kv_load: 0.0,
-                });
-                continue;
-            }
-            self.refresh(index)?;
-            let replica = &self.replicas[index];
-            // refresh() always leaves a cache behind for a non-empty
-            // sub-stream; an empty one was handled above.
-            let report = match &replica.cache {
-                Some((_, report)) => report,
-                None => {
-                    return Err(SimError::Service(format!(
-                        "replica {index} has no cached run after refresh"
-                    )))
-                }
             };
-            // All assigned arrivals are <= t (assignment follows arrival
-            // order), so in-system means not yet finished.
-            let outstanding = report.responses.iter().filter(|r| r.finish_ms > t).count();
-            out.push(ReplicaSnapshot {
-                index,
-                assigned: replica.assigned.len(),
-                outstanding,
-                kv_load: replica.kv_load_at(report, t),
-            });
+            live.push(workload, arrival_ms);
+            ids.push(request.id);
         }
-        Ok(out)
+
+        self.finalize(workloads, streams)
     }
 
-    /// Re-simulates replica `index`'s assigned sub-stream unless the
-    /// cache already covers it.
-    fn refresh(&mut self, index: usize) -> Result<(), SimError> {
-        let current = match &self.replicas[index].cache {
-            Some((len, _)) => *len == self.replicas[index].assigned.len(),
-            None => false,
-        };
-        if current {
-            return Ok(());
-        }
-        let replica = &self.replicas[index];
-        let workloads: Vec<Workload> = replica.assigned.iter().map(|a| a.1).collect();
-        let trace: Vec<f64> = replica.assigned.iter().map(|a| a.2).collect();
-        let report = ServingEngine::pool(replica.servers.clone())?
-            .with_scheduler((self.make_scheduler)())
-            .run(&workloads, &ArrivalProcess::Trace(trace))?;
-        self.replicas[index].cache = Some((self.replicas[index].assigned.len(), report));
-        Ok(())
-    }
-
-    /// Runs every non-empty replica to completion and aggregates the
+    /// Drains every non-empty replica's checkpoint and aggregates the
     /// cluster report.
-    fn finalize(&mut self, workloads: &[Workload]) -> Result<ClusterReport, SimError> {
-        for index in 0..self.replicas.len() {
-            if self.replicas[index].assigned.is_empty() {
-                self.replicas[index].live = None;
-                continue;
-            }
-            // A live checkpoint already simulated a prefix of this
-            // sub-stream; draining it costs only the remaining events
-            // and yields the same report a fresh full run would.
-            if let Some(live) = self.replicas[index].live.take() {
-                let report = live.finish()?;
-                self.replicas[index].cache = Some((self.replicas[index].assigned.len(), report));
-            } else {
-                self.refresh(index)?;
-            }
-        }
-
+    fn finalize(
+        &self,
+        workloads: &[Workload],
+        streams: Vec<(EngineCheckpoint<'a>, Vec<u64>)>,
+    ) -> Result<ClusterReport, SimError> {
         let mut replica_reports = Vec::with_capacity(self.replicas.len());
         let mut responses: Vec<Response> = Vec::with_capacity(workloads.len());
         let mut paging: Option<PagingStats> = None;
         let mut makespan_ms = 0.0f64;
-        for (index, replica) in self.replicas.iter().enumerate() {
-            let report = replica.cache.as_ref().map(|(_, r)| r.clone());
+        for (index, (servers, (live, ids))) in self.replicas.iter().zip(streams).enumerate() {
+            let report = if ids.is_empty() {
+                None
+            } else {
+                Some(live.finish()?)
+            };
             if let Some(report) = &report {
                 for r in &report.responses {
                     let local = r.request.id as usize;
-                    let global_id = match replica.assigned.get(local) {
-                        Some(&(gid, _, _)) => gid,
+                    let global_id = match ids.get(local) {
+                        Some(&gid) => gid,
                         None => {
                             return Err(SimError::Service(format!(
                                 "replica {index} reported unknown local request {local}"
@@ -813,8 +588,8 @@ impl<'a> ClusterRouter<'a> {
                 makespan_ms = makespan_ms.max(report.makespan_ms);
             }
             replica_reports.push(ReplicaReport {
-                name: replica_name(&replica.servers),
-                dispatched: replica.assigned.len(),
+                name: replica_name(servers),
+                dispatched: ids.len(),
                 report,
             });
         }
@@ -1068,8 +843,7 @@ impl<'a> DisaggregatedCluster<'a> {
             if original.output_len < 2 {
                 continue;
             }
-            let bytes_per_token =
-                replica_kv_bytes_per_token(&self.prefill.replicas[r.server].servers);
+            let bytes_per_token = replica_kv_bytes_per_token(&self.prefill.replicas[r.server]);
             let bytes = bytes_per_token * original.input_len as u64;
             let link_ms = self.link.transfer_ms(bytes);
             transfers += 1;
@@ -1125,9 +899,9 @@ impl<'a> DisaggregatedCluster<'a> {
         if let Some(decode) = &decode_report {
             replicas.extend(decode.replicas.iter().cloned());
         } else {
-            for replica in &self.decode.replicas {
+            for servers in &self.decode.replicas {
                 replicas.push(ReplicaReport {
-                    name: replica_name(&replica.servers),
+                    name: replica_name(servers),
                     dispatched: 0,
                     report: None,
                 });
@@ -1440,6 +1214,94 @@ mod tests {
         }
         // The single-token request finished at its prefill replica.
         assert!(report.responses[1].server < 2);
+    }
+
+    #[test]
+    fn a_stalled_replica_snapshots_only_its_committed_events() {
+        use crate::engine::ServingEngine;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        /// Sends everything to replica 0 and keeps every snapshot set.
+        struct Recording(Rc<RefCell<Vec<Vec<ReplicaSnapshot>>>>);
+        impl Placement for Recording {
+            fn name(&self) -> String {
+                "recording".into()
+            }
+            fn place(&mut self, _r: &RoutedRequest, s: &[ReplicaSnapshot]) -> usize {
+                self.0.borrow_mut().push(s.to_vec());
+                0
+            }
+        }
+
+        // One replica of two memory-bound servers: a 160-token and a
+        // 40-token K/V budget. r0 runs alone on the big server (batch
+        // 1). r1 fits only the big server, so at its arrival the idle
+        // small server declines it with no later arrival known and the
+        // replica stalls. r2 arrives after r0 has finished.
+        let bounded = |tokens: u64| {
+            let base = tiny_appliance();
+            let m = base.memory_model();
+            base.with_hbm_capacity(m.weight_bytes + tokens * m.kv_bytes_per_token)
+                .unwrap()
+        };
+        let (big, small) = (bounded(160), bounded(40));
+        let (r0, r1, r2) = (
+            Workload::new(64, 32),
+            Workload::new(60, 40),
+            Workload::new(8, 4),
+        );
+        let solo_ms = |w: Workload| {
+            ServingEngine::new(&big)
+                .with_scheduler(Box::new(ContinuousBatching::new(1)))
+                .run(&[w], &ArrivalProcess::Trace(vec![0.0]))
+                .unwrap()
+                .makespan_ms
+        };
+        let (r0_done, t2) = (solo_ms(r0), solo_ms(r0) + solo_ms(r1) / 2.0);
+
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let report = ClusterRouter::new(
+            vec![vec![&big, &small]],
+            Box::new(Recording(Rc::clone(&seen))),
+        )
+        .unwrap()
+        .with_scheduler_factory(|| Box::new(ContinuousBatching::new(1)))
+        .run(&[r0, r1, r2], &ArrivalProcess::Trace(vec![0.0, 0.1, t2]))
+        .unwrap();
+
+        // The final report is the batch run of the same stream: r0
+        // retired on the big server before r2 arrived, r1 followed it
+        // there, r2 ran on the small server.
+        let inner = report.replicas[0].report.as_ref().unwrap();
+        let batch = ServingEngine::pool(vec![&big, &small])
+            .unwrap()
+            .with_scheduler(Box::new(ContinuousBatching::new(1)))
+            .run(&[r0, r1, r2], &ArrivalProcess::Trace(vec![0.0, 0.1, t2]))
+            .unwrap();
+        assert_eq!(inner, &batch);
+        let by_id = |id: u64| inner.responses.iter().find(|r| r.request.id == id).unwrap();
+        assert_eq!(
+            (by_id(0).server, by_id(1).server, by_id(2).server),
+            (0, 0, 1)
+        );
+        assert_eq!(by_id(0).finish_ms, r0_done);
+        assert_eq!(by_id(1).start_ms, r0_done);
+        assert!(r0_done < t2 && by_id(1).finish_ms > t2);
+
+        // At r2's arrival the replica has committed nothing since the
+        // decline at 0.1: r0's retirement is not in yet, so both
+        // requests are outstanding and r0's claim is the one open.
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), 3);
+        let snap = &seen[2][0];
+        assert_eq!((snap.index, snap.assigned, snap.outstanding), (0, 2, 2));
+        let (m_big, m_small) = (big.memory_model(), small.memory_model());
+        let budget = m_big.kv_budget_bytes() + m_small.kv_budget_bytes();
+        assert_eq!(
+            snap.kv_load,
+            m_big.kv_claim_bytes(64 + 32) as f64 / budget as f64
+        );
     }
 
     #[test]

@@ -613,20 +613,6 @@ impl EngineState<'_> {
         }
     }
 
-    /// Whether the stream is parked on a stashed scheduler decision —
-    /// a `Wait` or an admission decline taken when no later arrival was
-    /// known yet. Such a decision's outcome depends on whether the
-    /// stream ever receives another request, so a horizon-bounded
-    /// advance stops there rather than guessing; callers that need
-    /// "state at `t` assuming no more arrivals" semantics (the cluster
-    /// snapshot contract) must answer from a prefix replay instead.
-    pub(crate) fn is_stalled(&self) -> bool {
-        match self {
-            EngineState::Static(st) => st.stashed_wait_ms.is_some(),
-            EngineState::Continuous(st) => st.stashed_decline,
-        }
-    }
-
     /// The error a batch run raises when the loop runs dry with
     /// requests unserved.
     pub(crate) fn starvation_error(&self) -> SimError {
@@ -735,22 +721,8 @@ impl<'a> ServingEngine<'a> {
         workloads: &[Workload],
         arrivals: &ArrivalProcess,
     ) -> Result<ServiceReport, SimError> {
-        if workloads.is_empty() {
-            return Err(SimError::Service("nothing to serve".into()));
-        }
-        let plan = arrivals.plan(workloads.len())?;
-        let mut state = self.build_state(workloads.to_vec(), plan)?;
-        let n = workloads.len();
-        while state.responses().len() < n {
-            match self.step(&mut state, None)? {
-                StepOutcome::Progressed => {}
-                // With no horizon a step never blocks, so both arms mean
-                // the event loop ran dry with requests unserved.
-                StepOutcome::Blocked | StepOutcome::Exhausted => {
-                    return Err(state.starvation_error());
-                }
-            }
-        }
+        let mut state = self.batch_state(workloads, arrivals)?;
+        self.drain(&mut state)?;
         self.build_report(state)
     }
 
@@ -771,23 +743,11 @@ impl<'a> ServingEngine<'a> {
         workloads: &[Workload],
         arrivals: &ArrivalProcess,
     ) -> Result<(ServiceReport, crate::telemetry::RunTrace), SimError> {
-        if workloads.is_empty() {
-            return Err(SimError::Service("nothing to serve".into()));
-        }
-        let plan = arrivals.plan(workloads.len())?;
-        let mut state = self.build_state(workloads.to_vec(), plan)?;
+        let mut state = self.batch_state(workloads, arrivals)?;
         if let EngineState::Continuous(st) = &mut state {
             st.trace_tokens = Some(Vec::new());
         }
-        let n = workloads.len();
-        while state.responses().len() < n {
-            match self.step(&mut state, None)? {
-                StepOutcome::Progressed => {}
-                StepOutcome::Blocked | StepOutcome::Exhausted => {
-                    return Err(state.starvation_error());
-                }
-            }
-        }
+        self.drain(&mut state)?;
         // Harvest the raw material the report constructor consumes.
         let (busy, token_events) = match &mut state {
             EngineState::Static(st) => (st.busy.clone(), Vec::new()),
@@ -868,10 +828,41 @@ impl<'a> ServingEngine<'a> {
         }
     }
 
+    /// The state of a batch run: every request known up front (or
+    /// released by the closed loop), validated as [`run`](Self::run)
+    /// documents.
+    fn batch_state(
+        &mut self,
+        workloads: &[Workload],
+        arrivals: &ArrivalProcess,
+    ) -> Result<EngineState<'a>, SimError> {
+        if workloads.is_empty() {
+            return Err(SimError::Service("nothing to serve".into()));
+        }
+        let plan = arrivals.plan(workloads.len())?;
+        self.build_state(workloads.to_vec(), plan)
+    }
+
+    /// Steps `state` with no horizon until every pushed request has a
+    /// response. Without a horizon a step never blocks, so running dry
+    /// first means the event loop starved with requests unserved.
+    pub(crate) fn drain(&mut self, state: &mut EngineState<'a>) -> Result<(), SimError> {
+        let n = state.pushed();
+        while state.responses().len() < n {
+            match self.step(state, None)? {
+                StepOutcome::Progressed => {}
+                StepOutcome::Blocked | StepOutcome::Exhausted => {
+                    return Err(state.starvation_error());
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Builds the resumable state for a run over `workloads` under
     /// `plan`, choosing the event path exactly as [`run`](Self::run)
     /// describes.
-    pub(crate) fn build_state(
+    fn build_state(
         &mut self,
         workloads: Vec<Workload>,
         plan: SubmissionPlan,

@@ -54,11 +54,10 @@ pub mod telemetry;
 
 pub use arrivals::ArrivalProcess;
 pub use backend::{validate_workload, Backend, BatchReport, RunReport};
-/// Incremental engine checkpoints ([`EngineCheckpoint`]): resume a
-/// request stream from its last simulated event instead of replaying
-/// the whole prefix — the seam that makes the cluster tier's load-aware
-/// placement snapshots O(n) instead of O(n²) over a sweep, with
-/// bit-identical reports.
+/// Incremental engine checkpoints ([`EngineCheckpoint`]): one request
+/// stream simulated in time order as its arrivals become known — the
+/// seam every cluster replica streams through, with reports
+/// bit-identical to a batch run.
 pub use checkpoint::EngineCheckpoint;
 /// Cluster tier ([`ClusterRouter`]): deterministic routing across N
 /// replica engines with pluggable [`Placement`] policies

@@ -776,23 +776,13 @@ fn eat_digits(bytes: &[u8], pos: &mut usize) -> usize {
 
 /// How a request's lifecycle ended.
 ///
-/// Today's engine retires every admitted request ([`Retired`]); the
-/// other states name the lifecycle ends a paged/preempting serving
-/// stack produces, so the span model (and its exports) is stable when
-/// engine-level preemption lands. Paged-K/V preemptions inside a
-/// stepper do not end the lifecycle — the request still retires.
-///
-/// [`Retired`]: SpanOutcome::Retired
+/// The engine retires every admitted request. Paged-K/V preemptions
+/// inside a stepper do not end the lifecycle — the request still
+/// retires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanOutcome {
     /// Served to completion.
     Retired,
-    /// Evicted mid-decode to be resumed later.
-    Preempted,
-    /// K/V state swapped out to host memory.
-    Swapped,
-    /// Abandoned before completion.
-    Cancelled,
 }
 
 impl SpanOutcome {
@@ -800,9 +790,6 @@ impl SpanOutcome {
     pub fn label(self) -> &'static str {
         match self {
             SpanOutcome::Retired => "retired",
-            SpanOutcome::Preempted => "preempted",
-            SpanOutcome::Swapped => "swapped",
-            SpanOutcome::Cancelled => "cancelled",
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The same closed-form `UnitBackend` as `serving_invariants.rs` keeps
 //! service times trivial (integer milliseconds, exact in f64), so the
-//! properties stress the *router* — assignment, sub-stream replay,
+//! properties stress the *router* — assignment, sub-stream streaming,
 //! report pooling — not the cycle model. The pinned invariants:
 //!
 //! 1. **Conservation** — every submitted request appears exactly once
@@ -13,14 +13,14 @@
 //! 3. **Determinism** — identical seeds reproduce the whole
 //!    `ClusterReport` bit for bit.
 //! 4. **Single-replica equivalence** — a cluster of one replica is the
-//!    bare `ServingEngine` run, bit-identical responses and all.
+//!    bare `ServingEngine` run, bit-identical responses and all, under
+//!    every placement.
 //! 5. **Round-robin fairness** — dispatch counts never differ by more
 //!    than one, so the Jain balance index is ~1.
-//! 6. **Checkpoint equivalence** — load-aware routing through
-//!    incremental engine checkpoints produces a report bit-identical
-//!    to the O(n²) full-replay reference
-//!    ([`with_full_replay`](ClusterRouter::with_full_replay)), declines
-//!    and all.
+//! 6. **Snapshot oracle** — on memory-bound replicas, every snapshot a
+//!    load-aware placement is shown equals its replica's final report
+//!    read at the arrival instant, on closed-form replicas under
+//!    arbitrary streams and on tiny-model appliances for a fixed one.
 //!
 //! Plus the session-affinity prefix-hit regression: with a shared
 //! system prompt on paged replicas, pinning a session strictly
@@ -31,14 +31,17 @@
 //! vendored proptest honours `PROPTEST_CASES`, which CI raises for
 //! this suite.
 
+use dfx::hw::MemoryModel;
 use dfx::model::{GptConfig, Workload};
 use dfx::serve::{
-    ArrivalProcess, Backend, ClusterRouter, ContinuousBatching, ContinuousStepper, Placement,
-    ReplicaSnapshot, RoundRobin, RoutedRequest, RunReport, ServingEngine, SessionAffinity,
-    StepEvent,
+    ArrivalProcess, Backend, ClusterReport, ClusterRouter, ContinuousBatching, ContinuousStepper,
+    LeastKvLoaded, LeastOutstanding, Placement, ReplicaSnapshot, RoundRobin, RoutedRequest,
+    RunReport, ServingEngine, SessionAffinity, StepEvent,
 };
 use dfx::sim::{Appliance, PagedKvConfig, PreemptionPolicy, SimError};
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Closed-form backend: `input + output` ms per request, with a
 /// matching token-granular stepper (see `serving_invariants.rs`).
@@ -115,6 +118,42 @@ impl Backend for UnitBackend {
     }
 }
 
+/// `UnitBackend` behind a K/V budget of `tokens` context positions, so
+/// the admission probe declines joins that would overflow it and the
+/// router reads real K/V load.
+struct BoundedUnit {
+    memory: MemoryModel,
+}
+
+impl BoundedUnit {
+    fn new(tokens: u64) -> Self {
+        BoundedUnit {
+            memory: MemoryModel::new(1_000 + tokens * 64, 1_000, 64),
+        }
+    }
+}
+
+impl Backend for BoundedUnit {
+    fn name(&self) -> String {
+        "bounded-unit".into()
+    }
+    fn device_count(&self) -> usize {
+        1
+    }
+    fn nominal_power_w(&self) -> Option<f64> {
+        None
+    }
+    fn serve(&self, w: Workload) -> Result<RunReport, SimError> {
+        UnitBackend.serve(w)
+    }
+    fn memory(&self) -> Option<MemoryModel> {
+        Some(self.memory)
+    }
+    fn continuous(&self) -> Option<Box<dyn ContinuousStepper + '_>> {
+        UnitBackend.continuous()
+    }
+}
+
 /// A deterministic "adversarial" placement: a seeded LCG picks any
 /// replica, ignoring load entirely. If the router's bookkeeping
 /// survives this, it survives every well-behaved policy.
@@ -134,6 +173,114 @@ impl Placement for SeededRandom {
             .wrapping_add(1442695040888963407);
         ((self.state >> 33) as usize) % replicas.len()
     }
+}
+
+/// Every snapshot set a placement was shown, with the request it placed.
+type SnapshotLog = Rc<RefCell<Vec<(RoutedRequest, Vec<ReplicaSnapshot>)>>>;
+
+/// Wraps a placement and records what it is shown.
+struct Recording {
+    inner: Box<dyn Placement>,
+    log: SnapshotLog,
+}
+
+impl Placement for Recording {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+    fn reset(&mut self) {
+        self.log.borrow_mut().clear();
+        self.inner.reset();
+    }
+    fn place(&mut self, request: &RoutedRequest, replicas: &[ReplicaSnapshot]) -> usize {
+        self.log.borrow_mut().push((*request, replicas.to_vec()));
+        self.inner.place(request, replicas)
+    }
+}
+
+/// The placement `which` (0..3) names: the load-blind one and both
+/// load signals.
+fn placement(which: usize) -> Box<dyn Placement> {
+    match which {
+        0 => Box::new(RoundRobin::new()),
+        1 => Box::new(LeastOutstanding),
+        _ => Box::new(LeastKvLoaded),
+    }
+}
+
+/// Routes `workloads` over single-server replicas with `placement`
+/// recording every snapshot set, under `ContinuousBatching(max_batch)`.
+fn recorded_run(
+    servers: Vec<&dyn Backend>,
+    placement: Box<dyn Placement>,
+    max_batch: usize,
+    workloads: &[Workload],
+    arrivals: &ArrivalProcess,
+) -> (ClusterReport, SnapshotLog) {
+    let log = SnapshotLog::default();
+    let recording = Recording {
+        inner: placement,
+        log: Rc::clone(&log),
+    };
+    let report = ClusterRouter::uniform(servers, Box::new(recording))
+        .unwrap()
+        .with_scheduler_factory(move || Box::new(ContinuousBatching::new(max_batch)))
+        .run(workloads, arrivals)
+        .unwrap();
+    (report, log)
+}
+
+/// The snapshot of replica `index` that the final `report` implies at
+/// `request`'s arrival `t`: assigned = the replica's requests placed
+/// before this one; outstanding = those finishing after `t`; K/V load
+/// = the claims of those started strictly before `t` (a decision at
+/// `t` is not committed yet) and finishing after it, over the budget.
+fn final_report_read_at(
+    report: &ClusterReport,
+    request: &RoutedRequest,
+    index: usize,
+    memory: MemoryModel,
+) -> ReplicaSnapshot {
+    let t = request.arrival_ms;
+    let (mut assigned, mut outstanding, mut claimed) = (0usize, 0usize, 0u64);
+    for r in &report.responses {
+        if r.server != index || r.request.id >= request.id {
+            continue;
+        }
+        assigned += 1;
+        if r.finish_ms > t {
+            outstanding += 1;
+            if r.start_ms < t {
+                let w = r.request.workload;
+                claimed += memory.kv_claim_bytes(w.input_len + w.output_len);
+            }
+        }
+    }
+    ReplicaSnapshot {
+        index,
+        assigned,
+        outstanding,
+        kv_load: claimed as f64 / memory.kv_budget_bytes() as f64,
+    }
+}
+
+/// Every logged snapshot that differs from the final report read at its
+/// arrival, as `(request id, shown, expected)`.
+fn snapshot_mismatches(
+    report: &ClusterReport,
+    log: &SnapshotLog,
+    memories: &[MemoryModel],
+) -> Vec<(u64, ReplicaSnapshot, ReplicaSnapshot)> {
+    let mut bad = Vec::new();
+    for (request, snapshots) in log.borrow().iter() {
+        for (i, shown) in snapshots.iter().enumerate() {
+            let expected = final_report_read_at(report, request, i, memories[i]);
+            if *shown != expected {
+                bad.push((request.id, shown.clone(), expected));
+            }
+        }
+    }
+    bad
 }
 
 fn arb_workloads() -> impl Strategy<Value = Vec<Workload>> {
@@ -208,25 +355,24 @@ proptest! {
         prop_assert_eq!(run(), run());
     }
 
-    /// A cluster of one replica is the bare engine: the replica's
-    /// inner report equals `ServingEngine::run` bit for bit, and the
-    /// cluster-level responses and percentiles match it.
+    /// A cluster of one replica is the bare engine under every
+    /// placement: the replica's inner report equals `ServingEngine::run`
+    /// bit for bit, and the cluster-level responses and percentiles
+    /// match it.
     #[test]
     fn single_replica_cluster_is_bit_identical_to_bare_engine(
         workloads in arb_workloads(),
         rate_per_s in 0.5f64..200.0,
         seed in any::<u64>(),
         max_batch in 1usize..5,
+        which in 0usize..3,
     ) {
         let arrivals = ArrivalProcess::Poisson { rate_per_s, seed };
         let bare = ServingEngine::new(&UnitBackend)
             .with_scheduler(Box::new(ContinuousBatching::new(max_batch)))
             .run(&workloads, &arrivals)
             .unwrap();
-        let cluster = ClusterRouter::uniform(
-                vec![&UnitBackend as &dyn Backend],
-                Box::new(RoundRobin::new()),
-            )
+        let cluster = ClusterRouter::uniform(vec![&UnitBackend as &dyn Backend], placement(which))
             .unwrap()
             .with_scheduler_factory(move || Box::new(ContinuousBatching::new(max_batch)))
             .run(&workloads, &arrivals)
@@ -268,15 +414,13 @@ proptest! {
         prop_assert!(max - min <= 1, "round-robin dispatch skew: {:?}", counts);
     }
 
-    /// Checkpoint equivalence: routing through incremental engine
-    /// checkpoints (the default for load-aware placements) produces a
-    /// `ClusterReport` bit-identical to the O(n²) full-replay
-    /// reference, for both load signals. Memory-bound replicas make
-    /// `LeastKvLoaded` read real K/V claims and push the scheduler
-    /// into saturation declines, exercising the stalled-stream replay
-    /// fallback as well as the streamed admission accounting.
+    /// Snapshot oracle: every snapshot a load-aware placement is shown
+    /// equals its replica's final report read at the arrival instant.
+    /// The 160-token budget fits any single arb workload (≤ 126 tokens)
+    /// but not every pair, so admission declines genuinely occur under
+    /// load.
     #[test]
-    fn incremental_checkpoints_match_full_replay(
+    fn snapshots_match_final_reports_read_at_each_arrival(
         workloads in arb_workloads(),
         rate_per_s in 0.5f64..200.0,
         seed in any::<u64>(),
@@ -284,34 +428,50 @@ proptest! {
         max_batch in 1usize..5,
         kv_aware in any::<bool>(),
     ) {
-        // Budget fits any single arb workload (≤ 126 tokens) but not
-        // every pair, so declines genuinely occur under load.
-        let backends: Vec<Appliance> = (0..replicas)
-            .map(|_| {
-                let base = Appliance::timing_only(GptConfig::tiny(), 1).unwrap();
-                let m = base.memory_model();
-                let capacity = m.weight_bytes + 160 * m.kv_bytes_per_token;
-                base.with_hbm_capacity(capacity).unwrap()
-            })
-            .collect();
+        let backends: Vec<BoundedUnit> = (0..replicas).map(|_| BoundedUnit::new(160)).collect();
+        let servers: Vec<&dyn Backend> = backends.iter().map(|b| b as &dyn Backend).collect();
+        let memories: Vec<MemoryModel> = backends.iter().map(|b| b.memory).collect();
         let arrivals = ArrivalProcess::Poisson { rate_per_s, seed };
-        let run = |full_replay: bool| {
-            let servers: Vec<&dyn Backend> =
-                backends.iter().map(|b| b as &dyn Backend).collect();
-            let placement: Box<dyn Placement> = if kv_aware {
-                Box::new(dfx::serve::LeastKvLoaded)
-            } else {
-                Box::new(dfx::serve::LeastOutstanding)
-            };
-            let mut router = ClusterRouter::uniform(servers, placement)
+        let (report, log) = recorded_run(
+            servers,
+            placement(if kv_aware { 2 } else { 1 }),
+            max_batch,
+            &workloads,
+            &arrivals,
+        );
+        prop_assert_eq!(log.borrow().len(), workloads.len());
+        let bad = snapshot_mismatches(&report, &log, &memories);
+        prop_assert!(bad.is_empty(), "(id, shown, expected): {:?}", bad);
+    }
+}
+
+/// The snapshot oracle on the cycle model: three tiny-model appliances
+/// with a 160-token K/V budget under a saturating stream, for both load
+/// signals.
+#[test]
+fn snapshots_match_final_reports_on_memory_bound_appliances() {
+    let appliances: Vec<Appliance> = (0..3)
+        .map(|_| {
+            let base = Appliance::timing_only(GptConfig::tiny(), 1).unwrap();
+            let m = base.memory_model();
+            base.with_hbm_capacity(m.weight_bytes + 160 * m.kv_bytes_per_token)
                 .unwrap()
-                .with_scheduler_factory(move || Box::new(ContinuousBatching::new(max_batch)));
-            if full_replay {
-                router = router.with_full_replay();
-            }
-            router.run(&workloads, &arrivals).unwrap()
-        };
-        prop_assert_eq!(run(false), run(true));
+        })
+        .collect();
+    let memories: Vec<MemoryModel> = appliances.iter().map(Appliance::memory_model).collect();
+    let workloads: Vec<Workload> = (0..24)
+        .map(|i| Workload::new(8 + (i * 17) % 56, 4 + (i * 11) % 40))
+        .collect();
+    let arrivals = ArrivalProcess::Poisson {
+        rate_per_s: 2_000.0,
+        seed: 7,
+    };
+    for which in [1, 2] {
+        let servers: Vec<&dyn Backend> = appliances.iter().map(|a| a as &dyn Backend).collect();
+        let (report, log) = recorded_run(servers, placement(which), 3, &workloads, &arrivals);
+        assert_eq!(log.borrow().len(), workloads.len());
+        let bad = snapshot_mismatches(&report, &log, &memories);
+        assert!(bad.is_empty(), "(id, shown, expected): {bad:?}");
     }
 }
 
