@@ -7,7 +7,7 @@
 //! continuously, every live request claims `kv bytes/token × (input +
 //! output)` next to the weights, and capacity — not padded shape —
 //! bounds the live batch ([`Backend::memory`],
-//! [`dfx_sim::KvPool`](dfx_sim::KvPool)). This experiment measures that
+//! [`dfx_sim::BlockPool`](dfx_sim::BlockPool)). This experiment measures that
 //! memory layer end to end on the DFX appliance, in four sweeps:
 //!
 //! 1. **HBM capacity × saturating backlog** — the peak live batch
@@ -22,10 +22,10 @@
 //!    ([`ContinuousBatching::with_slo`]) vs greedy admission under
 //!    load: the guard refuses joins whose prefill stall would blow the
 //!    running members' deadlines;
-//! 4. **paged vs reserved allocation** — at equal (tight) HBM, the
-//!    block-table allocator ([`dfx_sim::BlockPool`]) admits on prompt
-//!    *blocks* and grows page-by-page instead of reserving the full
-//!    input+output claim up front, recovering live batch and goodput;
+//! 4. **paged vs reserved admission** — at equal (tight) HBM, the
+//!    block pool's paged policy admits on prompt *blocks* and grows
+//!    page-by-page instead of reserving the full input+output claim up
+//!    front, recovering live batch and goodput;
 //!    with a shared system prompt, the ref-counted prefix cache skips
 //!    redundant prefill and the sweep reports the hit rate.
 //!
@@ -45,7 +45,7 @@ use dfx_model::{GptConfig, Workload};
 use dfx_serve::{
     chatbot_mix, ArrivalProcess, Backend, ContinuousBatching, Scheduler, ServingEngine,
 };
-use dfx_sim::{Appliance, PagedKvConfig, PreemptionPolicy};
+use dfx_sim::{Appliance, PagedKvConfig, PreemptionPolicy, SimError};
 
 /// The uniform per-request shape of the capacity sweep: the paper's
 /// chatbot point, clamped for short-context smoke configurations.
@@ -63,6 +63,13 @@ fn claim_point(cfg: &GptConfig) -> Workload {
 /// K/V claims"; `chunk_budgets` the prefill chunk sizes (tokens) swept
 /// against unchunked admission; `max_batch` bounds the continuous live
 /// batch everywhere.
+///
+/// # Panics
+///
+/// Panics when the setup is invalid (indivisible device count, a
+/// capacity that cannot hold the weight shard): experiment inputs are
+/// compile-time constants, so a failure is a bug in the caller, not an
+/// input error.
 pub fn run_setup(
     cfg: GptConfig,
     devices: usize,
@@ -72,11 +79,35 @@ pub fn run_setup(
     rates_per_s: &[f64],
     max_batch: usize,
 ) -> ExperimentReport {
+    match build(
+        cfg,
+        devices,
+        n_requests,
+        capacity_claims,
+        chunk_budgets,
+        rates_per_s,
+        max_batch,
+    ) {
+        Ok(report) => report,
+        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
+        Err(e) => panic!("memory experiment failed: {e:?}"),
+    }
+}
+
+fn build(
+    cfg: GptConfig,
+    devices: usize,
+    n_requests: usize,
+    capacity_claims: &[usize],
+    chunk_budgets: &[usize],
+    rates_per_s: &[f64],
+    max_batch: usize,
+) -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new(
         "memory",
         "HBM/KV memory subsystem: capacity-bounded admission and chunked prefill",
     );
-    let dfx = Appliance::timing_only(cfg.clone(), devices).expect("partitionable");
+    let dfx = Appliance::timing_only(cfg.clone(), devices)?;
     let memory = dfx.memory_model();
     let point = claim_point(&cfg);
     let claim_tokens = (point.input_len + point.output_len) as u64;
@@ -116,30 +147,25 @@ pub fn run_setup(
     let cap_rows = rayon_lite::par_map(capacity_claims, |&claims| {
         let capacity =
             memory.weight_bytes + claims as u64 * claim_tokens * memory.kv_bytes_per_token;
-        let capped = Appliance::timing_only(cfg.clone(), devices)
-            .expect("partitionable")
-            .with_hbm_capacity(capacity)
-            .expect("capacity holds the shard");
+        let capped = Appliance::timing_only(cfg.clone(), devices)?.with_hbm_capacity(capacity)?;
         let r = ServingEngine::new(&capped)
             .with_scheduler(Box::new(ContinuousBatching::new(max_batch)))
-            .run(&stream, &backlog)
-            .expect("valid stream");
-        vec![
+            .run(&stream, &backlog)?;
+        Ok::<_, SimError>(vec![
             fmt(capacity as f64 / (1 << 30) as f64, 3),
             capped.memory_model().max_resident_tokens().to_string(),
             claims.to_string(),
             r.peak_live_batch.to_string(),
             fmt(r.p99_sojourn_ms, 0),
             fmt(r.goodput_tps, 1),
-        ]
+        ])
     });
     for row in cap_rows {
-        cap_table.push_row(row);
+        cap_table.push_row(row?);
     }
     let r = ServingEngine::new(&dfx)
         .with_scheduler(Box::new(ContinuousBatching::new(max_batch)))
-        .run(&stream, &backlog)
-        .expect("valid stream");
+        .run(&stream, &backlog)?;
     cap_table.push_row(vec![
         fmt(memory.capacity_bytes as f64 / (1 << 30) as f64, 3),
         memory.max_resident_tokens().to_string(),
@@ -190,25 +216,24 @@ pub fn run_setup(
         };
         let r = ServingEngine::new(&dfx)
             .with_scheduler(scheduler)
-            .run(&mix, &arrivals)
-            .expect("valid stream");
-        vec![
+            .run(&mix, &arrivals)?;
+        Ok::<_, SimError>(vec![
             fmt(rate_per_s, 2),
             label,
             fmt(r.p99_token_gap_ms, 1),
             fmt(r.p50_sojourn_ms, 0),
             fmt(r.p99_sojourn_ms, 0),
             fmt(r.goodput_tps, 1),
-        ]
+        ])
     });
     for row in chunk_rows {
-        chunk_table.push_row(row);
+        chunk_table.push_row(row?);
     }
     report.table(chunk_table);
 
     // --- 3. Admission policy: greedy vs prefill-aware -----------------
     let rate_per_s = rates_per_s.last().copied().unwrap_or(1.0);
-    let slo_ms = 4.0 * dfx.serve(point).expect("valid point").total_ms();
+    let slo_ms = 4.0 * dfx.serve(point)?.total_ms();
     let mut policy_table = MdTable::new(
         format!(
             "Admission policy at {rate_per_s} req/s: greedy admission vs prefill-aware \
@@ -247,8 +272,7 @@ pub fn run_setup(
     for (label, scheduler) in policies {
         let r = ServingEngine::new(&dfx)
             .with_scheduler(scheduler)
-            .run(&mix, &arrivals)
-            .expect("valid stream");
+            .run(&mix, &arrivals)?;
         policy_table.push_row(vec![
             label.into(),
             fmt(r.p99_token_gap_ms, 1),
@@ -300,43 +324,26 @@ pub fn run_setup(
     let groups = rayon_lite::par_map(&paged_claims, |&claims| {
         let capacity =
             memory.weight_bytes + claims as u64 * claim_tokens * memory.kv_bytes_per_token;
-        let capped = || {
-            Appliance::timing_only(cfg.clone(), devices)
-                .expect("partitionable")
-                .with_hbm_capacity(capacity)
-                .expect("capacity holds the shard")
-        };
-        let run = |appliance: &Appliance| {
-            ServingEngine::new(appliance)
-                .with_scheduler(Box::new(ContinuousBatching::new(max_batch)))
-                .run(&mix, &backlog_mix)
-                .expect("valid stream")
-        };
+        let capped = || Appliance::timing_only(cfg.clone(), devices)?.with_hbm_capacity(capacity);
         let allocators: Vec<(&str, Appliance)> = vec![
-            ("reserved", capped()),
+            ("reserved", capped()?),
             (
                 "paged/recompute",
-                capped()
-                    .with_kv_paging(PagedKvConfig::new(block_tokens))
-                    .expect("block size fits"),
+                capped()?.with_kv_paging(PagedKvConfig::new(block_tokens))?,
             ),
             (
                 "paged/retain",
-                capped()
-                    .with_kv_paging(
-                        PagedKvConfig::new(block_tokens).with_policy(PreemptionPolicy::Retain),
-                    )
-                    .expect("block size fits"),
+                capped()?.with_kv_paging(
+                    PagedKvConfig::new(block_tokens).with_policy(PreemptionPolicy::Retain),
+                )?,
             ),
             (
                 "paged/retain+prefix",
-                capped()
-                    .with_kv_paging(
-                        PagedKvConfig::new(block_tokens)
-                            .with_policy(PreemptionPolicy::Retain)
-                            .with_shared_prefix(shared_prefix),
-                    )
-                    .expect("block size fits"),
+                capped()?.with_kv_paging(
+                    PagedKvConfig::new(block_tokens)
+                        .with_policy(PreemptionPolicy::Retain)
+                        .with_shared_prefix(shared_prefix),
+                )?,
             ),
         ];
         let mut group = PagedGroup {
@@ -347,7 +354,9 @@ pub fn run_setup(
         };
         let mut reserved_goodput = 0.0;
         for (label, appliance) in &allocators {
-            let r = run(appliance);
+            let r = ServingEngine::new(appliance)
+                .with_scheduler(Box::new(ContinuousBatching::new(max_batch)))
+                .run(&mix, &backlog_mix)?;
             let (preempt, hit) = match &r.paging {
                 Some(s) => (
                     s.preemptions.to_string(),
@@ -381,10 +390,11 @@ pub fn run_setup(
                 vs,
             ]);
         }
-        group
+        Ok::<_, SimError>(group)
     });
     let mut headline: Option<(f64, f64, f64)> = None;
     for group in groups {
+        let group = group?;
         for row in group.rows {
             paged_table.push_row(row);
         }
@@ -404,7 +414,7 @@ pub fn run_setup(
             hit * 100.0,
         ));
     }
-    report
+    Ok(report)
 }
 
 /// The headline sweep: GPT-2 1.5B on 4 FPGAs — capacities holding 1 to

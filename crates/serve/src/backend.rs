@@ -333,22 +333,14 @@ impl Backend for Appliance {
         // The padded shape is what a static batch executes at; it must
         // fit the model's context window, and the joint K/V claim (every
         // member caching at the padded shape) must fit the per-device
-        // HBM budget — the same checks generate_batch_timed enforces.
-        let input = batch.iter().map(|w| w.input_len).max().unwrap_or(0);
-        let output = batch.iter().map(|w| w.output_len).max().unwrap_or(0);
-        let kv_fits = match self.kv_paging() {
-            // Block granularity: members of a static batch all peak
-            // together, so paging rounds each padded footprint up to
-            // whole blocks (generate_batch_timed enforces the same).
-            Some(paging) => {
-                let memory = self.memory_model();
-                let per_member = (input + output).div_ceil(paging.block_tokens);
-                let total = memory.max_resident_tokens() as usize / paging.block_tokens;
-                batch.len() * per_member <= total
-            }
-            None => padded_kv_fits(&self.memory_model(), batch),
-        };
-        !batch.is_empty() && input + output <= self.config().max_seq_len && kv_fits
+        // pool — the same checks generate_batch_timed enforces.
+        let padded = Workload::new(
+            batch.iter().map(|w| w.input_len).max().unwrap_or(0),
+            batch.iter().map(|w| w.output_len).max().unwrap_or(0),
+        );
+        !batch.is_empty()
+            && padded.total_steps() <= self.config().max_seq_len
+            && self.batch_kv_fits(batch.len(), padded)
     }
 
     fn continuous(&self) -> Option<Box<dyn ContinuousStepper + '_>> {

@@ -163,8 +163,8 @@ pub struct Appliance {
     /// for capacity sweeps).
     hbm_capacity_bytes: u64,
     /// Paged K/V allocation, when enabled by
-    /// [`with_kv_paging`](Appliance::with_kv_paging); `None` keeps the
-    /// reserved [`KvPool`](crate::KvPool) path.
+    /// [`with_kv_paging`](Appliance::with_kv_paging); `None` admits
+    /// through a reserved [`BlockPool`](crate::BlockPool).
     kv_paging: Option<crate::PagedKvConfig>,
 }
 
@@ -250,7 +250,7 @@ impl Appliance {
     /// `memory` experiment's capacity sweeps; the default is the U280's
     /// 8 GiB). The override only moves the *K/V budget* consulted by
     /// [`memory_model`](Appliance::memory_model), the incremental
-    /// executor's [`KvPool`](crate::KvPool) and the batched path; the
+    /// executor's [`BlockPool`](crate::BlockPool) and the batched path; the
     /// paper's single-request timing paths are untouched.
     ///
     /// # Errors
@@ -273,14 +273,14 @@ impl Appliance {
         Ok(self)
     }
 
-    /// Switches the incremental executor to paged K/V allocation
-    /// ([`BlockPool`](crate::BlockPool)): admission takes blocks for the
-    /// prompt rather than reserving the whole `input + output` claim,
-    /// K/V grows page by page, exhaustion preempts under
-    /// `cfg`'s [`PreemptionPolicy`](crate::PreemptionPolicy), and a
-    /// non-zero `shared_prefix_tokens` enables the prefix cache. The
-    /// reserved [`KvPool`](crate::KvPool) path stays the default — and
-    /// stays bit-identical — when this is never called.
+    /// Switches the incremental executor's [`BlockPool`](crate::BlockPool)
+    /// to paged admission: admission takes blocks for the prompt rather
+    /// than the whole `input + output` claim, K/V grows page by page,
+    /// exhaustion preempts under `cfg`'s
+    /// [`PreemptionPolicy`](crate::PreemptionPolicy), and a non-zero
+    /// `shared_prefix_tokens` enables the prefix cache. Without it the
+    /// pool is [`reserved`](crate::BlockPool::reserved): admission takes
+    /// the whole claim.
     ///
     /// # Errors
     ///

@@ -137,27 +137,9 @@ impl Appliance {
         // The padded shape is what actually executes; validating it also
         // covers every member.
         self.check_workload(padded)?;
-        // Every member's K/V cache grows at the padded shape, and all of
-        // them are resident at once on each device. Under paged K/V the
-        // same static claim is checked at block granularity (members all
-        // peak together here, so paging only rounds each member's
-        // footprint up to whole blocks).
-        let memory = self.memory_model();
-        let claim_tokens = batch.len() * padded.total_steps();
-        if let Some(paging) = self.kv_paging() {
-            let per_member = padded.total_steps().div_ceil(paging.block_tokens);
-            let total = memory.max_resident_tokens() as usize / paging.block_tokens;
-            if batch.len() * per_member > total {
-                return Err(SimError::Memory(format!(
-                    "a {}-way batch padded to {padded} claims {} K/V blocks of {} tokens, \
-                     over the pool's {total}",
-                    batch.len(),
-                    batch.len() * per_member,
-                    paging.block_tokens,
-                )));
-            }
-        }
-        if !memory.fits_tokens(claim_tokens) {
+        if !self.batch_kv_fits(batch.len(), padded) {
+            let claim_tokens = batch.len() * padded.total_steps();
+            let memory = self.memory_model();
             return Err(SimError::Memory(format!(
                 "a {}-way batch padded to {padded} claims {claim_tokens} tokens of K/V \
                  ({:.1} MB), over the {:.1} MB HBM budget left by the weight shard",
@@ -186,6 +168,18 @@ impl Appliance {
             generation,
             num_fpgas: self.num_fpgas(),
         })
+    }
+
+    /// Whether a static batch of `members` requests, each caching K/V
+    /// at the `padded` shape, fits the per-device K/V pool. Members of a
+    /// static batch all peak together, so each padded footprint is
+    /// rounded up to whole blocks (1-token blocks without paging). The
+    /// rule behind [`generate_batch_timed`](Appliance::generate_batch_timed)'s
+    /// memory check and the serving layer's feasibility probe.
+    pub fn batch_kv_fits(&self, members: usize, padded: Workload) -> bool {
+        let block_tokens = self.kv_paging().map_or(1, |p| p.block_tokens);
+        let total_blocks = self.memory_model().max_resident_tokens() as usize / block_tokens;
+        members * padded.total_steps().div_ceil(block_tokens) <= total_blocks
     }
 }
 

@@ -1,27 +1,36 @@
-//! Paged K/V allocation: the block-table allocator and the prefix cache.
+//! The K/V allocator: a block table with two admission policies and a
+//! prefix cache.
 //!
-//! [`KvPool`](crate::KvPool) reserves every member's worst-case
-//! `input + output` claim at admission, so HBM that the member will only
-//! touch hundreds of decode steps from now sits idle today. [`BlockPool`]
-//! recovers that headroom the way vLLM/TGI paged attention does
-//! (`conceptual/paged_attention`): the K/V budget is carved into
+//! Each U280's HBM holds the core's weight shard *and* the growing K/V
+//! attention state of every live request (paper §IV-B), so the live
+//! batch is bounded by memory, not only by padded shape. [`BlockPool`]
+//! brokers that budget for the incremental executor
+//! ([`BatchState`](crate::BatchState)). The budget is carved into
 //! fixed-size *blocks* of [`block_tokens`](BlockPool::block_tokens)
-//! context positions, admission takes only the blocks the member's
-//! *prompt* needs, and decode grows the member's block table page by
-//! page as positions are actually written. The price is twofold and
-//! both halves are modelled:
+//! context positions, and every member holds a block table. What
+//! admission takes is the pool's policy:
 //!
-//! - **internal fragmentation** — a member's last block is partially
-//!   filled ([`fragmentation_tokens`](BlockPool::fragmentation_tokens)
-//!   totals the waste), and the budget's tail that doesn't fill a whole
-//!   block is unusable;
-//! - **preemption** — because admission no longer covers the worst case,
-//!   a [`write`](BlockPool::write) can find the pool exhausted. The
-//!   executor then [`evict`](BlockPool::evict)s a victim and either
-//!   *recomputes* its K/V later or *retains* it in DDR and swaps it
-//!   back ([`PreemptionPolicy`]).
+//! - **reserved** ([`BlockPool::reserved`]) — 1-token blocks, and
+//!   admission takes the member's whole `input + output` claim up front
+//!   (TGI-style budgeting). Writes never allocate, so an admitted member
+//!   can never be preempted by a later one, and release returns exactly
+//!   the claim however the member exits.
+//! - **paged** ([`BlockPool::new`]) — the way vLLM/TGI paged attention
+//!   does it (`conceptual/paged_attention`): admission takes only the
+//!   blocks the member's *prompt* needs, and decode grows the block
+//!   table page by page as positions are actually written. The price is
+//!   twofold and both halves are modelled:
+//!   - **internal fragmentation** — a member's last block is partially
+//!     filled ([`fragmentation_tokens`](BlockPool::fragmentation_tokens)
+//!     totals the waste), and the budget's tail that doesn't fill a
+//!     whole block is unusable;
+//!   - **preemption** — because admission does not cover the worst case,
+//!     a [`write`](BlockPool::write) can find the pool exhausted. The
+//!     executor then [`evict`](BlockPool::evict)s a victim and either
+//!     *recomputes* its K/V later or *retains* it in DDR and swaps it
+//!     back ([`PreemptionPolicy`]).
 //!
-//! On top of blocks sits a **prefix cache**: requests that share a
+//! On top of paged blocks sits a **prefix cache**: requests that share a
 //! common prompt prefix (a chatbot system prompt) share the K/V blocks
 //! that lie entirely inside the shared region, ref-counted per sharer.
 //! A sharer that finds the blocks cached skips both the redundant
@@ -32,9 +41,10 @@
 //!
 //! The allocator is pinned by an invariant suite (`tests/kv_paging.rs`):
 //! block conservation (`free + cached + owned == total` at every step),
-//! exact frees, and prefix ref-count soundness are enforced by
+//! exact frees, prefix ref-count soundness and whole-claim reserved
+//! leases are enforced by
 //! [`assert_invariants`](BlockPool::assert_invariants) under random
-//! admit/write/evict/release interleavings.
+//! admit/write/evict/release interleavings on both policies.
 
 use crate::error::SimError;
 use dfx_hw::MemoryModel;
@@ -171,7 +181,7 @@ impl PagingStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BlockLease {
     /// Worst-case claim in tokens (`input + output`): the solo-fit bound
-    /// and the write ceiling, *not* an up-front reservation.
+    /// and the write ceiling; a reserved pool also takes it up front.
     claim_tokens: usize,
     /// Context positions materialised so far (cache hits included).
     used_tokens: usize,
@@ -185,19 +195,23 @@ struct BlockLease {
     shareable_tokens: usize,
 }
 
-/// A paged K/V allocator over one device's [`MemoryModel`]: a block
-/// table with on-demand growth, preemption support and a ref-counted
-/// prefix cache.
+/// A K/V allocator over one device's [`MemoryModel`]: a block table
+/// with a reserved or a paged admission policy, preemption support and
+/// a ref-counted prefix cache.
 ///
-/// Admission ([`admit`](BlockPool::admit)) takes blocks for the
-/// member's *first write* (its prompt, or its first prefill chunk) —
-/// not its worst case — checking only that the worst case could fit an
-/// *empty* pool (solo feasibility, so a lone member can always run to
-/// completion). [`write`](BlockPool::write) allocates further blocks as
-/// positions are materialised and fails with [`SimError::Memory`] when
-/// none are left; the executor resolves that by
-/// [`evict`](BlockPool::evict)ing a victim under its
-/// [`PreemptionPolicy`].
+/// On a paged pool ([`new`](BlockPool::new)), admission
+/// ([`admit`](BlockPool::admit)) takes blocks for the member's *first
+/// write* (its prompt, or its first prefill chunk) — not its worst case
+/// — checking only that the worst case could fit an *empty* pool (solo
+/// feasibility, so a lone member can always run to completion).
+/// [`write`](BlockPool::write) allocates further blocks as positions are
+/// materialised and fails with [`SimError::Memory`] when none are left;
+/// the executor resolves that by [`evict`](BlockPool::evict)ing a victim
+/// under its [`PreemptionPolicy`].
+///
+/// On a reserved pool ([`reserved`](BlockPool::reserved)), admission
+/// takes the whole claim in 1-token blocks, so writes never allocate and
+/// nothing is ever evicted.
 ///
 /// # Examples
 ///
@@ -264,10 +278,13 @@ pub struct BlockPool {
     /// order for idle entries).
     cache_order: Vec<(u64, usize)>,
     stats: PagingStats,
+    /// Admission takes the whole claim (1-token blocks, no eviction, no
+    /// prefix sharing).
+    reserved: bool,
 }
 
 impl BlockPool {
-    /// An empty pool carving `memory`'s K/V budget into
+    /// An empty paged pool carving `memory`'s K/V budget into
     /// `block_tokens`-token blocks (the budget tail that does not fill
     /// a whole block is unusable — block-table quantisation).
     ///
@@ -290,6 +307,37 @@ impl BlockPool {
                 total_blocks,
                 ..PagingStats::default()
             },
+            reserved: false,
+        }
+    }
+
+    /// An empty reserved pool over `memory`'s K/V budget: 1-token
+    /// blocks, and [`admit`](BlockPool::admit) takes the member's whole
+    /// claim up front, so [`write`](BlockPool::write) never allocates.
+    /// [`evict`](BlockPool::evict) and prefix-sharing admissions are
+    /// refused.
+    ///
+    /// # Examples
+    ///
+    /// A claim is taken whole at admission and returned whole at release:
+    ///
+    /// ```
+    /// use dfx_hw::MemoryModel;
+    /// use dfx_sim::BlockPool;
+    ///
+    /// // Room for 102 tokens of K/V next to the weights.
+    /// let mut pool = BlockPool::reserved(MemoryModel::new(2048, 1024, 10));
+    /// assert_eq!(pool.free_tokens(), 102);
+    /// pool.admit(0, 60, 0, None).unwrap();
+    /// assert!(pool.admit(1, 60, 0, None).is_err(), "claim exceeds the free budget");
+    /// pool.admit(1, 40, 0, None).unwrap();
+    /// assert_eq!(pool.release(0), 60);
+    /// assert_eq!(pool.free_tokens(), 62);
+    /// ```
+    pub fn reserved(memory: MemoryModel) -> Self {
+        BlockPool {
+            reserved: true,
+            ..BlockPool::new(memory, 1)
         }
     }
 
@@ -398,16 +446,17 @@ impl BlockPool {
     /// prefix cache already holds). Returns the cache-hit tokens: the
     /// member starts with that many positions already materialised.
     ///
-    /// Only the first write's blocks are taken; the claim is a ceiling
-    /// checked against the *whole* pool (solo feasibility), not a
-    /// reservation.
+    /// A paged pool takes only the first write's blocks; the claim is a
+    /// ceiling checked against the *whole* pool (solo feasibility), not
+    /// a reservation. A reserved pool takes the whole claim.
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidRequest`] for a zero claim, a duplicate id, or
-    /// a first write past the claim; [`SimError::Memory`] when the claim
-    /// could never fit even an empty pool, or when the first write needs
-    /// more blocks than are free or evictable (admission must wait).
+    /// [`SimError::InvalidRequest`] for a zero claim, a duplicate id, a
+    /// first write past the claim, or a prefix on a reserved pool;
+    /// [`SimError::Memory`] when the claim could never fit even an empty
+    /// pool, or when admission needs more blocks than are free or
+    /// evictable (admission must wait).
     pub fn admit(
         &mut self,
         id: u64,
@@ -433,6 +482,11 @@ impl BlockPool {
                 self.total_blocks,
             )));
         }
+        if self.reserved && prefix.is_some() {
+            return Err(SimError::InvalidRequest(
+                "a reserved K/V pool shares no prefix blocks".into(),
+            ));
+        }
         let (key, shareable_tokens) = match prefix {
             Some(p) => (p.key, (p.tokens / self.block_tokens) * self.block_tokens),
             None => (0, 0),
@@ -453,7 +507,11 @@ impl BlockPool {
         let idle_hits = (0..hit_blocks)
             .filter(|&i| self.cache.get(&(key, i)) == Some(&0))
             .count();
-        let needed = self.blocks_for(hit_tokens + first_write) - hit_blocks;
+        let needed = if self.reserved {
+            self.blocks_for(claim_tokens)
+        } else {
+            self.blocks_for(hit_tokens + first_write) - hit_blocks
+        };
         if needed > self.available_blocks() - idle_hits {
             return Err(SimError::Memory(format!(
                 "admitting member {id} needs {needed} free blocks of {}; only {} are available",
@@ -470,12 +528,14 @@ impl BlockPool {
             *refs += 1;
         }
         self.stats.prefix_hit_tokens += hit_tokens;
+        let reserved_blocks = if self.reserved { needed } else { 0 };
+        self.take_blocks(reserved_blocks);
         self.leases.insert(
             id,
             BlockLease {
                 claim_tokens,
                 used_tokens: hit_tokens,
-                owned_blocks: 0,
+                owned_blocks: reserved_blocks,
                 shared_blocks: hit_blocks,
                 prefix_key: key,
                 shareable_tokens,
@@ -645,8 +705,14 @@ impl BlockPool {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidRequest`] for an unknown id.
+    /// [`SimError::InvalidRequest`] for an unknown id, or on a reserved
+    /// pool (its leases are never preempted).
     pub fn evict(&mut self, id: u64) -> Result<(usize, usize), SimError> {
+        if self.reserved {
+            return Err(SimError::InvalidRequest(
+                "a reserved K/V pool never evicts".into(),
+            ));
+        }
         let lease = self.leases.get_mut(&id).ok_or_else(|| {
             SimError::InvalidRequest(format!("member {id} holds no K/V lease to evict"))
         })?;
@@ -741,7 +807,8 @@ impl BlockPool {
     /// - **ref-count soundness**: Σ cache refs == Σ members' shared
     ///   blocks (references never leak or go negative);
     /// - **footprint exactness**: every member holds exactly the blocks
-    ///   its materialised positions need, within its claim.
+    ///   its materialised positions need, within its claim — on a
+    ///   reserved pool, exactly the blocks of its whole claim.
     pub fn assert_invariants(&self) {
         let owned: usize = self.leases.values().map(|l| l.owned_blocks).sum();
         assert_eq!(
@@ -772,7 +839,9 @@ impl BlockPool {
                 l.shared_blocks * self.block_tokens <= l.used_tokens || l.used_tokens == 0,
                 "member {id} shares blocks beyond its writes"
             );
-            let footprint = if l.used_tokens == 0 {
+            let footprint = if self.reserved {
+                self.blocks_for(l.claim_tokens)
+            } else if l.used_tokens == 0 {
                 0
             } else {
                 self.blocks_for(l.used_tokens)
@@ -927,6 +996,93 @@ mod tests {
         assert_eq!(p.cached_blocks(), 1);
         assert_eq!(p.lease_blocks(0), Some((0, 1)));
         assert_eq!(p.lease_blocks(1), Some((0, 1)));
+        p.assert_invariants();
+    }
+
+    // --- Reserved admission -----------------------------------------
+
+    /// A reserved pool with a budget of `tokens` (1 B of weights keeps
+    /// the arithmetic trivial: budget = tokens).
+    fn reserved(tokens: u64) -> BlockPool {
+        BlockPool::reserved(MemoryModel::new(tokens + 1, 1, 1))
+    }
+
+    #[test]
+    fn reserved_admission_takes_the_whole_claim_and_refusal_changes_nothing() {
+        let mut p = reserved(10);
+        p.admit(0, 6, 2, None).unwrap();
+        assert_eq!(p.committed_tokens(), 6, "the claim, not the 2 written");
+        assert_eq!(p.free_tokens(), 4);
+        let err = p.admit(1, 5, 0, None).unwrap_err();
+        assert!(matches!(err, SimError::Memory(_)), "{err:?}");
+        assert_eq!((p.live(), p.free_tokens(), p.used_tokens()), (1, 4, 2));
+        p.admit(1, 4, 0, None).unwrap();
+        assert_eq!(p.free_tokens(), 0);
+        assert!(matches!(p.admit(2, 1, 0, None), Err(SimError::Memory(_))));
+        p.assert_invariants();
+    }
+
+    #[test]
+    fn reserved_release_frees_exactly_the_claim() {
+        let mut p = reserved(10);
+        p.admit(7, 6, 0, None).unwrap();
+        p.write(7, 3).unwrap(); // partial use does not shrink the claim
+        assert_eq!(p.release(7), 6);
+        assert_eq!(p.free_tokens(), 10);
+        assert_eq!(p.used_tokens(), 0);
+        assert_eq!(p.release(7), 0, "double release frees nothing");
+        p.assert_invariants();
+    }
+
+    #[test]
+    fn reserved_release_mid_prefill_frees_the_whole_claim_exactly_once() {
+        // The early-cancel path: a member retired between prefill
+        // chunks frees its whole claim in one call — not the written
+        // prefix — and a second release is a no-op, not a double-free.
+        let mut p = reserved(10);
+        p.admit(0, 8, 3, None).unwrap();
+        assert_eq!(p.release(0), 8, "frees the claim, not the 3 written tokens");
+        assert_eq!(p.free_tokens(), 10);
+        assert_eq!(p.committed_tokens(), 0);
+        assert_eq!(p.used_tokens(), 0);
+        assert_eq!(p.release(0), 0, "second release frees nothing");
+        assert!(matches!(p.write(0, 1), Err(SimError::InvalidRequest(_))));
+        p.assert_invariants();
+    }
+
+    #[test]
+    fn reserved_writes_never_allocate_and_are_bounded_by_the_claim() {
+        let mut p = reserved(10);
+        p.admit(0, 4, 0, None).unwrap();
+        p.admit(1, 6, 0, None).unwrap();
+        assert_eq!(p.free_blocks(), 0);
+        assert!(p.can_write(0, 4), "the claim is already funded");
+        p.write(0, 4).unwrap();
+        assert!(matches!(p.write(0, 1), Err(SimError::Memory(_))));
+        assert!(matches!(p.write(9, 1), Err(SimError::InvalidRequest(_))));
+        p.assert_invariants();
+    }
+
+    #[test]
+    fn reserved_rejects_zero_and_duplicate_claims_evictions_and_prefixes() {
+        let mut p = reserved(10);
+        assert!(matches!(
+            p.admit(0, 0, 0, None),
+            Err(SimError::InvalidRequest(_))
+        ));
+        p.admit(0, 2, 1, None).unwrap();
+        assert!(matches!(
+            p.admit(0, 2, 0, None),
+            Err(SimError::InvalidRequest(_))
+        ));
+        let sys = Prefix { key: 1, tokens: 4 };
+        assert!(matches!(
+            p.admit(1, 6, 6, Some(sys)),
+            Err(SimError::InvalidRequest(_))
+        ));
+        assert!(matches!(p.evict(0), Err(SimError::InvalidRequest(_))));
+        assert_eq!((p.live(), p.committed_tokens(), p.used_tokens()), (1, 2, 1));
+        assert_eq!(p.stats().preemptions, 0);
         p.assert_invariants();
     }
 

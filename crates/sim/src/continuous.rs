@@ -8,16 +8,16 @@
 //! decisions *between* steps, the discipline of Orca/vLLM-style
 //! continuous batching:
 //!
-//! - [`BatchState::admit`] joins a new member, reserving its maximum
-//!   K/V claim from the device's HBM budget ([`KvPool`]) and charging
-//!   its prefill (summarization) pass to the shared timeline;
+//! - [`BatchState::admit`] joins a new member, funding its K/V from the
+//!   device's HBM budget ([`BlockPool`]) and charging its prefill
+//!   (summarization) pass to the shared timeline;
 //! - [`BatchState::step_token`] advances every live member by one decode
 //!   token through [`dfx_core::TimingCore::time_step_batched`] at the
 //!   *current* live batch size — members with different output lengths
 //!   exit early instead of padding to the longest;
 //! - [`BatchState::retire`] drains members that have produced their last
-//!   token, freeing their slots for the next admission (their K/V claim
-//!   is released the moment they finish).
+//!   token, freeing their slots for the next admission (their K/V is
+//!   released the moment they finish).
 //!
 //! A member that runs alone through this API costs exactly what
 //! [`Appliance::generate_timed`] charges (the per-step programs are
@@ -28,15 +28,29 @@
 //! # Memory admission
 //!
 //! Each device's HBM holds the weight shard plus every live member's
-//! K/V attention state (paper §IV-B), so [`admit`](BatchState::admit)
-//! fails with [`SimError::Memory`] when a member's maximum claim
-//! (`input_len + output_len` context positions ×
-//! [`MemoryModel::kv_bytes_per_token`](dfx_hw::MemoryModel)) exceeds
-//! the free budget — per-member *shape* feasibility is necessary but no
-//! longer sufficient. The claim is reserved whole at admission
-//! (TGI-style budgeting), so a member can never be evicted mid-decode
-//! by a later admission, and it is released in full when the member
-//! finishes.
+//! K/V attention state (paper §IV-B). One [`BlockPool`] over the
+//! appliance's [`memory_model`](Appliance::memory_model) brokers that
+//! budget, under one of two admission policies:
+//!
+//! - **reserved** (the default) — admission takes the member's whole
+//!   claim (`input_len + output_len` context positions ×
+//!   [`MemoryModel::kv_bytes_per_token`](dfx_hw::MemoryModel)) and
+//!   [`admit`](BatchState::admit) fails with [`SimError::Memory`] when it
+//!   exceeds the free budget. A member can never be evicted mid-decode
+//!   by a later admission, and its claim is released in full when it
+//!   finishes.
+//! - **paged** (under [`Appliance::with_kv_paging`]) — admission takes
+//!   blocks for the member's *prompt* only, decode grows the block table
+//!   page by page, and a grow that finds the pool exhausted preempts the
+//!   youngest co-tenant under the configured
+//!   [`PreemptionPolicy`](crate::PreemptionPolicy) — recompute (the
+//!   victim's prefill re-runs over everything it had materialised, LM
+//!   head on every already-emitted position, and it resumes decoding
+//!   with its emitted count intact) or retain (its blocks swap to DDR,
+//!   charged through [`dfx_hw::DdrModel`], and stream back when capacity
+//!   returns). A non-zero shared-prefix length additionally routes every
+//!   admission through the ref-counted prefix cache, skipping both the
+//!   K/V bytes and the prefill compute of cached prompt blocks.
 //!
 //! # Chunked prefill
 //!
@@ -57,28 +71,10 @@
 //! Decode steps at heterogeneous positions are charged at the *largest*
 //! live position (the attention shape the hardware would pad to within
 //! the step).
-//!
-//! # Paged K/V allocation
-//!
-//! With [`Appliance::with_kv_paging`] the executor swaps the reserved
-//! [`KvPool`] for a [`BlockPool`](crate::BlockPool): admission takes
-//! blocks for the member's *prompt* only, decode grows the block table
-//! page by page, and a grow that finds the pool exhausted preempts the
-//! youngest co-tenant under the configured
-//! [`PreemptionPolicy`](crate::PreemptionPolicy) — recompute (the
-//! victim's prefill re-runs over everything it had materialised, LM
-//! head on every already-emitted position, and it resumes decoding
-//! with its emitted count intact) or retain (its blocks swap to DDR,
-//! charged through [`dfx_hw::DdrModel`], and stream back when capacity
-//! returns). A non-zero shared-prefix length additionally routes every
-//! admission through the ref-counted prefix cache, skipping both the
-//! K/V bytes and the prefill compute of cached prompt blocks. The
-//! reserved path stays the default and is untouched bit for bit.
 
 use crate::appliance::Appliance;
-use crate::block::{BlockPool, PagedKvConfig, PagingStats, PreemptionPolicy, Prefix};
+use crate::block::{BlockPool, PagingStats, PreemptionPolicy, Prefix};
 use crate::error::SimError;
-use crate::kv::KvPool;
 use dfx_model::Workload;
 use std::collections::BTreeMap;
 
@@ -127,7 +123,7 @@ pub struct TokenStepOutcome {
     /// prefill is still in flight (mid-chunk or queued behind another
     /// member's) or — under paged K/V — they are preempted, parked in
     /// DDR, or were resumed this step. Always empty without a chunk
-    /// budget on the reserved path.
+    /// budget under reserved admission.
     pub prefilling: Vec<u64>,
 }
 
@@ -173,93 +169,6 @@ impl Member {
     }
 }
 
-/// The K/V allocator behind a [`BatchState`]: the reserved max-claim
-/// [`KvPool`] (the default) or the paged [`BlockPool`].
-enum KvBacking {
-    Reserved(KvPool),
-    Paged { pool: BlockPool, cfg: PagedKvConfig },
-}
-
-impl KvBacking {
-    fn release(&mut self, id: u64) {
-        match self {
-            KvBacking::Reserved(pool) => {
-                pool.release(id);
-            }
-            KvBacking::Paged { pool, .. } => {
-                pool.release(id);
-            }
-        }
-    }
-}
-
-/// A read-only view of a [`BatchState`]'s K/V allocator that works for
-/// both backings. Token-granular figures are reported at each backing's
-/// own commitment granularity: whole claims for the reserved
-/// [`KvPool`], whole blocks for the paged [`BlockPool`].
-pub struct KvView<'a> {
-    backing: &'a KvBacking,
-}
-
-impl KvView<'_> {
-    /// Tokens of capacity committed (reserved: live claims; paged:
-    /// blocks neither free nor idle-cached).
-    pub fn committed_tokens(&self) -> usize {
-        match self.backing {
-            KvBacking::Reserved(pool) => pool.committed_tokens(),
-            KvBacking::Paged { pool, .. } => pool.committed_tokens(),
-        }
-    }
-
-    /// Tokens still available to admissions and growth.
-    pub fn free_tokens(&self) -> usize {
-        match self.backing {
-            KvBacking::Reserved(pool) => pool.free_tokens(),
-            KvBacking::Paged { pool, .. } => pool.free_tokens(),
-        }
-    }
-
-    /// Context positions actually materialised across live leases.
-    pub fn used_tokens(&self) -> usize {
-        match self.backing {
-            KvBacking::Reserved(pool) => pool.used_tokens(),
-            KvBacking::Paged { pool, .. } => pool.used_tokens(),
-        }
-    }
-
-    /// Number of live leases.
-    pub fn live(&self) -> usize {
-        match self.backing {
-            KvBacking::Reserved(pool) => pool.live(),
-            KvBacking::Paged { pool, .. } => pool.live(),
-        }
-    }
-
-    /// The capacity model the allocator budgets against.
-    pub fn memory(&self) -> &dfx_hw::MemoryModel {
-        match self.backing {
-            KvBacking::Reserved(pool) => pool.memory(),
-            KvBacking::Paged { pool, .. } => pool.memory(),
-        }
-    }
-
-    /// The reserved pool, when that backing is active.
-    pub fn reserved(&self) -> Option<&KvPool> {
-        match self.backing {
-            KvBacking::Reserved(pool) => Some(pool),
-            KvBacking::Paged { .. } => None,
-        }
-    }
-
-    /// The block pool, when paged K/V is active.
-    pub fn paged(&self) -> Option<&BlockPool> {
-        match self.backing {
-            KvBacking::Reserved(_) => None,
-            KvBacking::Paged { pool, .. } => Some(pool),
-        }
-    }
-}
-
 /// Incremental batched executor over one [`Appliance`]: the
 /// token-granular API continuous batching schedules against.
 ///
@@ -267,11 +176,14 @@ impl KvView<'_> {
 /// prefills replay [`Appliance::generate_timed`]'s summarization loop,
 /// decode steps run one `token_step` program through
 /// [`dfx_core::TimingCore::time_step_batched`] at the live batch size.
-/// Step costs are memoized by `(position, batch)` so long request
-/// streams re-time each distinct step shape once. Admission reserves
-/// each member's maximum K/V claim from the appliance's
-/// [`memory_model`](Appliance::memory_model) budget and fails with
-/// [`SimError::Memory`] when it does not fit.
+/// Step costs are memoized by `(position, batch)` and prefill positions
+/// by `(position, lm_head)`, so long request streams re-time each
+/// distinct step shape once. Admission funds each member's K/V from one
+/// [`BlockPool`] over the appliance's
+/// [`memory_model`](Appliance::memory_model) budget — its whole claim
+/// by default, its prompt blocks under
+/// [`with_kv_paging`](Appliance::with_kv_paging) — and fails with
+/// [`SimError::Memory`] when that does not fit.
 ///
 /// # Examples
 ///
@@ -303,27 +215,22 @@ pub struct BatchState<'a> {
     finished: Vec<RetiredMember>,
     elapsed_ms: f64,
     /// The K/V allocator over the appliance's per-device HBM budget
-    /// (reserved claims by default; paged blocks under
-    /// [`Appliance::with_kv_paging`]).
-    kv: KvBacking,
+    /// (reserved by default; paged under [`Appliance::with_kv_paging`]).
+    kv: BlockPool,
     /// Prefill chunk budget in tokens (`None`: whole-prefill admission).
     prefill_chunk: Option<usize>,
     /// Decode-step cost by `(program position, live batch)`.
     step_cache: BTreeMap<(usize, u32), f64>,
-    /// Whole-prefill cost by context length.
-    prefill_cache: BTreeMap<usize, f64>,
-    /// Per-position prefill step cycles by `(position, lm_head)` (the
-    /// chunked path's memo; chunk costs sum these like the unchunked
-    /// pass sums its positions).
+    /// Per-position prefill step cycles by `(position, lm_head)`; every
+    /// prefill, whole or chunked, sums these.
     pos_cycles: BTreeMap<(usize, bool), dfx_hw::Cycles>,
 }
 
 impl Appliance {
     /// Creates an empty incremental batch executor over this appliance,
-    /// with a K/V allocator sized by
-    /// [`memory_model`](Appliance::memory_model): a [`KvPool`] by
-    /// default, a [`BlockPool`] under
-    /// [`with_kv_paging`](Appliance::with_kv_paging).
+    /// with a [`BlockPool`] sized by
+    /// [`memory_model`](Appliance::memory_model): reserved by default,
+    /// paged under [`with_kv_paging`](Appliance::with_kv_paging).
     ///
     /// See [`BatchState`] for the admit / step / retire cycle.
     pub fn batch_state(&self) -> BatchState<'_> {
@@ -333,15 +240,11 @@ impl Appliance {
             finished: Vec::new(),
             elapsed_ms: 0.0,
             kv: match self.kv_paging() {
-                Some(&cfg) => KvBacking::Paged {
-                    pool: BlockPool::new(self.memory_model(), cfg.block_tokens),
-                    cfg,
-                },
-                None => KvBacking::Reserved(KvPool::new(self.memory_model())),
+                Some(cfg) => BlockPool::new(self.memory_model(), cfg.block_tokens),
+                None => BlockPool::reserved(self.memory_model()),
             },
             prefill_chunk: None,
             step_cache: BTreeMap::new(),
-            prefill_cache: BTreeMap::new(),
             pos_cycles: BTreeMap::new(),
         }
     }
@@ -360,18 +263,14 @@ impl BatchState<'_> {
         self.elapsed_ms
     }
 
-    /// The K/V allocator: inspect committed/free budget from outside
-    /// (both backings answer through the same [`KvView`]).
-    pub fn kv(&self) -> KvView<'_> {
-        KvView { backing: &self.kv }
+    /// The K/V allocator: inspect committed/free budget from outside.
+    pub fn kv(&self) -> &BlockPool {
+        &self.kv
     }
 
     /// Paged-K/V run counters, when paged allocation is active.
     pub fn paging_stats(&self) -> Option<PagingStats> {
-        match &self.kv {
-            KvBacking::Reserved(_) => None,
-            KvBacking::Paged { pool, .. } => Some(pool.stats()),
-        }
+        self.appliance.kv_paging().map(|_| self.kv.stats())
     }
 
     /// Sets the prefill chunk budget: admissions charge at most `chunk`
@@ -394,26 +293,10 @@ impl BatchState<'_> {
 
     /// Estimated cost of the full prefill pass over `input_len` context
     /// tokens, ms — the serial stall an unchunked admission would add to
-    /// the shared timeline. Charges nothing; memoized with the admission
-    /// path's cache.
+    /// the shared timeline. Charges nothing; sums the admission path's
+    /// per-position memo.
     pub fn prefill_cost_ms(&mut self, input_len: usize) -> f64 {
-        if input_len == 0 {
-            return 0.0;
-        }
-        match self.prefill_cache.get(&input_len) {
-            Some(&ms) => ms,
-            None => {
-                let mut timing = dfx_core::StepTiming::zero();
-                for pos in 0..input_len {
-                    let lm = pos + 1 == input_len;
-                    let program = self.appliance.builder().token_step(pos, lm);
-                    timing.accumulate(&self.appliance.timing().time_step(&program));
-                }
-                let ms = timing.total.to_millis();
-                self.prefill_cache.insert(input_len, ms);
-                ms
-            }
-        }
+        self.prefill_span_ms(input_len, 0, input_len)
     }
 
     /// Estimated cost of one decode step at a hypothetical live batch of
@@ -448,8 +331,7 @@ impl BatchState<'_> {
         }
     }
 
-    /// Cycles of one prefill position step (memoized for the chunked
-    /// path).
+    /// Cycles of one prefill position step (memoized).
     fn prefill_pos_cycles(&mut self, pos: usize, lm: bool) -> dfx_hw::Cycles {
         match self.pos_cycles.get(&(pos, lm)) {
             Some(&c) => c,
@@ -467,14 +349,20 @@ impl BatchState<'_> {
     /// latter only arise when a recompute preemption replays decode
     /// output), returning the chunk's cost in ms.
     fn charge_prefill_chunk(&mut self, workload: Workload, from: usize, to: usize) -> f64 {
-        let mut cycles = dfx_hw::Cycles::ZERO;
-        for pos in from..to {
-            let lm = pos + 1 >= workload.input_len;
-            cycles += self.prefill_pos_cycles(pos, lm);
-        }
-        let ms = cycles.to_millis();
+        let ms = self.prefill_span_ms(workload.input_len, from, to);
         self.elapsed_ms += ms;
         ms
+    }
+
+    /// Cost of prefill positions `from..to` over an `input_len`-token
+    /// context, ms, without charging it (cycles are summed before the
+    /// conversion to ms).
+    fn prefill_span_ms(&mut self, input_len: usize, from: usize, to: usize) -> f64 {
+        let mut cycles = dfx_hw::Cycles::ZERO;
+        for pos in from..to {
+            cycles += self.prefill_pos_cycles(pos, pos + 1 >= input_len);
+        }
+        cycles.to_millis()
     }
 
     /// Moves a member to the finished list, releasing its K/V lease.
@@ -490,7 +378,7 @@ impl BatchState<'_> {
     /// Cancels live member `id` mid-flight — mid-prefill, parked, or
     /// decoding — releasing its whole K/V lease immediately (a lease is
     /// freed in full however a member exits; see
-    /// [`KvPool::release`]). The member is returned with the tokens it
+    /// [`BlockPool::release`]). The member is returned with the tokens it
     /// actually produced and is *not* queued for
     /// [`retire`](BatchState::retire); its id becomes reusable.
     ///
@@ -514,8 +402,9 @@ impl BatchState<'_> {
         })
     }
 
-    /// Admits a member: validates the workload, reserves its maximum
-    /// K/V claim from the HBM budget, charges its prefill pass (or its
+    /// Admits a member: validates the workload, funds its K/V from the
+    /// HBM budget (its whole claim, or under paging its first write's
+    /// blocks), charges its prefill pass (or its
     /// first chunk, under [`set_prefill_chunk`]) to the shared timeline
     /// and registers it for decode steps.
     ///
@@ -524,8 +413,8 @@ impl BatchState<'_> {
     /// the last), so a member admitted into an empty batch and stepped
     /// to completion costs exactly the sequential run. Admission
     /// requires per-member validity (`input_len + output_len` within the
-    /// model cap — there is no joint padded shape) *and* a K/V claim of
-    /// `input_len + output_len` tokens within the free HBM budget.
+    /// model cap — there is no joint padded shape) *and* room in the
+    /// K/V pool for what admission takes.
     ///
     /// [`set_prefill_chunk`]: BatchState::set_prefill_chunk
     ///
@@ -534,7 +423,7 @@ impl BatchState<'_> {
     /// Returns [`SimError::InvalidRequest`] for an empty context, a
     /// workload exceeding the model's maximum sequence length, or an id
     /// already live or awaiting retirement; [`SimError::Memory`] when
-    /// the K/V claim exceeds the free budget.
+    /// the K/V pool cannot fund the admission.
     pub fn admit(&mut self, id: u64, workload: Workload) -> Result<AdmitOutcome, SimError> {
         self.appliance.check_workload(workload)?;
         if workload.output_len == 0 {
@@ -548,81 +437,34 @@ impl BatchState<'_> {
             )));
         }
         let chunk = self.prefill_chunk.unwrap_or(usize::MAX);
-        if let KvBacking::Paged { pool, cfg } = &mut self.kv {
-            // Paged admission: blocks for the first prefill chunk only,
-            // with cached prefix blocks attached for free. The prompt
-            // cap of `input_len − 1` guarantees at least one computed
-            // position — the LM head that emits the first token.
-            let prefix = (cfg.shared_prefix_tokens > 0).then(|| Prefix {
+        // Admission funds the first prefill chunk (the whole claim on a
+        // reserved pool), with cached prefix blocks attached for free.
+        // The prompt cap of `input_len − 1` guarantees at least one
+        // computed position — the LM head that emits the first token.
+        let prefix = self
+            .appliance
+            .kv_paging()
+            .filter(|cfg| cfg.shared_prefix_tokens > 0)
+            .map(|cfg| Prefix {
                 key: 0,
                 tokens: cfg.shared_prefix_tokens.min(workload.input_len - 1),
             });
-            let hits = prefix.map_or(0, |p| pool.prefix_hits(p));
-            let first_computed = chunk.min(workload.input_len - hits);
-            let hit = pool.admit(
-                id,
-                workload.input_len + workload.output_len,
-                first_computed,
-                prefix,
-            )?;
-            debug_assert_eq!(hit, hits);
-            let prefilled = hit + first_computed;
-            let prefill_ms = self.charge_prefill_chunk(workload, hit, prefilled);
-            if prefilled < workload.input_len {
-                self.members.push(Member {
-                    id,
-                    workload,
-                    prefilled,
-                    prefill_target: workload.input_len,
-                    emitted: 0,
-                    parked: None,
-                });
-                return Ok(AdmitOutcome {
-                    prefill_ms,
-                    finished: false,
-                    pending_prefill: workload.input_len - prefilled,
-                });
-            }
-            let finished = workload.output_len == 1;
-            let member = Member {
-                id,
-                workload,
-                prefilled,
-                prefill_target: workload.input_len,
-                emitted: 1,
-                parked: None,
-            };
-            if finished {
-                self.finish(member);
-            } else {
-                self.members.push(member);
-            }
-            return Ok(AdmitOutcome {
-                prefill_ms,
-                finished,
-                pending_prefill: 0,
-            });
-        }
-
-        let KvBacking::Reserved(pool) = &mut self.kv else {
-            // The paged arm admits and returns above; reaching this
-            // point on a paged backing is a bug worth surfacing, not
-            // aborting the whole process for.
-            return Err(SimError::Service(
-                "paged K/V admission fell through to the reserved path".into(),
-            ));
-        };
-        pool.reserve(id, workload.input_len + workload.output_len)?;
-
-        if chunk < workload.input_len {
-            // Chunked admission: charge the first chunk only; the rest
-            // interleaves with decode steps.
-            let prefill_ms = self.charge_prefill_chunk(workload, 0, chunk);
-            self.kv_grow(id, chunk)?;
+        let hits = prefix.map_or(0, |p| self.kv.prefix_hits(p));
+        let first_computed = chunk.min(workload.input_len - hits);
+        let hit = self.kv.admit(
+            id,
+            workload.input_len + workload.output_len,
+            first_computed,
+            prefix,
+        )?;
+        debug_assert_eq!(hit, hits);
+        let prefilled = hit + first_computed;
+        let prefill_ms = self.charge_prefill_chunk(workload, hit, prefilled);
+        if prefilled < workload.input_len {
             self.members.push(Member {
                 id,
                 workload,
-                prefilled: chunk,
+                prefilled,
                 prefill_target: workload.input_len,
                 emitted: 0,
                 parked: None,
@@ -630,20 +472,15 @@ impl BatchState<'_> {
             return Ok(AdmitOutcome {
                 prefill_ms,
                 finished: false,
-                pending_prefill: workload.input_len - chunk,
+                pending_prefill: workload.input_len - prefilled,
             });
         }
-
-        let prefill_ms = self.prefill_cost_ms(workload.input_len);
-        self.elapsed_ms += prefill_ms;
-        self.kv_grow(id, workload.input_len)?;
-
         // The prefill's LM head produces the first output token.
         let finished = workload.output_len == 1;
         let member = Member {
             id,
             workload,
-            prefilled: workload.input_len,
+            prefilled,
             prefill_target: workload.input_len,
             emitted: 1,
             parked: None,
@@ -658,16 +495,6 @@ impl BatchState<'_> {
             finished,
             pending_prefill: 0,
         })
-    }
-
-    /// Grows member `id`'s reserved lease (the reserved backing's write
-    /// path; paged growth goes through
-    /// [`make_room`](BatchState::make_room) + `BlockPool::write`).
-    fn kv_grow(&mut self, id: u64, tokens: usize) -> Result<(), SimError> {
-        match &mut self.kv {
-            KvBacking::Reserved(pool) => pool.grow(id, tokens),
-            KvBacking::Paged { pool, .. } => pool.write(id, tokens),
-        }
     }
 
     /// Advances the batch by one step: works one chunk of the oldest
@@ -702,34 +529,33 @@ impl BatchState<'_> {
 
         // Swap the oldest parked member back in once its footprint fits
         // again (the paged retain policy; charged as a DDR transfer).
-        if let KvBacking::Paged { pool, .. } = &mut self.kv {
-            let oldest_parked = self
-                .members
-                .iter()
-                .enumerate()
-                .find_map(|(i, m)| m.parked.map(|p| (i, p)));
-            if let Some((i, swapped)) = oldest_parked {
-                let id = self.members[i].id;
-                if pool.can_write(id, swapped) {
-                    pool.restore(id, swapped)?;
-                    let bytes = pool.memory().kv_claim_bytes(swapped);
-                    let swap_ms = dfx_hw::DdrModel::default()
-                        .transfer_cycles(bytes)
-                        .to_millis();
-                    ms += swap_ms;
-                    self.elapsed_ms += swap_ms;
-                    self.members[i].parked = None;
-                    resumed.push(id);
-                }
+        let oldest_parked = self
+            .members
+            .iter()
+            .enumerate()
+            .find_map(|(i, m)| m.parked.map(|p| (i, p)));
+        if let Some((i, swapped)) = oldest_parked {
+            let id = self.members[i].id;
+            if self.kv.can_write(id, swapped) {
+                self.kv.restore(id, swapped)?;
+                let bytes = self.kv.memory().kv_claim_bytes(swapped);
+                let swap_ms = dfx_hw::DdrModel::default()
+                    .transfer_cycles(bytes)
+                    .to_millis();
+                ms += swap_ms;
+                self.elapsed_ms += swap_ms;
+                self.members[i].parked = None;
+                resumed.push(id);
             }
         }
 
         // One chunk of the oldest active in-flight prefill that fits.
         //
-        // On the paged backing a prefill chunk only runs when its blocks
-        // are already free: growing a prefill never preempts a decoding
-        // member, because two recompute victims could then evict each
-        // other's re-prefill forever without either earning a token.
+        // A prefill chunk only runs when its blocks are already free
+        // (always, on a reserved pool): growing a prefill never preempts
+        // a decoding member, because two recompute victims could then
+        // evict each other's re-prefill forever without either earning
+        // a token.
         // A chunk that does not fit simply waits for decoders to retire
         // and release blocks. The one exception: when no member can make
         // progress any other way (nothing decodes, nothing resumed), the
@@ -752,18 +578,11 @@ impl BatchState<'_> {
             // A recompute victim restarting from zero re-attaches any
             // still-cached prefix blocks before recomputing the rest.
             if self.members[i].prefilled == 0 {
-                if let KvBacking::Paged { pool, .. } = &mut self.kv {
-                    let hit = pool.attach_cached_prefix(id, target)?;
-                    self.members[i].prefilled = hit;
-                }
+                self.members[i].prefilled = self.kv.attach_cached_prefix(id, target)?;
             }
             let from = self.members[i].prefilled;
             let to = from.saturating_add(chunk).min(target);
-            let fits = match &self.kv {
-                KvBacking::Reserved(_) => true,
-                KvBacking::Paged { pool, .. } => pool.can_write(id, to - from),
-            };
-            if fits {
+            if self.kv.can_write(id, to - from) {
                 chosen = Some((i, false));
                 break;
             }
@@ -789,7 +608,7 @@ impl BatchState<'_> {
                 ms += self.make_room(id, to - from)?;
             }
             ms += self.charge_prefill_chunk(workload, from, to);
-            self.kv_grow(id, to - from)?;
+            self.kv.write(id, to - from)?;
             let m = &mut self.members[i];
             m.prefilled = to;
             if m.decoding() {
@@ -847,7 +666,7 @@ impl BatchState<'_> {
             }
             // lint: order-sensitive — simulated-clock accumulation
             ms += self.make_room(id, 1)?;
-            self.kv_grow(id, 1)?;
+            self.kv.write(id, 1)?;
             self.members[i].emitted += 1;
             advanced.push(id);
             if self.members[i].emitted == self.members[i].workload.output_len {
@@ -873,21 +692,18 @@ impl BatchState<'_> {
         })
     }
 
-    /// Ensures member `grower` can write `tokens` more positions on the
-    /// paged backing, evicting the youngest block-holding co-tenant at
-    /// a time under the configured [`PreemptionPolicy`] until the write
-    /// fits. Decode growth calls this every token; prefill growth only
-    /// as a last resort (see [`step_token`](BatchState::step_token) —
-    /// an evicting prefill invites recompute livelock). Returns the DDR
-    /// swap time charged (retain policy only); a no-op returning 0 on
-    /// the reserved backing, where admission reserved the whole claim
-    /// up front.
+    /// Ensures member `grower` can write `tokens` more positions,
+    /// evicting the youngest block-holding co-tenant at a time under the
+    /// configured [`PreemptionPolicy`] until the write fits. Decode
+    /// growth calls this every token; prefill growth only as a last
+    /// resort (see [`step_token`](BatchState::step_token) — an evicting
+    /// prefill invites recompute livelock). Returns the DDR swap time
+    /// charged (retain policy only); a no-op returning 0 on a reserved
+    /// pool, where admission funded the whole claim.
     fn make_room(&mut self, grower: u64, tokens: usize) -> Result<f64, SimError> {
         let mut ms = 0.0;
         loop {
-            let KvBacking::Paged { pool, cfg } = &mut self.kv else {
-                return Ok(ms);
-            };
+            let pool = &mut self.kv;
             if pool.can_write(grower, tokens) {
                 return Ok(ms);
             }
@@ -903,7 +719,10 @@ impl BatchState<'_> {
                      no preemptible co-tenant holds blocks"
                 )));
             };
-            let policy = cfg.policy;
+            let policy = self
+                .appliance
+                .kv_paging()
+                .map_or(PreemptionPolicy::Recompute, |cfg| cfg.policy);
             let victim = &mut self.members[i];
             let (used, owned) = pool.evict(victim.id)?;
             match policy {
@@ -932,9 +751,8 @@ impl BatchState<'_> {
     }
 
     /// Block-granular feasibility of a hypothetical resident set, for
-    /// the serving layer's admission probe: `None` on the reserved
-    /// backing (the caller falls back to summing whole claims),
-    /// `Some(fits)` on the paged one. `members` is the would-be
+    /// the serving layer's admission probe: `None` without paging (the
+    /// caller sums whole claims), `Some(fits)` under it. `members` is the would-be
     /// resident set — live members are matched off by workload.
     ///
     /// The policy is *half-funded outputs*: prompts are funded in full
@@ -947,9 +765,8 @@ impl BatchState<'_> {
     /// than max-claim reservation while keeping preemption the rare
     /// case rather than the steady state.
     pub fn resident_kv_fits(&self, members: &[Workload]) -> Option<bool> {
-        let KvBacking::Paged { pool, cfg } = &self.kv else {
-            return None;
-        };
+        let cfg = self.appliance.kv_paging()?;
+        let pool = &self.kv;
         let mut live: Vec<Workload> = self.members.iter().map(|m| m.workload).collect();
         let mut need = 0usize;
         for &w in members {

@@ -30,7 +30,6 @@ mod continuous;
 mod cost;
 mod error;
 mod gflops;
-mod kv;
 mod pipeline;
 
 pub use accuracy::{paper_tasks, quick_tasks, run_accuracy, AccuracyResult, AccuracyTask};
@@ -38,9 +37,8 @@ pub use appliance::{Appliance, GenerationRun, LatencyBreakdown, TimedRun};
 pub use batch::BatchedRun;
 pub use block::{BlockPool, PagedKvConfig, PagingStats, PreemptionPolicy, Prefix};
 pub use cluster::FunctionalCluster;
-pub use continuous::{AdmitOutcome, BatchState, KvView, RetiredMember, TokenStepOutcome};
+pub use continuous::{AdmitOutcome, BatchState, RetiredMember, TokenStepOutcome};
 pub use cost::{ApplianceCost, CostComparison, U280_PRICE_USD, V100_PRICE_USD};
 pub use error::SimError;
 pub use gflops::{dfx_stage_gflops, StageGflops};
-pub use kv::KvPool;
 pub use pipeline::{pipelined_generate_timed, PipelinedRun};

@@ -4,8 +4,8 @@
 //! Each U280 holds the model's weight shard *and* every live request's
 //! K/V attention state in its 8 GiB of HBM (paper §IV-B). This example
 //! walks the memory subsystem bottom-up: the per-device `MemoryModel`,
-//! the `KvPool` admission arithmetic on the incremental executor, and
-//! the serving-level consequence — a capacity-capped appliance serving
+//! the reserved `BlockPool` admission arithmetic on the incremental
+//! executor, and the serving-level consequence — a capacity-capped appliance serving
 //! the same backlog with a smaller live batch, and chunked prefill
 //! bounding the decode stall admissions inject.
 //!

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_shared_prefix(system_prompt);
     let appliance = capped()?.with_kv_paging(paging)?;
     let mut batch = appliance.batch_state();
-    let pool_blocks = batch.kv().paged().unwrap().total_blocks();
+    let pool_blocks = batch.kv().total_blocks();
     println!(
         "paged pool: {pool_blocks} blocks of {block_tokens} tokens, {system_prompt}-token \
          shared system prompt\n"
@@ -50,8 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "event", "live", "free", "cached", "hit toks"
     );
     let occupancy = |batch: &dfx::sim::BatchState, event: &str| {
-        let kv = batch.kv();
-        let pool = kv.paged().unwrap();
+        let pool = batch.kv();
         let stats = pool.stats();
         println!(
             "{:<28} {:>6} {:>7} {:>7} {:>9}",

@@ -93,7 +93,7 @@
 //! Each device's HBM holds the weight shard plus every live request's
 //! K/V attention state (paper §IV-B), so multi-request admission is
 //! capacity-bounded: every member claims `input + output` tokens of
-//! K/V ([`hw::MemoryModel`], brokered by [`sim::KvPool`] inside the
+//! K/V ([`hw::MemoryModel`], brokered by [`sim::BlockPool`] inside the
 //! incremental executor), and the continuous-batching disciplines keep
 //! the joint claim within [`Backend::memory`](serve::Backend::memory)'s
 //! budget. [`ContinuousBatching::with_prefill_chunk`](serve::ContinuousBatching::with_prefill_chunk)

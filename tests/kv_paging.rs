@@ -1,24 +1,27 @@
-//! Allocator invariant suite for the paged K/V subsystem.
+//! Allocator invariant suite for the K/V subsystem.
 //!
-//! Pins the [`BlockPool`] block-table allocator and its prefix cache
-//! with three kinds of guarantees:
+//! Pins the [`BlockPool`] block-table allocator — under both its
+//! reserved and its paged admission policy — and its prefix cache with
+//! three kinds of guarantees:
 //!
 //! 1. **Allocator invariants** (property tests): under random
 //!    admit/write/evict/restore/release interleavings the pool never
 //!    over-commits — free + cached + owned always equals the total
 //!    block count — releases free exactly what each member held, and
 //!    prefix ref-counts never go negative or leak once every sharer
-//!    has retired.
-//! 2. **Reserved-fallback equivalence**: with paging enabled but
-//!    memory slack (or a covering block size at bounded capacity, with
-//!    the prefix cache off), the paged engine's serving / batching /
+//!    has retired. A reserved pool holds every lease's whole claim and
+//!    refuses evictions and prefixes without changing anything.
+//! 2. **Reserved ≡ paged equivalence**: with paging enabled but memory
+//!    slack (or a covering block size at bounded capacity, with the
+//!    prefix cache off), the paged engine's serving / batching /
 //!    continuous / memory behaviour is bit-identical to the reserved
-//!    [`dfx::sim::KvPool`] engine — same responses, same timings, same
-//!    token timelines.
+//!    engine — same responses, same timings, same token timelines. On
+//!    mixed streams at a tight capacity, the reserved engine's report
+//!    never shows more whole claims in flight than the budget holds.
 //! 3. **Preemption and cancellation semantics** (deterministic): both
 //!    recompute and retain preemption complete every member with its
 //!    exact requested output; a member cancelled mid-prefill releases
-//!    its K/V whole on both backings.
+//!    its K/V whole under both policies.
 //!
 //! The property blocks deliberately carry no explicit case count: the
 //! vendored proptest honours `PROPTEST_CASES`, which CI raises for
@@ -46,8 +49,9 @@ type Op = (u8, usize, usize);
 
 /// Drives a [`BlockPool`] through a random op sequence, asserting the
 /// structural invariants after every operation, and returns the ids
-/// still live at the end.
-fn drive(pool: &mut BlockPool, ops: &[Op]) -> Result<Vec<u64>, TestCaseError> {
+/// still live at the end. On a reserved pool, evictions and prefix
+/// sharing become attempts that must be refused.
+fn drive(pool: &mut BlockPool, ops: &[Op], reserved: bool) -> Result<Vec<u64>, TestCaseError> {
     let total = pool.total_blocks();
     let capacity_tokens = total * pool.block_tokens();
     let mut next_id = 0u64;
@@ -58,7 +62,7 @@ fn drive(pool: &mut BlockPool, ops: &[Op]) -> Result<Vec<u64>, TestCaseError> {
             0 => {
                 let claim = 1 + amount % (capacity_tokens + 2);
                 let first_write = amount % (claim + 1);
-                let prefix = (sel % 3 == 0).then_some(Prefix {
+                let prefix = (sel % 3 == 0 && !reserved).then_some(Prefix {
                     key: 0,
                     tokens: 1 + sel % (claim.max(2) - 1).max(1),
                 });
@@ -71,6 +75,30 @@ fn drive(pool: &mut BlockPool, ops: &[Op]) -> Result<Vec<u64>, TestCaseError> {
             1 if !live.is_empty() => {
                 let id = live[sel % live.len()];
                 let _ = pool.write(id, 1 + amount % (2 * pool.block_tokens()));
+            }
+            // A reserved pool refuses evictions and prefixes, unchanged.
+            2 if reserved && !live.is_empty() => {
+                let id = live[sel % live.len()];
+                let before = (
+                    pool.live(),
+                    pool.free_blocks(),
+                    pool.used_tokens(),
+                    pool.lease_blocks(id),
+                );
+                prop_assert!(pool.evict(id).is_err(), "a reserved pool never evicts");
+                let prefix = Prefix {
+                    key: 0,
+                    tokens: 1 + amount,
+                };
+                prop_assert!(pool.admit(next_id, 1 + amount, 0, Some(prefix)).is_err());
+                next_id += 1;
+                let after = (
+                    pool.live(),
+                    pool.free_blocks(),
+                    pool.used_tokens(),
+                    pool.lease_blocks(id),
+                );
+                prop_assert_eq!(before, after, "a refused op must change nothing");
             }
             // Preempt a live member (frees owned blocks, derefs shared).
             2 if !live.is_empty() => {
@@ -111,17 +139,23 @@ fn drive(pool: &mut BlockPool, ops: &[Op]) -> Result<Vec<u64>, TestCaseError> {
 
 proptest! {
     /// Block conservation, exact frees and ref-count soundness under
-    /// random interleavings, across block sizes and pool sizes.
+    /// random interleavings, across block sizes and pool sizes, on
+    /// paged and reserved pools.
     #[test]
     fn block_pool_never_overcommits_under_random_interleavings(
         ops in proptest::collection::vec((0u8..6, 0usize..64, 0usize..96), 1..120),
         block_tokens in 1usize..9,
         pool_blocks in 1usize..14,
+        reserved in any::<bool>(),
     ) {
         let memory = MemoryModel::new((pool_blocks * block_tokens) as u64 + 1, 1, 1);
-        let mut pool = BlockPool::new(memory, block_tokens);
+        let mut pool = if reserved {
+            BlockPool::reserved(memory)
+        } else {
+            BlockPool::new(memory, block_tokens)
+        };
         let total = pool.total_blocks();
-        let live = drive(&mut pool, &ops)?;
+        let live = drive(&mut pool, &ops, reserved)?;
 
         // Drain every survivor: all blocks must come back as free or
         // idle cache entries, with no ref-count left behind.
@@ -154,7 +188,7 @@ fn smoke_cfg() -> GptConfig {
 
 /// Field-wise report equality, ignoring the backend label (the paged
 /// appliance advertises its block size) and the paging stats (absent
-/// on the reserved backing by construction).
+/// without paging by construction).
 fn assert_reports_identical(a: &ServiceReport, b: &ServiceReport, what: &str) {
     assert_eq!(a.responses, b.responses, "{what}: responses diverged");
     assert_eq!(a.makespan_ms, b.makespan_ms, "{what}: makespan diverged");
@@ -252,8 +286,8 @@ fn covering_block_size_is_bit_identical_at_bounded_capacity() {
 
 proptest! {
     /// Token-timeline equivalence at the [`BatchState`] level: the same
-    /// admit/step interleaving on the reserved backing and on a paged
-    /// backing with ample capacity produces bit-identical
+    /// admit/step interleaving on a reserved pool and on a paged
+    /// pool with ample capacity produces bit-identical
     /// [`TokenStepOutcome`]s — same milliseconds, same batch sizes,
     /// same finish order.
     #[test]
@@ -294,6 +328,68 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Reserved admission on mixed streams, checked from the final
+    /// report alone: every request is answered exactly once, and at
+    /// every response's start the whole `input + output` claims of the
+    /// responses then in flight fit the K/V budget — with and without a
+    /// prefill chunk, at a capacity of the largest claim plus slack.
+    #[test]
+    fn reserved_admission_never_overcommits_on_mixed_streams(
+        workloads in proptest::collection::vec((1usize..48, 1usize..32), 2..14),
+        gaps_ms in proptest::collection::vec(0usize..6, 14),
+        max_batch in 1usize..5,
+        chunk in 0usize..12,
+        slack in 0u64..40,
+    ) {
+        let stream: Vec<Workload> =
+            workloads.iter().map(|&(i, o)| Workload::new(i, o)).collect();
+        let max_claim = stream
+            .iter()
+            .map(|w| w.input_len + w.output_len)
+            .max()
+            .unwrap_or(0) as u64;
+        let appliance = tight_appliance(max_claim + slack, None);
+        let budget = appliance.memory_model().max_resident_tokens() as usize;
+        let arrivals: Vec<f64> = gaps_ms[..stream.len()]
+            .iter()
+            .scan(0.0, |t, &gap| {
+                *t += gap as f64;
+                Some(*t)
+            })
+            .collect();
+        let scheduler = match chunk {
+            0 => ContinuousBatching::new(max_batch),
+            c => ContinuousBatching::new(max_batch).with_prefill_chunk(c),
+        };
+        let report = ServingEngine::new(&appliance)
+            .with_scheduler(Box::new(scheduler))
+            .run(&stream, &ArrivalProcess::Trace(arrivals))
+            .unwrap();
+        let mut answered: Vec<u64> = report.responses.iter().map(|r| r.request.id).collect();
+        answered.sort_unstable();
+        prop_assert_eq!(answered, (0..stream.len() as u64).collect::<Vec<_>>());
+        for r in &report.responses {
+            let t = r.start_ms;
+            let resident: usize = report
+                .responses
+                .iter()
+                .filter(|o| o.start_ms <= t && t < o.finish_ms)
+                .map(|o| o.request.workload.input_len + o.request.workload.output_len)
+                .sum();
+            prop_assert!(
+                resident <= budget,
+                "at {} ms, {} tokens of claims are in flight over a {}-token budget",
+                t,
+                resident,
+                budget
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // 3. Preemption, prefix sharing and cancellation semantics
 // ---------------------------------------------------------------------
@@ -326,9 +422,7 @@ fn drain(batch: &mut BatchState) -> Vec<(u64, usize)> {
         .collect();
     while batch.live() > 0 {
         batch.step_token().unwrap();
-        if let Some(pool) = batch.kv().paged() {
-            pool.assert_invariants();
-        }
+        batch.kv().assert_invariants();
         retired.extend(batch.retire().into_iter().map(|m| (m.id, m.tokens)));
     }
     retired
@@ -421,8 +515,8 @@ fn paged_admission_is_strictly_more_admissive_than_reservation() {
 }
 
 /// The early-cancel regression (chunked prefill retired between
-/// chunks): on both backings the member's whole K/V comes back in one
-/// release, and its id is immediately reusable.
+/// chunks): under both policies the member's whole K/V comes back in
+/// one release, and its id is immediately reusable.
 #[test]
 fn cancel_mid_prefill_releases_the_whole_claim_on_both_backings() {
     for paging in [None, Some(PagedKvConfig::new(4))] {
@@ -472,7 +566,7 @@ proptest! {
             let appliance =
                 tight_appliance(pool_tokens, Some(PagedKvConfig::new(block_tokens)));
             let mut batch = appliance.batch_state();
-            let total_blocks = batch.kv().paged().unwrap().total_blocks();
+            let total_blocks = batch.kv().total_blocks();
             batch.set_prefill_chunk(chunk);
             // Admit the same member set on both sides: a chunked admit
             // writes a smaller first chunk than an unchunked one, so

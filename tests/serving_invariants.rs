@@ -415,8 +415,8 @@ proptest! {
     // The K/V-conservation suite runs the real cycle model per case.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The `KvPool` never over-commits and frees exactly what it
-    /// reserved, however admissions, early exits and chunked prefills
+    /// Reserved K/V admission never over-commits and frees exactly what
+    /// it reserved, however admissions, early exits and chunked prefills
     /// interleave: at every step the committed claim stays within the
     /// budget, refused admissions leave the pool untouched, and once
     /// everything retires the pool is empty again.
