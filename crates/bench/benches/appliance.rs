@@ -22,8 +22,20 @@ fn bench_baselines(c: &mut Criterion) {
 fn bench_appliance(c: &mut Criterion) {
     let mut g = c.benchmark_group("appliance");
     g.sample_size(10);
+    // Cold: a fresh appliance (construction is microseconds) with an
+    // empty step-cost table, so every step runs the cycle model.
+    g.bench_function("generate_timed_1.5b_32_4_cold", |b| {
+        b.iter(|| {
+            Appliance::timing_only(GptConfig::gpt2_1_5b(), 4)
+                .unwrap()
+                .generate_timed(black_box(32), black_box(4))
+                .unwrap()
+        })
+    });
+    // Warm: the same shape again on one appliance, every step a table
+    // lookup.
     let appliance = Appliance::timing_only(GptConfig::gpt2_1_5b(), 4).unwrap();
-    g.bench_function("generate_timed_1.5b_32_4", |b| {
+    g.bench_function("generate_timed_1.5b_32_4_warm", |b| {
         b.iter(|| {
             appliance
                 .generate_timed(black_box(32), black_box(4))

@@ -19,11 +19,18 @@ use crate::table::{fmt, ExperimentReport, MdTable};
 use dfx_baseline::GpuModel;
 use dfx_model::GptConfig;
 use dfx_serve::{chatbot_mix, ArrivalProcess, Backend, Batching, ServingEngine};
-use dfx_sim::Appliance;
+use dfx_sim::{Appliance, SimError};
 
 /// Runs the sweep on one model/cluster setup. `batch_sizes` is the
 /// [`Batching`] scheduler's maximum batch; `max_wait_ms` is how long the
 /// oldest queued request may be held while a batch fills.
+///
+/// # Panics
+///
+/// Panics when the setup is invalid (an indivisible device count, a
+/// request stream the model cannot serve): experiment inputs are
+/// compile-time constants, so a failure is a bug in the caller, not an
+/// input error.
 pub fn run_setup(
     cfg: GptConfig,
     devices: usize,
@@ -32,11 +39,33 @@ pub fn run_setup(
     rates_per_s: &[f64],
     max_wait_ms: f64,
 ) -> ExperimentReport {
+    match build(
+        cfg,
+        devices,
+        n_requests,
+        batch_sizes,
+        rates_per_s,
+        max_wait_ms,
+    ) {
+        Ok(report) => report,
+        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
+        Err(e) => panic!("batching experiment failed: {e:?}"),
+    }
+}
+
+fn build(
+    cfg: GptConfig,
+    devices: usize,
+    n_requests: usize,
+    batch_sizes: &[usize],
+    rates_per_s: &[f64],
+    max_wait_ms: f64,
+) -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new(
         "batching",
         "Batched serving (SIII-A): batch size x arrival rate on DFX and the GPU appliance",
     );
-    let dfx = Appliance::timing_only(cfg.clone(), devices).expect("partitionable");
+    let dfx = Appliance::timing_only(cfg.clone(), devices)?;
     let gpu = GpuModel::new(cfg.clone(), devices);
     report.note(format!(
         "{n_requests} chatbot-mix requests on {} vs {}, one shared seed per rate, Batching \
@@ -74,7 +103,7 @@ pub fn run_setup(
                     rate_per_s,
                     seed: 0x5EED,
                 };
-                let r = engine.run(&stream, &arrivals).expect("valid stream");
+                let r = engine.run(&stream, &arrivals)?;
                 t.push_row(vec![
                     label.into(),
                     max_batch.to_string(),
@@ -89,7 +118,7 @@ pub fn run_setup(
         }
     }
     report.table(t);
-    report
+    Ok(report)
 }
 
 /// The headline sweep: GPT-2 1.5B on 4 devices per appliance, the same

@@ -28,12 +28,19 @@ use dfx_serve::{
     chatbot_mix, ArrivalProcess, Backend, Batching, ContinuousBatching, Scheduler, ServiceReport,
     ServingEngine,
 };
-use dfx_sim::Appliance;
+use dfx_sim::{Appliance, SimError};
 
 /// Runs the sweep on one model/cluster setup. `batch_sizes` bounds both
 /// the static coalescer and the continuous live batch; `max_wait_ms` is
 /// the static discipline's batching window (continuous batching never
 /// waits — admission is greedy at token boundaries).
+///
+/// # Panics
+///
+/// Panics when the setup is invalid (an indivisible device count, a
+/// request stream the model cannot serve): experiment inputs are
+/// compile-time constants, so a failure is a bug in the caller, not an
+/// input error.
 pub fn run_setup(
     cfg: GptConfig,
     devices: usize,
@@ -42,11 +49,33 @@ pub fn run_setup(
     rates_per_s: &[f64],
     max_wait_ms: f64,
 ) -> ExperimentReport {
+    match build(
+        cfg,
+        devices,
+        n_requests,
+        batch_sizes,
+        rates_per_s,
+        max_wait_ms,
+    ) {
+        Ok(report) => report,
+        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
+        Err(e) => panic!("continuous experiment failed: {e:?}"),
+    }
+}
+
+fn build(
+    cfg: GptConfig,
+    devices: usize,
+    n_requests: usize,
+    batch_sizes: &[usize],
+    rates_per_s: &[f64],
+    max_wait_ms: f64,
+) -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new(
         "continuous",
         "Continuous batching: token-boundary scheduling vs static batching vs batch-1",
     );
-    let dfx = Appliance::timing_only(cfg.clone(), devices).expect("partitionable");
+    let dfx = Appliance::timing_only(cfg.clone(), devices)?;
     let gpu = GpuModel::new(cfg.clone(), devices);
     report.note(format!(
         "{n_requests} chatbot-mix requests on {} vs {}, one shared seed per rate. batch-1 is \
@@ -90,7 +119,7 @@ pub fn run_setup(
             groups.push((is_gpu, "continuous", max_batch));
         }
     }
-    let row_blocks: Vec<Vec<Vec<String>>> =
+    let row_blocks: Vec<Result<Vec<Vec<String>>, SimError>> =
         rayon_lite::par_map(&groups, |&(is_gpu, discipline, max_batch)| {
             let (label, backend): (&str, &dyn Backend) =
                 if is_gpu { ("GPU", &gpu) } else { ("DFX", &dfx) };
@@ -107,8 +136,8 @@ pub fn run_setup(
                         rate_per_s,
                         seed: 0x5EED,
                     };
-                    let r: ServiceReport = engine.run(&stream, &arrivals).expect("valid stream");
-                    vec![
+                    let r: ServiceReport = engine.run(&stream, &arrivals)?;
+                    Ok(vec![
                         label.into(),
                         discipline.into(),
                         max_batch.to_string(),
@@ -123,17 +152,17 @@ pub fn run_setup(
                             Some(e) => fmt(e, 1),
                             None => "-".into(),
                         },
-                    ]
+                    ])
                 })
                 .collect()
         });
     for block in row_blocks {
-        for row in block {
+        for row in block? {
             t.push_row(row);
         }
     }
     report.table(t);
-    report
+    Ok(report)
 }
 
 /// The headline sweep: GPT-2 1.5B on 4 devices per appliance, the same

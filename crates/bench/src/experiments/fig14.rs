@@ -15,7 +15,7 @@ use crate::table::{fmt, fmt_ratio, ExperimentReport, MdTable};
 use dfx_baseline::GpuModel;
 use dfx_model::{GptConfig, Workload};
 use dfx_serve::Backend;
-use dfx_sim::Appliance;
+use dfx_sim::{Appliance, SimError};
 
 /// One model's regenerated grid.
 pub struct ModelGrid {
@@ -41,27 +41,48 @@ impl ModelGrid {
 
 /// End-to-end latency of every grid point on one [`Backend`], ms.
 /// Workloads are independent; fan out over the work-stealing pool
-/// (results come back in grid order regardless of thread count).
-pub fn grid_latencies_ms(backend: &(impl Backend + Sync)) -> Vec<f64> {
+/// (results come back in grid order regardless of thread count, and an
+/// [`Appliance`]'s shared step-cost table makes fill order irrelevant).
+///
+/// # Errors
+///
+/// Propagates the first grid point the backend cannot serve (a model
+/// whose context window is shorter than the grid's longest shape).
+pub fn grid_latencies_ms(backend: &(impl Backend + Sync)) -> Result<Vec<f64>, SimError> {
     rayon_lite::par_map(&paper::GRID, |&(input, output)| {
         backend
             .serve(Workload::new(input, output))
-            .expect("valid workload")
-            .total_ms()
+            .map(|r| r.total_ms())
     })
+    .into_iter()
+    .collect()
 }
 
 /// Simulates the full grid for one model.
+///
+/// # Panics
+///
+/// Panics when the setup is invalid (an indivisible device count, a
+/// context window shorter than the grid): experiment inputs are
+/// compile-time constants, so a failure is a bug in the caller, not an
+/// input error.
 pub fn run_model(cfg: GptConfig, devices: usize) -> ModelGrid {
-    let gpu = GpuModel::new(cfg.clone(), devices);
-    let dfx = Appliance::timing_only(cfg.clone(), devices).expect("partitionable");
+    match build(cfg, devices) {
+        Ok(grid) => grid,
+        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
+        Err(e) => panic!("fig14 experiment failed: {e:?}"),
+    }
+}
 
-    ModelGrid {
+fn build(cfg: GptConfig, devices: usize) -> Result<ModelGrid, SimError> {
+    let gpu = GpuModel::new(cfg.clone(), devices);
+    let dfx = Appliance::timing_only(cfg.clone(), devices)?;
+    Ok(ModelGrid {
+        gpu_ms: grid_latencies_ms(&gpu)?,
+        dfx_ms: grid_latencies_ms(&dfx)?,
         cfg,
         devices,
-        gpu_ms: grid_latencies_ms(&gpu),
-        dfx_ms: grid_latencies_ms(&dfx),
-    }
+    })
 }
 
 /// Regenerates Figure 14.

@@ -15,21 +15,41 @@ use crate::table::{fmt, ExperimentReport, MdTable};
 use dfx_baseline::GpuModel;
 use dfx_model::GptConfig;
 use dfx_serve::{chatbot_mix, ArrivalProcess, Backend, ServingEngine};
-use dfx_sim::Appliance;
+use dfx_sim::{Appliance, SimError};
 
 /// Runs the sweep on one model/cluster setup. `rates_per_s` should
 /// straddle the GPU appliance's capacity so the divergence is visible.
+///
+/// # Panics
+///
+/// Panics when the setup is invalid (an indivisible device count, a
+/// request stream the model cannot serve): experiment inputs are
+/// compile-time constants, so a failure is a bug in the caller, not an
+/// input error.
 pub fn run_setup(
     cfg: GptConfig,
     devices: usize,
     n_requests: usize,
     rates_per_s: &[f64],
 ) -> ExperimentReport {
+    match build(cfg, devices, n_requests, rates_per_s) {
+        Ok(report) => report,
+        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
+        Err(e) => panic!("serving experiment failed: {e:?}"),
+    }
+}
+
+fn build(
+    cfg: GptConfig,
+    devices: usize,
+    n_requests: usize,
+    rates_per_s: &[f64],
+) -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new(
         "serving",
         "Service-level view (SIII-A): tail latency under a Poisson request stream",
     );
-    let dfx = Appliance::timing_only(cfg.clone(), devices).expect("partitionable");
+    let dfx = Appliance::timing_only(cfg.clone(), devices)?;
     let gpu = GpuModel::new(cfg.clone(), devices);
     report.note(format!(
         "{n_requests} chatbot-mix requests on {} vs the {}-GPU appliance, one shared seed per \
@@ -61,8 +81,8 @@ pub fn run_setup(
             rate_per_s,
             seed: 0x5EED,
         };
-        let d = dfx_engine.run(&stream, &arrivals).expect("valid stream");
-        let g = gpu_engine.run(&stream, &arrivals).expect("valid stream");
+        let d = dfx_engine.run(&stream, &arrivals)?;
+        let g = gpu_engine.run(&stream, &arrivals)?;
         t.push_row(vec![
             fmt(rate_per_s, 2),
             fmt(d.p50_sojourn_ms, 0),
@@ -74,7 +94,7 @@ pub fn run_setup(
         ]);
     }
     report.table(t);
-    report
+    Ok(report)
 }
 
 /// The headline sweep: GPT-2 1.5B on 4 devices per appliance.

@@ -7,7 +7,7 @@
 //! report structure, so a single differing bit in any cell, note or
 //! metric fails.
 
-use dfx_bench::{experiments, observability};
+use dfx_bench::{experiments, observability, paper};
 use dfx_model::{GptConfig, Workload};
 use dfx_serve::{ArrivalProcess, ContinuousBatching, ServingEngine};
 use dfx_sim::Appliance;
@@ -80,6 +80,51 @@ fn sweeps_are_bit_identical_with_the_worker_pool_off() {
     assert_eq!(pooled_c, serial_c, "continuous sweep depends on the pool");
     assert_eq!(pooled_m, serial_m, "memory sweep depends on the pool");
     assert_eq!(pooled_k, serial_k, "cluster sweep depends on the pool");
+}
+
+#[test]
+fn step_cost_table_fill_order_changes_no_latency() {
+    // An appliance times each step program once and keeps it in a
+    // table shared by every timed path and worker thread. Whatever
+    // order fills the table, a warm lookup returns the cold value.
+    let cfg = GptConfig::new("fig14-smoke", 64, 2, 2, 512, 640);
+    let appliance = || Appliance::timing_only(cfg.clone(), 1).expect("partitionable");
+    let bits = |ms: Vec<f64>| ms.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+    let grid = |a: &Appliance| bits(experiments::grid_latencies_ms(a).expect("grid fits"));
+
+    let shared = appliance();
+    let (cold, warm) = rayon_lite::with_max_threads(4, || (grid(&shared), grid(&shared)));
+    assert_eq!(cold, warm, "a warm table changed a grid latency");
+    let serial = rayon_lite::with_max_threads(1, || grid(&appliance()));
+    assert_eq!(
+        cold, serial,
+        "the table's thread fill order changed a latency"
+    );
+
+    // Continuous-style steps first: batch-1 prefills and batch-k decode
+    // steps enter the table before the static path reads it.
+    let stepped = appliance();
+    let mut batch = stepped.batch_state();
+    batch.set_prefill_chunk(Some(48));
+    for (id, &(input, output)) in paper::GRID.iter().enumerate() {
+        batch
+            .admit(id as u64, Workload::new(input, output))
+            .expect("grid shape fits");
+        if batch.live() > 0 {
+            batch.step_token().expect("a member is live");
+        }
+        batch.retire();
+    }
+    while batch.live() > 0 {
+        batch.step_token().expect("a member is live");
+        batch.retire();
+    }
+    assert!(stepped.timed_step_programs() > 0);
+    assert_eq!(
+        cold,
+        grid(&stepped),
+        "stepping before the static path changed a latency"
+    );
 }
 
 #[test]

@@ -658,8 +658,10 @@ pub struct ServingEngine<'a> {
     /// share entries — [`Backend::name`] must therefore identify the
     /// timing behaviour (model + cluster size), which every built-in
     /// implementation's name does. The token-boundary path does not use
-    /// it (step costs depend on batch state); its steppers memoize
-    /// per-run instead.
+    /// it (step costs depend on batch state); on an
+    /// [`Appliance`](dfx_sim::Appliance) both paths read per-step costs
+    /// from the appliance's shared step-cost table, and this memo saves
+    /// re-summing a whole dispatch's steps.
     cache: MemoCache,
     /// Per-pool-slot interned memo id, precomputed at construction.
     server_ids: Vec<u32>,

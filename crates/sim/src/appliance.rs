@@ -10,15 +10,22 @@
 //! - **functional** — test-scale weights execute bit-level on every
 //!   simulated core *and* each step is timed, so generated text comes
 //!   with its latency report.
+//!
+//! A token step's cost depends only on its context position, whether it
+//! runs the LM head, and the batch it runs for, so each appliance times
+//! every such program once and keeps it in a step-cost table that all
+//! timed paths share ([`Appliance::timed_step_programs`] counts it).
 
 use crate::cluster::FunctionalCluster;
 use crate::error::SimError;
-use dfx_core::{CoreParams, StepTiming, TimingCore};
-use dfx_hw::PowerModel;
+use dfx_core::{CoreParams, StepTiming, TimingCore, Unit};
+use dfx_hw::{Cycles, PowerModel};
 use dfx_isa::{OpClass, ParallelConfig, ProgramBuilder};
 use dfx_model::{GptConfig, GptWeights, Workload};
 use dfx_num::F16;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Timing of one full text-generation request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -137,6 +144,99 @@ enum Mode {
     Functional(Box<FunctionalCluster>),
 }
 
+/// One entry of the appliance's step-cost table: a [`StepTiming`] in
+/// fixed `u32` arrays indexed by [`OpClass::ALL`] and [`Unit::ALL`],
+/// with a presence bit per key, since the cycle model records a
+/// zero-valued class or unit whenever the program uses it.
+///
+/// Every class share sums to the makespan and every unit's busy time
+/// fits inside it, so a step of at most `u32::MAX` cycles (21 s at
+/// 200 MHz) fits exactly; a longer one is [`Step::Untabled`].
+#[derive(Debug, Clone, Copy)]
+struct StepCost {
+    total: u32,
+    by_class: [u32; OpClass::ALL.len()],
+    unit_busy: [u32; Unit::ALL.len()],
+    instructions: u32,
+    /// Bit `i` set when `OpClass::ALL[i]` has a `by_class` entry.
+    classes: u8,
+    /// Bit `i` set when `Unit::ALL[i]` has a `unit_busy` entry.
+    units: u8,
+}
+
+impl StepCost {
+    /// The compact form of `t`, or `None` when a field exceeds `u32`.
+    fn new(t: &StepTiming) -> Option<Self> {
+        let mut cost = StepCost {
+            total: u32::try_from(t.total.0).ok()?,
+            by_class: [0; OpClass::ALL.len()],
+            unit_busy: [0; Unit::ALL.len()],
+            instructions: u32::try_from(t.instructions).ok()?,
+            classes: 0,
+            units: 0,
+        };
+        for (i, class) in OpClass::ALL.iter().enumerate() {
+            if let Some(c) = t.by_class.get(class) {
+                cost.by_class[i] = u32::try_from(c.0).ok()?;
+                cost.classes |= 1 << i;
+            }
+        }
+        for (i, unit) in Unit::ALL.iter().enumerate() {
+            if let Some(c) = t.unit_busy.get(unit) {
+                cost.unit_busy[i] = u32::try_from(c.0).ok()?;
+                cost.units |= 1 << i;
+            }
+        }
+        Some(cost)
+    }
+
+    /// Adds this step to `acc` exactly as [`StepTiming::accumulate`]
+    /// adds the timing it was made from.
+    fn accumulate_into(&self, acc: &mut StepTiming) {
+        acc.total += Cycles(u64::from(self.total));
+        for (i, class) in OpClass::ALL.iter().enumerate() {
+            if self.classes & (1 << i) != 0 {
+                *acc.by_class.entry(*class).or_insert(Cycles::ZERO) +=
+                    Cycles(u64::from(self.by_class[i]));
+            }
+        }
+        for (i, unit) in Unit::ALL.iter().enumerate() {
+            if self.units & (1 << i) != 0 {
+                *acc.unit_busy.entry(*unit).or_insert(Cycles::ZERO) +=
+                    Cycles(u64::from(self.unit_busy[i]));
+            }
+        }
+        acc.instructions += self.instructions as usize;
+    }
+}
+
+/// One step's timing as [`Appliance::step`] returns it.
+enum Step {
+    /// From (or just added to) the step-cost table.
+    Tabled(StepCost),
+    /// Too long for a [`StepCost`]; timed afresh on every use.
+    Untabled(StepTiming),
+}
+
+impl Step {
+    fn total(&self) -> Cycles {
+        match self {
+            Step::Tabled(cost) => Cycles(u64::from(cost.total)),
+            Step::Untabled(t) => t.total,
+        }
+    }
+
+    fn accumulate_into(&self, acc: &mut StepTiming) {
+        match self {
+            Step::Tabled(cost) => cost.accumulate_into(acc),
+            Step::Untabled(t) => acc.accumulate(t),
+        }
+    }
+}
+
+/// Step-cost table key: `(context position, LM head, batch)`.
+type StepKey = (usize, bool, u32);
+
 /// A simulated DFX appliance.
 ///
 /// # Examples
@@ -166,6 +266,11 @@ pub struct Appliance {
     /// [`with_kv_paging`](Appliance::with_kv_paging); `None` admits
     /// through a reserved [`BlockPool`](crate::BlockPool).
     kv_paging: Option<crate::PagedKvConfig>,
+    /// The step-cost table: every `token_step` program the cycle model
+    /// has timed on this appliance, filled on first use. A step's cost
+    /// is a pure function of its key, so fill order (and which thread
+    /// fills) cannot change a value.
+    steps: Mutex<BTreeMap<StepKey, StepCost>>,
 }
 
 impl std::fmt::Debug for Appliance {
@@ -220,6 +325,7 @@ impl Appliance {
             mode: Mode::TimingOnly,
             hbm_capacity_bytes: dfx_hw::HbmModel::default().capacity_bytes,
             kv_paging: None,
+            steps: Mutex::new(BTreeMap::new()),
         })
     }
 
@@ -243,6 +349,7 @@ impl Appliance {
             mode: Mode::Functional(Box::new(cluster)),
             hbm_capacity_bytes: dfx_hw::HbmModel::default().capacity_bytes,
             kv_paging: None,
+            steps: Mutex::new(BTreeMap::new()),
         })
     }
 
@@ -343,15 +450,86 @@ impl Appliance {
         self.num_fpgas
     }
 
-    /// The per-step program compiler (the batched path in `batch.rs`
-    /// drives it directly).
-    pub(crate) fn builder(&self) -> &ProgramBuilder {
-        &self.builder
+    /// Timing of one `token_step(pos, lm_head)` program run for `batch`
+    /// requests, from the step-cost table. A miss times the program
+    /// through [`TimingCore::time_step_batched`] outside the lock.
+    fn step(&self, pos: usize, lm_head: bool, batch: u32) -> Step {
+        let key = (pos, lm_head, batch);
+        let hit = self.steps().get(&key).copied();
+        if let Some(cost) = hit {
+            return Step::Tabled(cost);
+        }
+        let program = self.builder.token_step(pos, lm_head);
+        let timing = self.timing.time_step_batched(&program, batch);
+        match StepCost::new(&timing) {
+            Some(cost) => {
+                self.steps().insert(key, cost);
+                Step::Tabled(cost)
+            }
+            None => Step::Untabled(timing),
+        }
     }
 
-    /// The cycle model (shared with the batched path in `batch.rs`).
-    pub(crate) fn timing(&self) -> &TimingCore {
-        &self.timing
+    /// Makespan of one `token_step(pos, lm_head)` program run for
+    /// `batch` requests (the continuous executor's step cost).
+    pub(crate) fn step_cycles(&self, pos: usize, lm_head: bool, batch: u32) -> Cycles {
+        self.step(pos, lm_head, batch).total()
+    }
+
+    /// Summed makespans of prefill positions `from..to` over an
+    /// `input_len`-token context at batch 1, LM head from the context's
+    /// last position on. Holds the lock across hits and releases it to
+    /// time a miss.
+    pub(crate) fn prefill_cycles(&self, input_len: usize, from: usize, to: usize) -> Cycles {
+        let mut cycles = Cycles::ZERO;
+        let mut table = self.steps();
+        for pos in from..to {
+            let lm_head = pos + 1 >= input_len;
+            cycles += match table.get(&(pos, lm_head, 1)) {
+                Some(cost) => Cycles(u64::from(cost.total)),
+                None => {
+                    drop(table);
+                    let total = self.step_cycles(pos, lm_head, 1);
+                    table = self.steps();
+                    total
+                }
+            };
+        }
+        cycles
+    }
+
+    /// Number of distinct `token_step` programs the cycle model has
+    /// timed on this appliance (the step-cost table's size; a step over
+    /// `u32::MAX` cycles is never tabled and not counted). Every
+    /// timed path (`generate_timed`, `generate_batch_timed` and every
+    /// [`BatchState`](crate::BatchState)) shares the one table, so a
+    /// program is timed once per appliance however often it recurs.
+    pub fn timed_step_programs(&self) -> usize {
+        self.steps().len()
+    }
+
+    /// The step-cost table, recovered if a panicking thread poisoned
+    /// the lock (entries are inserted whole, so it is never torn).
+    fn steps(&self) -> MutexGuard<'_, BTreeMap<StepKey, StepCost>> {
+        self.steps.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Times `padded.input_len` summarization steps (LM head on the
+    /// last, when any output follows) and `padded.output_len - 1`
+    /// generation steps, each run for `batch` requests.
+    pub(crate) fn stage_timings(&self, padded: Workload, batch: u32) -> (StepTiming, StepTiming) {
+        let mut summarization = StepTiming::zero();
+        for pos in 0..padded.input_len {
+            let lm = pos + 1 == padded.input_len && padded.output_len > 0;
+            self.step(pos, lm, batch)
+                .accumulate_into(&mut summarization);
+        }
+        let mut generation = StepTiming::zero();
+        for out in 1..padded.output_len {
+            self.step(padded.input_len + out - 1, true, batch)
+                .accumulate_into(&mut generation);
+        }
+        (summarization, generation)
     }
 
     /// Times one workload without executing data (available in both
@@ -368,18 +546,7 @@ impl Appliance {
     ) -> Result<TimedRun, SimError> {
         let workload = Workload::new(input_len, output_len);
         self.check_workload(workload)?;
-
-        let mut summarization = StepTiming::zero();
-        for pos in 0..input_len {
-            let lm = pos + 1 == input_len && output_len > 0;
-            let program = self.builder.token_step(pos, lm);
-            summarization.accumulate(&self.timing.time_step(&program));
-        }
-        let mut generation = StepTiming::zero();
-        for out in 1..output_len {
-            let program = self.builder.token_step(input_len + out - 1, true);
-            generation.accumulate(&self.timing.time_step(&program));
-        }
+        let (summarization, generation) = self.stage_timings(workload, 1);
         Ok(TimedRun {
             workload,
             summarization,
@@ -463,6 +630,74 @@ mod tests {
             (run.total_latency_ms() - run.summarization_ms() - run.generation_ms()).abs() < 1e-9
         );
         assert!(run.tokens_per_second() > 0.0);
+    }
+
+    #[test]
+    fn every_timed_path_shares_one_step_cost_table() {
+        let a = Appliance::timing_only(GptConfig::tiny(), 2).unwrap();
+        assert_eq!(a.timed_step_programs(), 0);
+        // 8 summarization steps (LM head on the last) + 3 generation steps.
+        let run = a.generate_timed(8, 4).unwrap();
+        assert_eq!(a.timed_step_programs(), 11);
+
+        // The static batch of one, a solo continuous run and the
+        // prefill estimate all hit the table.
+        let w = Workload::new(8, 4);
+        let batched = a.generate_batch_timed(&[w]).unwrap();
+        assert_eq!(batched.summarization, run.summarization);
+        assert_eq!(batched.generation, run.generation);
+        let mut solo = a.batch_state();
+        solo.admit(0, w).unwrap();
+        while solo.live() > 0 {
+            solo.step_token().unwrap();
+        }
+        assert_eq!(solo.prefill_cost_ms(8), run.summarization_ms());
+        assert_eq!(a.timed_step_programs(), 11);
+
+        // A two-member batch re-times only its batch-2 decode steps.
+        let before: Vec<StepKey> = a.steps().keys().copied().collect();
+        let mut pair = a.batch_state();
+        pair.admit(0, w).unwrap();
+        pair.admit(1, w).unwrap();
+        while pair.live() > 0 {
+            pair.step_token().unwrap();
+        }
+        let added: Vec<StepKey> = a
+            .steps()
+            .keys()
+            .filter(|k| !before.contains(k))
+            .copied()
+            .collect();
+        assert_eq!(added, vec![(8, true, 2), (9, true, 2), (10, true, 2)]);
+        assert_eq!(a.timed_step_programs(), 14);
+    }
+
+    #[test]
+    fn table_entries_reproduce_the_cycle_model_exactly() {
+        let a = Appliance::timing_only(GptConfig::tiny(), 2).unwrap();
+        for batch in [1u32, 3] {
+            let padded = Workload::new(6, 3);
+            let mut direct = (StepTiming::zero(), StepTiming::zero());
+            for pos in 0..6 {
+                let program = a.builder.token_step(pos, pos == 5);
+                direct
+                    .0
+                    .accumulate(&a.timing.time_step_batched(&program, batch));
+            }
+            for pos in 6..8 {
+                let program = a.builder.token_step(pos, true);
+                direct
+                    .1
+                    .accumulate(&a.timing.time_step_batched(&program, batch));
+            }
+            // Cold (filling the table), then warm (reading it back).
+            assert_eq!(a.stage_timings(padded, batch), direct);
+            assert_eq!(a.stage_timings(padded, batch), direct);
+        }
+        // A step too long for the compact entry is never tabled.
+        let mut long = StepTiming::zero();
+        long.total = Cycles(u64::from(u32::MAX) + 1);
+        assert!(StepCost::new(&long).is_none());
     }
 
     #[test]

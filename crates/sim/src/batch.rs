@@ -106,8 +106,9 @@ impl Appliance {
     ///
     /// Members are padded to the batch's longest context and longest
     /// output; each padded token step runs through
-    /// [`dfx_core::TimingCore::time_step_batched`], so per-request work
-    /// scales with the batch while shared weight streams are paid once.
+    /// [`dfx_core::TimingCore::time_step_batched`] (once per appliance,
+    /// via its step-cost table), so per-request work scales with the
+    /// batch while shared weight streams are paid once.
     /// `generate_batch_timed(&[w])` is bit-identical to
     /// [`generate_timed`]`(w.input_len, w.output_len)`.
     ///
@@ -149,18 +150,7 @@ impl Appliance {
             )));
         }
 
-        let b = batch.len() as u32;
-        let mut summarization = StepTiming::zero();
-        for pos in 0..padded.input_len {
-            let lm = pos + 1 == padded.input_len && padded.output_len > 0;
-            let program = self.builder().token_step(pos, lm);
-            summarization.accumulate(&self.timing().time_step_batched(&program, b));
-        }
-        let mut generation = StepTiming::zero();
-        for out in 1..padded.output_len {
-            let program = self.builder().token_step(padded.input_len + out - 1, true);
-            generation.accumulate(&self.timing().time_step_batched(&program, b));
-        }
+        let (summarization, generation) = self.stage_timings(padded, batch.len() as u32);
         Ok(BatchedRun {
             workloads: batch.to_vec(),
             padded,

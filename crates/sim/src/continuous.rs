@@ -76,7 +76,6 @@ use crate::appliance::Appliance;
 use crate::block::{BlockPool, PagingStats, PreemptionPolicy, Prefix};
 use crate::error::SimError;
 use dfx_model::Workload;
-use std::collections::BTreeMap;
 
 /// Result of admitting one member into a running batch.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,10 +175,12 @@ impl Member {
 /// prefills replay [`Appliance::generate_timed`]'s summarization loop,
 /// decode steps run one `token_step` program through
 /// [`dfx_core::TimingCore::time_step_batched`] at the live batch size.
-/// Step costs are memoized by `(position, batch)` and prefill positions
-/// by `(position, lm_head)`, so long request streams re-time each
-/// distinct step shape once. Admission funds each member's K/V from one
-/// [`BlockPool`] over the appliance's
+/// Every step cost comes from the appliance's step-cost table, keyed by
+/// `(position, lm_head, batch)` and shared with the static paths and
+/// every other `BatchState` on the appliance, so a stream re-times no
+/// program another run already timed
+/// ([`Appliance::timed_step_programs`] counts them). Admission funds
+/// each member's K/V from one [`BlockPool`] over the appliance's
 /// [`memory_model`](Appliance::memory_model) budget — its whole claim
 /// by default, its prompt blocks under
 /// [`with_kv_paging`](Appliance::with_kv_paging) — and fails with
@@ -219,11 +220,6 @@ pub struct BatchState<'a> {
     kv: BlockPool,
     /// Prefill chunk budget in tokens (`None`: whole-prefill admission).
     prefill_chunk: Option<usize>,
-    /// Decode-step cost by `(program position, live batch)`.
-    step_cache: BTreeMap<(usize, u32), f64>,
-    /// Per-position prefill step cycles by `(position, lm_head)`; every
-    /// prefill, whole or chunked, sums these.
-    pos_cycles: BTreeMap<(usize, bool), dfx_hw::Cycles>,
 }
 
 impl Appliance {
@@ -244,8 +240,6 @@ impl Appliance {
                 None => BlockPool::reserved(self.memory_model()),
             },
             prefill_chunk: None,
-            step_cache: BTreeMap::new(),
-            pos_cycles: BTreeMap::new(),
         }
     }
 }
@@ -293,17 +287,17 @@ impl BatchState<'_> {
 
     /// Estimated cost of the full prefill pass over `input_len` context
     /// tokens, ms — the serial stall an unchunked admission would add to
-    /// the shared timeline. Charges nothing; sums the admission path's
-    /// per-position memo.
-    pub fn prefill_cost_ms(&mut self, input_len: usize) -> f64 {
+    /// the shared timeline. Charges nothing; sums the same per-position
+    /// step costs admission charges.
+    pub fn prefill_cost_ms(&self, input_len: usize) -> f64 {
         self.prefill_span_ms(input_len, 0, input_len)
     }
 
     /// Estimated cost of one decode step at a hypothetical live batch of
     /// `batch` members, ms, positioned at the current largest live
     /// context (or the first decode position when the batch is empty).
-    /// Charges nothing; memoized with the decode path's cache.
-    pub fn decode_step_cost_ms(&mut self, batch: usize) -> f64 {
+    /// Charges nothing; reads the step cost the decode pass charges.
+    pub fn decode_step_cost_ms(&self, batch: usize) -> f64 {
         let pos = self
             .members
             .iter()
@@ -314,34 +308,10 @@ impl BatchState<'_> {
         self.decode_cost(pos, batch.max(1))
     }
 
-    fn decode_cost(&mut self, pos: usize, batch: usize) -> f64 {
-        match self.step_cache.get(&(pos, batch as u32)) {
-            Some(&ms) => ms,
-            None => {
-                let program = self.appliance.builder().token_step(pos, true);
-                let ms = self
-                    .appliance
-                    .timing()
-                    .time_step_batched(&program, batch as u32)
-                    .total
-                    .to_millis();
-                self.step_cache.insert((pos, batch as u32), ms);
-                ms
-            }
-        }
-    }
-
-    /// Cycles of one prefill position step (memoized).
-    fn prefill_pos_cycles(&mut self, pos: usize, lm: bool) -> dfx_hw::Cycles {
-        match self.pos_cycles.get(&(pos, lm)) {
-            Some(&c) => c,
-            None => {
-                let program = self.appliance.builder().token_step(pos, lm);
-                let c = self.appliance.timing().time_step(&program).total;
-                self.pos_cycles.insert((pos, lm), c);
-                c
-            }
-        }
+    fn decode_cost(&self, pos: usize, batch: usize) -> f64 {
+        self.appliance
+            .step_cycles(pos, true, batch as u32)
+            .to_millis()
     }
 
     /// Charges positions `from..to` of `workload`'s prefill (LM head on
@@ -357,12 +327,10 @@ impl BatchState<'_> {
     /// Cost of prefill positions `from..to` over an `input_len`-token
     /// context, ms, without charging it (cycles are summed before the
     /// conversion to ms).
-    fn prefill_span_ms(&mut self, input_len: usize, from: usize, to: usize) -> f64 {
-        let mut cycles = dfx_hw::Cycles::ZERO;
-        for pos in from..to {
-            cycles += self.prefill_pos_cycles(pos, pos + 1 >= input_len);
-        }
-        cycles.to_millis()
+    fn prefill_span_ms(&self, input_len: usize, from: usize, to: usize) -> f64 {
+        self.appliance
+            .prefill_cycles(input_len, from, to)
+            .to_millis()
     }
 
     /// Moves a member to the finished list, releasing its K/V lease.
@@ -1134,7 +1102,7 @@ mod tests {
         b.step_token().unwrap();
         let first_chunk = b.admit(1, long).unwrap();
         assert!(first_chunk.pending_prefill == 88);
-        let mut whole = a.batch_state();
+        let whole = a.batch_state();
         let full_prefill = whole.prefill_cost_ms(long.input_len);
         let mut max_step = first_chunk.prefill_ms;
         while b.live() > 0 {
