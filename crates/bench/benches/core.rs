@@ -44,13 +44,14 @@ fn bench_functional_step(c: &mut Criterion) {
     let par = ParallelConfig::new(0, 1);
     let builder = ProgramBuilder::new(cfg, par).unwrap();
     let program = builder.token_step(0, true);
-    let core_weights = CoreWeights::partition(&weights, par);
+    let core_weights = CoreWeights::partition(&weights, par).expect("tiny model partitions");
+    let mut core = FunctionalCore::new(core_weights);
     let mut g = c.benchmark_group("functional");
     g.sample_size(20);
     g.bench_function("token_step/tiny_1core", |bench| {
         bench.iter(|| {
-            // A fresh core per iteration: the step mutates the KV cache.
-            let mut core = FunctionalCore::new(core_weights.clone());
+            // Reset per iteration: the step mutates the KV cache.
+            core.reset();
             core.begin_step(black_box(5));
             core.run(&program, 0)
         })

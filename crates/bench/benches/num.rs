@@ -1,6 +1,7 @@
 //! Criterion benches for the half-precision datapath primitives.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use dfx_model::Matrix;
 use dfx_num::{reduce, GeluLut, F16};
 
 fn bench_f16(c: &mut Criterion) {
@@ -13,6 +14,35 @@ fn bench_f16(c: &mut Criterion) {
     g.bench_function("add", |b| b.iter(|| black_box(x) + black_box(y)));
     g.bench_function("mul", |b| b.iter(|| black_box(x) * black_box(y)));
     g.finish();
+}
+
+/// A 256×256 FP16 vector-matrix product (the reference model's `vecmat`,
+/// one multiply and one add per weight), reported as ns per F16 op.
+fn bench_vecmat(c: &mut Criterion) {
+    const N: usize = 256;
+    const OPS_PER_CALL: u32 = 2 * (N * N) as u32;
+    let w = Matrix::from_fn(N, N, |r, c| {
+        F16::from_f32(((r * 7 + c * 3) % 17) as f32 * 0.01)
+    });
+    let x: Vec<F16> = (0..N)
+        .map(|i| F16::from_f32((i % 13) as f32 * 0.05))
+        .collect();
+    let mut g = c.benchmark_group("f16");
+    g.bench_function("vecmat_256", |b| b.iter(|| w.vecmat(black_box(&x))));
+    g.finish();
+
+    let calls = 200u32;
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        // lint: allow(ambient-time, wall-clock cost per op is this bench's measurement)
+        let start = std::time::Instant::now();
+        for _ in 0..calls {
+            black_box(w.vecmat(black_box(&x)));
+        }
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    let ns_per_op = best * 1e9 / f64::from(calls * OPS_PER_CALL);
+    println!("f16/vecmat_256 per op                    {ns_per_op:.2} ns per F16 op (best of 5 x {calls} calls)");
 }
 
 fn bench_reduce(c: &mut Criterion) {
@@ -40,5 +70,5 @@ fn bench_gelu(c: &mut Criterion) {
     c.bench_function("gelu_lut_eval", |b| b.iter(|| lut.eval(black_box(x))));
 }
 
-criterion_group!(benches, bench_f16, bench_reduce, bench_gelu);
+criterion_group!(benches, bench_f16, bench_vecmat, bench_reduce, bench_gelu);
 criterion_main!(benches);

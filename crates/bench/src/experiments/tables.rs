@@ -14,10 +14,37 @@
 use crate::paper;
 use crate::table::{fmt, ExperimentReport, MdTable};
 use dfx_model::GptConfig;
-use dfx_sim::{paper_tasks, quick_tasks, run_accuracy, AccuracyTask, Appliance};
+use dfx_sim::{
+    accuracy_contexts, paper_tasks, quick_tasks, AccuracyResult, AccuracyScorer, AccuracyTask,
+    Appliance, SimError,
+};
+
+/// Cores of the functional cluster the accuracy experiment runs.
+const ACCURACY_CORES: usize = 2;
+
+/// Seed of the accuracy experiment's synthetic contexts.
+const ACCURACY_SEED: u64 = 0xACC0;
+
+/// Contiguous item chunks the accuracy items are split into, each scored
+/// by its own models on the worker pool. Fixed, so the split (and with it
+/// every count) is the same on any machine.
+const ACCURACY_CHUNKS: usize = 8;
 
 /// Table I: GPT-2 model configuration.
+///
+/// # Panics
+///
+/// Panics if a published configuration does not partition over its
+/// published cluster size: the inputs are constants, so that is a bug.
 pub fn table1() -> ExperimentReport {
+    match build_table1() {
+        Ok(report) => report,
+        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
+        Err(e) => panic!("table1 failed: {e}"),
+    }
+}
+
+fn build_table1() -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new("table1", "Table I: GPT-2 model configuration");
     let mut t = MdTable::new(
         "",
@@ -71,7 +98,7 @@ pub fn table1() -> ExperimentReport {
         (GptConfig::gpt2_774m(), 2),
         (GptConfig::gpt2_1_5b(), 4),
     ] {
-        let appliance = Appliance::timing_only(cfg.clone(), devices).expect("partitionable");
+        let appliance = Appliance::timing_only(cfg.clone(), devices)?;
         let memory = appliance.memory_model();
         m.push_row(vec![
             cfg.name.clone(),
@@ -83,7 +110,7 @@ pub fn table1() -> ExperimentReport {
         ]);
     }
     report.table(m);
-    report
+    Ok(report)
 }
 
 /// §VII-A: inference accuracy of the FP16 DFX datapath.
@@ -99,7 +126,59 @@ pub fn accuracy(full: bool) -> ExperimentReport {
 /// §VII-A on an arbitrary task set. The paper runner delegates here; the
 /// smoke tests pass micro task sets so the functional simulation stays
 /// fast in debug builds.
+///
+/// # Panics
+///
+/// Panics if the functional simulation faults: the model and cluster are
+/// constants, so that is a bug.
 pub fn accuracy_with_tasks(tasks: &[AccuracyTask]) -> ExperimentReport {
+    match build_accuracy(tasks) {
+        Ok(report) => report,
+        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
+        Err(e) => panic!("accuracy failed: {e}"),
+    }
+}
+
+/// The accuracy results, the same as `run_accuracy` gives: the items are
+/// drawn in one sequence, split into [`ACCURACY_CHUNKS`] contiguous
+/// chunks scored on the worker pool, and the per-task agreement counts
+/// summed.
+fn accuracy_results(tasks: &[AccuracyTask]) -> Result<Vec<AccuracyResult>, SimError> {
+    let cfg = GptConfig::tiny();
+    let contexts = accuracy_contexts(&cfg, tasks, ACCURACY_SEED);
+    let items: Vec<(usize, &[u32])> = contexts
+        .iter()
+        .enumerate()
+        .flat_map(|(t, task)| task.iter().map(move |c| (t, c.as_slice())))
+        .collect();
+    let chunks: Vec<&[(usize, &[u32])]> = items
+        .chunks(items.len().div_ceil(ACCURACY_CHUNKS).max(1))
+        .collect();
+    let counts = rayon_lite::par_map(&chunks, |chunk| -> Result<Vec<[usize; 2]>, SimError> {
+        let mut scorer = AccuracyScorer::new(&cfg, ACCURACY_CORES)?;
+        let mut counts = vec![[0usize; 2]; tasks.len()];
+        for &(task, context) in chunk.iter() {
+            let (dfx, fp16) = scorer.score(context)?;
+            counts[task][0] += usize::from(dfx);
+            counts[task][1] += usize::from(fp16);
+        }
+        Ok(counts)
+    });
+    let mut totals = vec![[0usize; 2]; tasks.len()];
+    for chunk in counts {
+        for (total, count) in totals.iter_mut().zip(chunk?) {
+            total[0] += count[0];
+            total[1] += count[1];
+        }
+    }
+    Ok(tasks
+        .iter()
+        .zip(totals)
+        .map(|(task, [dfx, fp16])| AccuracyResult::from_counts(task, dfx, fp16))
+        .collect())
+}
+
+fn build_accuracy(tasks: &[AccuracyTask]) -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new(
         "accuracy",
         "Section VII-A: Inference accuracy (FP16 DFX vs FP32 reference)",
@@ -109,7 +188,7 @@ pub fn accuracy_with_tasks(tasks: &[AccuracyTask]) -> ExperimentReport {
          synthetic next-token-selection items of the paper's sizes; the measured property — \
          FP16 DFX selects the same token as the reference — is preserved (DESIGN.md).",
     );
-    let results = run_accuracy(&GptConfig::tiny(), 2, tasks, 0xACC0).expect("accuracy harness");
+    let results = accuracy_results(tasks)?;
 
     let mut t = MdTable::new(
         "Agreement with the FP32 reference (greedy next-token)",
@@ -133,7 +212,7 @@ pub fn accuracy_with_tasks(tasks: &[AccuracyTask]) -> ExperimentReport {
         ]);
     }
     report.table(t);
-    report
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -146,6 +225,26 @@ mod tests {
         assert_eq!(r.tables[0].rows.len(), 3);
         assert_eq!(r.tables[0].rows[2][2], "1536");
         assert_eq!(r.tables[0].rows[2][5], "48");
+    }
+
+    #[test]
+    fn chunked_accuracy_equals_the_serial_harness() {
+        let tasks = [
+            AccuracyTask {
+                name: "a".into(),
+                items: 5,
+                context_len: 3,
+            },
+            AccuracyTask {
+                name: "b".into(),
+                items: 4,
+                context_len: 4,
+            },
+        ];
+        let serial =
+            dfx_sim::run_accuracy(&GptConfig::tiny(), ACCURACY_CORES, &tasks, ACCURACY_SEED)
+                .unwrap();
+        assert_eq!(accuracy_results(&tasks).unwrap(), serial);
     }
 
     #[test]

@@ -9,13 +9,16 @@
 //! all-gather/argmax exchange and resumes each core — mirroring the
 //! RX-buffer rendezvous of the hardware.
 
+use crate::error::ExecError;
 use crate::weights::{CoreWeights, KvStore};
 use dfx_isa::{
-    regs, DmaDir, EmbedTable, Instr, MatrixKind, Program, ReduceKind, ReduceMax, RouterInstr,
-    RouterOp, SReg, ScalarOpKind, TensorRef, VReg, VSlice, VectorOpKind,
+    regs, DmaDir, EmbedTable, Instr, KvKind, MatrixKind, Program, ReduceKind, ReduceMax,
+    RouterInstr, RouterOp, SReg, ScalarOpKind, TensorRef, VReg, VSlice, VectorOpKind,
 };
-use dfx_model::Matrix;
 use dfx_num::{reduce, SfuMath, F16};
+
+/// MAC-tree fan-in `d`: matrix inputs are consumed in `d`-row blocks.
+const MAC_TREE_WIDTH: usize = 64;
 
 /// Why the executor paused.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,6 +60,81 @@ pub struct FunctionalCore {
     sfu: SfuMath,
     current_token: u32,
     out_token: Option<u32>,
+    /// Result buffer reused by every vector-producing instruction.
+    scratch: Vec<F16>,
+    /// The current matrix input, widened once for all its columns.
+    wide_input: Vec<f32>,
+}
+
+/// The elements `s` selects from the register file.
+fn read_slice(vregs: &[Vec<F16>], s: VSlice) -> Result<&[F16], ExecError> {
+    let start = s.offset as usize;
+    let end = start + s.len as usize;
+    vregs
+        .get(usize::from(s.reg.0))
+        .and_then(|reg| reg.get(start..end))
+        .ok_or_else(|| {
+            let held = vregs.get(usize::from(s.reg.0)).map_or(0, Vec::len);
+            ExecError::OutOfRange(format!(
+                "read of {start}..{end} from {} holding {held} elements",
+                s.reg
+            ))
+        })
+}
+
+/// Writes `data` to the register slice `s`, growing the register.
+fn write_slice(vregs: &mut [Vec<F16>], s: VSlice, data: &[F16]) -> Result<(), ExecError> {
+    if data.len() != s.len as usize {
+        return Err(ExecError::Shape(format!(
+            "{} elements written to a {}-wide slice of {}",
+            data.len(),
+            s.len,
+            s.reg
+        )));
+    }
+    let reg = vregs
+        .get_mut(usize::from(s.reg.0))
+        .ok_or_else(|| ExecError::OutOfRange(format!("register {}", s.reg)))?;
+    let end = s.offset as usize + data.len();
+    if reg.len() < end {
+        reg.resize(end, F16::ZERO);
+    }
+    reg[s.offset as usize..end].copy_from_slice(data);
+    Ok(())
+}
+
+/// `out[c] = bias[c] + Σ_blocks mac_tree(x[block], column_c[block])`:
+/// each output sums its `d`-row blocks through a pairwise MAC tree and
+/// accumulates the block partials in FP16, in row order. `x` is the
+/// input widened once with [`F16::to_f32`].
+fn mac_columns<'w>(
+    x: &[f32],
+    columns: impl ExactSizeIterator<Item = &'w [F16]>,
+    bias: Option<&[F16]>,
+    out: &mut Vec<F16>,
+) -> Result<(), ExecError> {
+    if bias.is_some_and(|b| b.len() != columns.len()) {
+        return Err(ExecError::Shape(format!(
+            "bias of {} elements for {} outputs",
+            bias.map_or(0, <[F16]>::len),
+            columns.len()
+        )));
+    }
+    for (c, col) in columns.enumerate() {
+        if col.len() != x.len() {
+            return Err(ExecError::Shape(format!(
+                "column {c} holds {} weights for a {}-element input",
+                col.len(),
+                x.len()
+            )));
+        }
+        let mut acc = bias.map_or(F16::ZERO, |b| b[c]);
+        for (xs, ws) in x.chunks(MAC_TREE_WIDTH).zip(col.chunks(MAC_TREE_WIDTH)) {
+            acc += reduce::mac_tree_widened(xs, ws);
+        }
+        out.push(acc);
+    }
+    Ok(())
 }
 
 impl FunctionalCore {
@@ -76,7 +154,21 @@ impl FunctionalCore {
             sfu: SfuMath::new(),
             current_token: 0,
             out_token: None,
+            scratch: Vec::new(),
+            wide_input: Vec::new(),
         }
+    }
+
+    /// Returns the core to the state [`FunctionalCore::new`] left it in
+    /// (empty K/V store and registers) for a fresh request, keeping the
+    /// weights and the allocations.
+    pub fn reset(&mut self) {
+        self.kv.clear();
+        self.vregs.iter_mut().for_each(Vec::clear);
+        self.sregs.fill(F16::ZERO);
+        self.sreg_idx.fill(0);
+        self.current_token = 0;
+        self.out_token = None;
     }
 
     /// This core's weights.
@@ -114,131 +206,115 @@ impl FunctionalCore {
     /// instruction pauses it (returning the resume index and event) or it
     /// finishes.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on malformed programs (use [`Program::validate`] first) —
-    /// the hardware would raise a fault the same way.
-    pub fn run(&mut self, program: &Program, from: usize) -> (usize, CoreEvent) {
+    /// Returns an [`ExecError`] on a malformed program (use
+    /// [`Program::validate`] first), where the hardware would raise a
+    /// fault.
+    pub fn run(&mut self, program: &Program, from: usize) -> Result<(usize, CoreEvent), ExecError> {
         let instrs = program.instrs();
-        let mut i = from;
-        while i < instrs.len() {
-            match &instrs[i].instr {
-                Instr::Router(r) => {
-                    let event = self.router_event(i, r);
-                    return (i, event);
-                }
-                other => self.execute(other, program),
+        for (i, instr) in instrs.iter().enumerate().skip(from) {
+            match &instr.instr {
+                Instr::Router(r) => return Ok((i, self.router_event(i, r)?)),
+                Instr::Matrix(m) => self.exec_matrix(m)?,
+                Instr::Vector(v) => self.exec_vector(v)?,
+                Instr::Reduce(r) => self.exec_reduce(r)?,
+                Instr::Scalar(s) => self.exec_scalar(s)?,
+                Instr::Dma(d) => self.exec_dma(d, program)?,
             }
-            i += 1;
         }
-        (instrs.len(), CoreEvent::Done)
+        Ok((instrs.len(), CoreEvent::Done))
     }
 
-    fn router_event(&self, instr_index: usize, r: &RouterInstr) -> CoreEvent {
-        match r.op {
+    fn router_event(&self, instr_index: usize, r: &RouterInstr) -> Result<CoreEvent, ExecError> {
+        Ok(match r.op {
             RouterOp::AllGather => CoreEvent::AllGather {
                 instr_index,
-                partial: self.read_slice(r.src),
+                partial: read_slice(&self.vregs, r.src)?.to_vec(),
             },
-            RouterOp::AllReduceArgMax => CoreEvent::ArgMaxSync {
-                instr_index,
-                local_idx: self.sreg_idx[r.idx.expect("argmax idx reg").0 as usize],
-                local_max: self.sregs[r.max.expect("argmax max reg").0 as usize],
-            },
-        }
+            RouterOp::AllReduceArgMax => {
+                let (idx, max) = argmax_regs(r)?;
+                CoreEvent::ArgMaxSync {
+                    instr_index,
+                    local_idx: self.sreg_idx[idx.0 as usize],
+                    local_max: self.sregs[max.0 as usize],
+                }
+            }
+        })
     }
 
     /// Completes a paused `AllGather` with the reordered full vector.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `full` does not match the instruction's destination
-    /// width.
-    pub fn complete_allgather(&mut self, r: &RouterInstr, full: &[F16]) {
-        assert_eq!(full.len(), r.dst.len as usize, "gathered vector width");
-        self.write_slice(r.dst, full);
+    /// Returns [`ExecError::Shape`] if `full` does not match the
+    /// instruction's destination width.
+    pub fn complete_allgather(&mut self, r: &RouterInstr, full: &[F16]) -> Result<(), ExecError> {
+        write_slice(&mut self.vregs, r.dst, full)
     }
 
     /// Completes a paused `AllReduceArgMax` with the global winner.
-    pub fn complete_argmax(&mut self, r: &RouterInstr, global_idx: u32, global_max: F16) {
-        self.sreg_idx[r.idx.expect("argmax idx reg").0 as usize] = global_idx;
-        self.sregs[r.max.expect("argmax max reg").0 as usize] = global_max;
-    }
-
-    fn read_slice(&self, s: VSlice) -> Vec<F16> {
-        let reg = &self.vregs[s.reg.0 as usize];
-        let start = s.offset as usize;
-        let end = start + s.len as usize;
-        assert!(
-            end <= reg.len(),
-            "read of {}..{end} from {} holding {} elements",
-            start,
-            s.reg,
-            reg.len()
-        );
-        reg[start..end].to_vec()
-    }
-
-    fn write_slice(&mut self, s: VSlice, data: &[F16]) {
-        assert_eq!(data.len(), s.len as usize, "slice write width");
-        let reg = &mut self.vregs[s.reg.0 as usize];
-        let end = s.offset as usize + data.len();
-        if reg.len() < end {
-            reg.resize(end, F16::ZERO);
-        }
-        reg[s.offset as usize..end].copy_from_slice(data);
-    }
-
-    fn execute(&mut self, instr: &Instr, program: &Program) {
-        match instr {
-            Instr::Matrix(m) => self.exec_matrix(m),
-            Instr::Vector(v) => self.exec_vector(v),
-            Instr::Reduce(r) => self.exec_reduce(r),
-            Instr::Scalar(s) => self.exec_scalar(s),
-            Instr::Dma(d) => self.exec_dma(d, program),
-            Instr::Router(_) => unreachable!("router instructions pause the executor"),
-        }
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::MissingOperand`] if the instruction names no
+    /// index or maximum register.
+    pub fn complete_argmax(
+        &mut self,
+        r: &RouterInstr,
+        global_idx: u32,
+        global_max: F16,
+    ) -> Result<(), ExecError> {
+        let (idx, max) = argmax_regs(r)?;
+        self.sreg_idx[idx.0 as usize] = global_idx;
+        self.sregs[max.0 as usize] = global_max;
+        Ok(())
     }
 
     /// Matrix-vector multiply through the MAC trees, tile-accurate:
     /// the input is consumed in `d`-row blocks, each block reduced by a
-    /// pairwise tree, block partials accumulated in FP16.
-    fn exec_matrix(&mut self, m: &dfx_isa::MatrixInstr) {
-        let x = self.read_slice(m.src);
-        // KV operands materialise a fresh stream view (they change every
-        // step); weight matrices are borrowed in place.
-        let kv_view;
-        let w: &Matrix<F16> = match m.weight {
+    /// pairwise tree, block partials accumulated in FP16. Weights and
+    /// K/V columns are borrowed in place.
+    fn exec_matrix(&mut self, m: &dfx_isa::MatrixInstr) -> Result<(), ExecError> {
+        let x = read_slice(&self.vregs, m.src)?;
+        let (rows, cols) = (m.rows as usize, m.cols as usize);
+        if x.len() != rows {
+            return Err(ExecError::Shape(format!(
+                "{}-element input for {rows} rows of {}",
+                x.len(),
+                m.weight
+            )));
+        }
+        let bias = m.bias.map(|b| self.weights.bias(b)).transpose()?;
+        self.wide_input.clear();
+        self.wide_input.extend(x.iter().map(|v| v.to_f32()));
+        let x = self.wide_input.as_slice();
+        let mut out = std::mem::take(&mut self.scratch);
+        out.clear();
+        match m.weight {
             TensorRef::Kv { .. } => {
-                kv_view = self.kv.stream_matrix(m.weight);
-                &kv_view
-            }
-            _ => self.weights.weight_matrix(m.weight),
-        };
-        assert_eq!(
-            w.shape(),
-            (m.rows as usize, m.cols as usize),
-            "weight shape vs instruction geometry for {}",
-            m.weight
-        );
-        let bias = m.bias.map(|b| self.weights.bias(b).to_vec());
-        let d = 64usize; // MAC-tree fan-in (functional behaviour is d-block-wise)
-
-        let mut out = vec![F16::ZERO; m.cols as usize];
-        let mut wcol = [F16::ZERO; 64];
-        for (c, o) in out.iter_mut().enumerate() {
-            let mut acc = bias.as_ref().map_or(F16::ZERO, |b| b[c]);
-            let mut r = 0usize;
-            while r < x.len() {
-                let end = (r + d).min(x.len());
-                for (slot, i) in wcol.iter_mut().zip(r..end) {
-                    *slot = w[(i, c)];
+                let columns = self.kv.stream_columns(m.weight)?;
+                if columns.len() != cols {
+                    return Err(ExecError::Shape(format!(
+                        "{} holds {} columns, instruction wants {cols}",
+                        m.weight,
+                        columns.len()
+                    )));
                 }
-                let partial = reduce::mac_tree(&x[r..end], &wcol[..end - r]);
-                acc += partial;
-                r = end;
+                mac_columns(x, columns.iter().map(Vec::as_slice), bias, &mut out)?;
             }
-            *o = acc;
+            _ => {
+                let w = self.weights.weight_matrix(m.weight)?;
+                if w.shape() != (rows, cols) {
+                    return Err(ExecError::Shape(format!(
+                        "{} is {:?}, instruction wants {:?}",
+                        m.weight,
+                        w.shape(),
+                        (rows, cols)
+                    )));
+                }
+                mac_columns(x, w.columns(), bias, &mut out)?;
+            }
         }
 
         if let Some(scale) = m.scale {
@@ -257,14 +333,16 @@ impl FunctionalCore {
                 *o = self.sfu.gelu(*o);
             }
         }
+        let max_of = || {
+            reduce::reduce_max(&out).ok_or_else(|| {
+                ExecError::Shape(format!("reduce-max over no outputs of {}", m.weight))
+            })
+        };
         match m.reduce_max {
             ReduceMax::None => {}
-            ReduceMax::Max(sreg) => {
-                let (_, max) = reduce::reduce_max(&out).expect("non-empty output");
-                self.sregs[sreg.0 as usize] = max;
-            }
+            ReduceMax::Max(sreg) => self.sregs[sreg.0 as usize] = max_of()?.1,
             ReduceMax::ArgMax { idx, max } => {
-                let (i, v) = reduce::reduce_max(&out).expect("non-empty output");
+                let (i, v) = max_of()?;
                 // The index is globalised with the core's vocabulary
                 // offset so single- and multi-core paths agree.
                 self.sreg_idx[idx.0 as usize] = self.weights.vocab_offset + i as u32;
@@ -272,70 +350,77 @@ impl FunctionalCore {
                 self.sregs[max.0 as usize] = v;
             }
         }
-        self.write_slice(m.dst, &out);
+        write_slice(&mut self.vregs, m.dst, &out)?;
+        self.scratch = out;
+        Ok(())
     }
 
-    fn exec_vector(&mut self, v: &dfx_isa::VectorInstr) {
-        let len = v.len as usize;
-        let a = self.read_slice(VSlice::full(v.a, v.len));
-        let out: Vec<F16> = match v.op {
+    fn exec_vector(&mut self, v: &dfx_isa::VectorInstr) -> Result<(), ExecError> {
+        let a = read_slice(&self.vregs, VSlice::full(v.a, v.len))?;
+        let mut out = std::mem::take(&mut self.scratch);
+        out.clear();
+        match v.op {
             VectorOpKind::Add | VectorOpKind::Sub | VectorOpKind::Mul => {
-                let b = self.read_slice(VSlice::full(v.b.expect("vv operand"), v.len));
-                a.iter()
-                    .zip(&b)
-                    .map(|(&x, &y)| match v.op {
-                        VectorOpKind::Add => x + y,
-                        VectorOpKind::Sub => x - y,
-                        _ => x * y,
-                    })
-                    .collect()
+                let b =
+                    v.b.ok_or(ExecError::MissingOperand("vector-vector b register"))?;
+                let b = read_slice(&self.vregs, VSlice::full(b, v.len))?;
+                let pairs = a.iter().zip(b);
+                match v.op {
+                    VectorOpKind::Add => out.extend(pairs.map(|(&x, &y)| x + y)),
+                    VectorOpKind::Sub => out.extend(pairs.map(|(&x, &y)| x - y)),
+                    _ => out.extend(pairs.map(|(&x, &y)| x * y)),
+                }
             }
             VectorOpKind::AddScalar | VectorOpKind::SubScalar | VectorOpKind::MulScalar => {
-                let s = self.sregs[v.s.expect("vs operand").0 as usize];
-                a.iter()
-                    .map(|&x| match v.op {
-                        VectorOpKind::AddScalar => x + s,
-                        VectorOpKind::SubScalar => x - s,
-                        _ => x * s,
-                    })
-                    .collect()
+                let s =
+                    v.s.ok_or(ExecError::MissingOperand("vector-scalar s register"))?;
+                let s = self.sregs[s.0 as usize];
+                match v.op {
+                    VectorOpKind::AddScalar => out.extend(a.iter().map(|&x| x + s)),
+                    VectorOpKind::SubScalar => out.extend(a.iter().map(|&x| x - s)),
+                    _ => out.extend(a.iter().map(|&x| x * s)),
+                }
             }
-            VectorOpKind::Exp => a.iter().map(|&x| self.sfu.exp(x)).collect(),
-            VectorOpKind::Copy => a.clone(),
-        };
-        debug_assert_eq!(out.len(), len);
-        self.write_slice(VSlice::full(v.dst, v.len), &out);
+            VectorOpKind::Exp => out.extend(a.iter().map(|&x| self.sfu.exp(x))),
+            VectorOpKind::Copy => out.extend_from_slice(a),
+        }
+        write_slice(&mut self.vregs, VSlice::full(v.dst, v.len), &out)?;
+        self.scratch = out;
+        Ok(())
     }
 
     /// Reduction through SFU_V: `d`-wide tree per chunk, chunks
     /// accumulated sequentially.
-    fn exec_reduce(&mut self, r: &dfx_isa::ReduceInstr) {
-        let v = self.read_slice(VSlice::full(r.v, r.len));
+    fn exec_reduce(&mut self, r: &dfx_isa::ReduceInstr) -> Result<(), ExecError> {
+        let v = read_slice(&self.vregs, VSlice::full(r.v, r.len))?;
         let result = match r.kind {
             ReduceKind::Sum => v
-                .chunks(64)
+                .chunks(MAC_TREE_WIDTH)
                 .map(reduce::tree_sum)
                 .fold(F16::ZERO, |acc, c| acc + c),
-            ReduceKind::Max => reduce::reduce_max(&v).map_or(F16::NEG_INFINITY, |(_, m)| m),
+            ReduceKind::Max => reduce::reduce_max(v).map_or(F16::NEG_INFINITY, |(_, m)| m),
         };
         self.sregs[r.dst.0 as usize] = result;
+        Ok(())
     }
 
-    fn exec_scalar(&mut self, s: &dfx_isa::ScalarInstr) {
+    fn exec_scalar(&mut self, s: &dfx_isa::ScalarInstr) -> Result<(), ExecError> {
         let a = self.sregs[s.a.0 as usize];
         let b =
             s.b.map(|r| self.sregs[r.0 as usize])
                 .or_else(|| s.imm.map(F16::from_f32));
-        let out = match s.op {
-            ScalarOpKind::Add => a + b.expect("add operand"),
-            ScalarOpKind::Mul => a * b.expect("mul operand"),
+        let b = || b.ok_or(ExecError::MissingOperand("scalar b operand"));
+        self.sregs[s.dst.0 as usize] = match s.op {
+            ScalarOpKind::Add => a + b()?,
+            ScalarOpKind::Mul => a * b()?,
             ScalarOpKind::Recip => self.sfu.recip(a),
             ScalarOpKind::RecipSqrt => self.sfu.recip_sqrt(a),
         };
-        self.sregs[s.dst.0 as usize] = out;
+        Ok(())
     }
 
-    fn exec_dma(&mut self, d: &dfx_isa::DmaInstr, program: &Program) {
+    fn exec_dma(&mut self, d: &dfx_isa::DmaInstr, program: &Program) -> Result<(), ExecError> {
+        let reg = |what| d.reg.ok_or(ExecError::MissingOperand(what));
         match (d.dir, d.tensor) {
             (DmaDir::Load, TensorRef::TokenIo) => {
                 // The controller already latched `current_token` via
@@ -345,40 +430,61 @@ impl FunctionalCore {
                 self.out_token = Some(self.sreg_idx[regs::S_ARGMAX.0 as usize]);
             }
             (DmaDir::Load, TensorRef::Embed { table }) => {
-                let row = match table {
-                    EmbedTable::Wte => self.weights.wte.row(self.current_token as usize).to_vec(),
-                    EmbedTable::Wpe => self.weights.wpe.row(d.row as usize).to_vec(),
+                let (matrix, row) = match table {
+                    EmbedTable::Wte => (&self.weights.wte, self.current_token as usize),
+                    EmbedTable::Wpe => (&self.weights.wpe, d.row as usize),
                 };
-                let slice = d.reg.expect("embedding load destination");
-                self.write_slice(slice, &row);
+                if row >= matrix.rows() {
+                    return Err(ExecError::OutOfRange(format!(
+                        "row {row} of a {}-row {table:?} table",
+                        matrix.rows()
+                    )));
+                }
+                write_slice(
+                    &mut self.vregs,
+                    reg("embedding load destination")?,
+                    matrix.row(row),
+                )?;
             }
             (DmaDir::Load, TensorRef::Ln { .. }) => {
-                let row = self.weights.ln_param(d.tensor).to_vec();
-                let slice = d.reg.expect("ln load destination");
-                self.write_slice(slice, &row);
+                let param = self.weights.ln_param(d.tensor)?;
+                write_slice(&mut self.vregs, reg("ln load destination")?, param)?;
             }
             (DmaDir::Load, TensorRef::Bias { .. }) => {
                 // Biases stream into the DMA bias buffer; the matrix
                 // instruction reads them directly in this model.
             }
             (DmaDir::Store, TensorRef::Kv { layer, head, kind }) => {
-                let row = self.read_slice(d.reg.expect("kv store source"));
-                let hkv = self.kv.head_mut(layer, head);
-                match kind {
-                    dfx_isa::KvKind::Key => {
-                        assert!(!d.transpose, "K rows are stored untransposed");
-                        hkv.push_key(&row);
-                    }
-                    dfx_isa::KvKind::Value => {
-                        assert!(d.transpose, "V rows go through the transpose unit");
-                        hkv.push_value(&row);
+                let row = read_slice(&self.vregs, reg("kv store source")?)?;
+                let hkv = self.kv.head_mut(layer, head)?;
+                match (kind, d.transpose) {
+                    (KvKind::Key, false) => hkv.push_key(row),
+                    (KvKind::Value, true) => hkv.push_value(row)?,
+                    // K rows are stored untransposed; V rows go through
+                    // the transpose unit.
+                    _ => {
+                        return Err(ExecError::Unsupported(format!(
+                            "{kind:?} store with transpose = {}",
+                            d.transpose
+                        )))
                     }
                 }
                 // Each store must land at the row for this step.
                 debug_assert_eq!(d.row, program.meta.token_pos);
             }
-            (dir, tensor) => panic!("unsupported DMA {dir:?} of {tensor}"),
+            (dir, tensor) => {
+                return Err(ExecError::Unsupported(format!("DMA {dir:?} of {tensor}")))
+            }
         }
+        Ok(())
+    }
+}
+
+/// The index and maximum registers of an `AllReduceArgMax`.
+fn argmax_regs(r: &RouterInstr) -> Result<(SReg, SReg), ExecError> {
+    match (r.idx, r.max) {
+        (Some(idx), Some(max)) => Ok((idx, max)),
+        _ => Err(ExecError::MissingOperand("argmax index/maximum register")),
     }
 }
 
@@ -392,7 +498,7 @@ mod tests {
         let cfg = GptConfig::tiny();
         let w = GptWeights::synthetic(&cfg).cast::<F16>();
         let par = ParallelConfig::new(0, 1);
-        let core = FunctionalCore::new(CoreWeights::partition(&w, par));
+        let core = FunctionalCore::new(CoreWeights::partition(&w, par).unwrap());
         let builder = ProgramBuilder::new(cfg, par).unwrap();
         (core, builder)
     }
@@ -402,7 +508,7 @@ mod tests {
         let (mut core, builder) = single_core();
         let p = builder.token_step(0, true);
         core.begin_step(42);
-        let (end, ev) = core.run(&p, 0);
+        let (end, ev) = core.run(&p, 0).unwrap();
         assert_eq!(ev, CoreEvent::Done);
         assert_eq!(end, p.len());
         assert!(core.out_token().is_some());
@@ -414,7 +520,7 @@ mod tests {
         let (mut core, builder) = single_core();
         let p = builder.token_step(0, false);
         core.begin_step(7);
-        let (_, ev) = core.run(&p, 0);
+        let (_, ev) = core.run(&p, 0).unwrap();
         assert_eq!(ev, CoreEvent::Done);
         assert!(core.out_token().is_none());
     }
@@ -425,7 +531,7 @@ mod tests {
         for pos in 0..3 {
             let p = builder.token_step(pos, false);
             core.begin_step(pos as u32 + 1);
-            let (_, ev) = core.run(&p, 0);
+            let (_, ev) = core.run(&p, 0).unwrap();
             assert_eq!(ev, CoreEvent::Done);
         }
         assert_eq!(core.context_len(), 3);
@@ -444,11 +550,11 @@ mod tests {
         let ref_hidden = reference.forward_token(11, 0, &mut cache);
 
         let par = ParallelConfig::new(0, 1);
-        let mut core = FunctionalCore::new(CoreWeights::partition(&w16, par));
+        let mut core = FunctionalCore::new(CoreWeights::partition(&w16, par).unwrap());
         let builder = ProgramBuilder::new(cfg, par).unwrap();
         let p = builder.token_step(0, true);
         core.begin_step(11);
-        let (_, ev) = core.run(&p, 0);
+        let (_, ev) = core.run(&p, 0).unwrap();
         assert_eq!(ev, CoreEvent::Done);
 
         let got = core.vreg(regs::LM_HIDDEN);
@@ -466,7 +572,9 @@ mod tests {
         let cfg = GptConfig::tiny();
         let w = GptWeights::synthetic(&cfg).cast::<F16>();
         let mut cores: Vec<FunctionalCore> = (0..2)
-            .map(|c| FunctionalCore::new(CoreWeights::partition(&w, ParallelConfig::new(c, 2))))
+            .map(|c| {
+                FunctionalCore::new(CoreWeights::partition(&w, ParallelConfig::new(c, 2)).unwrap())
+            })
             .collect();
         let builders: Vec<ProgramBuilder> = (0..2)
             .map(|c| ProgramBuilder::new(cfg.clone(), ParallelConfig::new(c, 2)).unwrap())
@@ -476,7 +584,7 @@ mod tests {
         let mut events = Vec::new();
         for (core, p) in cores.iter_mut().zip(&programs) {
             core.begin_step(5);
-            events.push(core.run(p, 0));
+            events.push(core.run(p, 0).unwrap());
         }
         let (i0, e0) = &events[0];
         let (i1, _e1) = &events[1];
@@ -485,10 +593,54 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "read of")]
-    fn reading_unwritten_register_slice_panics() {
+    fn reading_unwritten_register_slice_is_an_error() {
         let (core, _) = single_core();
         // v5 has never been written; a 16-wide read must fault.
-        let _ = core.read_slice(VSlice::full(VReg(5), 16));
+        let err = read_slice(&core.vregs, VSlice::full(VReg(5), 16)).unwrap_err();
+        assert!(matches!(err, ExecError::OutOfRange(ref m) if m.starts_with("read of")));
+    }
+
+    #[test]
+    fn reset_core_matches_a_fresh_core() {
+        let (mut core, builder) = single_core();
+        let (mut fresh, _) = single_core();
+        for pos in 0..3 {
+            core.begin_step(pos as u32 + 4);
+            core.run(&builder.token_step(pos, true), 0).unwrap();
+        }
+        core.reset();
+        assert_eq!(core.context_len(), 0);
+        for pos in 0..2 {
+            let p = builder.token_step(pos, true);
+            core.begin_step(9);
+            fresh.begin_step(9);
+            core.run(&p, 0).unwrap();
+            fresh.run(&p, 0).unwrap();
+            assert_eq!(core.out_token(), fresh.out_token());
+            assert_eq!(core.vregs, fresh.vregs);
+        }
+    }
+
+    #[test]
+    fn malformed_instructions_are_typed_errors() {
+        let (mut core, builder) = single_core();
+        let step = builder.token_step(0, true);
+        core.begin_step(1);
+        // The program up to its first matrix instruction, which is pointed
+        // at a bias instead of a weight, must fault without panicking.
+        let mut p = Program::new(step.meta);
+        for ai in step.instrs() {
+            if let Instr::Matrix(m) = &ai.instr {
+                let mut bad = *m;
+                bad.weight = m.bias.unwrap();
+                p.push(ai.class, Instr::Matrix(bad));
+                break;
+            }
+            p.push(ai.class, ai.instr);
+        }
+        assert!(matches!(
+            core.run(&p, 0),
+            Err(ExecError::WrongTensor { .. })
+        ));
     }
 }

@@ -32,14 +32,16 @@
 
 #![warn(missing_docs)]
 
+mod error;
 mod exec;
 mod params;
 mod scoreboard;
 mod timing;
 mod weights;
 
+pub use error::ExecError;
 pub use exec::{CoreEvent, FunctionalCore};
 pub use params::CoreParams;
 pub use scoreboard::{instr_reads, instr_writes, RegId, Scoreboard, NUM_SREGS, NUM_VREGS};
 pub use timing::{StepTiming, TimingCore, Unit};
-pub use weights::{CoreLayerWeights, CoreWeights, HeadKv, KvStore};
+pub use weights::{ColumnMatrix, CoreLayerWeights, CoreWeights, HeadKv, KvStore};

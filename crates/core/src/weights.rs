@@ -7,35 +7,91 @@
 //! full-width FFN2 input rows are replicated on every core — exactly the
 //! data the paper stores per-FPGA in DDR/HBM.
 
+use crate::error::ExecError;
 use dfx_isa::{KvKind, LnParam, ParallelConfig, TensorRef, WeightKind};
 use dfx_model::{GptConfig, GptWeights, Matrix};
 use dfx_num::F16;
+
+/// A weight partition stored column-major, the order the MAC trees
+/// stream it: column `c`, the weights feeding output `c`, is contiguous.
+/// Indexing by `(row, col)` addresses the logical `(in, out)` matrix.
+#[derive(Debug, Clone)]
+pub struct ColumnMatrix {
+    rows: usize,
+    cols: usize,
+    data: Vec<F16>,
+}
+
+impl ColumnMatrix {
+    /// The columns `c0..c1` of `m`.
+    fn col_slice(m: &Matrix<F16>, c0: usize, c1: usize) -> Self {
+        let (rows, cols) = (m.rows(), c1 - c0);
+        let mut data = vec![F16::ZERO; rows * cols];
+        for r in 0..rows {
+            for (c, &x) in m.row(r)[c0..c1].iter().enumerate() {
+                data[c * rows + r] = x;
+            }
+        }
+        ColumnMatrix { rows, cols, data }
+    }
+
+    /// Number of rows (the input length).
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns (the output length).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// `(rows, cols)`.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// Every column, in output order.
+    pub fn columns(&self) -> std::slice::ChunksExact<'_, F16> {
+        self.data.chunks_exact(self.rows.max(1))
+    }
+}
+
+impl std::ops::Index<(usize, usize)> for ColumnMatrix {
+    type Output = F16;
+    fn index(&self, (r, c): (usize, usize)) -> &F16 {
+        assert!(
+            r < self.rows && c < self.cols,
+            "index ({r},{c}) out of bounds"
+        );
+        &self.data[c * self.rows + r]
+    }
+}
 
 /// One decoder layer's partition for a single core.
 #[derive(Debug, Clone)]
 pub struct CoreLayerWeights {
     /// Q projection slice, `(emb, part)`.
-    pub w_q: Matrix<F16>,
+    pub w_q: ColumnMatrix,
     /// Q bias slice.
     pub b_q: Vec<F16>,
     /// K projection slice.
-    pub w_k: Matrix<F16>,
+    pub w_k: ColumnMatrix,
     /// K bias slice.
     pub b_k: Vec<F16>,
     /// V projection slice.
-    pub w_v: Matrix<F16>,
+    pub w_v: ColumnMatrix,
     /// V bias slice.
     pub b_v: Vec<F16>,
     /// Output projection slice, `(emb, part)`.
-    pub w_attn_proj: Matrix<F16>,
+    pub w_attn_proj: ColumnMatrix,
     /// Output projection bias slice.
     pub b_attn_proj: Vec<F16>,
     /// FFN up slice, `(emb, ffn_part)`.
-    pub w_ffn1: Matrix<F16>,
+    pub w_ffn1: ColumnMatrix,
     /// FFN up bias slice.
     pub b_ffn1: Vec<F16>,
     /// FFN down slice, `(ffn, part)` — full rows, sliced columns.
-    pub w_ffn2: Matrix<F16>,
+    pub w_ffn2: ColumnMatrix,
     /// FFN down bias slice.
     pub b_ffn2: Vec<F16>,
     /// LayerNorm 1 γ (replicated).
@@ -63,7 +119,7 @@ pub struct CoreWeights {
     pub wpe: Matrix<F16>,
     /// LM head slice: WTEᵀ columns for this core's vocabulary range,
     /// `(emb, vocab_part)`.
-    pub lm_head: Matrix<F16>,
+    pub lm_head: ColumnMatrix,
     /// First vocabulary id of this core's LM-head slice.
     pub vocab_offset: u32,
     /// Final LayerNorm γ.
@@ -72,44 +128,40 @@ pub struct CoreWeights {
     pub ln_f_beta: Vec<F16>,
 }
 
-fn slice_vec(v: &[F16], start: usize, end: usize) -> Vec<F16> {
-    v[start..end].to_vec()
-}
-
 impl CoreWeights {
     /// Partitions `weights` for the core at `par`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the model does not divide evenly over the cluster (use
-    /// [`ParallelConfig::check`] first).
-    pub fn partition(weights: &GptWeights<F16>, par: ParallelConfig) -> Self {
+    /// Returns [`ExecError::Partition`] if the model does not divide
+    /// evenly over the cluster.
+    pub fn partition(weights: &GptWeights<F16>, par: ParallelConfig) -> Result<Self, ExecError> {
         let cfg = weights.config.clone();
-        par.check(&cfg)
-            .expect("model must divide across the cluster");
+        par.check(&cfg).map_err(ExecError::Partition)?;
         let part = par.emb_part(&cfg);
         let ffn_part = par.ffn_part(&cfg);
         let c0 = par.core_id * part;
         let c1 = c0 + part;
         let f0 = par.core_id * ffn_part;
         let f1 = f0 + ffn_part;
+        let cols = |m: &Matrix<F16>| ColumnMatrix::col_slice(m, c0, c1);
 
         let layers = weights
             .layers
             .iter()
             .map(|lw| CoreLayerWeights {
-                w_q: lw.w_q.col_slice(c0, c1),
-                b_q: slice_vec(&lw.b_q, c0, c1),
-                w_k: lw.w_k.col_slice(c0, c1),
-                b_k: slice_vec(&lw.b_k, c0, c1),
-                w_v: lw.w_v.col_slice(c0, c1),
-                b_v: slice_vec(&lw.b_v, c0, c1),
-                w_attn_proj: lw.w_attn_proj.col_slice(c0, c1),
-                b_attn_proj: slice_vec(&lw.b_attn_proj, c0, c1),
-                w_ffn1: lw.w_ffn1.col_slice(f0, f1),
-                b_ffn1: slice_vec(&lw.b_ffn1, f0, f1),
-                w_ffn2: lw.w_ffn2.col_slice(c0, c1),
-                b_ffn2: slice_vec(&lw.b_ffn2, c0, c1),
+                w_q: cols(&lw.w_q),
+                b_q: lw.b_q[c0..c1].to_vec(),
+                w_k: cols(&lw.w_k),
+                b_k: lw.b_k[c0..c1].to_vec(),
+                w_v: cols(&lw.w_v),
+                b_v: lw.b_v[c0..c1].to_vec(),
+                w_attn_proj: cols(&lw.w_attn_proj),
+                b_attn_proj: lw.b_attn_proj[c0..c1].to_vec(),
+                w_ffn1: ColumnMatrix::col_slice(&lw.w_ffn1, f0, f1),
+                b_ffn1: lw.b_ffn1[f0..f1].to_vec(),
+                w_ffn2: cols(&lw.w_ffn2),
+                b_ffn2: lw.b_ffn2[c0..c1].to_vec(),
                 ln1_gamma: lw.ln1_gamma.clone(),
                 ln1_beta: lw.ln1_beta.clone(),
                 ln2_gamma: lw.ln2_gamma.clone(),
@@ -118,11 +170,16 @@ impl CoreWeights {
             .collect();
 
         let (v0, v1) = par.vocab_range(&cfg);
-        // LM head = WTEᵀ: column v of the head is WTE row v.
+        // LM head = WTEᵀ: column v of the head is WTE row v, so the
+        // column-major slice is WTE's rows v0..v1 as stored.
         let emb = cfg.embedding_dim;
-        let lm_head = Matrix::from_fn(emb, v1 - v0, |r, c| weights.wte[(v0 + c, r)]);
+        let lm_head = ColumnMatrix {
+            rows: emb,
+            cols: v1 - v0,
+            data: weights.wte.as_slice()[v0 * emb..v1 * emb].to_vec(),
+        };
 
-        CoreWeights {
+        Ok(CoreWeights {
             cfg,
             par,
             layers,
@@ -132,73 +189,88 @@ impl CoreWeights {
             vocab_offset: v0 as u32,
             ln_f_gamma: weights.ln_f_gamma.clone(),
             ln_f_beta: weights.ln_f_beta.clone(),
-        }
+        })
+    }
+
+    fn layer(&self, layer: u16) -> Result<&CoreLayerWeights, ExecError> {
+        self.layers
+            .get(usize::from(layer))
+            .ok_or_else(|| ExecError::OutOfRange(format!("layer {layer}")))
     }
 
     /// Resolves a weight reference to the matrix streamed by a matrix
     /// instruction (K/V cache references are resolved by the executor's
     /// KV store instead).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on K/V or non-weight references.
-    pub fn weight_matrix(&self, tensor: TensorRef) -> &Matrix<F16> {
+    /// Returns [`ExecError::WrongTensor`] on K/V or non-weight references.
+    pub fn weight_matrix(&self, tensor: TensorRef) -> Result<&ColumnMatrix, ExecError> {
         match tensor {
-            TensorRef::Weight { layer, kind } => {
-                let l = &self.layers[layer as usize];
-                match kind {
-                    WeightKind::Query => &l.w_q,
-                    WeightKind::Key => &l.w_k,
-                    WeightKind::Value => &l.w_v,
-                    WeightKind::AttnProj => &l.w_attn_proj,
-                    WeightKind::Ffn1 => &l.w_ffn1,
-                    WeightKind::Ffn2 => &l.w_ffn2,
-                    WeightKind::LmHead => &self.lm_head,
-                }
-            }
-            other => panic!("{other} is not a weight matrix"),
+            TensorRef::Weight { layer, kind } => Ok(match kind {
+                WeightKind::Query => &self.layer(layer)?.w_q,
+                WeightKind::Key => &self.layer(layer)?.w_k,
+                WeightKind::Value => &self.layer(layer)?.w_v,
+                WeightKind::AttnProj => &self.layer(layer)?.w_attn_proj,
+                WeightKind::Ffn1 => &self.layer(layer)?.w_ffn1,
+                WeightKind::Ffn2 => &self.layer(layer)?.w_ffn2,
+                WeightKind::LmHead => &self.lm_head,
+            }),
+            other => Err(ExecError::WrongTensor {
+                tensor: other,
+                expected: "weight matrix",
+            }),
         }
     }
 
     /// Resolves a bias reference.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on non-bias references or the (bias-less) LM head.
-    pub fn bias(&self, tensor: TensorRef) -> &[F16] {
+    /// Returns [`ExecError::WrongTensor`] on non-bias references and the
+    /// (bias-less) LM head.
+    pub fn bias(&self, tensor: TensorRef) -> Result<&[F16], ExecError> {
         match tensor {
-            TensorRef::Bias { layer, kind } => {
-                let l = &self.layers[layer as usize];
-                match kind {
-                    WeightKind::Query => &l.b_q,
-                    WeightKind::Key => &l.b_k,
-                    WeightKind::Value => &l.b_v,
-                    WeightKind::AttnProj => &l.b_attn_proj,
-                    WeightKind::Ffn1 => &l.b_ffn1,
-                    WeightKind::Ffn2 => &l.b_ffn2,
-                    WeightKind::LmHead => panic!("the LM head has no bias"),
+            TensorRef::Bias { layer, kind } => Ok(match kind {
+                WeightKind::Query => &self.layer(layer)?.b_q,
+                WeightKind::Key => &self.layer(layer)?.b_k,
+                WeightKind::Value => &self.layer(layer)?.b_v,
+                WeightKind::AttnProj => &self.layer(layer)?.b_attn_proj,
+                WeightKind::Ffn1 => &self.layer(layer)?.b_ffn1,
+                WeightKind::Ffn2 => &self.layer(layer)?.b_ffn2,
+                WeightKind::LmHead => {
+                    return Err(ExecError::WrongTensor {
+                        tensor,
+                        expected: "bias vector (the LM head has none)",
+                    })
                 }
-            }
-            other => panic!("{other} is not a bias"),
+            }),
+            other => Err(ExecError::WrongTensor {
+                tensor: other,
+                expected: "bias vector",
+            }),
         }
     }
 
     /// Resolves a LayerNorm parameter vector.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on non-LayerNorm references.
-    pub fn ln_param(&self, tensor: TensorRef) -> &[F16] {
+    /// Returns [`ExecError::WrongTensor`] on non-LayerNorm references.
+    pub fn ln_param(&self, tensor: TensorRef) -> Result<&[F16], ExecError> {
         match tensor {
-            TensorRef::Ln { layer, param } => match param {
-                LnParam::Ln1Gamma => &self.layers[layer as usize].ln1_gamma,
-                LnParam::Ln1Beta => &self.layers[layer as usize].ln1_beta,
-                LnParam::Ln2Gamma => &self.layers[layer as usize].ln2_gamma,
-                LnParam::Ln2Beta => &self.layers[layer as usize].ln2_beta,
+            TensorRef::Ln { layer, param } => Ok(match param {
+                LnParam::Ln1Gamma => &self.layer(layer)?.ln1_gamma,
+                LnParam::Ln1Beta => &self.layer(layer)?.ln1_beta,
+                LnParam::Ln2Gamma => &self.layer(layer)?.ln2_gamma,
+                LnParam::Ln2Beta => &self.layer(layer)?.ln2_beta,
                 LnParam::LnFGamma => &self.ln_f_gamma,
                 LnParam::LnFBeta => &self.ln_f_beta,
-            },
-            other => panic!("{other} is not a LayerNorm parameter"),
+            }),
+            other => Err(ExecError::WrongTensor {
+                tensor: other,
+                expected: "LayerNorm parameter",
+            }),
         }
     }
 }
@@ -240,13 +312,29 @@ impl HeadKv {
 
     /// Appends one V row through the transpose layout.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `row.len()` differs from the head dimension.
-    pub fn push_value(&mut self, row: &[F16]) {
-        assert_eq!(row.len(), self.values_t.len(), "V row width mismatch");
+    /// Returns [`ExecError::Shape`] if `row.len()` differs from the head
+    /// dimension.
+    pub fn push_value(&mut self, row: &[F16]) -> Result<(), ExecError> {
+        if row.len() != self.values_t.len() {
+            return Err(ExecError::Shape(format!(
+                "V row of {} elements for a {}-wide head",
+                row.len(),
+                self.values_t.len()
+            )));
+        }
         for (col, &x) in self.values_t.iter_mut().zip(row) {
             col.push(x);
+        }
+        Ok(())
+    }
+
+    /// Forgets every cached token, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.keys.clear();
+        for col in &mut self.values_t {
+            col.clear();
         }
     }
 }
@@ -268,13 +356,27 @@ impl KvStore {
     }
 
     /// Borrow one head's cache.
-    pub fn head(&self, layer: u16, head: u16) -> &HeadKv {
-        &self.heads[layer as usize][head as usize]
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::OutOfRange`] past the store's layers or heads.
+    pub fn head(&self, layer: u16, head: u16) -> Result<&HeadKv, ExecError> {
+        self.heads
+            .get(usize::from(layer))
+            .and_then(|l| l.get(usize::from(head)))
+            .ok_or_else(|| ExecError::OutOfRange(format!("K/V head {head} of layer {layer}")))
     }
 
     /// Mutably borrow one head's cache.
-    pub fn head_mut(&mut self, layer: u16, head: u16) -> &mut HeadKv {
-        &mut self.heads[layer as usize][head as usize]
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::OutOfRange`] past the store's layers or heads.
+    pub fn head_mut(&mut self, layer: u16, head: u16) -> Result<&mut HeadKv, ExecError> {
+        self.heads
+            .get_mut(usize::from(layer))
+            .and_then(|l| l.get_mut(usize::from(head)))
+            .ok_or_else(|| ExecError::OutOfRange(format!("K/V head {head} of layer {layer}")))
     }
 
     /// Context length (tokens cached so far).
@@ -285,35 +387,34 @@ impl KvStore {
             .map_or(0, HeadKv::len)
     }
 
-    /// Resolves a KV tensor reference for reading: returns the matrix the
-    /// matrix unit streams — `Kᵀ` (`dh × t`) for keys, `V` as stored
-    /// (`t × dh` mathematically, streamed from the transposed layout) for
-    /// values.
+    /// Forgets every cached token (a fresh request), keeping the
+    /// allocations.
+    pub fn clear(&mut self) {
+        self.heads.iter_mut().flatten().for_each(HeadKv::clear);
+    }
+
+    /// Resolves a KV tensor reference for reading, as the columns the
+    /// matrix unit streams, borrowed in place. For keys the streamed
+    /// matrix is `Kᵀ` (`dh × t`), whose column `j` is key row `j`; for
+    /// values it is `V` (`t × dh`), whose column `c` is row `c` of the
+    /// transposed layout.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on non-KV references.
-    pub fn stream_matrix(&self, tensor: TensorRef) -> Matrix<F16> {
+    /// Returns [`ExecError::WrongTensor`] on non-KV references.
+    pub fn stream_columns(&self, tensor: TensorRef) -> Result<&[Vec<F16>], ExecError> {
         match tensor {
             TensorRef::Kv { layer, head, kind } => {
-                let hkv = self.head(layer, head);
-                let t = hkv.len();
-                match kind {
-                    // MaskedMM computes q · Kᵀ: matrix (dh × t), element
-                    // (r, c) = K[c][r].
-                    KvKind::Key => {
-                        let dh = hkv.keys.first().map_or(0, Vec::len);
-                        Matrix::from_fn(dh, t, |r, c| hkv.keys[c][r])
-                    }
-                    // MM computes p · V: matrix (t × dh), element (r, c) =
-                    // values_t[c][r].
-                    KvKind::Value => {
-                        let dh = hkv.values_t.len();
-                        Matrix::from_fn(t, dh, |r, c| hkv.values_t[c][r])
-                    }
-                }
+                let hkv = self.head(layer, head)?;
+                Ok(match kind {
+                    KvKind::Key => &hkv.keys,
+                    KvKind::Value => &hkv.values_t,
+                })
             }
-            other => panic!("{other} is not a KV reference"),
+            other => Err(ExecError::WrongTensor {
+                tensor: other,
+                expected: "K/V reference",
+            }),
         }
     }
 }
@@ -332,7 +433,7 @@ mod tests {
         let w = weights16();
         let cfg = &w.config;
         let parts: Vec<CoreWeights> = (0..2)
-            .map(|c| CoreWeights::partition(&w, ParallelConfig::new(c, 2)))
+            .map(|c| CoreWeights::partition(&w, ParallelConfig::new(c, 2)).unwrap())
             .collect();
         // Column ranges reassemble w_q.
         for r in 0..cfg.embedding_dim {
@@ -347,7 +448,7 @@ mod tests {
     #[test]
     fn ffn2_keeps_full_rows() {
         let w = weights16();
-        let p = CoreWeights::partition(&w, ParallelConfig::new(0, 2));
+        let p = CoreWeights::partition(&w, ParallelConfig::new(0, 2)).unwrap();
         assert_eq!(p.layers[0].w_ffn2.rows(), w.config.ffn_dim);
         assert_eq!(p.layers[0].w_ffn2.cols(), w.config.embedding_dim / 2);
     }
@@ -355,7 +456,7 @@ mod tests {
     #[test]
     fn lm_head_is_wte_transposed_slice() {
         let w = weights16();
-        let p = CoreWeights::partition(&w, ParallelConfig::new(1, 2));
+        let p = CoreWeights::partition(&w, ParallelConfig::new(1, 2)).unwrap();
         let (v0, _) = p.par.vocab_range(&p.cfg);
         assert_eq!(p.vocab_offset as usize, v0);
         for r in [0usize, 5, 63] {
@@ -366,9 +467,30 @@ mod tests {
     }
 
     #[test]
+    fn column_matrix_columns_are_the_logical_columns() {
+        let w = weights16();
+        let p = CoreWeights::partition(&w, ParallelConfig::new(0, 1)).unwrap();
+        let w_q = &p.layers[0].w_q;
+        assert_eq!(w_q.columns().len(), w_q.cols());
+        for (c, col) in w_q.columns().enumerate() {
+            assert_eq!(col.len(), w_q.rows());
+            for (r, x) in col.iter().enumerate() {
+                assert_eq!(x.to_bits(), w.layers[0].w_q[(r, c)].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn indivisible_partition_is_an_error() {
+        let w = weights16();
+        let err = CoreWeights::partition(&w, ParallelConfig::new(0, 3)).unwrap_err();
+        assert!(matches!(err, ExecError::Partition(_)));
+    }
+
+    #[test]
     fn single_core_partition_is_identity() {
         let w = weights16();
-        let p = CoreWeights::partition(&w, ParallelConfig::new(0, 1));
+        let p = CoreWeights::partition(&w, ParallelConfig::new(0, 1)).unwrap();
         assert_eq!(p.layers[0].w_q.shape(), w.layers[0].w_q.shape());
         assert_eq!(p.lm_head.cols(), w.config.vocab_size);
     }
@@ -379,9 +501,9 @@ mod tests {
         let row1: Vec<F16> = (0..4).map(|i| F16::from_f32(i as f32)).collect();
         let row2: Vec<F16> = (0..4).map(|i| F16::from_f32(10.0 + i as f32)).collect();
         kv.push_key(&row1);
-        kv.push_value(&row1);
+        kv.push_value(&row1).unwrap();
         kv.push_key(&row2);
-        kv.push_value(&row2);
+        kv.push_value(&row2).unwrap();
         assert_eq!(kv.len(), 2);
         // values_t[c][j] = V[j][c]
         assert_eq!(kv.values_t[3][1].to_f32(), 13.0);
@@ -391,23 +513,32 @@ mod tests {
     fn kv_stream_matrices_have_hardware_shapes() {
         let mut store = KvStore::new(1, 1, 4);
         let r: Vec<F16> = (0..4).map(|i| F16::from_f32(i as f32)).collect();
-        store.head_mut(0, 0).push_key(&r);
-        store.head_mut(0, 0).push_value(&r);
-        store.head_mut(0, 0).push_key(&r);
-        store.head_mut(0, 0).push_value(&r);
-        let kt = store.stream_matrix(TensorRef::Kv {
-            layer: 0,
-            head: 0,
-            kind: KvKind::Key,
-        });
-        assert_eq!(kt.shape(), (4, 2)); // dh x t
-        let v = store.stream_matrix(TensorRef::Kv {
-            layer: 0,
-            head: 0,
-            kind: KvKind::Value,
-        });
-        assert_eq!(v.shape(), (2, 4)); // t x dh
-        assert_eq!(v[(1, 2)].to_f32(), 2.0);
+        for _ in 0..2 {
+            let head = store.head_mut(0, 0).unwrap();
+            head.push_key(&r);
+            head.push_value(&r).unwrap();
+        }
+        // Kᵀ is dh x t: t columns of dh rows.
+        let kt = store
+            .stream_columns(TensorRef::Kv {
+                layer: 0,
+                head: 0,
+                kind: KvKind::Key,
+            })
+            .unwrap();
+        assert_eq!((kt[0].len(), kt.len()), (4, 2));
+        // V is t x dh: dh columns of t rows; V[1][2] is column 2, row 1.
+        let v = store
+            .stream_columns(TensorRef::Kv {
+                layer: 0,
+                head: 0,
+                kind: KvKind::Value,
+            })
+            .unwrap();
+        assert_eq!((v[0].len(), v.len()), (2, 4));
+        assert_eq!(v[2][1].to_f32(), 2.0);
+        store.clear();
+        assert_eq!(store.context_len(), 0);
     }
 
     #[test]
@@ -422,8 +553,8 @@ mod tests {
         let reference = model.logits(&hidden);
         let mut stitched: Vec<F16> = Vec::new();
         for c in 0..2 {
-            let p = CoreWeights::partition(&w, ParallelConfig::new(c, 2));
-            stitched.extend(p.lm_head.vecmat(&hidden));
+            let p = CoreWeights::partition(&w, ParallelConfig::new(c, 2)).unwrap();
+            stitched.extend(p.lm_head.columns().map(|col| dfx_model::dot(&hidden, col)));
         }
         assert_eq!(stitched.len(), reference.len());
         for (a, b) in stitched.iter().zip(&reference) {

@@ -205,12 +205,7 @@ impl<T: Scalar> Matrix<T> {
         assert_eq!(x.len(), self.rows, "input length must equal in_dim");
         assert_eq!(bias.len(), self.cols, "bias length must equal out_dim");
         let mut out = bias.to_vec();
-        for (i, &xi) in x.iter().enumerate() {
-            let row = self.row(i);
-            for (j, o) in out.iter_mut().enumerate() {
-                *o = o.add(xi.mul(row[j]));
-            }
-        }
+        T::vecmat_acc(x, &self.data, &mut out);
         out
     }
 
@@ -218,12 +213,7 @@ impl<T: Scalar> Matrix<T> {
     pub fn vecmat(&self, x: &[T]) -> Vec<T> {
         assert_eq!(x.len(), self.rows, "input length must equal in_dim");
         let mut out = vec![T::ZERO; self.cols];
-        for (i, &xi) in x.iter().enumerate() {
-            let row = self.row(i);
-            for (j, o) in out.iter_mut().enumerate() {
-                *o = o.add(xi.mul(row[j]));
-            }
-        }
+        T::vecmat_acc(x, &self.data, &mut out);
         out
     }
 }

@@ -3,16 +3,30 @@
 //! The DFX hardware computes exclusively in FP16 (1 sign, 5 exponent,
 //! 10 mantissa bits — the paper, §VII-A, uses the Xilinx Floating-Point
 //! Operator IP, which is IEEE 754 with round-to-nearest-even). This module
-//! provides a bit-exact software model of that datapath: every arithmetic
-//! operation computes the exact result in `f64` (which can represent the
-//! exact sum/product of any two finite `F16` values) and then rounds once
-//! to binary16 with round-to-nearest, ties-to-even.
+//! provides a bit-exact software model of that datapath.
 //!
-//! Division, square root and the transcendental helpers round the `f64`
-//! result, which may in rare tie cases differ from a correctly rounded
-//! binary16 operation by one unit in the last place; this matches the
-//! "negligible approximation difference" the paper reports between its
-//! FPGA operators and the GPU (§VII-A).
+//! The IEEE operations `+ − × ÷` and [`F16::sqrt`] widen their operands to
+//! `f32`, perform one native `f32` operation and round the result once to
+//! binary16 with round-to-nearest, ties-to-even. That is correctly
+//! rounded, not an approximation: binary32 carries 24 ≥ 2·11 + 2
+//! significand bits, and for these five operations rounding first to such
+//! a format and then to binary16 gives the same result as rounding the
+//! exact value directly (Figueroa, 1995). The same argument with `f64`'s
+//! 53 bits makes [`F16::from_f64`] of an `f64` sum, product, quotient or
+//! square root correctly rounded too.
+//!
+//! When an operand is NaN, the result is the first NaN operand, quieted
+//! (its payload and sign kept, quiet bit set). An invalid operation on
+//! non-NaN operands (∞ − ∞, 0 × ∞, 0 ÷ 0, ∞ ÷ ∞, √ of a negative) returns
+//! the quiet NaN `0xfe00` (sign set, zero payload), the binary16 image of
+//! the x86 default NaN. Both rules are implemented in software, so no
+//! result depends on the host's NaN conventions.
+//!
+//! The transcendental helpers in [`crate::sfu`] (`exp`, GELU,
+//! `recip_sqrt`) round an `f64` result that is not itself correctly
+//! rounded, so they may differ from the exact function by one unit in the
+//! last place; this matches the "negligible approximation difference" the
+//! paper reports between its FPGA operators and the GPU (§VII-A).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -40,6 +54,19 @@ pub struct F16(u16);
 const SIGN_MASK: u16 = 0x8000;
 const EXP_MASK: u16 = 0x7c00;
 const MANT_MASK: u16 = 0x03ff;
+/// The binary16 quiet bit (top mantissa bit).
+const QUIET_BIT: u16 = 0x0200;
+/// Result of an invalid operation on non-NaN operands, widened: the
+/// `f32` image of the half `0xfe00`.
+const DEFAULT_NAN_WIDE: u32 = 0xffc0_0000;
+/// `f32` bits of 2⁻¹⁴, the smallest normal half.
+const F32_MIN_NORMAL_HALF: u32 = 113 << 23;
+/// `f32` bits of 2¹⁶, the first magnitude that rounds to the half infinity
+/// whatever its low bits.
+const F32_HALF_OVERFLOW: u32 = 143 << 23;
+/// Difference of the `f32` and binary16 exponent biases, in `f32` exponent
+/// field units.
+const REBIAS: u32 = (127 - 15) << 23;
 
 impl F16 {
     /// Positive zero.
@@ -82,17 +109,65 @@ impl F16 {
     }
 
     /// Converts an `f32` to half precision with round-to-nearest-even.
+    ///
+    /// NaNs stay NaN: the result keeps the sign and the top nine payload
+    /// bits and sets the quiet bit, exactly as [`F16::from_f64`] does for
+    /// the widened value.
     #[inline]
     pub fn from_f32(value: f32) -> Self {
-        Self::from_f64(value as f64)
+        let bits = value.to_bits();
+        let abs = bits & 0x7fff_ffff;
+        // Every reading is computed and one selected, so the narrowing
+        // has no data-dependent branch and loops of it vectorize.
+        //
+        // Normal: rebias the exponent, then round the 13 dropped mantissa
+        // bits to nearest-even. Adding 0xfff carries exactly when they
+        // exceed half an ulp; adding the kept lsb as well carries on the
+        // tie when that lsb is odd. A carry out of the mantissa bumps the
+        // exponent, up to 0x7c00 (∞) at the top.
+        let odd = (abs >> 13) & 1;
+        let normal = abs.wrapping_sub(REBIAS).wrapping_add(0x0fff + odd) >> 13;
+        // Half subnormal or zero: in [0.5, 1) the f32 grid spacing is
+        // 2⁻²⁴, the half subnormal step, so the single f32 rounding of
+        // `|x| + 0.5` is the half rounding. The mantissa bits above 0.5
+        // are the half's bits; a carry to 2⁻¹⁴ gives 0x0400, the smallest
+        // normal, as it should.
+        let subnormal = (f32::from_bits(abs) + 0.5)
+            .to_bits()
+            .wrapping_sub(0.5f32.to_bits());
+        // Infinity, NaN, or a finite value of at least 2¹⁶, which is past
+        // the midpoint between MAX and 2¹⁶ and so rounds to ∞.
+        let nan = u32::from(QUIET_BIT) | ((abs >> 13) & 0x1ff);
+        let special = u32::from(EXP_MASK) | if abs > 0x7f80_0000 { nan } else { 0 };
+        let mag = if abs >= F32_HALF_OVERFLOW {
+            special
+        } else if abs < F32_MIN_NORMAL_HALF {
+            subnormal
+        } else {
+            normal
+        };
+        F16((bits >> 16) as u16 & SIGN_MASK | mag as u16)
     }
 
     /// Converts an `f64` to half precision with round-to-nearest-even.
     ///
-    /// This is the single rounding point used by all arithmetic in this
-    /// module. `f64` holds the exact sum/product of any two finite halves,
-    /// so `F16` add/sub/mul are correctly rounded.
+    /// This is the rounding point of the helpers that compute in `f64`
+    /// (`exp`, GELU, `recip_sqrt`, weight casts). NaNs keep their sign and
+    /// top nine payload bits and are quieted.
+    #[inline]
     pub fn from_f64(value: f64) -> Self {
+        let narrow = value as f32;
+        if f64::from(narrow) == value {
+            // Exactly an `f32` (every weight cast from `f32`): rounding
+            // that is the same as rounding the `f64`.
+            Self::from_f32(narrow)
+        } else {
+            Self::round_f64(value)
+        }
+    }
+
+    /// Rounds any `f64` to half precision, bit by bit.
+    fn round_f64(value: f64) -> Self {
         let bits = value.to_bits();
         let sign = ((bits >> 48) & 0x8000) as u16;
         let exp = ((bits >> 52) & 0x7ff) as i64;
@@ -174,34 +249,46 @@ impl F16 {
         }
     }
 
-    /// Widens to `f32`. This conversion is exact.
+    /// Widens to `f32`. This conversion is exact; NaNs are quieted.
+    #[inline]
     pub fn to_f32(self) -> f32 {
-        let sign = u32::from(self.0 >> 15);
-        let exp = u32::from((self.0 & EXP_MASK) >> 10);
-        let mant = u32::from(self.0 & MANT_MASK);
-        let bits = match (exp, mant) {
-            (0, 0) => sign << 31,
-            (0, m) => {
-                // Subnormal: normalize. With p the position of the leading
-                // one within the 10 mantissa bits, the value is
-                // 2^(p-24) * (m / 2^p), so the f32 exponent field is p+103.
-                let lz = m.leading_zeros() - 22; // zeros within the 10 mantissa bits
-                let shift = lz + 1; // = 10 - p
-                let normalized = (m << shift) & 0x3ff;
-                let exp32 = 113 - shift; // = p + 103
-                (sign << 31) | (exp32 << 23) | (normalized << 13)
-            }
-            (0x1f, 0) => (sign << 31) | 0x7f80_0000,
-            (0x1f, m) => (sign << 31) | 0x7f80_0000 | 0x0040_0000 | (m << 13),
-            (e, m) => (sign << 31) | ((e + 127 - 15) << 23) | (m << 13),
-        };
-        f32::from_bits(bits)
+        let h = u32::from(self.0);
+        let exp = h & u32::from(EXP_MASK);
+        // Exponent and mantissa moved to their f32 positions.
+        let mag = (h & 0x7fff) << 13;
+        // All three readings are computed and one is selected by mask, so
+        // the widening has no data-dependent branch.
+        // Normal: rebias the exponent.
+        let normal = mag + REBIAS;
+        // Zero or subnormal m·2⁻²⁴: read the mantissa as the normal
+        // 2⁻¹⁴·(1 + m/1024) and subtract 2⁻¹⁴, which is exact.
+        let min_normal = f32::from_bits(F32_MIN_NORMAL_HALF);
+        let subnormal = (f32::from_bits(mag + F32_MIN_NORMAL_HALF) - min_normal).to_bits();
+        // Infinity or NaN: saturate the exponent and quiet a NaN.
+        let nan = u32::from(h & u32::from(MANT_MASK) != 0);
+        let special = mag | 0x7f80_0000 | nan << 22;
+        let is_special = u32::from(exp == u32::from(EXP_MASK)).wrapping_neg();
+        let is_subnormal = u32::from(exp == 0).wrapping_neg();
+        let bits = (normal & !(is_special | is_subnormal))
+            | (subnormal & is_subnormal)
+            | (special & is_special);
+        f32::from_bits((h & 0x8000) << 16 | bits)
     }
 
     /// Widens to `f64`. This conversion is exact.
     #[inline]
     pub fn to_f64(self) -> f64 {
         f64::from(self.to_f32())
+    }
+
+    /// Rounds `result`, the `f32` value of an IEEE operation on the
+    /// widened halves `a` and `b` (`b == a` for unary operations), to half
+    /// precision under the module's NaN rule.
+    #[inline]
+    fn round_op(result: f32, a: f32, b: f32) -> Self {
+        // A NaN operand widens to a quiet f32 NaN with the same payload,
+        // which narrows back to the quieted half.
+        Self::from_f32(nan_rule(result, a, b))
     }
 
     /// Returns `true` if this value is NaN.
@@ -263,7 +350,7 @@ impl F16 {
         if other.is_nan() {
             return self;
         }
-        if self.to_f64() >= other.to_f64() {
+        if self.to_f32() >= other.to_f32() {
             self
         } else {
             other
@@ -278,16 +365,18 @@ impl F16 {
         if other.is_nan() {
             return self;
         }
-        if self.to_f64() <= other.to_f64() {
+        if self.to_f32() <= other.to_f32() {
             self
         } else {
             other
         }
     }
 
-    /// Square root, rounded from the `f64` result.
+    /// Square root, correctly rounded.
+    #[inline]
     pub fn sqrt(self) -> Self {
-        F16::from_f64(self.to_f64().sqrt())
+        let x = self.to_f32();
+        F16::round_op(x.sqrt(), x, x)
     }
 
     /// Total order on the bit patterns suitable for sorting test vectors:
@@ -303,6 +392,57 @@ impl F16 {
             }
         }
         key(self).cmp(&key(other))
+    }
+}
+
+/// The NaN rule on widened operands: `result` if it is not NaN, else the
+/// first NaN operand, else the widened default NaN. Written as selects,
+/// without a data-dependent branch.
+#[inline]
+fn nan_rule(result: f32, a: f32, b: f32) -> f32 {
+    let nan = if a.is_nan() {
+        a
+    } else if b.is_nan() {
+        b
+    } else {
+        f32::from_bits(DEFAULT_NAN_WIDE)
+    };
+    if result.is_nan() {
+        nan
+    } else {
+        result
+    }
+}
+
+/// `F16::round_op(result, a, b).to_f32()` without the trip through 16
+/// bits, for kernels that chain operations on widened halves (`a` and `b`
+/// must be widened halves). The result is again a widened half.
+#[inline]
+pub(crate) fn round_op_widened(result: f32, a: f32, b: f32) -> f32 {
+    let bits = result.to_bits();
+    let abs = bits & 0x7fff_ffff;
+    // Normal: round the 13 bits below the half's lsb to nearest-even in
+    // place (see `from_f32`); anything from 2¹⁶ up, ∞ included, is ∞.
+    let odd = (abs >> 13) & 1;
+    let normal = abs.wrapping_add(0x0fff + odd) & !0x1fff;
+    let normal = if normal >= F32_HALF_OVERFLOW {
+        0x7f80_0000
+    } else {
+        normal
+    };
+    // Half subnormal or zero: round to the 2⁻²⁴ grid through 0.5 (see
+    // `from_f32`); taking 0.5 off again is exact.
+    let subnormal = ((f32::from_bits(abs) + 0.5) - 0.5).to_bits();
+    let mag = if abs < F32_MIN_NORMAL_HALF {
+        subnormal
+    } else {
+        normal
+    };
+    let rounded = f32::from_bits(bits & 0x8000_0000 | mag);
+    if result.is_nan() {
+        nan_rule(result, a, b)
+    } else {
+        rounded
     }
 }
 
@@ -324,7 +464,8 @@ impl Add for F16 {
     type Output = F16;
     #[inline]
     fn add(self, rhs: F16) -> F16 {
-        F16::from_f64(self.to_f64() + rhs.to_f64())
+        let (x, y) = (self.to_f32(), rhs.to_f32());
+        F16::round_op(x + y, x, y)
     }
 }
 
@@ -332,7 +473,8 @@ impl Sub for F16 {
     type Output = F16;
     #[inline]
     fn sub(self, rhs: F16) -> F16 {
-        F16::from_f64(self.to_f64() - rhs.to_f64())
+        let (x, y) = (self.to_f32(), rhs.to_f32());
+        F16::round_op(x - y, x, y)
     }
 }
 
@@ -340,7 +482,8 @@ impl Mul for F16 {
     type Output = F16;
     #[inline]
     fn mul(self, rhs: F16) -> F16 {
-        F16::from_f64(self.to_f64() * rhs.to_f64())
+        let (x, y) = (self.to_f32(), rhs.to_f32());
+        F16::round_op(x * y, x, y)
     }
 }
 
@@ -348,7 +491,8 @@ impl Div for F16 {
     type Output = F16;
     #[inline]
     fn div(self, rhs: F16) -> F16 {
-        F16::from_f64(self.to_f64() / rhs.to_f64())
+        let (x, y) = (self.to_f32(), rhs.to_f32());
+        F16::round_op(x / y, x, y)
     }
 }
 
@@ -405,7 +549,7 @@ impl PartialOrd for F16 {
         if self.is_nan() || other.is_nan() {
             return None;
         }
-        self.to_f64().partial_cmp(&other.to_f64())
+        self.to_f32().partial_cmp(&other.to_f32())
     }
 }
 
@@ -433,6 +577,256 @@ impl std::iter::Sum for F16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The widening this module used before the `f32` fast path: a
+    /// branch per class of input, kept as an independent oracle.
+    fn oracle_to_f64(h: F16) -> f64 {
+        let sign = u32::from(h.0 >> 15);
+        let exp = u32::from((h.0 & EXP_MASK) >> 10);
+        let mant = u32::from(h.0 & MANT_MASK);
+        let bits = match (exp, mant) {
+            (0, 0) => sign << 31,
+            (0, m) => {
+                let shift = m.leading_zeros() - 22 + 1;
+                let normalized = (m << shift) & 0x3ff;
+                (sign << 31) | ((113 - shift) << 23) | (normalized << 13)
+            }
+            (0x1f, 0) => (sign << 31) | 0x7f80_0000,
+            (0x1f, m) => (sign << 31) | 0x7f80_0000 | 0x0040_0000 | (m << 13),
+            (e, m) => (sign << 31) | ((e + 127 - 15) << 23) | (m << 13),
+        };
+        f64::from(f32::from_bits(bits))
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Add,
+        Sub,
+        Mul,
+        Div,
+    }
+
+    const OPS: [Op; 4] = [Op::Add, Op::Sub, Op::Mul, Op::Div];
+
+    impl Op {
+        fn fast(self, a: F16, b: F16) -> F16 {
+            match self {
+                Op::Add => a + b,
+                Op::Sub => a - b,
+                Op::Mul => a * b,
+                Op::Div => a / b,
+            }
+        }
+
+        /// The exact `f64` operation rounded once by the bitwise `f64`
+        /// rounding.
+        fn oracle(self, a: F16, b: F16) -> F16 {
+            let (x, y) = (oracle_to_f64(a), oracle_to_f64(b));
+            F16::round_f64(match self {
+                Op::Add => x + y,
+                Op::Sub => x - y,
+                Op::Mul => x * y,
+                Op::Div => x / y,
+            })
+        }
+    }
+
+    /// The documented NaN rule, written out independently of the code.
+    fn expected_nan(a: F16, b: F16) -> u16 {
+        if a.is_nan() {
+            a.to_bits() | 0x0200
+        } else if b.is_nan() {
+            b.to_bits() | 0x0200
+        } else {
+            0xfe00
+        }
+    }
+
+    /// Checks one operation on one operand pair against the oracle; NaN
+    /// results are checked against the NaN rule, since the oracle's NaN
+    /// bits follow the host's conventions. The widened rounding the
+    /// kernels chain must give the same half, widened.
+    fn check_op(op: Op, a: F16, b: F16) {
+        let got = op.fast(a, b).to_bits();
+        let (x, y) = (a.to_f32(), b.to_f32());
+        let exact = match op {
+            Op::Add => x + y,
+            Op::Sub => x - y,
+            Op::Mul => x * y,
+            Op::Div => x / y,
+        };
+        assert_eq!(
+            round_op_widened(exact, x, y).to_bits(),
+            F16::from_bits(got).to_f32().to_bits(),
+            "widened {op:?}({:#06x}, {:#06x})",
+            a.to_bits(),
+            b.to_bits()
+        );
+        let want = op.oracle(a, b);
+        let want = if want.is_nan() {
+            expected_nan(a, b)
+        } else {
+            want.to_bits()
+        };
+        assert_eq!(
+            got,
+            want,
+            "{op:?}({:#06x}, {:#06x}) gave {got:#06x}, want {want:#06x}",
+            a.to_bits(),
+            b.to_bits()
+        );
+    }
+
+    /// `from_f32` against the bitwise `f64` rounding of the widened value
+    /// (which is also what makes `from_f64`'s exact-`f32` shortcut
+    /// exact); NaN inputs against the documented rule.
+    fn check_from_f32(bits: u32) {
+        let x = f32::from_bits(bits);
+        let got = F16::from_f32(x).to_bits();
+        let want = if x.is_nan() {
+            (bits >> 16) as u16 & 0x8000 | 0x7e00 | ((bits >> 13) as u16 & 0x1ff)
+        } else {
+            F16::round_f64(f64::from(x)).to_bits()
+        };
+        assert_eq!(got, want, "from_f32({bits:#010x})");
+    }
+
+    /// Bit patterns every sample must include: zeros, the subnormal and
+    /// normal boundaries, one, MAX, infinities and NaNs, each with both
+    /// signs.
+    fn edge_patterns() -> Vec<u16> {
+        let positive = [
+            0x0000, 0x0001, 0x0002, 0x03ff, 0x0400, 0x0401, 0x3bff, 0x3c00, 0x3c01, 0x7bfe, 0x7bff,
+            0x7c00, 0x7c01, 0x7dff, 0x7e00, 0x7fff,
+        ];
+        positive.iter().flat_map(|&p| [p, p | 0x8000]).collect()
+    }
+
+    #[test]
+    fn binary_ops_match_the_f64_oracle_on_a_strided_sample() {
+        let mut operands: Vec<u16> = (0..=u16::MAX).step_by(97).collect();
+        operands.extend(edge_patterns());
+        for &a in &operands {
+            for b in (a % 89..=u16::MAX).step_by(89).chain(edge_patterns()) {
+                let (a, b) = (F16::from_bits(a), F16::from_bits(b));
+                for op in OPS {
+                    check_op(op, a, b);
+                }
+            }
+        }
+        for bits in 0..=u16::MAX {
+            let h = F16::from_bits(bits);
+            let want = F16::round_f64(oracle_to_f64(h).sqrt());
+            let want = if want.is_nan() {
+                expected_nan(h, h)
+            } else {
+                want.to_bits()
+            };
+            assert_eq!(h.sqrt().to_bits(), want, "sqrt({bits:#06x})");
+        }
+    }
+
+    #[test]
+    fn from_f32_matches_the_f64_narrowing_on_a_strided_sample() {
+        for bits in (0..=u32::MAX).step_by(1021) {
+            check_from_f32(bits);
+        }
+        // Every half, its f32 neighbours and the midpoints around it, so
+        // each rounding boundary and tie is hit.
+        for h in 0..=u16::MAX {
+            let f = F16::from_bits(h).to_f32().to_bits();
+            for bits in [
+                f.wrapping_sub(1),
+                f,
+                f + 1,
+                f + 0x1000,
+                f + 0x0fff,
+                f + 0x1001,
+            ] {
+                check_from_f32(bits);
+            }
+        }
+    }
+
+    #[test]
+    fn nan_operands_propagate_the_first_nan_quieted() {
+        let nans: Vec<F16> = (0..=u16::MAX)
+            .map(F16::from_bits)
+            .filter(|h| h.is_nan())
+            .collect();
+        assert_eq!(nans.len(), 2 * 1023);
+        let numbers: Vec<F16> = (0..=u16::MAX)
+            .map(F16::from_bits)
+            .filter(|h| !h.is_nan())
+            .collect();
+        for op in OPS {
+            // Every NaN × NaN pair.
+            for &a in &nans {
+                for &b in &nans {
+                    assert_eq!(op.fast(a, b).to_bits(), a.to_bits() | 0x0200, "{op:?}");
+                }
+            }
+            // Every NaN against a strided set of numbers and every number
+            // against a strided set of NaNs, in both operand positions.
+            // All NaN × number pairs are in the exhaustive oracle test.
+            let pairs = nans
+                .iter()
+                .flat_map(|&n| numbers.iter().step_by(509).map(move |&x| (n, x)))
+                .chain(
+                    nans.iter()
+                        .step_by(511)
+                        .flat_map(|&n| numbers.iter().map(move |&x| (n, x))),
+                );
+            for (n, x) in pairs {
+                let quiet = n.to_bits() | 0x0200;
+                assert_eq!(op.fast(n, x).to_bits(), quiet, "{op:?}");
+                assert_eq!(op.fast(x, n).to_bits(), quiet, "{op:?}");
+            }
+        }
+        for &n in &nans {
+            assert_eq!(n.sqrt().to_bits(), n.to_bits() | 0x0200);
+        }
+        // Invalid operations on numbers give the default NaN.
+        for (a, b, op) in [
+            (F16::INFINITY, F16::INFINITY, Op::Sub),
+            (F16::ZERO, F16::NEG_INFINITY, Op::Mul),
+            (F16::ZERO, F16::NEG_ZERO, Op::Div),
+            (F16::INFINITY, F16::NEG_INFINITY, Op::Add),
+        ] {
+            assert_eq!(op.fast(a, b).to_bits(), 0xfe00, "{op:?}");
+        }
+        assert_eq!(F16::NEG_ONE.sqrt().to_bits(), 0xfe00);
+    }
+
+    /// Every operand pair of every binary operation, every half's square
+    /// root and every `f32` input to `from_f32`, against the `f64`
+    /// oracle. Minutes in release; run with
+    /// `cargo test --release -p dfx-num -- --ignored`.
+    #[test]
+    #[ignore]
+    fn fast_path_matches_the_f64_oracle_exhaustively() {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                scope.spawn(move || {
+                    for a in (t..=usize::from(u16::MAX)).step_by(threads) {
+                        let a = F16::from_bits(a as u16);
+                        for b in 0..=u16::MAX {
+                            let b = F16::from_bits(b);
+                            for op in OPS {
+                                check_op(op, a, b);
+                            }
+                        }
+                    }
+                    for hi in (t..=usize::from(u16::MAX)).step_by(threads) {
+                        for lo in 0..=u32::from(u16::MAX) {
+                            check_from_f32((hi as u32) << 16 | lo);
+                        }
+                    }
+                });
+            }
+        });
+    }
 
     #[test]
     fn constants_match_ieee_bit_patterns() {

@@ -7,7 +7,7 @@
 //! than a sequential accumulator. The functional executor uses these
 //! routines so simulated numerics match the hardware's dataflow.
 
-use crate::f16::F16;
+use crate::f16::{round_op_widened, F16};
 
 /// Sums a slice with a balanced pairwise adder tree, padding the last level
 /// with `+0.0` exactly like unfilled tree inputs in hardware.
@@ -28,35 +28,43 @@ pub fn tree_sum(values: &[F16]) -> F16 {
         1 => values[0],
         n if n <= 64 => {
             // Hardware-width fast path: reduce in a stack buffer.
-            let mut buf = [F16::ZERO; 64];
-            buf[..n].copy_from_slice(values);
-            tree_reduce_in_place(&mut buf[..n])
+            let mut buf = [0.0f32; 64];
+            for (b, v) in buf.iter_mut().zip(values) {
+                *b = v.to_f32();
+            }
+            F16::from_f32(tree_reduce_in_place(&mut buf[..n]))
         }
         _ => {
-            let mut level: Vec<F16> = values.to_vec();
-            tree_reduce_in_place(&mut level)
+            let mut level: Vec<f32> = values.iter().map(|v| v.to_f32()).collect();
+            F16::from_f32(tree_reduce_in_place(&mut level))
         }
     }
 }
 
 /// Pairwise reduction performed in place; an odd element at any level
 /// pairs with an implicit +0 input, as unfilled tree ports do in hardware.
-fn tree_reduce_in_place(level: &mut [F16]) -> F16 {
+///
+/// The levels hold widened halves and every adder rounds to half
+/// precision, so the result is the FP16 tree's, bit for bit, without
+/// narrowing and widening each partial sum.
+fn tree_reduce_in_place(level: &mut [f32]) -> f32 {
     let mut len = level.len();
     while len > 1 {
         let half = len / 2;
         for i in 0..half {
-            level[i] = level[2 * i] + level[2 * i + 1];
+            let (a, b) = (level[2 * i], level[2 * i + 1]);
+            level[i] = round_op_widened(a + b, a, b);
         }
         if len % 2 == 1 {
             // Odd element pairs with an implicit +0 input.
-            level[half] = level[len - 1] + F16::ZERO;
+            let a = level[len - 1];
+            level[half] = round_op_widened(a + 0.0, a, 0.0);
             len = half + 1;
         } else {
             len = half;
         }
     }
-    level.first().copied().unwrap_or(F16::ZERO)
+    level.first().copied().unwrap_or(0.0)
 }
 
 /// The `d`-input multiply-accumulate tree: elementwise FP16 products, then
@@ -66,22 +74,47 @@ fn tree_reduce_in_place(level: &mut [F16]) -> F16 {
 ///
 /// Panics if the slices have different lengths.
 pub fn mac_tree(inputs: &[F16], weights: &[F16]) -> F16 {
+    if inputs.len() <= 64 {
+        let mut buf = [0.0f32; 64];
+        for (b, x) in buf.iter_mut().zip(inputs) {
+            *b = x.to_f32();
+        }
+        mac_tree_widened(&buf[..inputs.len()], weights)
+    } else {
+        let wide: Vec<f32> = inputs.iter().map(|x| x.to_f32()).collect();
+        mac_tree_widened(&wide, weights)
+    }
+}
+
+/// [`mac_tree`] on inputs already widened with [`F16::to_f32`], for a
+/// caller that streams one input vector against many weight columns and
+/// widens it once. Inputs that are not widened halves give meaningless
+/// sums.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+pub fn mac_tree_widened(inputs: &[f32], weights: &[F16]) -> F16 {
     assert_eq!(
         inputs.len(),
         weights.len(),
         "MAC tree operands must have equal length"
     );
+    let product = |(&x, w): (&f32, &F16)| {
+        let w = w.to_f32();
+        round_op_widened(x * w, x, w)
+    };
     let n = inputs.len();
     if n <= 64 {
         // Hardware width: products land in a stack buffer.
-        let mut buf = [F16::ZERO; 64];
-        for (b, (&x, &w)) in buf.iter_mut().zip(inputs.iter().zip(weights)) {
-            *b = x * w;
+        let mut buf = [0.0f32; 64];
+        for (b, p) in buf.iter_mut().zip(inputs.iter().zip(weights).map(product)) {
+            *b = p;
         }
-        tree_reduce_in_place(&mut buf[..n])
+        F16::from_f32(tree_reduce_in_place(&mut buf[..n]))
     } else {
-        let mut products: Vec<F16> = inputs.iter().zip(weights).map(|(&x, &w)| x * w).collect();
-        tree_reduce_in_place(&mut products)
+        let mut products: Vec<f32> = inputs.iter().zip(weights).map(product).collect();
+        F16::from_f32(tree_reduce_in_place(&mut products))
     }
 }
 
@@ -117,6 +150,47 @@ mod tests {
 
     fn halves(xs: &[f32]) -> Vec<F16> {
         xs.iter().map(|&x| F16::from_f32(x)).collect()
+    }
+
+    /// The tree of [`F16`] operations the widened kernels replace.
+    fn f16_tree(mut level: Vec<F16>) -> F16 {
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|p| p[0] + *p.get(1).unwrap_or(&F16::ZERO))
+                .collect();
+        }
+        level.first().copied().unwrap_or(F16::ZERO)
+    }
+
+    #[test]
+    fn widened_kernels_match_the_f16_operation_tree() {
+        // Operands over the whole range: subnormals, overflow to ∞,
+        // cancellation, NaN payloads and signed zeros.
+        let pool: Vec<F16> = (0..=u16::MAX).step_by(37).map(F16::from_bits).collect();
+        for (k, start) in (0..pool.len()).step_by(61).enumerate() {
+            let n = [1usize, 2, 3, 7, 33, 64, 65, 130][k % 8];
+            let x: Vec<F16> = pool.iter().cycle().skip(start).take(n).copied().collect();
+            let w: Vec<F16> = pool
+                .iter()
+                .rev()
+                .cycle()
+                .skip(start)
+                .take(n)
+                .copied()
+                .collect();
+            assert_eq!(
+                tree_sum(&x).to_bits(),
+                f16_tree(x.clone()).to_bits(),
+                "tree_sum {start} {n}"
+            );
+            let products: Vec<F16> = x.iter().zip(&w).map(|(&a, &b)| a * b).collect();
+            assert_eq!(
+                mac_tree(&x, &w).to_bits(),
+                f16_tree(products).to_bits(),
+                "mac_tree {start} {n}"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! or [`F16`] (the precision the GPU baseline and the DFX datapath use).
 //! Accuracy experiments (paper §VII-A) compare these instantiations.
 
-use crate::f16::F16;
+use crate::f16::{round_op_widened, F16};
 use crate::sfu;
 
 /// A floating-point scalar usable by the reference model.
@@ -43,6 +43,23 @@ pub trait Scalar:
 
     /// `maxNum` comparison used by argmax.
     fn max_num(self, rhs: Self) -> Self;
+
+    /// `y = y + x · W` for the row-major `w` of `x.len()` rows of
+    /// `y.len()` columns: row by row in order, each `y[j] = y[j] + x[i]·w[i][j]`
+    /// rounding after the multiply and after the add (no fused
+    /// multiply-add), exactly as the loop of [`Scalar::mul`] and
+    /// [`Scalar::add`] does.
+    #[inline]
+    fn vecmat_acc(x: &[Self], w: &[Self], y: &mut [Self]) {
+        if y.is_empty() {
+            return;
+        }
+        for (&xi, row) in x.iter().zip(w.chunks_exact(y.len())) {
+            for (yj, &wj) in y.iter_mut().zip(row) {
+                *yj = yj.add(xi.mul(wj));
+            }
+        }
+    }
 }
 
 mod private {
@@ -157,6 +174,25 @@ impl Scalar for F16 {
     fn max_num(self, rhs: Self) -> Self {
         self.max(rhs)
     }
+    /// The accumulators stay widened across all rows and are narrowed
+    /// once at the end; every product and sum is still rounded to half.
+    fn vecmat_acc(x: &[Self], w: &[Self], y: &mut [Self]) {
+        if y.is_empty() {
+            return;
+        }
+        let mut acc: Vec<f32> = y.iter().map(|v| v.to_f32()).collect();
+        for (&xi, row) in x.iter().zip(w.chunks_exact(y.len())) {
+            let a = xi.to_f32();
+            for (yj, &wj) in acc.iter_mut().zip(row) {
+                let wj = wj.to_f32();
+                let product = round_op_widened(a * wj, a, wj);
+                *yj = round_op_widened(*yj + product, *yj, product);
+            }
+        }
+        for (yj, aj) in y.iter_mut().zip(acc) {
+            *yj = F16::from_f32(aj);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -178,6 +214,31 @@ mod tests {
         check_basic_ops::<f32>();
         check_basic_ops::<f64>();
         check_basic_ops::<F16>();
+    }
+
+    #[test]
+    fn f16_vecmat_acc_equals_the_loop_of_f16_operations() {
+        // Operands over the whole range, NaNs, infinities and subnormals
+        // included.
+        let pool: Vec<F16> = (0..=u16::MAX).step_by(61).map(F16::from_bits).collect();
+        let take = |start: usize, n: usize| -> Vec<F16> {
+            pool.iter().cycle().skip(start).take(n).copied().collect()
+        };
+        let (rows, cols) = (13, 41);
+        let w = take(5, rows * cols);
+        for start in (0..pool.len()).step_by(97) {
+            let x = take(start, rows);
+            let mut fast = take(start + 500, cols);
+            let mut slow = fast.clone();
+            F16::vecmat_acc(&x, &w, &mut fast);
+            for (i, &xi) in x.iter().enumerate() {
+                for (y, &wv) in slow.iter_mut().zip(&w[i * cols..(i + 1) * cols]) {
+                    *y += xi * wv;
+                }
+            }
+            let bits = |v: &[F16]| v.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&slow), "x from {start}");
+        }
     }
 
     #[test]

@@ -8,8 +8,13 @@
 //!   mean-squared error of 0 at half precision over that range; outside the
 //!   range the function saturates (GELU(x) ≈ 0 for x ≤ −8, GELU(x) ≈ x for
 //!   x ≥ 8).
-//! - **exp** (VFU, 4-cycle DSP pipeline), **recip** and **recip_sqrt**
-//!   (SFU_V): modelled as the `f64`-accurate value rounded once to binary16.
+//! - **recip** (SFU_V): an IEEE division `1 ÷ x`, correctly rounded like
+//!   every [`F16`] division.
+//! - **exp** (VFU, 4-cycle DSP pipeline) and **recip_sqrt** (SFU_V): the
+//!   `f64` value rounded once to binary16. Neither `f64` value is itself
+//!   correctly rounded (`recip_sqrt` rounds twice in `f64`, at the square
+//!   root and at the division), so in rare near-tie cases the result can
+//!   differ from the correctly rounded one by one unit in the last place.
 //!
 //! [`SfuMath`] bundles all of them so the functional executor carries one
 //! immutable description of the nonlinear datapath.
@@ -125,21 +130,24 @@ impl std::fmt::Debug for GeluLut {
     }
 }
 
-/// Exponential, as computed by the VFU's DSP pipeline: `f64`-accurate and
-/// rounded once to half precision.
+/// Exponential, as computed by the VFU's DSP pipeline: the `f64`
+/// exponential rounded to half precision (see the module docs for the
+/// rare one-ulp near-tie difference).
 #[inline]
 pub fn exp(x: F16) -> F16 {
     F16::from_f64(x.to_f64().exp())
 }
 
 /// Reciprocal (`recip` vector instruction): used to replace division in
-/// Softmax (paper §IV-C).
+/// Softmax (paper §IV-C). Correctly rounded: this is the [`F16`] division
+/// `1 ÷ x`.
 #[inline]
 pub fn recip(x: F16) -> F16 {
-    F16::from_f64(1.0 / x.to_f64())
+    F16::ONE / x
 }
 
-/// Reciprocal square root (`recip_sqrt`): used for 1/σ in LayerNorm.
+/// Reciprocal square root (`recip_sqrt`): used for 1/σ in LayerNorm,
+/// computed as `1 / √x` in `f64` and rounded to half precision.
 #[inline]
 pub fn recip_sqrt(x: F16) -> F16 {
     F16::from_f64(1.0 / x.to_f64().sqrt())

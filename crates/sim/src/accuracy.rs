@@ -80,10 +80,82 @@ pub struct AccuracyResult {
 }
 
 impl AccuracyResult {
+    /// The result for `task` from the numbers of items on which the DFX
+    /// cluster and the plain FP16 model agreed with the FP32 reference.
+    pub fn from_counts(task: &AccuracyTask, dfx_agree: usize, fp16_agree: usize) -> Self {
+        AccuracyResult {
+            name: task.name.clone(),
+            items: task.items,
+            dfx_agreement: dfx_agree as f64 / task.items as f64,
+            gpu_fp16_agreement: fp16_agree as f64 / task.items as f64,
+        }
+    }
+
     /// DFX accuracy delta vs the FP16 GPU baseline, in percentage points
     /// (positive = DFX agrees with FP32 more often).
     pub fn delta_percent(&self) -> f64 {
         100.0 * (self.dfx_agreement - self.gpu_fp16_agreement)
+    }
+}
+
+/// The synthetic contexts of every task set, in task order: `task.items`
+/// contexts of `task.context_len` tokens each, all drawn in sequence from
+/// one RNG seeded with `seed`.
+pub fn accuracy_contexts(cfg: &GptConfig, tasks: &[AccuracyTask], seed: u64) -> Vec<Vec<Vec<u32>>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    tasks
+        .iter()
+        .map(|task| {
+            (0..task.items)
+                .map(|_| {
+                    (0..task.context_len)
+                        .map(|_| rng.gen_range(0..cfg.vocab_size as u32))
+                        .collect()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The three models an accuracy item runs through: the FP32 reference,
+/// the plain FP16 model and the functional DFX cluster, on the synthetic
+/// weights of one configuration. Items are independent, so a task set
+/// can be split across several scorers.
+#[derive(Debug)]
+pub struct AccuracyScorer {
+    reference32: Gpt2Model<f32>,
+    reference16: Gpt2Model<F16>,
+    cluster: FunctionalCluster,
+}
+
+impl AccuracyScorer {
+    /// Builds the models for `cfg` with a `num_cores` DFX cluster.
+    ///
+    /// # Errors
+    ///
+    /// Propagates cluster construction errors.
+    pub fn new(cfg: &GptConfig, num_cores: usize) -> Result<Self, SimError> {
+        let w32 = GptWeights::synthetic(cfg);
+        let w16 = w32.cast::<F16>();
+        Ok(AccuracyScorer {
+            reference32: Gpt2Model::new(w32),
+            reference16: Gpt2Model::new(w16.clone()),
+            cluster: FunctionalCluster::new(w16, num_cores)?,
+        })
+    }
+
+    /// Scores one context: whether the DFX cluster's next token, and
+    /// whether the plain FP16 model's, equal the FP32 reference's.
+    ///
+    /// # Errors
+    ///
+    /// Propagates cluster execution errors.
+    pub fn score(&mut self, context: &[u32]) -> Result<(bool, bool), SimError> {
+        let expect = self.reference32.generate(context, 1).tokens[0];
+        let fp16 = self.reference16.generate(context, 1).tokens[0];
+        self.cluster.reset()?;
+        let dfx = self.cluster.generate(context, 1)?[0];
+        Ok((dfx == expect, fp16 == expect))
     }
 }
 
@@ -98,38 +170,17 @@ pub fn run_accuracy(
     tasks: &[AccuracyTask],
     seed: u64,
 ) -> Result<Vec<AccuracyResult>, SimError> {
-    let w32 = GptWeights::synthetic(cfg);
-    let w16 = w32.cast::<F16>();
-    let reference32 = Gpt2Model::new(w32);
-    let reference16 = Gpt2Model::new(w16.clone());
-    let mut cluster = FunctionalCluster::new(w16, num_cores)?;
-
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut scorer = AccuracyScorer::new(cfg, num_cores)?;
+    let contexts = accuracy_contexts(cfg, tasks, seed);
     let mut results = Vec::with_capacity(tasks.len());
-    for task in tasks {
-        let mut dfx_agree = 0usize;
-        let mut fp16_agree = 0usize;
-        for _ in 0..task.items {
-            let context: Vec<u32> = (0..task.context_len)
-                .map(|_| rng.gen_range(0..cfg.vocab_size as u32))
-                .collect();
-            let expect = reference32.generate(&context, 1).tokens[0];
-            let fp16 = reference16.generate(&context, 1).tokens[0];
-            cluster.reset()?;
-            let dfx = cluster.generate(&context, 1)?[0];
-            if dfx == expect {
-                dfx_agree += 1;
-            }
-            if fp16 == expect {
-                fp16_agree += 1;
-            }
+    for (task, contexts) in tasks.iter().zip(&contexts) {
+        let (mut dfx_agree, mut fp16_agree) = (0, 0);
+        for context in contexts {
+            let (dfx, fp16) = scorer.score(context)?;
+            dfx_agree += usize::from(dfx);
+            fp16_agree += usize::from(fp16);
         }
-        results.push(AccuracyResult {
-            name: task.name.clone(),
-            items: task.items,
-            dfx_agreement: dfx_agree as f64 / task.items as f64,
-            gpu_fp16_agreement: fp16_agree as f64 / task.items as f64,
-        });
+        results.push(AccuracyResult::from_counts(task, dfx_agree, fp16_agree));
     }
     Ok(results)
 }

@@ -44,7 +44,7 @@ impl FunctionalCluster {
         for c in 0..num_cores {
             let par = ParallelConfig::new(c, num_cores);
             par.check(&cfg).map_err(SimError::Partition)?;
-            cores.push(FunctionalCore::new(CoreWeights::partition(&weights, par)));
+            cores.push(FunctionalCore::new(CoreWeights::partition(&weights, par)?));
             builders.push(ProgramBuilder::new(cfg.clone(), par).map_err(SimError::Partition)?);
         }
         Ok(FunctionalCluster {
@@ -64,18 +64,15 @@ impl FunctionalCluster {
         &self.weights
     }
 
-    /// Clears the KV caches for a fresh request.
+    /// Clears every core's K/V cache and registers for a fresh request.
+    /// The weight partitions stay where [`FunctionalCluster::new`] put
+    /// them.
+    ///
+    /// # Errors
+    ///
+    /// None at present; the `Result` keeps callers' `?` stable.
     pub fn reset(&mut self) -> Result<(), SimError> {
-        let num = self.cores.len();
-        let mut fresh = Vec::with_capacity(num);
-        for c in 0..num {
-            let par = ParallelConfig::new(c, num);
-            fresh.push(FunctionalCore::new(CoreWeights::partition(
-                &self.weights,
-                par,
-            )));
-        }
-        self.cores = fresh;
+        self.cores.iter_mut().for_each(FunctionalCore::reset);
         Ok(())
     }
 
@@ -85,7 +82,8 @@ impl FunctionalCluster {
     /// # Errors
     ///
     /// Returns [`SimError::LockstepViolation`] if the homogeneous cores
-    /// diverge (an internal invariant).
+    /// diverge (an internal invariant), and [`SimError::Exec`] if a core
+    /// faults.
     pub fn run_step(
         &mut self,
         token: u32,
@@ -105,7 +103,7 @@ impl FunctionalCluster {
         loop {
             let mut events = Vec::with_capacity(self.cores.len());
             for (i, core) in self.cores.iter_mut().enumerate() {
-                events.push(core.run(&programs[i], pcs[i]));
+                events.push(core.run(&programs[i], pcs[i])?);
             }
 
             match &events[0].1 {
@@ -120,14 +118,14 @@ impl FunctionalCluster {
                 CoreEvent::AllGather { instr_index, .. } => {
                     let idx = *instr_index;
                     let mut partials = Vec::with_capacity(self.cores.len());
-                    for (i, (at, ev)) in events.iter().enumerate() {
+                    for (i, (at, ev)) in events.into_iter().enumerate() {
                         match ev {
                             CoreEvent::AllGather {
                                 instr_index,
                                 partial,
-                            } if *at == idx => {
-                                debug_assert_eq!(*instr_index, idx);
-                                partials.push(partial.clone());
+                            } if at == idx => {
+                                debug_assert_eq!(instr_index, idx);
+                                partials.push(partial);
                             }
                             other => {
                                 return Err(SimError::LockstepViolation(format!(
@@ -143,7 +141,7 @@ impl FunctionalCluster {
                                 "pause index is not a router instruction".into(),
                             ));
                         };
-                        core.complete_allgather(r, &full);
+                        core.complete_allgather(r, &full)?;
                         pcs[i] = idx + 1;
                     }
                 }
@@ -178,7 +176,7 @@ impl FunctionalCluster {
                                 "pause index is not a router instruction".into(),
                             ));
                         };
-                        core.complete_argmax(r, winner, F16::from_f64(winner_max));
+                        core.complete_argmax(r, winner, F16::from_f64(winner_max))?;
                         pcs[i] = idx + 1;
                     }
                 }
@@ -295,6 +293,24 @@ mod tests {
         cluster.reset().unwrap();
         let b = cluster.generate(&[1, 2, 3], 3).unwrap();
         assert_eq!(a, b, "reset must make runs reproducible");
+    }
+
+    #[test]
+    fn reset_cluster_generates_like_a_fresh_one() {
+        // Four heads, so the model divides over 1, 2 and 4 cores.
+        let w: GptWeights<F16> =
+            GptWeights::synthetic(&GptConfig::new("four-head", 128, 4, 2, 256, 64)).cast();
+        for cores in [1usize, 2, 4] {
+            let mut used = FunctionalCluster::new(w.clone(), cores).unwrap();
+            used.generate(&[9, 8, 7, 6], 3).unwrap();
+            used.reset().unwrap();
+            for input in [&[1u32, 2, 3][..], &[40, 41]] {
+                let mut fresh = FunctionalCluster::new(w.clone(), cores).unwrap();
+                let want = fresh.generate(input, 4).unwrap();
+                assert_eq!(used.generate(input, 4).unwrap(), want, "{cores} cores");
+                used.reset().unwrap();
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,8 @@ pub enum SimError {
     /// A device-memory budget was exceeded (a K/V claim past the free
     /// HBM, or an executor writing past its own reservation).
     Memory(String),
+    /// A functional core faulted on its program or weights.
+    Exec(dfx_core::ExecError),
 }
 
 impl std::fmt::Display for SimError {
@@ -30,8 +32,15 @@ impl std::fmt::Display for SimError {
             SimError::InvalidRequest(m) => write!(f, "invalid request: {m}"),
             SimError::Service(m) => write!(f, "serving failed: {m}"),
             SimError::Memory(m) => write!(f, "memory budget exceeded: {m}"),
+            SimError::Exec(e) => write!(f, "functional core fault: {e}"),
         }
     }
 }
 
 impl std::error::Error for SimError {}
+
+impl From<dfx_core::ExecError> for SimError {
+    fn from(e: dfx_core::ExecError) -> Self {
+        SimError::Exec(e)
+    }
+}

@@ -32,7 +32,10 @@ mod error;
 mod gflops;
 mod pipeline;
 
-pub use accuracy::{paper_tasks, quick_tasks, run_accuracy, AccuracyResult, AccuracyTask};
+pub use accuracy::{
+    accuracy_contexts, paper_tasks, quick_tasks, run_accuracy, AccuracyResult, AccuracyScorer,
+    AccuracyTask,
+};
 pub use appliance::{Appliance, GenerationRun, LatencyBreakdown, TimedRun};
 pub use batch::BatchedRun;
 pub use block::{BlockPool, PagedKvConfig, PagingStats, PreemptionPolicy, Prefix};

@@ -18,12 +18,12 @@ fn encoded_programs_execute_identically_after_decode() {
     let decoded = decode_program(encode_program(&original)).expect("decode");
     assert_eq!(original, decoded);
 
-    let mut core_a = FunctionalCore::new(CoreWeights::partition(&weights, par));
-    let mut core_b = FunctionalCore::new(CoreWeights::partition(&weights, par));
+    let mut core_a = FunctionalCore::new(CoreWeights::partition(&weights, par).unwrap());
+    let mut core_b = FunctionalCore::new(CoreWeights::partition(&weights, par).unwrap());
     core_a.begin_step(9);
     core_b.begin_step(9);
-    let (_, ev_a) = core_a.run(&original, 0);
-    let (_, ev_b) = core_b.run(&decoded, 0);
+    let (_, ev_a) = core_a.run(&original, 0).unwrap();
+    let (_, ev_b) = core_b.run(&decoded, 0).unwrap();
     assert_eq!(ev_a, CoreEvent::Done);
     assert_eq!(ev_b, CoreEvent::Done);
     assert_eq!(core_a.out_token(), core_b.out_token());
