@@ -15,7 +15,7 @@ use crate::paper;
 use crate::table::{fmt, ExperimentReport, MdTable};
 use dfx_model::GptConfig;
 use dfx_sim::{
-    accuracy_contexts, paper_tasks, quick_tasks, AccuracyResult, AccuracyScorer, AccuracyTask,
+    accuracy_items, paper_tasks, quick_tasks, AccuracyResult, AccuracyScorer, AccuracyTask,
     Appliance, SimError,
 };
 
@@ -145,24 +145,12 @@ pub fn accuracy_with_tasks(tasks: &[AccuracyTask]) -> ExperimentReport {
 /// summed.
 fn accuracy_results(tasks: &[AccuracyTask]) -> Result<Vec<AccuracyResult>, SimError> {
     let cfg = GptConfig::tiny();
-    let contexts = accuracy_contexts(&cfg, tasks, ACCURACY_SEED);
-    let items: Vec<(usize, &[u32])> = contexts
-        .iter()
-        .enumerate()
-        .flat_map(|(t, task)| task.iter().map(move |c| (t, c.as_slice())))
-        .collect();
-    let chunks: Vec<&[(usize, &[u32])]> = items
+    let items = accuracy_items(&cfg, tasks, ACCURACY_SEED);
+    let chunks: Vec<_> = items
         .chunks(items.len().div_ceil(ACCURACY_CHUNKS).max(1))
         .collect();
-    let counts = rayon_lite::par_map(&chunks, |chunk| -> Result<Vec<[usize; 2]>, SimError> {
-        let mut scorer = AccuracyScorer::new(&cfg, ACCURACY_CORES)?;
-        let mut counts = vec![[0usize; 2]; tasks.len()];
-        for &(task, context) in chunk.iter() {
-            let (dfx, fp16) = scorer.score(context)?;
-            counts[task][0] += usize::from(dfx);
-            counts[task][1] += usize::from(fp16);
-        }
-        Ok(counts)
+    let counts = rayon_lite::par_map(&chunks, |chunk| {
+        AccuracyScorer::new(&cfg, ACCURACY_CORES)?.count(tasks.len(), chunk)
     });
     let mut totals = vec![[0usize; 2]; tasks.len()];
     for chunk in counts {
@@ -171,11 +159,7 @@ fn accuracy_results(tasks: &[AccuracyTask]) -> Result<Vec<AccuracyResult>, SimEr
             total[1] += count[1];
         }
     }
-    Ok(tasks
-        .iter()
-        .zip(totals)
-        .map(|(task, [dfx, fp16])| AccuracyResult::from_counts(task, dfx, fp16))
-        .collect())
+    Ok(AccuracyResult::from_counts(tasks, &totals))
 }
 
 fn build_accuracy(tasks: &[AccuracyTask]) -> Result<ExperimentReport, SimError> {

@@ -66,6 +66,22 @@ pub struct FunctionalCore {
     wide_input: Vec<f32>,
 }
 
+/// The scalar register `r` of `file` (the FP16 or the index file).
+fn sreg_get<T: Copy>(file: &[T], r: SReg) -> Result<T, ExecError> {
+    file.get(usize::from(r.0))
+        .copied()
+        .ok_or_else(|| ExecError::OutOfRange(format!("scalar register {r}")))
+}
+
+/// Writes `value` to the scalar register `r` of `file`.
+fn sreg_set<T>(file: &mut [T], r: SReg, value: T) -> Result<(), ExecError> {
+    let slot = file
+        .get_mut(usize::from(r.0))
+        .ok_or_else(|| ExecError::OutOfRange(format!("scalar register {r}")))?;
+    *slot = value;
+    Ok(())
+}
+
 /// The elements `s` selects from the register file.
 fn read_slice(vregs: &[Vec<F16>], s: VSlice) -> Result<&[F16], ExecError> {
     let start = s.offset as usize;
@@ -236,8 +252,8 @@ impl FunctionalCore {
                 let (idx, max) = argmax_regs(r)?;
                 CoreEvent::ArgMaxSync {
                     instr_index,
-                    local_idx: self.sreg_idx[idx.0 as usize],
-                    local_max: self.sregs[max.0 as usize],
+                    local_idx: sreg_get(&self.sreg_idx, idx)?,
+                    local_max: sreg_get(&self.sregs, max)?,
                 }
             }
         })
@@ -258,7 +274,8 @@ impl FunctionalCore {
     /// # Errors
     ///
     /// Returns [`ExecError::MissingOperand`] if the instruction names no
-    /// index or maximum register.
+    /// index or maximum register, [`ExecError::OutOfRange`] if it names
+    /// one past the register file.
     pub fn complete_argmax(
         &mut self,
         r: &RouterInstr,
@@ -266,9 +283,8 @@ impl FunctionalCore {
         global_max: F16,
     ) -> Result<(), ExecError> {
         let (idx, max) = argmax_regs(r)?;
-        self.sreg_idx[idx.0 as usize] = global_idx;
-        self.sregs[max.0 as usize] = global_max;
-        Ok(())
+        sreg_set(&mut self.sreg_idx, idx, global_idx)?;
+        sreg_set(&mut self.sregs, max, global_max)
     }
 
     /// Matrix-vector multiply through the MAC trees, tile-accurate:
@@ -340,14 +356,18 @@ impl FunctionalCore {
         };
         match m.reduce_max {
             ReduceMax::None => {}
-            ReduceMax::Max(sreg) => self.sregs[sreg.0 as usize] = max_of()?.1,
+            ReduceMax::Max(sreg) => sreg_set(&mut self.sregs, sreg, max_of()?.1)?,
             ReduceMax::ArgMax { idx, max } => {
                 let (i, v) = max_of()?;
                 // The index is globalised with the core's vocabulary
                 // offset so single- and multi-core paths agree.
-                self.sreg_idx[idx.0 as usize] = self.weights.vocab_offset + i as u32;
-                self.sregs[idx.0 as usize] = F16::from_f64(i as f64);
-                self.sregs[max.0 as usize] = v;
+                sreg_set(
+                    &mut self.sreg_idx,
+                    idx,
+                    self.weights.vocab_offset + i as u32,
+                )?;
+                sreg_set(&mut self.sregs, idx, F16::from_f64(i as f64))?;
+                sreg_set(&mut self.sregs, max, v)?;
             }
         }
         write_slice(&mut self.vregs, m.dst, &out)?;
@@ -374,7 +394,7 @@ impl FunctionalCore {
             VectorOpKind::AddScalar | VectorOpKind::SubScalar | VectorOpKind::MulScalar => {
                 let s =
                     v.s.ok_or(ExecError::MissingOperand("vector-scalar s register"))?;
-                let s = self.sregs[s.0 as usize];
+                let s = sreg_get(&self.sregs, s)?;
                 match v.op {
                     VectorOpKind::AddScalar => out.extend(a.iter().map(|&x| x + s)),
                     VectorOpKind::SubScalar => out.extend(a.iter().map(|&x| x - s)),
@@ -400,23 +420,23 @@ impl FunctionalCore {
                 .fold(F16::ZERO, |acc, c| acc + c),
             ReduceKind::Max => reduce::reduce_max(v).map_or(F16::NEG_INFINITY, |(_, m)| m),
         };
-        self.sregs[r.dst.0 as usize] = result;
-        Ok(())
+        sreg_set(&mut self.sregs, r.dst, result)
     }
 
     fn exec_scalar(&mut self, s: &dfx_isa::ScalarInstr) -> Result<(), ExecError> {
-        let a = self.sregs[s.a.0 as usize];
-        let b =
-            s.b.map(|r| self.sregs[r.0 as usize])
-                .or_else(|| s.imm.map(F16::from_f32));
+        let a = sreg_get(&self.sregs, s.a)?;
+        let b = match s.b {
+            Some(r) => Some(sreg_get(&self.sregs, r)?),
+            None => s.imm.map(F16::from_f32),
+        };
         let b = || b.ok_or(ExecError::MissingOperand("scalar b operand"));
-        self.sregs[s.dst.0 as usize] = match s.op {
+        let result = match s.op {
             ScalarOpKind::Add => a + b()?,
             ScalarOpKind::Mul => a * b()?,
             ScalarOpKind::Recip => self.sfu.recip(a),
             ScalarOpKind::RecipSqrt => self.sfu.recip_sqrt(a),
         };
-        Ok(())
+        sreg_set(&mut self.sregs, s.dst, result)
     }
 
     fn exec_dma(&mut self, d: &dfx_isa::DmaInstr, program: &Program) -> Result<(), ExecError> {
@@ -427,7 +447,7 @@ impl FunctionalCore {
                 // `begin_step`; nothing to model functionally.
             }
             (DmaDir::Store, TensorRef::TokenIo) => {
-                self.out_token = Some(self.sreg_idx[regs::S_ARGMAX.0 as usize]);
+                self.out_token = Some(sreg_get(&self.sreg_idx, regs::S_ARGMAX)?);
             }
             (DmaDir::Load, TensorRef::Embed { table }) => {
                 let (matrix, row) = match table {
@@ -642,5 +662,20 @@ mod tests {
             core.run(&p, 0),
             Err(ExecError::WrongTensor { .. })
         ));
+
+        // Likewise a scalar instruction naming a register past the file.
+        let (mut core, _) = single_core();
+        core.begin_step(1);
+        let mut p = Program::new(step.meta);
+        for ai in step.instrs() {
+            if let Instr::Scalar(s) = &ai.instr {
+                let mut bad = *s;
+                bad.a = SReg(crate::scoreboard::NUM_SREGS as u8);
+                p.push(ai.class, Instr::Scalar(bad));
+                break;
+            }
+            p.push(ai.class, ai.instr);
+        }
+        assert!(matches!(core.run(&p, 0), Err(ExecError::OutOfRange(_))));
     }
 }

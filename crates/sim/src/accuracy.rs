@@ -80,15 +80,19 @@ pub struct AccuracyResult {
 }
 
 impl AccuracyResult {
-    /// The result for `task` from the numbers of items on which the DFX
-    /// cluster and the plain FP16 model agreed with the FP32 reference.
-    pub fn from_counts(task: &AccuracyTask, dfx_agree: usize, fp16_agree: usize) -> Self {
-        AccuracyResult {
-            name: task.name.clone(),
-            items: task.items,
-            dfx_agreement: dfx_agree as f64 / task.items as f64,
-            gpu_fp16_agreement: fp16_agree as f64 / task.items as f64,
-        }
+    /// The results of `tasks` from their [`AccuracyScorer::count`]
+    /// entries, summed over all of each task's items.
+    pub fn from_counts(tasks: &[AccuracyTask], counts: &[[usize; 2]]) -> Vec<Self> {
+        tasks
+            .iter()
+            .zip(counts)
+            .map(|(task, &[dfx_agree, fp16_agree])| AccuracyResult {
+                name: task.name.clone(),
+                items: task.items,
+                dfx_agreement: dfx_agree as f64 / task.items as f64,
+                gpu_fp16_agreement: fp16_agree as f64 / task.items as f64,
+            })
+            .collect()
     }
 
     /// DFX accuracy delta vs the FP16 GPU baseline, in percentage points
@@ -98,29 +102,33 @@ impl AccuracyResult {
     }
 }
 
-/// The synthetic contexts of every task set, in task order: `task.items`
-/// contexts of `task.context_len` tokens each, all drawn in sequence from
-/// one RNG seeded with `seed`.
-pub fn accuracy_contexts(cfg: &GptConfig, tasks: &[AccuracyTask], seed: u64) -> Vec<Vec<Vec<u32>>> {
+/// The synthetic items of every task set, in task order, each as its
+/// task's index and its context: `task.items` contexts of
+/// `task.context_len` tokens each, all drawn in sequence from one RNG
+/// seeded with `seed`.
+pub fn accuracy_items(
+    cfg: &GptConfig,
+    tasks: &[AccuracyTask],
+    seed: u64,
+) -> Vec<(usize, Vec<u32>)> {
     let mut rng = StdRng::seed_from_u64(seed);
-    tasks
-        .iter()
-        .map(|task| {
-            (0..task.items)
-                .map(|_| {
-                    (0..task.context_len)
-                        .map(|_| rng.gen_range(0..cfg.vocab_size as u32))
-                        .collect()
-                })
-                .collect()
-        })
-        .collect()
+    let mut items = Vec::with_capacity(tasks.iter().map(|t| t.items).sum());
+    for (t, task) in tasks.iter().enumerate() {
+        for _ in 0..task.items {
+            let context = (0..task.context_len)
+                .map(|_| rng.gen_range(0..cfg.vocab_size as u32))
+                .collect();
+            items.push((t, context));
+        }
+    }
+    items
 }
 
 /// The three models an accuracy item runs through: the FP32 reference,
 /// the plain FP16 model and the functional DFX cluster, on the synthetic
-/// weights of one configuration. Items are independent, so a task set
-/// can be split across several scorers.
+/// weights of one configuration. Items are independent, so the items of
+/// [`accuracy_items`] can be split across several scorers and their
+/// counts summed.
 #[derive(Debug)]
 pub struct AccuracyScorer {
     reference32: Gpt2Model<f32>,
@@ -144,18 +152,32 @@ impl AccuracyScorer {
         })
     }
 
-    /// Scores one context: whether the DFX cluster's next token, and
-    /// whether the plain FP16 model's, equal the FP32 reference's.
+    /// Scores `items` of `num_tasks` task sets. Entry `t` counts the items
+    /// of task `t` on which the DFX cluster's next token, and the plain
+    /// FP16 model's, equal the FP32 reference's.
     ///
     /// # Errors
     ///
-    /// Propagates cluster execution errors.
-    pub fn score(&mut self, context: &[u32]) -> Result<(bool, bool), SimError> {
-        let expect = self.reference32.generate(context, 1).tokens[0];
-        let fp16 = self.reference16.generate(context, 1).tokens[0];
-        self.cluster.reset()?;
-        let dfx = self.cluster.generate(context, 1)?[0];
-        Ok((dfx == expect, fp16 == expect))
+    /// Propagates cluster execution errors; an item naming a task past
+    /// `num_tasks` is a [`SimError::InvalidRequest`].
+    pub fn count(
+        &mut self,
+        num_tasks: usize,
+        items: &[(usize, Vec<u32>)],
+    ) -> Result<Vec<[usize; 2]>, SimError> {
+        let mut counts = vec![[0usize; 2]; num_tasks];
+        for (task, context) in items {
+            let count = counts.get_mut(*task).ok_or_else(|| {
+                SimError::InvalidRequest(format!("item of task {task} of {num_tasks}"))
+            })?;
+            let expect = self.reference32.generate(context, 1).tokens[0];
+            let fp16 = self.reference16.generate(context, 1).tokens[0];
+            self.cluster.reset()?;
+            let dfx = self.cluster.generate(context, 1)?[0];
+            count[0] += usize::from(dfx == expect);
+            count[1] += usize::from(fp16 == expect);
+        }
+        Ok(counts)
     }
 }
 
@@ -170,19 +192,9 @@ pub fn run_accuracy(
     tasks: &[AccuracyTask],
     seed: u64,
 ) -> Result<Vec<AccuracyResult>, SimError> {
-    let mut scorer = AccuracyScorer::new(cfg, num_cores)?;
-    let contexts = accuracy_contexts(cfg, tasks, seed);
-    let mut results = Vec::with_capacity(tasks.len());
-    for (task, contexts) in tasks.iter().zip(&contexts) {
-        let (mut dfx_agree, mut fp16_agree) = (0, 0);
-        for context in contexts {
-            let (dfx, fp16) = scorer.score(context)?;
-            dfx_agree += usize::from(dfx);
-            fp16_agree += usize::from(fp16);
-        }
-        results.push(AccuracyResult::from_counts(task, dfx_agree, fp16_agree));
-    }
-    Ok(results)
+    let items = accuracy_items(cfg, tasks, seed);
+    let counts = AccuracyScorer::new(cfg, num_cores)?.count(tasks.len(), &items)?;
+    Ok(AccuracyResult::from_counts(tasks, &counts))
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ mod gflops;
 mod pipeline;
 
 pub use accuracy::{
-    accuracy_contexts, paper_tasks, quick_tasks, run_accuracy, AccuracyResult, AccuracyScorer,
+    accuracy_items, paper_tasks, quick_tasks, run_accuracy, AccuracyResult, AccuracyScorer,
     AccuracyTask,
 };
 pub use appliance::{Appliance, GenerationRun, LatencyBreakdown, TimedRun};
