@@ -34,9 +34,9 @@
 use dfx::hw::MemoryModel;
 use dfx::model::{GptConfig, Workload};
 use dfx::serve::{
-    ArrivalProcess, Backend, ClusterReport, ClusterRouter, ContinuousBatching, ContinuousStepper,
-    LeastKvLoaded, LeastOutstanding, Placement, ReplicaSnapshot, RoundRobin, RoutedRequest,
-    RunReport, ServingEngine, SessionAffinity, StepEvent,
+    ArrivalProcess, Backend, Batching, ClusterReport, ClusterRouter, ContinuousBatching,
+    ContinuousStepper, Fifo, LeastKvLoaded, LeastOutstanding, Placement, ReplicaSnapshot,
+    RoundRobin, RoutedRequest, RunReport, Scheduler, ServingEngine, SessionAffinity, StepEvent,
 };
 use dfx::sim::{Appliance, PagedKvConfig, PreemptionPolicy, SimError};
 use proptest::prelude::*;
@@ -200,6 +200,16 @@ impl Placement for Recording {
 
 /// The placement `which` (0..3) names: the load-blind one and both
 /// load signals.
+/// The queue discipline a property draws: `Fifo`, static
+/// `Batching(max_batch, max_wait_ms)` or `ContinuousBatching(max_batch)`.
+fn discipline(which: usize, max_batch: usize, max_wait_ms: f64) -> Box<dyn Scheduler> {
+    match which {
+        0 => Box::new(Fifo),
+        1 => Box::new(Batching::new(max_batch, max_wait_ms)),
+        _ => Box::new(ContinuousBatching::new(max_batch)),
+    }
+}
+
 fn placement(which: usize) -> Box<dyn Placement> {
     match which {
         0 => Box::new(RoundRobin::new()),
@@ -356,34 +366,47 @@ proptest! {
     }
 
     /// A cluster of one replica is the bare engine under every
-    /// placement: the replica's inner report equals `ServingEngine::run`
-    /// bit for bit, and the cluster-level responses and percentiles
-    /// match it.
+    /// placement and every discipline: the replica's inner report
+    /// equals `ServingEngine::run` over the same pool bit for bit, and
+    /// the cluster-level responses and percentiles match it. The
+    /// replica is a pool of one or two servers; `Batching` exercises
+    /// the streamed `Wait` stash, `ContinuousBatching` the streamed
+    /// decline, `Fifo` the plain static dispatch.
     #[test]
     fn single_replica_cluster_is_bit_identical_to_bare_engine(
         workloads in arb_workloads(),
         rate_per_s in 0.5f64..200.0,
         seed in any::<u64>(),
-        max_batch in 1usize..5,
-        which in 0usize..3,
+        drawn_discipline in (0usize..3, 1usize..5, 0.0f64..40.0),
+        drawn_pool in (0usize..3, 1usize..3),
     ) {
+        let (which_discipline, max_batch, max_wait_ms) = drawn_discipline;
+        let (which, pool_size) = drawn_pool;
         let arrivals = ArrivalProcess::Poisson { rate_per_s, seed };
-        let bare = ServingEngine::new(&UnitBackend)
-            .with_scheduler(Box::new(ContinuousBatching::new(max_batch)))
+        let make_scheduler = move || discipline(which_discipline, max_batch, max_wait_ms);
+        let backends: Vec<UnitBackend> = (0..pool_size).map(|_| UnitBackend).collect();
+        let pool = || backends.iter().map(|b| b as &dyn Backend).collect::<Vec<_>>();
+        let bare = ServingEngine::pool(pool())
+            .unwrap()
+            .with_scheduler(make_scheduler())
             .run(&workloads, &arrivals)
             .unwrap();
-        let cluster = ClusterRouter::uniform(vec![&UnitBackend as &dyn Backend], placement(which))
+        let cluster = ClusterRouter::new(vec![pool()], placement(which))
             .unwrap()
-            .with_scheduler_factory(move || Box::new(ContinuousBatching::new(max_batch)))
+            .with_scheduler_factory(make_scheduler)
             .run(&workloads, &arrivals)
             .unwrap();
 
         let inner = cluster.replicas[0].report.as_ref().unwrap();
         prop_assert_eq!(inner, &bare);
-        // The engine reports completion order; the cluster re-keys to
-        // ascending global id. Same responses, documented order.
+        // The engine reports completion order and pool servers; the
+        // cluster re-keys to ascending global id and names the replica
+        // (always 0 here). Same responses, documented order.
         let mut bare_by_id = bare.responses.clone();
         bare_by_id.sort_by_key(|r| r.request.id);
+        for r in &mut bare_by_id {
+            r.server = 0;
+        }
         prop_assert_eq!(&cluster.responses, &bare_by_id);
         prop_assert_eq!(cluster.p50_sojourn_ms, bare.p50_sojourn_ms);
         prop_assert_eq!(cluster.p95_sojourn_ms, bare.p95_sojourn_ms);
