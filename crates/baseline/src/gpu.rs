@@ -91,6 +91,19 @@ impl GpuLayerBreakdown {
     }
 }
 
+/// The error [`GpuModel::run_batch`] returns for a batch with no
+/// members: there is no padded shape to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EmptyBatch;
+
+impl std::fmt::Display for EmptyBatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("empty batch")
+    }
+}
+
+impl std::error::Error for EmptyBatch {}
+
 /// Result of simulating a workload on the GPU appliance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GpuReport {
@@ -263,34 +276,35 @@ impl GpuModel {
 
     /// Runs a workload.
     pub fn run(&self, workload: Workload) -> GpuReport {
-        self.run_batch(&[workload])
+        self.run_padded(workload.input_len, workload.output_len, 1)
     }
 
     /// Runs a coalesced batch of workloads, padded to the longest
     /// context and longest output among the members (standard static
-    /// batching). `run_batch(&[w])` equals [`run`]`(w)` bit for bit.
+    /// batching). `run_batch(&[w])` equals `Ok(`[`run`]`(w))` bit for
+    /// bit.
     ///
     /// [`run`]: GpuModel::run
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `batch` is empty.
-    pub fn run_batch(&self, batch: &[Workload]) -> GpuReport {
-        assert!(!batch.is_empty(), "empty batch");
-        let input_len = batch
-            .iter()
-            .map(|w| w.input_len)
-            .max()
-            .expect("non-empty batch");
-        let output_len = batch
-            .iter()
-            .map(|w| w.output_len)
-            .max()
-            .expect("non-empty batch");
-        let summarization_ms = self.summarization_pass_ms_batched(input_len, batch.len());
+    /// Returns [`EmptyBatch`] for a batch with no members.
+    pub fn run_batch(&self, batch: &[Workload]) -> Result<GpuReport, EmptyBatch> {
+        let (Some(input_len), Some(output_len)) = (
+            batch.iter().map(|w| w.input_len).max(),
+            batch.iter().map(|w| w.output_len).max(),
+        ) else {
+            return Err(EmptyBatch);
+        };
+        Ok(self.run_padded(input_len, output_len, batch.len()))
+    }
+
+    /// `batch` members executing together at the padded shape.
+    fn run_padded(&self, input_len: usize, output_len: usize, batch: usize) -> GpuReport {
+        let summarization_ms = self.summarization_pass_ms_batched(input_len, batch);
         let mut generation_ms = 0.0;
         for out in 1..output_len {
-            generation_ms += self.generation_step_ms_batched(input_len + out, batch.len());
+            generation_ms += self.generation_step_ms_batched(input_len + out, batch);
         }
         GpuReport {
             summarization_ms,
@@ -393,7 +407,8 @@ mod tests {
     fn batch_of_one_is_bit_identical_to_the_unbatched_run() {
         let m = GpuModel::new(GptConfig::gpt2_1_5b(), 4);
         let w = Workload::chatbot();
-        assert_eq!(m.run_batch(&[w]), m.run(w));
+        assert_eq!(m.run_batch(&[w]), Ok(m.run(w)));
+        assert_eq!(m.run_batch(&[]), Err(EmptyBatch));
         assert_eq!(m.layer_breakdown_batched(64, 1), m.layer_breakdown(64));
         assert_eq!(
             m.summarization_pass_ms_batched(64, 1),
@@ -407,7 +422,7 @@ mod tests {
         let w = Workload::chatbot();
         let mut prev = 0.0;
         for b in 1..=16 {
-            let t = m.run_batch(&vec![w; b]).total_ms();
+            let t = m.run_batch(&vec![w; b]).unwrap().total_ms();
             assert!(t >= prev, "batch {b} got cheaper: {t} < {prev}");
             prev = t;
         }
@@ -415,7 +430,7 @@ mod tests {
         // bound, so an 8-way batch costs nowhere near 8x — this is the
         // throughput the GPU appliance wins back by batching.
         let one = m.run(w).total_ms();
-        let eight = m.run_batch(&[w; 8]).total_ms();
+        let eight = m.run_batch(&[w; 8]).unwrap().total_ms();
         assert!(
             eight < 2.0 * one,
             "8-way batch should amortise: {eight} vs 8x{one}"

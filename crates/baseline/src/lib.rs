@@ -22,5 +22,5 @@
 mod gpu;
 mod tpu;
 
-pub use gpu::{calib as gpu_calib, GpuLayerBreakdown, GpuModel, GpuReport};
+pub use gpu::{calib as gpu_calib, EmptyBatch, GpuLayerBreakdown, GpuModel, GpuReport};
 pub use tpu::{calib as tpu_calib, TpuModel, TpuReport};

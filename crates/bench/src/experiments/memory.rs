@@ -220,7 +220,7 @@ fn build(
         Ok::<_, SimError>(vec![
             fmt(rate_per_s, 2),
             label,
-            fmt(r.p99_token_gap_ms, 1),
+            fmt(r.p99_itl_ms, 1),
             fmt(r.p50_sojourn_ms, 0),
             fmt(r.p99_sojourn_ms, 0),
             fmt(r.goodput_tps, 1),
@@ -275,7 +275,7 @@ fn build(
             .run(&mix, &arrivals)?;
         policy_table.push_row(vec![
             label.into(),
-            fmt(r.p99_token_gap_ms, 1),
+            fmt(r.p99_itl_ms, 1),
             fmt(r.p50_sojourn_ms, 0),
             fmt(r.p99_sojourn_ms, 0),
             fmt(r.goodput_tps, 1),
@@ -475,10 +475,10 @@ mod tests {
         let whole = run(Box::new(ContinuousBatching::new(4)));
         let chunked = run(Box::new(ContinuousBatching::new(4).with_prefill_chunk(8)));
         assert!(
-            chunked.p99_token_gap_ms < whole.p99_token_gap_ms,
+            chunked.p99_itl_ms < whole.p99_itl_ms,
             "chunked p99 gap {} !< whole {}",
-            chunked.p99_token_gap_ms,
-            whole.p99_token_gap_ms
+            chunked.p99_itl_ms,
+            whole.p99_itl_ms
         );
         assert!(
             (chunked.goodput_tps - whole.goodput_tps).abs() < 0.05 * whole.goodput_tps,

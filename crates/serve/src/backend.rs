@@ -375,13 +375,12 @@ impl Backend for GpuModel {
     }
 
     fn serve_batch(&self, batch: &[Workload]) -> Result<BatchReport, SimError> {
-        if batch.is_empty() {
-            return Err(SimError::InvalidRequest("empty batch".into()));
-        }
         for &w in batch {
             validate_workload(w)?;
         }
-        let report = self.run_batch(batch);
+        let report = self
+            .run_batch(batch)
+            .map_err(|e| SimError::InvalidRequest(e.to_string()))?;
         Ok(BatchReport {
             backend: Backend::name(self),
             workloads: batch.to_vec(),

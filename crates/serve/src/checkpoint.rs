@@ -5,11 +5,12 @@
 //! [`EngineCheckpoint`]: at each routed arrival `t` it advances the
 //! replica to `t` and reads its load, and after the last arrival it
 //! drains the replica into its report. A checkpoint keeps one
-//! [`EngineState`](crate::engine) and advances it monotonically: pushes
-//! reveal arrivals in time order, `advance_to(t)` commits the events
-//! whose decision instant lies strictly before `t` (decisions whose
-//! outcome could still depend on unrevealed arrivals are stashed, not
-//! guessed — see the step contract in `engine.rs`), and
+//! [`EngineState`](crate::engine) — the one event loop both dispatch
+//! policies run on — and advances it monotonically: pushes reveal
+//! arrivals in time order, `advance_to(t)` commits the events whose
+//! decision instant lies strictly before `t` (holds whose wake instant
+//! could still depend on unrevealed arrivals are stashed, not guessed —
+//! see the step contract in `engine.rs`), and
 //! [`finish`](EngineCheckpoint::finish) drains the stream into the same
 //! [`ServiceReport`] a fresh batch run over everything pushed would
 //! produce, bit for bit.
@@ -36,10 +37,12 @@
 //!
 //! - Snapshot times must be non-decreasing (the heaps only slide
 //!   forward), which routed arrivals are.
-//! - When the scheduler declines to admit (or asks to wait) at an
-//!   instant where the stream knows of no later arrival, the outcome
-//!   depends on whether another request ever joins the stream, so the
-//!   advance parks there. Until the next push resolves the decision,
+//! - When the scheduler holds an idle server — a static `Wait` whose
+//!   deadline lies at or past `t`, or a continuous decline, a hold with
+//!   no deadline — and the stream knows of no arrival before the
+//!   deadline, the wake instant depends on whether another request
+//!   joins the stream first, so the advance parks there. Until a push
+//!   (or a horizon covering the deadline) resolves the hold,
 //!   `advance_to` commits nothing further and the load signals read
 //!   the events committed before it.
 //! - Checkpointed runs report through the same [`ServiceReport`] as
@@ -184,7 +187,7 @@ impl<'a> EngineCheckpoint<'a> {
     /// log — starts become known at the admission event, long before a
     /// mid-flight request retires — and *closed* by the response log.
     fn ingest_events(&mut self) {
-        let admissions = self.state.admissions();
+        let admissions = &self.state.admissions;
         for &(server, start_ms, tokens) in &admissions[self.seen_admissions..] {
             if let Some(m) = self.memories.get(server).and_then(Option::as_ref) {
                 let bytes = m.kv_claim_bytes(tokens);
@@ -193,9 +196,8 @@ impl<'a> EngineCheckpoint<'a> {
         }
         self.seen_admissions = admissions.len();
 
-        let total = self.state.responses().len();
-        for i in self.seen_responses..total {
-            let r = self.state.responses()[i];
+        let total = self.state.responses.len();
+        for r in &self.state.responses[self.seen_responses..] {
             self.finish_heap.push(Reverse(r.finish_ms.to_bits()));
             if let Some(m) = self.memories.get(r.server).and_then(Option::as_ref) {
                 let tokens = r.request.workload.input_len + r.request.workload.output_len;

@@ -6,19 +6,24 @@
 //! [`ArrivalProcess`]. Everything is deterministic for fixed inputs, so
 //! service-level experiments reproduce bit-for-bit.
 //!
-//! Two event granularities coexist:
+//! One event loop serves every discipline. Each event is the earliest
+//! busy server's token boundary, or the earliest idle server meeting
+//! the earliest known request; what happens there is the server's
+//! **dispatch policy**:
 //!
-//! - the **static path** treats every backend call (a single request or
-//!   one coalesced batch) as one opaque busy interval, scheduling at
-//!   dispatch boundaries via [`Scheduler::pick_batch`];
-//! - the **token-boundary path** runs when a continuous discipline
-//!   ([`Scheduler::is_continuous`]) meets backends exposing a
-//!   [`ContinuousStepper`] ([`Backend::continuous`]): servers advance
-//!   one decode token at a time, members exit the moment they finish,
-//!   and the scheduler's admission seam ([`Scheduler::admit`]) can join
-//!   queued requests to a *running* batch between steps.
+//! - **continuous** when the discipline is ([`Scheduler::is_continuous`])
+//!   and every backend exposes a [`ContinuousStepper`]
+//!   ([`Backend::continuous`]): servers advance one decode token at a
+//!   time, members exit the moment they finish, and the scheduler's
+//!   admission seam ([`Scheduler::admit`]) can join queued requests to a
+//!   *running* batch between steps;
+//! - **static** otherwise: an idle server runs one batch picked by
+//!   [`Scheduler::pick_batch`] (usually of one) as a single opaque
+//!   backend call, and every member retires when it ends.
 //!
-//! Both paths run as **resumable state machines**: the loop state lives
+//! Either policy may hold an idle server instead — a static
+//! [`BatchDecision::Wait`] or a continuous decline — under one hold
+//! rule. The loop runs as a **resumable state machine**: its state lives
 //! in an explicit [`EngineState`] and advances one event per step call,
 //! so a run can be driven to completion in one go
 //! ([`ServingEngine::run`]) or held at a time horizon and resumed as
@@ -63,8 +68,8 @@ pub struct Response {
     pub request: Request,
     /// Index of the pool server that executed it.
     pub server: usize,
-    /// When execution began, ms (never before the arrival). On the
-    /// token-boundary path this is the start of the request's prefill.
+    /// When execution began, ms (never before the arrival). Under the
+    /// continuous policy this is the start of the request's prefill.
     pub start_ms: f64,
     /// When execution finished, ms.
     pub finish_ms: f64,
@@ -116,27 +121,21 @@ pub struct ServiceReport {
     pub utilization: f64,
     /// Output tokens delivered per second of makespan.
     pub goodput_tps: f64,
-    /// Backend invocations made. On the static path each dispatch
+    /// Backend invocations made. Under the static policy each dispatch
     /// serves one coalesced batch (a single-dispatch discipline makes
-    /// one per response); on the token-boundary path every admission
-    /// prefill and every decode step counts as one invocation.
+    /// one per response); under the continuous policy every admission
+    /// prefill and every token step counts as one invocation.
     pub dispatches: usize,
     /// Largest number of requests concurrently resident on one server:
-    /// the biggest dispatched batch on the static path, the peak live
-    /// member count (decoding plus mid-prefill) on the token-boundary
-    /// path. Under saturation this is what a K/V capacity limit
-    /// ([`Backend::memory`]) visibly caps.
+    /// the biggest dispatched batch under the static policy, the peak
+    /// live member count (decoding plus mid-prefill) under the
+    /// continuous one. Under saturation this is what a K/V capacity
+    /// limit ([`Backend::memory`]) visibly caps.
     pub peak_live_batch: usize,
-    /// 99th-percentile gap between a member's consecutive token
-    /// emissions on the token-boundary path, ms — the decode stall a
-    /// running member feels when admissions (whole prefills, or chunks
-    /// under a chunked-prefill discipline) interleave with its steps.
-    /// Zero on the static path and when no member ever emitted twice.
-    pub p99_token_gap_ms: f64,
-    /// Median time to first token, ms. On the token-boundary path a
+    /// Median time to first token, ms. Under the continuous policy a
     /// request's TTFT is measured at its first emission boundary (its
-    /// prefill's completion — the engine's first-token instant); on
-    /// the static path no intra-batch token timing exists, so TTFT is
+    /// prefill's completion — the engine's first-token instant); a
+    /// static dispatch models no intra-batch token timing, so TTFT is
     /// the dispatch delay (`start - arrival`), a lower bound on what a
     /// streaming client would see. Percentiles are nearest-rank over
     /// exactly one sample per request.
@@ -146,15 +145,15 @@ pub struct ServiceReport {
     /// 99th-percentile time to first token, ms.
     pub p99_ttft_ms: f64,
     /// Median inter-token latency, ms: the gap between a member's
-    /// consecutive token emissions on the token-boundary path, pooled
-    /// across members (the same samples as
-    /// [`p99_token_gap_ms`](ServiceReport::p99_token_gap_ms)). Zero on
-    /// the static path and when no member ever emitted twice.
+    /// consecutive token emissions under the continuous policy, pooled
+    /// across members — the decode stall a running member feels when
+    /// admissions (whole prefills, or chunks under a chunked-prefill
+    /// discipline) interleave with its steps. Zero under the static
+    /// policy and when no member ever emitted twice.
     pub p50_itl_ms: f64,
     /// 95th-percentile inter-token latency, ms.
     pub p95_itl_ms: f64,
-    /// 99th-percentile inter-token latency, ms (equals
-    /// [`p99_token_gap_ms`](ServiceReport::p99_token_gap_ms)).
+    /// 99th-percentile inter-token latency, ms.
     pub p99_itl_ms: f64,
     /// Backend energy over the run, J: each server's
     /// [`nominal_power_w`](crate::Backend::nominal_power_w) times its
@@ -165,18 +164,18 @@ pub struct ServiceReport {
     /// capacity, peak occupancy and fragmentation, prefix-cache
     /// hit/computed tokens, preemptions). `None` unless at least one
     /// server allocated K/V in blocks
-    /// ([`Appliance::with_kv_paging`](dfx_sim::Appliance)) on the
-    /// token-boundary path.
+    /// ([`Appliance::with_kv_paging`](dfx_sim::Appliance)) under the
+    /// continuous policy.
     pub paging: Option<PagingStats>,
     /// The sojourn samples sorted ascending, computed once when the
     /// report is built — percentile queries and cluster-level pooling
     /// read this without re-sorting per call.
-    pub sorted_sojourns: Vec<f64>,
+    sorted_sojourns: Vec<f64>,
     /// Per-request TTFT samples sorted ascending (one per request),
     /// the cluster pooling seam for TTFT percentiles.
     sorted_ttfts: Vec<f64>,
     /// Inter-token gap samples sorted ascending, the cluster pooling
-    /// seam for ITL percentiles. Empty on the static path.
+    /// seam for ITL percentiles. Empty under the static policy.
     sorted_token_gaps: Vec<f64>,
 }
 
@@ -187,10 +186,11 @@ impl ServiceReport {
         self.responses.iter().map(Response::sojourn_ms).sum::<f64>() / self.responses.len() as f64
     }
 
-    /// Average realized batch size on the *static* path: requests
+    /// Average realized batch size under the *static* policy: requests
     /// served per backend invocation (1.0 under a single-dispatch
-    /// discipline). Not meaningful on the token-boundary path, where
-    /// [`dispatches`](ServiceReport::dispatches) counts token steps.
+    /// discipline). Not meaningful under the continuous policy, where
+    /// [`dispatches`](ServiceReport::dispatches) counts admissions and
+    /// token steps.
     pub fn mean_batch_size(&self) -> f64 {
         self.responses.len() as f64 / self.dispatches.max(1) as f64
     }
@@ -217,12 +217,12 @@ impl ServiceReport {
     /// the seam cluster aggregation pools TTFT percentiles across, and
     /// the raw material of the telemetry TTFT histogram. See
     /// [`p50_ttft_ms`](ServiceReport::p50_ttft_ms) for what a sample
-    /// measures on each path.
+    /// measures under each policy.
     pub fn sorted_ttfts(&self) -> &[f64] {
         &self.sorted_ttfts
     }
 
-    /// Inter-token gap samples ascending (empty on the static path) —
+    /// Inter-token gap samples ascending (empty under the static policy) —
     /// the cluster pooling seam for ITL percentiles and the telemetry
     /// ITL histogram's raw material.
     pub fn sorted_token_gaps(&self) -> &[f64] {
@@ -277,10 +277,6 @@ impl PendingHeap {
 
     fn peek(&self) -> Option<(f64, usize)> {
         self.heap.peek().map(|Reverse(k)| (k.time_ms, k.id))
-    }
-
-    fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -348,7 +344,7 @@ impl ArrivalQueue {
     }
 }
 
-/// The static path's service-time memo.
+/// The static dispatch's service-time memo.
 ///
 /// Entries are bucketed by `(interned backend id, workload-shape
 /// hash)`; each bucket holds the full `(batch workloads, service ms)`
@@ -415,9 +411,9 @@ impl MemoCache {
     }
 }
 
-/// A live member on the token-boundary path: its request, when its
-/// prefill began, how many output tokens it has produced, and when it
-/// last emitted one.
+/// A live member of a continuous server: its request, when its prefill
+/// began, how many output tokens it has produced, and when it last
+/// emitted one.
 struct Active {
     request: Request,
     start_ms: f64,
@@ -425,15 +421,18 @@ struct Active {
     last_emit_ms: f64,
 }
 
-/// One server's continuous run: the stepper, the live members, and the
-/// server's timeline as `epoch + rel`. The epoch is the absolute start
-/// of the current busy period and `rel` the time charged since; keeping
-/// the busy period relative means a solo member's finish is computed as
-/// `start + accumulated service` — the same association the static FIFO
-/// path uses, so `max_batch == 1` continuous batching reproduces it
-/// exactly.
-struct Run<'b> {
-    stepper: Box<dyn ContinuousStepper + 'b>,
+/// One pool server: its token-granular executor (continuous policy
+/// only), the live members, and its timeline as `epoch + rel`. The
+/// epoch is the absolute start of the current busy period and `rel` the
+/// time charged since; keeping the busy period relative means a solo
+/// member's finish is `start + accumulated service`, the same
+/// association a static dispatch uses, so `max_batch == 1` continuous
+/// batching reproduces FIFO exactly.
+struct Server<'b> {
+    /// `None` under the static policy: the server runs whole dispatches
+    /// through [`Backend::serve`]/[`Backend::serve_batch`], so it is
+    /// never live between events.
+    stepper: Option<Box<dyn ContinuousStepper + 'b>>,
     members: Vec<Active>,
     /// The backend's capacity model (None: unbounded), for the
     /// scheduler's admission probe.
@@ -442,11 +441,16 @@ struct Run<'b> {
     rel_ms: f64,
 }
 
-impl Run<'_> {
+impl Server<'_> {
     /// The absolute time the server has been simulated to: its next
     /// token boundary while members are live, its free time while idle.
     fn clock_ms(&self) -> f64 {
         self.epoch_ms + self.rel_ms
+    }
+
+    /// Members decoding or mid-prefill; always 0 on a static server.
+    fn live(&self) -> usize {
+        self.stepper.as_ref().map_or(0, |s| s.live())
     }
 }
 
@@ -478,98 +482,70 @@ impl AdmissionProbe for Probe<'_, '_> {
     }
 }
 
+/// The earliest candidate of a kind, as `(clock ms, server)`.
+type Earliest = Option<(f64, usize)>;
+
 /// What one `step` call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StepOutcome {
-    /// One event was committed (or a stashed decision was resolved).
+    /// One event was committed (or a stashed hold was resolved).
     Progressed,
     /// The next event's instant is at or past the horizon — nothing was
-    /// mutated — or a stashed decision needs arrivals the stream has
-    /// not revealed yet. Never returned without a horizon.
+    /// mutated — or a stashed hold needs arrivals the stream has not
+    /// revealed yet. Never returned without a horizon.
     Blocked,
-    /// No event exists: the pending heap and queue are empty and (on
-    /// the token-boundary path) no member is live. In a batch run with
-    /// requests unserved this is a starvation error; on a stream it
-    /// just means the engine has caught up with everything pushed.
+    /// No event exists: the pending heap and queue are empty and no
+    /// member is live. In a batch run with requests unserved this is a
+    /// starvation error; on a stream it just means the engine has
+    /// caught up with everything pushed.
     Exhausted,
 }
 
-/// Resumable state of the static event loop.
-pub(crate) struct StaticState {
+/// Resumable state of the event loop. Built by
+/// [`ServingEngine::build_state`], advanced by [`ServingEngine::step`],
+/// harvested by [`ServingEngine::build_report`].
+pub(crate) struct EngineState<'b> {
     workloads: Vec<Workload>,
     plan: SubmissionPlan,
     pending: PendingHeap,
     queue: ArrivalQueue,
-    free_at: Vec<f64>,
+    servers: Vec<Server<'b>>,
     busy: Vec<f64>,
-    responses: Vec<Response>,
+    /// Every response committed so far, in event order.
+    pub(crate) responses: Vec<Response>,
     /// `(server, start_ms, input + output tokens)` per admitted
     /// request, appended at the event that committed the admission —
-    /// starts become known here long before the response retires, which
-    /// is what lets streamed K/V-load accounting see in-flight claims.
-    admissions: Vec<(usize, f64, usize)>,
+    /// starts become known here, possibly long before the response
+    /// retires, which is what lets streamed K/V-load accounting see
+    /// in-flight claims.
+    pub(crate) admissions: Vec<(usize, f64, usize)>,
     dispatches: usize,
     peak_live_batch: usize,
-    /// Floor on the next decision instant, set by a `Wait` decision.
-    wake_ms: f64,
-    /// Consecutive decisions that neither dispatched nor saw a new
-    /// arrival: a scheduler stalling past its own deadline.
-    stalls: u32,
-    /// A `Wait(until)` whose wake instant could still be lowered by an
-    /// arrival the stream has not revealed (wake = the first arrival
-    /// strictly before `until`, else `until`). Resolved on resume once
-    /// an earlier arrival is known or the horizon covers `until`, and
-    /// unconditionally at finalization.
-    stashed_wait_ms: Option<f64>,
-}
-
-/// Resumable state of the token-boundary event loop.
-pub(crate) struct ContState<'b> {
-    workloads: Vec<Workload>,
-    plan: SubmissionPlan,
-    pending: PendingHeap,
-    queue: ArrivalQueue,
-    runs: Vec<Run<'b>>,
-    busy: Vec<f64>,
-    responses: Vec<Response>,
-    /// `(server, start_ms, input + output tokens)` per admitted
-    /// request, appended at the event that committed the admission (see
-    /// [`StaticState::admissions`]).
-    admissions: Vec<(usize, f64, usize)>,
-    dispatches: usize,
-    peak_live_batch: usize,
-    /// Gaps between a member's consecutive token emissions (the decode
-    /// stall admissions inject), pooled across members.
-    token_gaps: Vec<f64>,
-    /// Per-request time to first token, ms, appended at each request's
-    /// first emission boundary (exactly one sample per request).
+    /// Per-request time to first token, ms (exactly one sample per
+    /// request): `start - arrival` at a static dispatch, the first
+    /// emission boundary on a continuous server.
     ttfts: Vec<f64>,
+    /// Gaps between a member's consecutive token emissions (the decode
+    /// stall admissions inject), pooled across members. Empty under the
+    /// static policy.
+    token_gaps: Vec<f64>,
     /// `(request id, emission instant)` per token the engine charged,
     /// in event order — the raw material of a
     /// [`RunTrace`](crate::telemetry::RunTrace)'s decode
     /// spans. `None` (not collected) unless the run was started by
     /// [`ServingEngine::run_traced`], so the hot path pays nothing.
     trace_tokens: Option<Vec<(u64, f64)>>,
-    /// Floor on the next idle-admission instant, set after a decline so
-    /// a future arrival can change the scheduler's mind.
+    /// Floor on the next idle-server instant, set by a hold so a future
+    /// arrival (or a busy boundary) can change the scheduler's mind.
     wake_ms: f64,
-    /// Consecutive boundaries where an idle server faced a non-empty
-    /// queue and the scheduler admitted nobody.
+    /// Consecutive holds with no arrival or committed work in between.
     stalls: u32,
-    /// An idle-decline whose wake instant depends on the next arrival,
-    /// which the stream has not revealed yet. Nothing advanced since
-    /// the decline, so resolution just re-runs the wake bookkeeping
-    /// with the pending heap as it stands at resume (or finalization).
-    stashed_decline: bool,
-}
-
-/// Resumable engine state: which event path is running plus everything
-/// its loop carries between events. Built by
-/// [`ServingEngine::build_state`], advanced by [`ServingEngine::step`],
-/// harvested by [`ServingEngine::build_report`].
-pub(crate) enum EngineState<'b> {
-    Static(StaticState),
-    Continuous(ContState<'b>),
+    /// The deadline of a hold (infinite for a continuous decline) whose
+    /// wake instant could still be lowered by an arrival the stream has
+    /// not revealed. Nothing advances while it is stashed; it resolves
+    /// once an arrival before the deadline is known or the horizon
+    /// covers the deadline, and unconditionally at finalization.
+    stashed_hold_ms: Option<f64>,
 }
 
 impl EngineState<'_> {
@@ -577,53 +553,13 @@ impl EngineState<'_> {
     /// Pushes must arrive in nondecreasing `arrival_ms` order for
     /// horizon-bounded stepping to be faithful to a batch replay.
     pub(crate) fn push(&mut self, workload: Workload, arrival_ms: f64) {
-        let (workloads, pending) = match self {
-            EngineState::Static(st) => (&mut st.workloads, &mut st.pending),
-            EngineState::Continuous(st) => (&mut st.workloads, &mut st.pending),
-        };
-        let id = workloads.len();
-        workloads.push(workload);
-        pending.push(arrival_ms, id);
+        self.pending.push(arrival_ms, self.workloads.len());
+        self.workloads.push(workload);
     }
 
     /// Requests pushed so far (batch runs: the full workload list).
     pub(crate) fn pushed(&self) -> usize {
-        match self {
-            EngineState::Static(st) => st.workloads.len(),
-            EngineState::Continuous(st) => st.workloads.len(),
-        }
-    }
-
-    /// Every response committed so far, in event order.
-    pub(crate) fn responses(&self) -> &[Response] {
-        match self {
-            EngineState::Static(st) => &st.responses,
-            EngineState::Continuous(st) => &st.responses,
-        }
-    }
-
-    /// Every admission committed so far, in event order:
-    /// `(server, start_ms, input + output tokens)`. A request appears
-    /// here at the event that admitted it — possibly long before its
-    /// response — so streamed K/V accounting can see in-flight claims.
-    pub(crate) fn admissions(&self) -> &[(usize, f64, usize)] {
-        match self {
-            EngineState::Static(st) => &st.admissions,
-            EngineState::Continuous(st) => &st.admissions,
-        }
-    }
-
-    /// The error a batch run raises when the loop runs dry with
-    /// requests unserved.
-    pub(crate) fn starvation_error(&self) -> SimError {
-        match self {
-            EngineState::Static(_) => SimError::Service(
-                "static loop ran out of submissions with requests unserved".into(),
-            ),
-            EngineState::Continuous(_) => {
-                SimError::Service("continuous loop ran out of events with requests unserved".into())
-            }
-        }
+        self.workloads.len()
     }
 }
 
@@ -650,16 +586,16 @@ impl EngineState<'_> {
 pub struct ServingEngine<'a> {
     servers: Vec<&'a dyn Backend>,
     scheduler: Box<dyn Scheduler>,
-    /// Static-path service times memoized per `(backend, batch
+    /// Static-dispatch service times memoized per `(backend, batch
     /// workloads)` — a single request is the one-element batch;
     /// persists across `run` calls, so a rate sweep on one engine times
     /// each distinct workload (or batch composition) once. Keyed by the
     /// interned backend *name* (not pool index), so identical replicas
     /// share entries — [`Backend::name`] must therefore identify the
     /// timing behaviour (model + cluster size), which every built-in
-    /// implementation's name does. The token-boundary path does not use
+    /// implementation's name does. The continuous policy does not use
     /// it (step costs depend on batch state); on an
-    /// [`Appliance`](dfx_sim::Appliance) both paths read per-step costs
+    /// [`Appliance`](dfx_sim::Appliance) both policies read per-step costs
     /// from the appliance's shared step-cost table, and this memo saves
     /// re-summing a whole dispatch's steps.
     cache: MemoCache,
@@ -707,7 +643,7 @@ impl<'a> ServingEngine<'a> {
     ///
     /// A continuous discipline ([`Scheduler::is_continuous`]) on a pool
     /// where every backend exposes a [`ContinuousStepper`] runs the
-    /// token-boundary event loop; everything else runs the static path,
+    /// continuous dispatch policy; everything else runs the static one,
     /// where backend runs are memoized per `(backend name, batch
     /// workloads)` and the memo persists across calls — the platform
     /// models are deterministic, so a rate sweep on one engine times
@@ -746,17 +682,11 @@ impl<'a> ServingEngine<'a> {
         arrivals: &ArrivalProcess,
     ) -> Result<(ServiceReport, crate::telemetry::RunTrace), SimError> {
         let mut state = self.batch_state(workloads, arrivals)?;
-        if let EngineState::Continuous(st) = &mut state {
-            st.trace_tokens = Some(Vec::new());
-        }
+        state.trace_tokens = Some(Vec::new());
         self.drain(&mut state)?;
         // Harvest the raw material the report constructor consumes.
-        let (busy, token_events) = match &mut state {
-            EngineState::Static(st) => (st.busy.clone(), Vec::new()),
-            EngineState::Continuous(st) => {
-                (st.busy.clone(), st.trace_tokens.take().unwrap_or_default())
-            }
-        };
+        let busy = state.busy.clone();
+        let token_events = state.trace_tokens.take().unwrap_or_default();
         let report = self.build_report(state)?;
         let trace = self.assemble_trace(&report, &busy, token_events);
         Ok((report, trace))
@@ -849,21 +779,20 @@ impl<'a> ServingEngine<'a> {
     /// response. Without a horizon a step never blocks, so running dry
     /// first means the event loop starved with requests unserved.
     pub(crate) fn drain(&mut self, state: &mut EngineState<'a>) -> Result<(), SimError> {
-        let n = state.pushed();
-        while state.responses().len() < n {
-            match self.step(state, None)? {
-                StepOutcome::Progressed => {}
-                StepOutcome::Blocked | StepOutcome::Exhausted => {
-                    return Err(state.starvation_error());
-                }
+        while state.responses.len() < state.pushed() {
+            if self.step(state, None)? != StepOutcome::Progressed {
+                return Err(SimError::Service(
+                    "event loop ran out of events with requests unserved".into(),
+                ));
             }
         }
         Ok(())
     }
 
     /// Builds the resumable state for a run over `workloads` under
-    /// `plan`, choosing the event path exactly as [`run`](Self::run)
-    /// describes.
+    /// `plan`. The dispatch policy is chosen exactly as
+    /// [`run`](Self::run) describes: continuous servers get a stepper
+    /// each, static servers none.
     fn build_state(
         &mut self,
         workloads: Vec<Workload>,
@@ -871,13 +800,14 @@ impl<'a> ServingEngine<'a> {
     ) -> Result<EngineState<'a>, SimError> {
         let n = workloads.len();
         let pending = Self::initial_pending(&plan, n);
-        if self.scheduler.is_continuous() && self.servers.iter().all(|s| s.continuous().is_some()) {
-            let prefill_chunk = self.scheduler.prefill_chunk();
-            let mut runs: Vec<Run<'a>> = Vec::with_capacity(self.servers.len());
-            for i in 0..self.servers.len() {
-                let s: &'a dyn Backend = self.servers[i];
-                // build_state routes here only when every backend is
-                // continuous, but re-check instead of panicking on a
+        let continuous =
+            self.scheduler.is_continuous() && self.servers.iter().all(|s| s.continuous().is_some());
+        let prefill_chunk = self.scheduler.prefill_chunk();
+        let mut servers = Vec::with_capacity(self.servers.len());
+        for &s in &self.servers {
+            let stepper = if continuous {
+                // `continuous` holds only when every backend has a
+                // stepper, but re-check instead of panicking on a
                 // broken invariant.
                 let mut stepper = s.continuous().ok_or_else(|| {
                     SimError::Service(format!("backend {} cannot batch continuously", s.name()))
@@ -885,49 +815,36 @@ impl<'a> ServingEngine<'a> {
                 if prefill_chunk.is_some() {
                     stepper.set_prefill_chunk(prefill_chunk);
                 }
-                runs.push(Run {
-                    stepper,
-                    members: Vec::new(),
-                    memory: s.memory(),
-                    epoch_ms: 0.0,
-                    rel_ms: 0.0,
-                });
-            }
-            Ok(EngineState::Continuous(ContState {
-                workloads,
-                plan,
-                pending,
-                queue: ArrivalQueue::default(),
-                busy: vec![0.0f64; runs.len()],
-                runs,
-                responses: Vec::with_capacity(n),
-                admissions: Vec::with_capacity(n),
-                dispatches: 0,
-                peak_live_batch: 0,
-                token_gaps: Vec::new(),
-                ttfts: Vec::with_capacity(n),
-                trace_tokens: None,
-                wake_ms: 0.0,
-                stalls: 0,
-                stashed_decline: false,
-            }))
-        } else {
-            Ok(EngineState::Static(StaticState {
-                workloads,
-                plan,
-                pending,
-                queue: ArrivalQueue::default(),
-                free_at: vec![0.0f64; self.servers.len()],
-                busy: vec![0.0f64; self.servers.len()],
-                responses: Vec::with_capacity(n),
-                admissions: Vec::with_capacity(n),
-                dispatches: 0,
-                peak_live_batch: 0,
-                wake_ms: 0.0,
-                stalls: 0,
-                stashed_wait_ms: None,
-            }))
+                Some(stepper)
+            } else {
+                None
+            };
+            servers.push(Server {
+                stepper,
+                members: Vec::new(),
+                memory: s.memory(),
+                epoch_ms: 0.0,
+                rel_ms: 0.0,
+            });
         }
+        Ok(EngineState {
+            workloads,
+            plan,
+            pending,
+            queue: ArrivalQueue::default(),
+            busy: vec![0.0f64; servers.len()],
+            servers,
+            responses: Vec::with_capacity(n),
+            admissions: Vec::with_capacity(n),
+            dispatches: 0,
+            peak_live_batch: 0,
+            ttfts: Vec::with_capacity(n),
+            token_gaps: Vec::new(),
+            trace_tokens: None,
+            wake_ms: 0.0,
+            stalls: 0,
+            stashed_hold_ms: None,
+        })
     }
 
     /// An empty open-loop stream: requests enter via
@@ -1005,144 +922,114 @@ impl<'a> ServingEngine<'a> {
         }
     }
 
+    /// The next token boundary among servers with live members (none
+    /// under the static policy) and the earliest-free idle server, each
+    /// as `(clock, server)` with ties going to the lower index.
+    fn earliest_clocks(servers: &[Server<'_>]) -> (Earliest, Earliest) {
+        let (mut busy, mut idle) = (None, None);
+        for (s, r) in servers.iter().enumerate() {
+            let slot = if r.live() > 0 { &mut busy } else { &mut idle };
+            let clock = r.clock_ms();
+            if slot.is_none_or(|(t, _): (f64, usize)| clock.total_cmp(&t).is_lt()) {
+                *slot = Some((clock, s));
+            }
+        }
+        (busy, idle)
+    }
+
     /// Advances the state by one event.
+    ///
+    /// The event is the earliest busy token boundary, or the earliest
+    /// instant the earliest-free idle server can meet the earliest known
+    /// request, floored by the wake instant of the last hold (a busy
+    /// boundary wins ties). Arrivals up to that instant join the queue,
+    /// then the server's dispatch policy decides: a continuous server
+    /// runs the admission seam and one token step, a static server
+    /// dispatches one coalesced batch. Either may *hold* instead (see
+    /// [`hold`](Self::hold)).
     ///
     /// With `horizon = None` every event is committable and the call
     /// never returns [`StepOutcome::Blocked`]. With `horizon = Some(t)`
     /// only events whose decision instant is strictly before `t` are
-    /// committed, and decisions whose outcome could still change with
+    /// committed, and holds whose wake instant could still change with
     /// arrivals at or after `t` are stashed instead of guessed — so a
     /// horizon-bounded stream that receives every arrival before
     /// advancing past it commits exactly the event prefix a full batch
     /// replay would.
     pub(crate) fn step(
         &mut self,
-        state: &mut EngineState<'a>,
+        st: &mut EngineState<'a>,
         horizon: Option<f64>,
     ) -> Result<StepOutcome, SimError> {
-        match state {
-            EngineState::Static(st) => self.static_step(st, horizon),
-            EngineState::Continuous(st) => self.cont_step(st, horizon),
-        }
-    }
-
-    /// One event of the static discrete-event core. Requests become
-    /// known either up front (open loop) or as completions schedule the
-    /// owning client's next submission (closed loop); either way the
-    /// queue holds every request that has arrived by the dispatch
-    /// instant, the scheduler picks a batch (usually of one), and it
-    /// runs as a unit on the earliest-free server. A scheduler may also
-    /// *wait* — hold the free server until a batch fills or its deadline
-    /// passes — which advances the decision instant without dispatching.
-    fn static_step(
-        &mut self,
-        st: &mut StaticState,
-        horizon: Option<f64>,
-    ) -> Result<StepOutcome, SimError> {
-        // A stashed Wait resolves once the stream can name the wake
-        // instant: an arrival strictly before `until` is known, or the
-        // horizon covers `until` (no earlier arrival can appear), or
-        // the stream is being finalized (no horizon).
-        if let Some(until_ms) = st.stashed_wait_ms {
-            let head = st.pending.peek();
-            let resolvable = match horizon {
-                None => true,
-                Some(t) => head.is_some_and(|(a, _)| a < until_ms) || until_ms <= t,
-            };
-            if !resolvable {
-                return Ok(StepOutcome::Blocked);
-            }
-            st.stashed_wait_ms = None;
-            // Wake at the requested time, or earlier if a new arrival
-            // lands first and may complete the batch.
-            st.wake_ms = match head {
-                Some((arrival_ms, _)) if arrival_ms < until_ms => arrival_ms,
-                _ => until_ms,
-            };
-            return Ok(StepOutcome::Progressed);
+        if let Some(deadline_ms) = st.stashed_hold_ms.take() {
+            return self.hold(st, deadline_ms, horizon);
         }
 
-        let server = (0..st.free_at.len())
-            .min_by(|&a, &b| st.free_at[a].total_cmp(&st.free_at[b]))
-            .ok_or_else(|| SimError::Service("backend pool is empty".into()))?;
-
-        if st.queue.is_empty() {
-            // Idle system: jump to the next submission. The jump itself
-            // is timeless, but gate it on the post-jump decision
-            // instant so a blocked stream's state is untouched.
-            let Some((arrival_ms, id)) = st.pending.peek() else {
-                return Ok(StepOutcome::Exhausted);
-            };
-            let instant = st.free_at[server].max(arrival_ms).max(st.wake_ms);
-            if horizon.is_some_and(|t| instant >= t) {
-                return Ok(StepOutcome::Blocked);
-            }
-            st.pending.pop();
-            st.queue.insert_sorted(Request {
-                id: id as u64,
-                workload: st.workloads[id],
-                arrival_ms,
-            });
-            return Ok(StepOutcome::Progressed);
-        }
-
-        let head_arrival = st.queue.first().expect("queue is non-empty").arrival_ms;
-        let now = st.free_at[server].max(head_arrival).max(st.wake_ms);
+        let (busy_next, idle_free) = Self::earliest_clocks(&st.servers);
+        let idle_next = idle_free.and_then(|(clock, s)| {
+            let req_t = st
+                .queue
+                .first()
+                .map(|q| q.arrival_ms)
+                .or_else(|| st.pending.peek().map(|p| p.0));
+            req_t.map(|t| (t.max(clock).max(st.wake_ms), s))
+        });
+        let (now, server) = match (busy_next, idle_next) {
+            (Some(b), Some(i)) if b.0 <= i.0 => b,
+            (Some(_), Some(i)) => i,
+            (Some(b), None) => b,
+            (None, Some(i)) => i,
+            (None, None) => return Ok(StepOutcome::Exhausted),
+        };
         if horizon.is_some_and(|t| now >= t) {
             return Ok(StepOutcome::Blocked);
         }
-
-        // Everything that has arrived by the dispatch instant is
-        // visible to the scheduler.
         if Self::pull_arrivals(&mut st.pending, &mut st.queue, &st.workloads, now) {
             st.stalls = 0;
         }
 
+        let hold_until = if st.servers[server].stepper.is_some() {
+            self.token_boundary(st, server, now)?
+        } else {
+            self.dispatch(st, server, now)?
+        };
+        match hold_until {
+            Some(deadline_ms) => self.hold(st, deadline_ms, horizon),
+            None => Ok(StepOutcome::Progressed),
+        }
+    }
+
+    /// The static policy at an idle server: the scheduler picks a batch
+    /// (usually of one) from everything queued, and it runs as one
+    /// memoized `serve`/`serve_batch` call. Every member starts at
+    /// `now` — clamped to the newest member's arrival — gets its TTFT
+    /// sample (`start - arrival`) at once, and retires with the batch at
+    /// `start + service`, which becomes the server's clock. Returns the
+    /// deadline of a [`BatchDecision::Wait`] instead of dispatching.
+    fn dispatch(
+        &mut self,
+        st: &mut EngineState<'a>,
+        server: usize,
+        now: f64,
+    ) -> Result<Option<f64>, SimError> {
         let servers = &self.servers;
-        let picked =
+        let mut picked =
             match self
                 .scheduler
                 .pick_batch(st.queue.as_slice(), now, &|ws: &[Workload]| {
                     servers[server].batch_feasible(ws)
                 }) {
                 BatchDecision::Dispatch(picked) => picked,
+                BatchDecision::Wait(until_ms) if until_ms.is_finite() && until_ms > now => {
+                    return Ok(Some(until_ms));
+                }
                 BatchDecision::Wait(until_ms) => {
-                    if !until_ms.is_finite() || until_ms <= now {
-                        return Err(SimError::Service(format!(
-                            "scheduler {} asked to wait until {until_ms} ms at {now} ms",
-                            self.scheduler.name()
-                        )));
-                    }
-                    st.stalls += 1;
-                    if st.stalls > 2 {
-                        return Err(SimError::Service(format!(
-                            "scheduler {} keeps waiting without dispatching",
-                            self.scheduler.name()
-                        )));
-                    }
-                    // Wake at the requested time, or earlier if a new
-                    // arrival lands first and may complete the batch. On a
-                    // horizon-bounded stream that earlier arrival may not
-                    // be known yet — stash the decision instead of
-                    // committing a wake instant that could be wrong.
-                    let resolvable = match horizon {
-                        None => true,
-                        Some(t) => {
-                            st.pending.peek().is_some_and(|(a, _)| a < until_ms) || until_ms <= t
-                        }
-                    };
-                    if !resolvable {
-                        st.stashed_wait_ms = Some(until_ms);
-                        return Ok(StepOutcome::Blocked);
-                    }
-                    st.wake_ms = match st.pending.peek() {
-                        Some((arrival_ms, _)) if arrival_ms < until_ms => arrival_ms,
-                        _ => until_ms,
-                    };
-                    return Ok(StepOutcome::Progressed);
+                    return Err(SimError::Service(format!(
+                        "scheduler {} asked to wait until {until_ms} ms at {now} ms",
+                        self.scheduler.name()
+                    )));
                 }
             };
-        let mut picked = picked;
         picked.sort_unstable();
         let in_range = picked.last().is_some_and(|&i| i < st.queue.len());
         if !in_range || picked.windows(2).any(|w| w[0] == w[1]) {
@@ -1182,8 +1069,10 @@ impl<'a> ServingEngine<'a> {
         // (earlier-free) server's `now` can lapse behind them, so clamp
         // the start to the batch's newest arrival.
         let start_ms = batch.iter().map(|r| r.arrival_ms).fold(now, f64::max);
-        let finish_ms = start_ms + service_ms;
-        st.free_at[server] = finish_ms;
+        let run = &mut st.servers[server];
+        run.epoch_ms = start_ms;
+        run.rel_ms = service_ms;
+        let finish_ms = run.clock_ms();
         // lint: order-sensitive — event-ordered timeline accumulation
         st.busy[server] += service_ms;
         st.dispatches += 1;
@@ -1196,6 +1085,7 @@ impl<'a> ServingEngine<'a> {
                 start_ms,
                 request.workload.input_len + request.workload.output_len,
             ));
+            st.ttfts.push(start_ms - request.arrival_ms);
             st.responses.push(Response {
                 request,
                 server,
@@ -1204,115 +1094,35 @@ impl<'a> ServingEngine<'a> {
             });
             Self::schedule_next_submission(&st.plan, &mut st.pending, n, request.id, finish_ms);
         }
-        Ok(StepOutcome::Progressed)
+        Ok(None)
     }
 
-    /// Next token boundary among servers with live members.
-    fn cont_busy_next(runs: &[Run<'_>]) -> Option<(f64, usize)> {
-        runs.iter()
-            .enumerate()
-            .filter(|(_, r)| r.stepper.live() > 0)
-            .map(|(s, r)| (r.clock_ms(), s))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-    }
-
-    /// The decline bookkeeping shared by the live decline branch and
-    /// stashed-decline resolution: pick the wake instant from the next
-    /// known arrival or the next busy boundary, and count the stall.
-    fn cont_note_decline(&self, st: &mut ContState<'_>) -> Result<(), SimError> {
-        match (st.pending.peek(), Self::cont_busy_next(&st.runs)) {
-            (Some((arrival_ms, _)), _) => {
-                st.wake_ms = arrival_ms;
-                st.stalls += 1;
-            }
-            (None, Some((boundary_ms, _))) => {
-                // Defer the idle retry past the next busy boundary
-                // (ties prefer the busy event, so that boundary
-                // processes first and resets the counter if it makes
-                // progress).
-                st.wake_ms = st.wake_ms.max(boundary_ms);
-                st.stalls += 1;
-            }
-            (None, None) => st.stalls = 3,
-        }
-        if st.stalls > 2 {
-            return Err(SimError::Service(format!(
-                "scheduler {} declines to admit queued requests",
-                self.scheduler.name()
-            )));
-        }
-        Ok(())
-    }
-
-    /// One event of the token-boundary loop: every server owns a
-    /// [`ContinuousStepper`], decode advances one token at a time, and
-    /// at each boundary the scheduler's admission seam may join queued
-    /// requests to the running batch (each paying its prefill before
-    /// decode resumes). Members exit the moment they produce their last
-    /// token — no padding to the longest batch-mate.
-    fn cont_step(
+    /// The continuous policy at one server's token boundary: the
+    /// scheduler's admission seam may join queued requests to the
+    /// running batch (each paying its prefill before decode resumes),
+    /// then one token step runs. Members exit the moment they produce
+    /// their last token — no padding to the longest batch-mate. Returns
+    /// an infinite hold deadline when an idle server faces queued work
+    /// and admits nobody.
+    fn token_boundary(
         &mut self,
-        st: &mut ContState<'a>,
-        horizon: Option<f64>,
-    ) -> Result<StepOutcome, SimError> {
-        // A stashed decline resolves once the next arrival is known (or
-        // at finalization, when the pending heap is complete): nothing
-        // advanced since the decline, so the wake bookkeeping re-runs
-        // with the heap as it stands now.
-        if st.stashed_decline {
-            if horizon.is_some() && st.pending.is_empty() {
-                return Ok(StepOutcome::Blocked);
-            }
-            st.stashed_decline = false;
-            self.cont_note_decline(st)?;
-            return Ok(StepOutcome::Progressed);
-        }
-
-        let busy_next = Self::cont_busy_next(&st.runs);
-        // Earliest instant the earliest-free idle server could meet
-        // the earliest known request.
-        let idle_next = st
-            .runs
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.stepper.live() == 0)
-            .map(|(s, r)| (r.clock_ms(), s))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .and_then(|(clock, s)| {
-                let req_t = st
-                    .queue
-                    .first()
-                    .map(|q| q.arrival_ms)
-                    .or_else(|| st.pending.peek().map(|p| p.0));
-                req_t.map(|t| (t.max(clock).max(st.wake_ms), s))
-            });
-        let (now, server) = match (busy_next, idle_next) {
-            (Some(b), Some(i)) if b.0 <= i.0 => b,
-            (Some(_), Some(i)) => i,
-            (Some(b), None) => b,
-            (None, Some(i)) => i,
-            (None, None) => return Ok(StepOutcome::Exhausted),
+        st: &mut EngineState<'a>,
+        server: usize,
+        now: f64,
+    ) -> Result<Option<f64>, SimError> {
+        let n = st.workloads.len();
+        let run = &mut st.servers[server];
+        let Some(stepper) = run.stepper.as_deref_mut() else {
+            return Err(SimError::Service(format!("server {server} has no stepper")));
         };
-        if horizon.is_some_and(|t| now >= t) {
-            return Ok(StepOutcome::Blocked);
-        }
-
-        let run = &mut st.runs[server];
-        if run.stepper.live() == 0 {
+        if stepper.live() == 0 {
             // A fresh busy period may start here: re-anchor the
             // relative timeline at this instant (`now` never lies
             // before the idle server's free time).
             run.epoch_ms = now;
             run.rel_ms = 0.0;
         }
-        if Self::pull_arrivals(&mut st.pending, &mut st.queue, &st.workloads, now) {
-            st.stalls = 0;
-        }
 
-        // The admission seam: queued requests may join the running
-        // batch at this boundary.
-        let n = st.workloads.len();
-        let run = &mut st.runs[server];
         let mut admitted_any = false;
         if !st.queue.is_empty() {
             let running: Vec<RunningMember> = run
@@ -1325,14 +1135,16 @@ impl<'a> ServingEngine<'a> {
                     arrival_ms: m.request.arrival_ms,
                 })
                 .collect();
-            let clock_ms = run.clock_ms();
             let mut probe = Probe {
-                stepper: run.stepper.as_mut(),
+                stepper: &mut *stepper,
                 memory: run.memory,
             };
-            let mut picks =
-                self.scheduler
-                    .admit(&running, st.queue.as_slice(), clock_ms, &mut probe);
+            let mut picks = self.scheduler.admit(
+                &running,
+                st.queue.as_slice(),
+                run.epoch_ms + run.rel_ms,
+                &mut probe,
+            );
             picks.sort_unstable();
             let in_range = picks.iter().all(|&i| i < st.queue.len());
             if !in_range || picks.windows(2).any(|w| w[0] == w[1]) {
@@ -1353,41 +1165,21 @@ impl<'a> ServingEngine<'a> {
                     // Prefills run back to back: each member starts
                     // (and is no longer "waiting") when its own
                     // prefill begins.
-                    let start_ms = run.clock_ms();
+                    let start_ms = run.epoch_ms + run.rel_ms;
                     st.admissions.push((
                         server,
                         start_ms,
                         request.workload.input_len + request.workload.output_len,
                     ));
-                    let ev = run.stepper.admit(request.id, request.workload)?;
+                    let ev = stepper.admit(request.id, request.workload)?;
                     // lint: order-sensitive — event-ordered timeline accumulation
                     run.rel_ms += ev.ms;
                     // lint: order-sensitive — event-ordered timeline accumulation
                     st.busy[server] += ev.ms;
                     st.dispatches += 1;
-                    if ev.finished.contains(&request.id) {
-                        // Retired at admission: the prefill emitted
-                        // everything, so its completion is the first
-                        // (and last) token instant.
-                        let finish_ms = run.clock_ms();
-                        st.ttfts.push(finish_ms - request.arrival_ms);
-                        if let Some(tokens) = st.trace_tokens.as_mut() {
-                            tokens.push((request.id, finish_ms));
-                        }
-                        st.responses.push(Response {
-                            request,
-                            server,
-                            start_ms,
-                            finish_ms,
-                        });
-                        Self::schedule_next_submission(
-                            &st.plan,
-                            &mut st.pending,
-                            n,
-                            request.id,
-                            finish_ms,
-                        );
-                    } else if ev.prefilling.contains(&request.id) {
+                    let emit_ms = run.epoch_ms + run.rel_ms;
+                    let retired = ev.finished.contains(&request.id);
+                    if !retired && ev.prefilling.contains(&request.id) {
                         // A chunked admission: no token yet, the
                         // remaining chunks interleave with decode.
                         run.members.push(Active {
@@ -1396,154 +1188,140 @@ impl<'a> ServingEngine<'a> {
                             tokens_done: 0,
                             last_emit_ms: 0.0,
                         });
+                        continue;
+                    }
+                    // A whole prefill emits the first token at its
+                    // completion.
+                    st.ttfts.push(emit_ms - request.arrival_ms);
+                    if let Some(tokens) = st.trace_tokens.as_mut() {
+                        tokens.push((request.id, emit_ms));
+                    }
+                    if retired {
+                        // The prefill emitted everything: first token
+                        // and retirement coincide.
+                        st.responses.push(Response {
+                            request,
+                            server,
+                            start_ms,
+                            finish_ms: emit_ms,
+                        });
+                        Self::schedule_next_submission(
+                            &st.plan,
+                            &mut st.pending,
+                            n,
+                            request.id,
+                            emit_ms,
+                        );
                     } else {
-                        // A whole-prefill admission emits the first
-                        // token at its completion.
-                        let first_ms = run.clock_ms();
-                        st.ttfts.push(first_ms - request.arrival_ms);
-                        if let Some(tokens) = st.trace_tokens.as_mut() {
-                            tokens.push((request.id, first_ms));
-                        }
                         run.members.push(Active {
                             request,
                             start_ms,
                             tokens_done: 1,
-                            last_emit_ms: first_ms,
+                            last_emit_ms: emit_ms,
                         });
                     }
                 }
-                st.peak_live_batch = st.peak_live_batch.max(run.stepper.live());
+                st.peak_live_batch = st.peak_live_batch.max(stepper.live());
             }
         }
 
-        let run = &mut st.runs[server];
-        if run.stepper.live() > 0 {
-            // One step: a prefill chunk if one is in flight, then a
-            // decode pass; exits happen the moment a member has its
-            // last token.
-            let ev = run.stepper.step_token()?;
-            // lint: order-sensitive — event-ordered timeline accumulation
-            run.rel_ms += ev.ms;
-            // lint: order-sensitive — event-ordered timeline accumulation
-            st.busy[server] += ev.ms;
-            st.dispatches += 1;
-            let finish_ms = run.clock_ms();
-            for m in &mut run.members {
-                if ev.prefilling.contains(&m.request.id) {
-                    continue; // mid-prefill: no token this step
-                }
-                if m.tokens_done > 0 {
-                    // The inter-token gap a decoding member felt.
-                    st.token_gaps.push(finish_ms - m.last_emit_ms);
-                } else {
-                    // A chunked prefill's last chunk: the member's
-                    // first token lands here, not at admission.
-                    st.ttfts.push(finish_ms - m.request.arrival_ms);
-                }
-                if let Some(tokens) = st.trace_tokens.as_mut() {
-                    tokens.push((m.request.id, finish_ms));
-                }
-                m.tokens_done += 1;
-                m.last_emit_ms = finish_ms;
-            }
-            for id in ev.finished {
-                let pos = run
-                    .members
-                    .iter()
-                    .position(|m| m.request.id == id)
-                    .ok_or_else(|| {
-                        SimError::Service(format!("stepper finished unknown member {id}"))
-                    })?;
-                let m = run.members.remove(pos);
-                st.responses.push(Response {
-                    request: m.request,
-                    server,
-                    start_ms: m.start_ms,
-                    finish_ms,
-                });
-                Self::schedule_next_submission(
-                    &st.plan,
-                    &mut st.pending,
-                    n,
-                    m.request.id,
-                    finish_ms,
-                );
-            }
-            st.stalls = 0;
-        } else if !st.queue.is_empty() && !admitted_any {
+        if stepper.live() == 0 {
             // Idle server, queued work, nothing admitted: the scheduler
             // may be holding out for a future arrival or for another
             // server's token boundary (retirements and closed-loop
-            // completions both change the picture). Only a fully idle
-            // pool with neither is a hard stall. On a horizon-bounded
-            // stream the wake instant depends on the next arrival, so
-            // an empty pending heap stashes the decline instead of
-            // mistaking "not pushed yet" for "none coming".
-            if horizon.is_some() && st.pending.is_empty() {
-                st.stashed_decline = true;
-                return Ok(StepOutcome::Blocked);
+            // completions both change the picture).
+            let declined = !st.queue.is_empty() && !admitted_any;
+            return Ok(declined.then_some(f64::INFINITY));
+        }
+        // One step: a prefill chunk if one is in flight, then a decode
+        // pass; exits happen the moment a member has its last token.
+        let ev = stepper.step_token()?;
+        // lint: order-sensitive — event-ordered timeline accumulation
+        run.rel_ms += ev.ms;
+        // lint: order-sensitive — event-ordered timeline accumulation
+        st.busy[server] += ev.ms;
+        st.dispatches += 1;
+        let finish_ms = run.epoch_ms + run.rel_ms;
+        for m in &mut run.members {
+            if ev.prefilling.contains(&m.request.id) {
+                continue; // mid-prefill: no token this step
             }
-            self.cont_note_decline(st)?;
+            if m.tokens_done > 0 {
+                // The inter-token gap a decoding member felt.
+                st.token_gaps.push(finish_ms - m.last_emit_ms);
+            } else {
+                // A chunked prefill's last chunk: the member's first
+                // token lands here, not at admission.
+                st.ttfts.push(finish_ms - m.request.arrival_ms);
+            }
+            if let Some(tokens) = st.trace_tokens.as_mut() {
+                tokens.push((m.request.id, finish_ms));
+            }
+            m.tokens_done += 1;
+            m.last_emit_ms = finish_ms;
+        }
+        for id in ev.finished {
+            let pos = run
+                .members
+                .iter()
+                .position(|m| m.request.id == id)
+                .ok_or_else(|| {
+                    SimError::Service(format!("stepper finished unknown member {id}"))
+                })?;
+            let m = run.members.remove(pos);
+            st.responses.push(Response {
+                request: m.request,
+                server,
+                start_ms: m.start_ms,
+                finish_ms,
+            });
+            Self::schedule_next_submission(&st.plan, &mut st.pending, n, m.request.id, finish_ms);
+        }
+        st.stalls = 0;
+        Ok(None)
+    }
+
+    /// Holds the idle pool: a static [`BatchDecision::Wait`] with its
+    /// deadline, or a continuous decline, which is a hold with no
+    /// deadline. The pool wakes at the next known arrival if it comes
+    /// before the deadline, otherwise at the next busy boundary (only a
+    /// continuous run has one), otherwise at the deadline; a decline
+    /// with neither is a hard stall. Under a horizon the hold is stashed
+    /// while no known arrival precedes the deadline and the horizon does
+    /// not cover it — an arrival not yet revealed could still come
+    /// first. More than two consecutive holds without an arrival or
+    /// committed work in between are rejected as a stalling scheduler.
+    fn hold(
+        &self,
+        st: &mut EngineState<'_>,
+        deadline_ms: f64,
+        horizon: Option<f64>,
+    ) -> Result<StepOutcome, SimError> {
+        let next_arrival = st
+            .pending
+            .peek()
+            .map(|(a, _)| a)
+            .filter(|&a| a < deadline_ms);
+        if next_arrival.is_none() && horizon.is_some_and(|t| deadline_ms > t) {
+            st.stashed_hold_ms = Some(deadline_ms);
+            return Ok(StepOutcome::Blocked);
+        }
+        st.wake_ms = next_arrival
+            .or_else(|| Self::earliest_clocks(&st.servers).0.map(|b| b.0))
+            .unwrap_or(deadline_ms);
+        st.stalls += 1;
+        if st.stalls > 2 || st.wake_ms.is_infinite() {
+            return Err(SimError::Service(format!(
+                "scheduler {} holds queued requests without serving them",
+                self.scheduler.name()
+            )));
         }
         Ok(StepOutcome::Progressed)
     }
 
     /// Consumes a finished state into its [`ServiceReport`].
-    pub(crate) fn build_report(&self, state: EngineState<'_>) -> Result<ServiceReport, SimError> {
-        match state {
-            EngineState::Static(st) => {
-                // The static path models no intra-batch token timing:
-                // TTFT collapses to the dispatch delay (see the
-                // `ServiceReport::p50_ttft_ms` docs).
-                let ttfts: Vec<f64> = st.responses.iter().map(Response::wait_ms).collect();
-                self.report(
-                    &st.workloads,
-                    st.responses,
-                    &st.busy,
-                    st.dispatches,
-                    st.peak_live_batch,
-                    ttfts,
-                    Vec::new(),
-                    None,
-                )
-            }
-            EngineState::Continuous(st) => {
-                // Pool-wide paged-K/V counters, when any stepper pages.
-                let mut paging: Option<PagingStats> = None;
-                for run in &st.runs {
-                    if let Some(stats) = run.stepper.kv_stats() {
-                        match paging.as_mut() {
-                            Some(merged) => merged.merge(&stats),
-                            None => paging = Some(stats),
-                        }
-                    }
-                }
-                self.report(
-                    &st.workloads,
-                    st.responses,
-                    &st.busy,
-                    st.dispatches,
-                    st.peak_live_batch,
-                    st.ttfts,
-                    st.token_gaps,
-                    paging,
-                )
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn report(
-        &self,
-        workloads: &[Workload],
-        responses: Vec<Response>,
-        busy: &[f64],
-        dispatches: usize,
-        peak_live_batch: usize,
-        ttfts: Vec<f64>,
-        token_gaps: Vec<f64>,
-        paging: Option<PagingStats>,
-    ) -> Result<ServiceReport, SimError> {
+    pub(crate) fn build_report(&self, st: EngineState<'_>) -> Result<ServiceReport, SimError> {
+        let responses = st.responses;
         let makespan_ms = responses.iter().map(|r| r.finish_ms).fold(0.0f64, f64::max);
 
         let mut sorted_sojourns: Vec<f64> = responses.iter().map(Response::sojourn_ms).collect();
@@ -1569,7 +1347,7 @@ impl<'a> ServingEngine<'a> {
             prev_t = t;
         }
 
-        let mut sorted_token_gaps = token_gaps;
+        let mut sorted_token_gaps = st.token_gaps;
         sorted_token_gaps.sort_by(f64::total_cmp);
         let (p50_itl_ms, p95_itl_ms, p99_itl_ms) = if sorted_token_gaps.is_empty() {
             (0.0, 0.0, 0.0)
@@ -1581,7 +1359,7 @@ impl<'a> ServingEngine<'a> {
             )
         };
 
-        let mut sorted_ttfts = ttfts;
+        let mut sorted_ttfts = st.ttfts;
         sorted_ttfts.sort_by(f64::total_cmp);
         let (p50_ttft_ms, p95_ttft_ms, p99_ttft_ms) = if sorted_ttfts.is_empty() {
             (0.0, 0.0, 0.0)
@@ -1596,14 +1374,27 @@ impl<'a> ServingEngine<'a> {
         // Pool energy: nominal power x busy time per server; servers
         // without a power model (the TPU) contribute nothing.
         let mut energy_j: Option<f64> = None;
-        for (s, &busy_ms) in busy.iter().enumerate() {
+        for (s, &busy_ms) in st.busy.iter().enumerate() {
             if let Some(power_w) = self.servers[s].nominal_power_w() {
                 // lint: order-sensitive — summed in server index order
                 *energy_j.get_or_insert(0.0) += power_w * busy_ms / 1e3;
             }
         }
 
-        let total_tokens: usize = workloads.iter().map(|w| w.output_len).sum();
+        // Pool-wide paged-K/V counters, when any stepper pages.
+        let mut paging: Option<PagingStats> = None;
+        for stats in st
+            .servers
+            .iter()
+            .filter_map(|r| r.stepper.as_ref()?.kv_stats())
+        {
+            match paging.as_mut() {
+                Some(merged) => merged.merge(&stats),
+                None => paging = Some(stats),
+            }
+        }
+
+        let total_tokens: usize = st.workloads.iter().map(|w| w.output_len).sum();
         Ok(ServiceReport {
             backend: self.pool_name(),
             scheduler: self.scheduler.name().to_string(),
@@ -1619,12 +1410,11 @@ impl<'a> ServingEngine<'a> {
             },
             max_queue_depth: max_depth as usize,
             // lint: order-sensitive — summed in server index order
-            utilization: busy.iter().sum::<f64>()
+            utilization: st.busy.iter().sum::<f64>()
                 / (self.servers.len() as f64 * makespan_ms.max(f64::MIN_POSITIVE)),
             goodput_tps: total_tokens as f64 / (makespan_ms.max(f64::MIN_POSITIVE) / 1e3),
-            dispatches,
-            peak_live_batch,
-            p99_token_gap_ms: p99_itl_ms,
+            dispatches: st.dispatches,
+            peak_live_batch: st.peak_live_batch,
             p50_ttft_ms,
             p95_ttft_ms,
             p99_ttft_ms,
@@ -1837,7 +1627,6 @@ mod tests {
         assert_eq!(cont.sorted_ttfts(), &[8.0, 8.0]);
         assert_eq!(cont.p50_itl_ms, 1.0);
         assert_eq!(cont.p99_itl_ms, 1.0);
-        assert_eq!(cont.p99_token_gap_ms, cont.p99_itl_ms);
     }
 
     #[test]
@@ -2476,10 +2265,10 @@ mod tests {
         let chunked = run(Box::new(ContinuousBatching::new(4).with_prefill_chunk(4)));
         assert_eq!(chunked.responses.len(), whole.responses.len());
         assert!(
-            chunked.p99_token_gap_ms < 0.6 * whole.p99_token_gap_ms,
+            chunked.p99_itl_ms < 0.6 * whole.p99_itl_ms,
             "chunked p99 gap {} !<< unchunked {}",
-            chunked.p99_token_gap_ms,
-            whole.p99_token_gap_ms
+            chunked.p99_itl_ms,
+            whole.p99_itl_ms
         );
         assert!(
             (chunked.goodput_tps - whole.goodput_tps).abs() < 0.05 * whole.goodput_tps,

@@ -21,15 +21,18 @@ pub enum BatchDecision {
     /// dispatches the members in queue (arrival) order.
     Dispatch(Vec<usize>),
     /// Hold the server idle and ask again at this absolute time (ms) —
-    /// or earlier, if a new request arrives first. The time must lie
+    /// or earlier, if a new request arrives first. This is the engine's
+    /// one hold rule, the same one a continuous discipline's decline
+    /// (an [`admit`](Scheduler::admit) that admits nobody at an idle
+    /// server) falls under, there with no deadline. The time must lie
     /// strictly in the future of the decision instant, and a scheduler
     /// must make progress: the engine allows at most two consecutive
-    /// `Wait` decisions with no new arrival in between and rejects the
-    /// third with a service error, so a discipline must dispatch once
-    /// its own deadline passes (a deadline-at-a-time wait like
-    /// [`Batching`]'s never hits the limit: the engine wakes it at
-    /// `min(deadline, next arrival)`, where it either dispatches or has
-    /// admitted a new request).
+    /// holds with no new arrival or committed work in between and
+    /// rejects the third with a service error, so a discipline must
+    /// dispatch once its own deadline passes (a deadline-at-a-time
+    /// wait like [`Batching`]'s never hits the limit: the engine wakes
+    /// it at `min(deadline, next arrival)`, where it either dispatches
+    /// or has admitted a new request).
     Wait(f64),
 }
 
@@ -107,8 +110,9 @@ impl AdmissionProbe for UnboundedProbe {
 /// [`pick`]; batching disciplines override [`pick_batch`] to coalesce
 /// several queued requests into one backend invocation, or to wait for a
 /// batch to fill; continuous disciplines additionally return `true`
-/// from [`is_continuous`] and implement [`admit`], moving the engine to
-/// token-boundary scheduling on backends that support it.
+/// from [`is_continuous`] and implement [`admit`], switching the
+/// engine's dispatch policy to token-boundary admission on backends
+/// that support it.
 ///
 /// [`pick`]: Scheduler::pick
 /// [`pick_batch`]: Scheduler::pick_batch
@@ -129,8 +133,9 @@ pub trait Scheduler {
     /// [`pick_batch`]: Scheduler::pick_batch
     fn pick(&mut self, queue: &[Request], now_ms: f64) -> usize;
 
-    /// Batching-aware entry point the engine calls on the static path:
-    /// returns the *set* of queue indices to dispatch as one unit, or
+    /// Batching-aware entry point of the engine's static dispatch
+    /// policy, called at an idle server: returns the *set* of queue
+    /// indices to dispatch as one unit, or
     /// [`BatchDecision::Wait`] to hold the free server until a batch
     /// fills. Defaults to dispatching [`pick`]'s single choice.
     ///
@@ -179,8 +184,8 @@ pub trait Scheduler {
 
     /// The prefill chunk budget this discipline wants steppers to run
     /// with ([`ContinuousStepper::set_prefill_chunk`]); the engine
-    /// applies it to every server's stepper before the token-boundary
-    /// loop starts. `None` (the default) keeps whole-prefill admission.
+    /// applies it to every server's stepper when a continuous run
+    /// starts. `None` (the default) keeps whole-prefill admission.
     ///
     /// [`ContinuousStepper::set_prefill_chunk`]:
     ///     crate::ContinuousStepper::set_prefill_chunk
@@ -189,10 +194,12 @@ pub trait Scheduler {
     }
 
     /// Whether this discipline schedules at token boundaries via
-    /// [`admit`](Scheduler::admit). The engine runs the token-boundary
-    /// event loop only when this is true *and* every pooled backend has
-    /// a [`ContinuousStepper`](crate::ContinuousStepper); otherwise it
-    /// keeps the static [`pick_batch`](Scheduler::pick_batch) path.
+    /// [`admit`](Scheduler::admit). The engine's event loop uses the
+    /// continuous dispatch policy only when this is true *and* every
+    /// pooled backend has a
+    /// [`ContinuousStepper`](crate::ContinuousStepper); otherwise its
+    /// idle servers dispatch through the static
+    /// [`pick_batch`](Scheduler::pick_batch) policy.
     fn is_continuous(&self) -> bool {
         false
     }
@@ -414,7 +421,7 @@ impl Scheduler for Batching {
 /// serving stacks.
 ///
 /// On a backend with a [`ContinuousStepper`](crate::ContinuousStepper),
-/// the engine runs its token-boundary loop and consults
+/// the engine runs its continuous dispatch policy and consults
 /// [`admit`](Scheduler::admit) at every boundary: this discipline
 /// admits queued requests in arrival order whenever the live batch has
 /// a free slot (up to `max_batch`) *and* the joint K/V claim of the
@@ -433,7 +440,7 @@ impl Scheduler for Batching {
 /// which the serving invariants pin down.
 ///
 /// On a backend *without* a stepper (the cloud TPU), the engine keeps
-/// the static path and this discipline acts as an immediate-dispatch
+/// the static policy and this discipline acts as an immediate-dispatch
 /// coalescer: up to `max_batch` feasible requests per dispatch
 /// (consulting [`batch_feasible`](crate::Backend::batch_feasible),
 /// which covers both the padded shape and the joint K/V claim), zero

@@ -98,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.peak_live_batch,
             r.p99_sojourn_ms / 1e3,
             r.goodput_tps,
-            r.p99_token_gap_ms,
+            r.p99_itl_ms,
         );
     };
     show("3-claim HBM", &capped, None);

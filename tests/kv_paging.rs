@@ -199,10 +199,7 @@ fn assert_reports_identical(a: &ServiceReport, b: &ServiceReport, what: &str) {
         a.peak_live_batch, b.peak_live_batch,
         "{what}: peak live batch diverged"
     );
-    assert_eq!(
-        a.p99_token_gap_ms, b.p99_token_gap_ms,
-        "{what}: token gap diverged"
-    );
+    assert_eq!(a.p99_itl_ms, b.p99_itl_ms, "{what}: token gap diverged");
 }
 
 /// With the default 8 GiB of HBM (memory never binds at chatbot scale)

@@ -384,7 +384,7 @@ proptest! {
         prop_assert_eq!(batched.total_latency_ms(), single.total_latency_ms());
 
         let gpu = dfx::baseline::GpuModel::new(GptConfig::tiny(), 2);
-        prop_assert_eq!(gpu.run_batch(&[w]), gpu.run(w));
+        prop_assert_eq!(gpu.run_batch(&[w]), Ok(gpu.run(w)));
     }
 
     /// Batch cost is monotone non-decreasing in batch size on both
@@ -404,7 +404,7 @@ proptest! {
             let dfx_ms = appliance.generate_batch_timed(&batch).unwrap().total_latency_ms();
             prop_assert!(dfx_ms >= prev_dfx, "DFX batch {} got cheaper: {} < {}", b, dfx_ms, prev_dfx);
             prev_dfx = dfx_ms;
-            let gpu_ms = gpu.run_batch(&batch).total_ms();
+            let gpu_ms = gpu.run_batch(&batch).unwrap().total_ms();
             prop_assert!(gpu_ms >= prev_gpu, "GPU batch {} got cheaper: {} < {}", b, gpu_ms, prev_gpu);
             prev_gpu = gpu_ms;
         }
