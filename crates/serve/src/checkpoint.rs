@@ -38,8 +38,8 @@
 //! - Snapshot times must be non-decreasing (the heaps only slide
 //!   forward), which routed arrivals are.
 //! - When the scheduler holds an idle server — a static `Wait` whose
-//!   deadline lies at or past `t`, or a continuous decline, a hold with
-//!   no deadline — and the stream knows of no arrival before the
+//!   deadline lies past `t`, or a continuous decline, a hold with no
+//!   deadline — and the stream knows of no arrival before the
 //!   deadline, the wake instant depends on whether another request
 //!   joins the stream first, so the advance parks there. Until a push
 //!   (or a horizon covering the deadline) resolves the hold,
