@@ -52,16 +52,20 @@ pub struct InstrCost {
 }
 
 /// Timing result of one token step on one core.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The per-class and per-unit cycles are arrays indexed by discriminant
+/// (`class as usize`, `unit as usize`), in [`OpClass::ALL`] and
+/// [`Unit::ALL`] order; a class or unit the step never used reads 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StepTiming {
     /// End-to-end cycles (makespan).
     pub total: Cycles,
     /// Makespan advancement attributed to each op class. Sums to
     /// [`StepTiming::total`]: work fully hidden behind another unit's
     /// occupancy contributes zero.
-    pub by_class: BTreeMap<OpClass, Cycles>,
+    pub by_class: [Cycles; OpClass::ALL.len()],
     /// Busy cycles per unit (can exceed `total` in sum — units overlap).
-    pub unit_busy: BTreeMap<Unit, Cycles>,
+    pub unit_busy: [Cycles; Unit::ALL.len()],
     /// Number of instructions timed.
     pub instructions: usize,
 }
@@ -73,31 +77,22 @@ impl StepTiming {
         if self.total.0 == 0 {
             return 0.0;
         }
-        let busy = |u: Unit| self.unit_busy.get(&u).map_or(0, |c| c.0) as f64;
+        let busy = |u: Unit| self.unit_busy[u as usize].0 as f64;
         let t = self.total.0 as f64;
         ((busy(Unit::Mpu) * 0.85 + busy(Unit::Vpu) * 0.30 + busy(Unit::Dma) * 0.25) / t).min(1.0)
     }
 
-    /// Merges another step into an accumulated total (used across tokens).
+    /// Merges another step into an accumulated total (used across
+    /// tokens; start from [`StepTiming::default`]).
     pub fn accumulate(&mut self, other: &StepTiming) {
         self.total += other.total;
-        for (k, v) in &other.by_class {
-            *self.by_class.entry(*k).or_insert(Cycles::ZERO) += *v;
+        for (acc, c) in self.by_class.iter_mut().zip(other.by_class) {
+            *acc += c;
         }
-        for (k, v) in &other.unit_busy {
-            *self.unit_busy.entry(*k).or_insert(Cycles::ZERO) += *v;
+        for (acc, c) in self.unit_busy.iter_mut().zip(other.unit_busy) {
+            *acc += c;
         }
         self.instructions += other.instructions;
-    }
-
-    /// An empty accumulator.
-    pub fn zero() -> StepTiming {
-        StepTiming {
-            total: Cycles::ZERO,
-            by_class: BTreeMap::new(),
-            unit_busy: BTreeMap::new(),
-            instructions: 0,
-        }
     }
 }
 
@@ -212,16 +207,17 @@ impl TimingCore {
         } else {
             Scoreboard::disabled()
         };
-        let mut unit_free: BTreeMap<Unit, Cycles> = BTreeMap::new();
-        let mut unit_busy: BTreeMap<Unit, Cycles> = BTreeMap::new();
-        let mut by_class: BTreeMap<OpClass, Cycles> = BTreeMap::new();
+        let mut unit_free = [Cycles::ZERO; Unit::ALL.len()];
+        let mut timing = StepTiming {
+            instructions: program.len(),
+            ..StepTiming::default()
+        };
         // K/V regions written this step (this token's appended rows) are
         // not readable by the matrix stream until the DMA store — and for
         // Values, the transpose unit — completes. This is the dependency
         // the paper's Value-first instruction order exists to hide (§V-B).
         let mut kv_ready: BTreeMap<TensorRef, Cycles> = BTreeMap::new();
         let mut issue_cursor = Cycles::ZERO;
-        let mut makespan = Cycles::ZERO;
 
         for ai in program.instrs() {
             let cost = self.batched_instr_cost(&ai.instr, batch);
@@ -231,8 +227,8 @@ impl TimingCore {
                     ready = ready.max(region);
                 }
             }
-            let free = unit_free.get(&cost.unit).copied().unwrap_or(Cycles::ZERO);
-            let issue = ready.max(free).max(issue_cursor);
+            let unit = cost.unit as usize;
+            let issue = ready.max(unit_free[unit]).max(issue_cursor);
             // Instruction chaining (§IV-C): the unit frees after the
             // occupancy (streaming/processing) period; the *result*
             // becomes architecturally visible a pipeline latency later.
@@ -246,21 +242,14 @@ impl TimingCore {
                     kv_ready.insert(d.tensor, finish);
                 }
             }
-            unit_free.insert(cost.unit, unit_done);
-            *unit_busy.entry(cost.unit).or_insert(Cycles::ZERO) += cost.occupancy;
+            unit_free[unit] = unit_done;
+            timing.unit_busy[unit] += cost.occupancy;
             issue_cursor = issue + Cycles(u64::from(self.params.issue_interval));
 
-            let contribution = finish.saturating_sub(makespan);
-            *by_class.entry(ai.class).or_insert(Cycles::ZERO) += contribution;
-            makespan = makespan.max(finish);
+            timing.by_class[ai.class as usize] += finish.saturating_sub(timing.total);
+            timing.total = timing.total.max(finish);
         }
-
-        StepTiming {
-            total: makespan,
-            by_class,
-            unit_busy,
-            instructions: program.len(),
-        }
+        timing
     }
 
     /// Cost of one instruction: the unit it occupies, the cycles it
@@ -435,9 +424,25 @@ mod tests {
     }
 
     #[test]
+    fn all_lists_follow_discriminant_order() {
+        // `StepTiming`'s arrays and the memory map index by `as usize`,
+        // and the decoder reads the encoder's `as u8` codes back through
+        // `ALL`: all of it holds only while `ALL` is in discriminant order.
+        for (i, c) in OpClass::ALL.iter().enumerate() {
+            assert_eq!(*c as usize, i);
+        }
+        for (i, u) in Unit::ALL.iter().enumerate() {
+            assert_eq!(*u as usize, i);
+        }
+        for (i, k) in dfx_isa::WeightKind::ALL.iter().enumerate() {
+            assert_eq!(*k as usize, i);
+        }
+    }
+
+    #[test]
     fn class_attribution_sums_to_total() {
         let t = time(&GptConfig::tiny(), 2, 3, true);
-        let sum: u64 = t.by_class.values().map(|c| c.0).sum();
+        let sum: u64 = t.by_class.iter().map(|c| c.0).sum();
         assert_eq!(sum, t.total.0);
     }
 
@@ -472,8 +477,8 @@ mod tests {
     fn sync_class_appears_only_in_multicore_runs() {
         let single = time(&GptConfig::tiny(), 1, 0, false);
         let multi = time(&GptConfig::tiny(), 2, 0, false);
-        assert!(!single.by_class.contains_key(&OpClass::Sync));
-        assert!(multi.by_class.contains_key(&OpClass::Sync));
+        assert_eq!(single.by_class[OpClass::Sync as usize], Cycles::ZERO);
+        assert!(multi.by_class[OpClass::Sync as usize] > Cycles::ZERO);
     }
 
     #[test]

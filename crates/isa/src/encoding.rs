@@ -103,12 +103,12 @@ fn put_tensor(buf: &mut BytesMut, t: TensorRef) {
         TensorRef::Weight { layer, kind } => {
             buf.put_u8(0);
             buf.put_u16_le(layer);
-            buf.put_u8(weight_kind_code(kind));
+            buf.put_u8(kind as u8);
         }
         TensorRef::Bias { layer, kind } => {
             buf.put_u8(1);
             buf.put_u16_le(layer);
-            buf.put_u8(weight_kind_code(kind));
+            buf.put_u8(kind as u8);
         }
         TensorRef::Ln { layer, param } => {
             buf.put_u8(2);
@@ -127,10 +127,6 @@ fn put_tensor(buf: &mut BytesMut, t: TensorRef) {
         }
         TensorRef::TokenIo => buf.put_u8(5),
     }
-}
-
-fn weight_kind_code(k: WeightKind) -> u8 {
-    WeightKind::ALL.iter().position(|&x| x == k).unwrap() as u8
 }
 
 fn weight_kind_from(code: u8) -> Result<WeightKind, String> {
@@ -544,6 +540,32 @@ mod tests {
     fn bad_magic_is_rejected() {
         let err = decode_program(Bytes::from_static(&[0u8; 32])).unwrap_err();
         assert!(err.message.contains("magic"), "{err}");
+    }
+
+    #[test]
+    fn a_decoded_argmax_without_registers_formats() {
+        let mut p = Program::new(StepMeta {
+            token_pos: 0,
+            lm_head: true,
+            core_id: 0,
+            num_cores: 2,
+        });
+        p.push(
+            OpClass::LmHead,
+            Instr::Router(RouterInstr {
+                op: RouterOp::AllReduceArgMax,
+                src: VSlice::full(VReg(0), 1),
+                dst: VSlice::full(VReg(0), 1),
+                idx: None,
+                max: None,
+                bytes: 8,
+            }),
+        );
+        let decoded = decode_program(encode_program(&p)).expect("decode");
+        assert_eq!(
+            decoded.instrs()[0].instr.to_string(),
+            "sync.argmax (-,-) (8 B/core)"
+        );
     }
 
     #[test]

@@ -414,13 +414,18 @@ impl std::fmt::Display for Instr {
                         r.src, r.dst, r.bytes
                     )
                 }
-                RouterOp::AllReduceArgMax => write!(
-                    f,
-                    "sync.argmax ({},{}) ({} B/core)",
-                    r.idx.expect("argmax idx"),
-                    r.max.expect("argmax max"),
-                    r.bytes
-                ),
+                RouterOp::AllReduceArgMax => {
+                    // A decoded instruction may lack its scalar pair.
+                    let reg =
+                        |s: Option<SReg>| s.map_or_else(|| "-".to_string(), |s| s.to_string());
+                    write!(
+                        f,
+                        "sync.argmax ({},{}) ({} B/core)",
+                        reg(r.idx),
+                        reg(r.max),
+                        r.bytes
+                    )
+                }
             },
         }
     }

@@ -222,20 +222,17 @@ impl MemoryMap {
         self.weight_bytes[..6].iter().sum()
     }
 
-    /// HBM byte address of a weight or KV tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reference is not HBM-resident.
-    pub fn hbm_addr(&self, tensor: TensorRef) -> u64 {
+    /// HBM byte address of a weight or KV tensor, or `None` for a
+    /// reference that is not HBM-resident (DDR vectors, token I/O).
+    pub fn hbm_addr(&self, tensor: TensorRef) -> Option<u64> {
         match tensor {
+            TensorRef::Weight {
+                kind: WeightKind::LmHead,
+                ..
+            } => Some(self.layer_weight_stride() * self.layers),
             TensorRef::Weight { layer, kind } => {
-                if kind == WeightKind::LmHead {
-                    return self.layer_weight_stride() * self.layers;
-                }
-                let idx = WeightKind::ALL.iter().position(|&k| k == kind).unwrap();
-                let prior: u64 = self.weight_bytes[..idx].iter().sum();
-                u64::from(layer) * self.layer_weight_stride() + prior
+                let prior: u64 = self.weight_bytes[..kind as usize].iter().sum();
+                Some(u64::from(layer) * self.layer_weight_stride() + prior)
             }
             TensorRef::Kv { layer, head, kind } => {
                 let weights_end = self.layer_weight_stride() * self.layers + self.weight_bytes[6];
@@ -244,12 +241,14 @@ impl MemoryMap {
                     KvKind::Key => 0,
                     KvKind::Value => self.kv_region_bytes * self.heads,
                 };
-                weights_end
-                    + u64::from(layer) * per_layer
-                    + kv_off
-                    + u64::from(head) * self.kv_region_bytes
+                Some(
+                    weights_end
+                        + u64::from(layer) * per_layer
+                        + kv_off
+                        + u64::from(head) * self.kv_region_bytes,
+                )
             }
-            other => panic!("{other} is not HBM-resident"),
+            _ => None,
         }
     }
 
@@ -290,9 +289,9 @@ mod tests {
             layer: 1,
             kind: WeightKind::Query,
         });
-        assert_eq!(q0, 0);
-        assert_eq!(k0, 100);
-        assert_eq!(q1, 1200);
+        assert_eq!(q0, Some(0));
+        assert_eq!(k0, Some(100));
+        assert_eq!(q1, Some(1200));
     }
 
     #[test]
@@ -302,7 +301,7 @@ mod tests {
             layer: 0,
             kind: WeightKind::LmHead,
         });
-        assert_eq!(lm, 2400);
+        assert_eq!(lm, Some(2400));
     }
 
     #[test]
@@ -329,19 +328,18 @@ mod tests {
             head: 0,
             kind: KvKind::Key,
         });
-        assert_eq!(k_l0_h0, base);
-        assert_eq!(k_l0_h1, base + 64);
-        assert_eq!(v_l0_h0, base + 128);
-        assert_eq!(k_l1_h0, base + 256);
+        assert_eq!(k_l0_h0, Some(base));
+        assert_eq!(k_l0_h1, Some(base + 64));
+        assert_eq!(v_l0_h0, Some(base + 128));
+        assert_eq!(k_l1_h0, Some(base + 256));
         assert_eq!(map.hbm_footprint(), 2400 + 1000 + 512);
         assert_eq!(map.weight_footprint(), 2400 + 1000);
     }
 
     #[test]
-    #[should_panic(expected = "not HBM-resident")]
     fn ddr_tensor_has_no_hbm_address() {
         let map = sample_map();
-        let _ = map.hbm_addr(TensorRef::TokenIo);
+        assert!(map.hbm_addr(TensorRef::TokenIo).is_none());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::cluster::FunctionalCluster;
 use crate::error::SimError;
-use dfx_core::{CoreParams, StepTiming, TimingCore, Unit};
+use dfx_core::{CoreParams, StepTiming, TimingCore};
 use dfx_hw::{Cycles, PowerModel};
 use dfx_isa::{OpClass, ParallelConfig, ProgramBuilder};
 use dfx_model::{GptConfig, GptWeights, Workload};
@@ -65,14 +65,14 @@ impl TimedRun {
 
     /// Merged per-class cycle attribution across both stages.
     pub fn breakdown(&self) -> LatencyBreakdown {
-        let mut merged = self.summarization.clone();
+        let mut merged = self.summarization;
         merged.accumulate(&self.generation);
         LatencyBreakdown::from_step(&merged)
     }
 
     /// Average datapath activity across the run (for the power model).
     pub fn activity(&self) -> f64 {
-        let mut merged = self.summarization.clone();
+        let mut merged = self.summarization;
         merged.accumulate(&self.generation);
         merged.activity()
     }
@@ -91,22 +91,22 @@ impl TimedRun {
 /// Latency attribution by op class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencyBreakdown {
-    /// Milliseconds attributed to each class (makespan advancement).
+    /// Milliseconds attributed to each class (makespan advancement), in
+    /// [`OpClass::ALL`] order; a class the run never used reads 0.
     pub ms: Vec<(OpClass, f64)>,
 }
 
 impl LatencyBreakdown {
     fn from_step(step: &StepTiming) -> Self {
         LatencyBreakdown {
-            ms: step
-                .by_class
+            ms: OpClass::ALL
                 .iter()
-                .map(|(k, v)| (*k, v.to_millis()))
+                .map(|&c| (c, step.by_class[c as usize].to_millis()))
                 .collect(),
         }
     }
 
-    /// Milliseconds of one class (0 if absent).
+    /// Milliseconds of one class.
     pub fn class_ms(&self, class: OpClass) -> f64 {
         self.ms
             .iter()
@@ -142,96 +142,6 @@ pub struct GenerationRun {
 enum Mode {
     TimingOnly,
     Functional(Box<FunctionalCluster>),
-}
-
-/// One entry of the appliance's step-cost table: a [`StepTiming`] in
-/// fixed `u32` arrays indexed by [`OpClass::ALL`] and [`Unit::ALL`],
-/// with a presence bit per key, since the cycle model records a
-/// zero-valued class or unit whenever the program uses it.
-///
-/// Every class share sums to the makespan and every unit's busy time
-/// fits inside it, so a step of at most `u32::MAX` cycles (21 s at
-/// 200 MHz) fits exactly; a longer one is [`Step::Untabled`].
-#[derive(Debug, Clone, Copy)]
-struct StepCost {
-    total: u32,
-    by_class: [u32; OpClass::ALL.len()],
-    unit_busy: [u32; Unit::ALL.len()],
-    instructions: u32,
-    /// Bit `i` set when `OpClass::ALL[i]` has a `by_class` entry.
-    classes: u8,
-    /// Bit `i` set when `Unit::ALL[i]` has a `unit_busy` entry.
-    units: u8,
-}
-
-impl StepCost {
-    /// The compact form of `t`, or `None` when a field exceeds `u32`.
-    fn new(t: &StepTiming) -> Option<Self> {
-        let mut cost = StepCost {
-            total: u32::try_from(t.total.0).ok()?,
-            by_class: [0; OpClass::ALL.len()],
-            unit_busy: [0; Unit::ALL.len()],
-            instructions: u32::try_from(t.instructions).ok()?,
-            classes: 0,
-            units: 0,
-        };
-        for (i, class) in OpClass::ALL.iter().enumerate() {
-            if let Some(c) = t.by_class.get(class) {
-                cost.by_class[i] = u32::try_from(c.0).ok()?;
-                cost.classes |= 1 << i;
-            }
-        }
-        for (i, unit) in Unit::ALL.iter().enumerate() {
-            if let Some(c) = t.unit_busy.get(unit) {
-                cost.unit_busy[i] = u32::try_from(c.0).ok()?;
-                cost.units |= 1 << i;
-            }
-        }
-        Some(cost)
-    }
-
-    /// Adds this step to `acc` exactly as [`StepTiming::accumulate`]
-    /// adds the timing it was made from.
-    fn accumulate_into(&self, acc: &mut StepTiming) {
-        acc.total += Cycles(u64::from(self.total));
-        for (i, class) in OpClass::ALL.iter().enumerate() {
-            if self.classes & (1 << i) != 0 {
-                *acc.by_class.entry(*class).or_insert(Cycles::ZERO) +=
-                    Cycles(u64::from(self.by_class[i]));
-            }
-        }
-        for (i, unit) in Unit::ALL.iter().enumerate() {
-            if self.units & (1 << i) != 0 {
-                *acc.unit_busy.entry(*unit).or_insert(Cycles::ZERO) +=
-                    Cycles(u64::from(self.unit_busy[i]));
-            }
-        }
-        acc.instructions += self.instructions as usize;
-    }
-}
-
-/// One step's timing as [`Appliance::step`] returns it.
-enum Step {
-    /// From (or just added to) the step-cost table.
-    Tabled(StepCost),
-    /// Too long for a [`StepCost`]; timed afresh on every use.
-    Untabled(StepTiming),
-}
-
-impl Step {
-    fn total(&self) -> Cycles {
-        match self {
-            Step::Tabled(cost) => Cycles(u64::from(cost.total)),
-            Step::Untabled(t) => t.total,
-        }
-    }
-
-    fn accumulate_into(&self, acc: &mut StepTiming) {
-        match self {
-            Step::Tabled(cost) => cost.accumulate_into(acc),
-            Step::Untabled(t) => acc.accumulate(t),
-        }
-    }
 }
 
 /// Step-cost table key: `(context position, LM head, batch)`.
@@ -270,7 +180,7 @@ pub struct Appliance {
     /// has timed on this appliance, filled on first use. A step's cost
     /// is a pure function of its key, so fill order (and which thread
     /// fills) cannot change a value.
-    steps: Mutex<BTreeMap<StepKey, StepCost>>,
+    steps: Mutex<BTreeMap<StepKey, StepTiming>>,
 }
 
 impl std::fmt::Debug for Appliance {
@@ -453,27 +363,22 @@ impl Appliance {
     /// Timing of one `token_step(pos, lm_head)` program run for `batch`
     /// requests, from the step-cost table. A miss times the program
     /// through [`TimingCore::time_step_batched`] outside the lock.
-    fn step(&self, pos: usize, lm_head: bool, batch: u32) -> Step {
+    fn step(&self, pos: usize, lm_head: bool, batch: u32) -> StepTiming {
         let key = (pos, lm_head, batch);
         let hit = self.steps().get(&key).copied();
-        if let Some(cost) = hit {
-            return Step::Tabled(cost);
+        if let Some(timing) = hit {
+            return timing;
         }
         let program = self.builder.token_step(pos, lm_head);
         let timing = self.timing.time_step_batched(&program, batch);
-        match StepCost::new(&timing) {
-            Some(cost) => {
-                self.steps().insert(key, cost);
-                Step::Tabled(cost)
-            }
-            None => Step::Untabled(timing),
-        }
+        self.steps().insert(key, timing);
+        timing
     }
 
     /// Makespan of one `token_step(pos, lm_head)` program run for
     /// `batch` requests (the continuous executor's step cost).
     pub(crate) fn step_cycles(&self, pos: usize, lm_head: bool, batch: u32) -> Cycles {
-        self.step(pos, lm_head, batch).total()
+        self.step(pos, lm_head, batch).total
     }
 
     /// Summed makespans of prefill positions `from..to` over an
@@ -486,7 +391,7 @@ impl Appliance {
         for pos in from..to {
             let lm_head = pos + 1 >= input_len;
             cycles += match table.get(&(pos, lm_head, 1)) {
-                Some(cost) => Cycles(u64::from(cost.total)),
+                Some(timing) => timing.total,
                 None => {
                     drop(table);
                     let total = self.step_cycles(pos, lm_head, 1);
@@ -499,9 +404,8 @@ impl Appliance {
     }
 
     /// Number of distinct `token_step` programs the cycle model has
-    /// timed on this appliance (the step-cost table's size; a step over
-    /// `u32::MAX` cycles is never tabled and not counted). Every
-    /// timed path (`generate_timed`, `generate_batch_timed` and every
+    /// timed on this appliance (the step-cost table's size). Every timed
+    /// path (`generate_timed`, `generate_batch_timed` and every
     /// [`BatchState`](crate::BatchState)) shares the one table, so a
     /// program is timed once per appliance however often it recurs.
     pub fn timed_step_programs(&self) -> usize {
@@ -510,7 +414,7 @@ impl Appliance {
 
     /// The step-cost table, recovered if a panicking thread poisoned
     /// the lock (entries are inserted whole, so it is never torn).
-    fn steps(&self) -> MutexGuard<'_, BTreeMap<StepKey, StepCost>> {
+    fn steps(&self) -> MutexGuard<'_, BTreeMap<StepKey, StepTiming>> {
         self.steps.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -518,16 +422,14 @@ impl Appliance {
     /// last, when any output follows) and `padded.output_len - 1`
     /// generation steps, each run for `batch` requests.
     pub(crate) fn stage_timings(&self, padded: Workload, batch: u32) -> (StepTiming, StepTiming) {
-        let mut summarization = StepTiming::zero();
+        let mut summarization = StepTiming::default();
         for pos in 0..padded.input_len {
             let lm = pos + 1 == padded.input_len && padded.output_len > 0;
-            self.step(pos, lm, batch)
-                .accumulate_into(&mut summarization);
+            summarization.accumulate(&self.step(pos, lm, batch));
         }
-        let mut generation = StepTiming::zero();
+        let mut generation = StepTiming::default();
         for out in 1..padded.output_len {
-            self.step(padded.input_len + out - 1, true, batch)
-                .accumulate_into(&mut generation);
+            generation.accumulate(&self.step(padded.input_len + out - 1, true, batch));
         }
         (summarization, generation)
     }
@@ -677,7 +579,7 @@ mod tests {
         let a = Appliance::timing_only(GptConfig::tiny(), 2).unwrap();
         for batch in [1u32, 3] {
             let padded = Workload::new(6, 3);
-            let mut direct = (StepTiming::zero(), StepTiming::zero());
+            let mut direct = (StepTiming::default(), StepTiming::default());
             for pos in 0..6 {
                 let program = a.builder.token_step(pos, pos == 5);
                 direct
@@ -694,10 +596,6 @@ mod tests {
             assert_eq!(a.stage_timings(padded, batch), direct);
             assert_eq!(a.stage_timings(padded, batch), direct);
         }
-        // A step too long for the compact entry is never tabled.
-        let mut long = StepTiming::zero();
-        long.total = Cycles(u64::from(u32::MAX) + 1);
-        assert!(StepCost::new(&long).is_none());
     }
 
     #[test]

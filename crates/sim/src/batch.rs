@@ -84,7 +84,7 @@ impl BatchedRun {
 
     /// Average datapath activity across the batch (for the power model).
     pub fn activity(&self) -> f64 {
-        let mut merged = self.summarization.clone();
+        let mut merged = self.summarization;
         merged.accumulate(&self.generation);
         merged.activity()
     }

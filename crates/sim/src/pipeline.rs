@@ -10,10 +10,9 @@
 //! linearly per decoder layer" (paper §IV-B). This model quantifies that
 //! argument for the ablation harness.
 
+use crate::appliance::Appliance;
 use crate::error::SimError;
-use dfx_core::{CoreParams, StepTiming, TimingCore};
 use dfx_hw::{Cycles, RingModel};
-use dfx_isa::{ParallelConfig, ProgramBuilder};
 use dfx_model::{GptConfig, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -49,7 +48,9 @@ impl PipelinedRun {
 /// # Errors
 ///
 /// Returns [`SimError::InvalidRequest`] if `stages` does not divide the
-/// layer count or the workload is invalid.
+/// layer count or the workload is invalid (empty, or longer than the
+/// model's `max_seq_len`), and [`SimError::Partition`] if the full-width
+/// model does not fit one device.
 pub fn pipelined_generate_timed(
     cfg: &GptConfig,
     stages: usize,
@@ -61,15 +62,12 @@ pub fn pipelined_generate_timed(
             cfg.num_layers
         )));
     }
-    if workload.input_len == 0 {
-        return Err(SimError::InvalidRequest("empty context".into()));
-    }
 
-    // Full-width per-token cost: a single-core program (no intra-layer
+    // Full-width per-token cost: the single-device run (no intra-layer
     // partitioning, no ring syncs inside layers).
-    let par = ParallelConfig::new(0, 1);
-    let builder = ProgramBuilder::new(cfg.clone(), par).map_err(SimError::Partition)?;
-    let engine = TimingCore::new(CoreParams::default(), 1);
+    let single = Appliance::timing_only(cfg.clone(), 1)?
+        .generate_timed(workload.input_len, workload.output_len)?;
+    let compute = single.summarization.total + single.generation.total;
 
     // Inter-stage hop: one activation vector (emb FP16) over the same
     // 100 Gb/s links the ring uses.
@@ -78,28 +76,19 @@ pub fn pipelined_generate_timed(
         link.hop_latency.0
             + (cfg.embedding_dim as f64 * 2.0 / link.payload_bytes_per_cycle()).ceil() as u64,
     );
-    let hops_per_pass = (stages - 1) as u64;
+    let pass = hop * (stages - 1) as u64;
     // Generated tokens additionally loop from the last stage back to the
     // first (the feedback loop); a single stage has no loop-back hop.
     let loopback = if stages > 1 { hop } else { Cycles::ZERO };
-
-    let mut compute = StepTiming::zero();
-    let mut transfer = Cycles::ZERO;
-    for pos in 0..workload.input_len {
-        let lm = pos + 1 == workload.input_len && workload.output_len > 0;
-        compute.accumulate(&engine.time_step(&builder.token_step(pos, lm)));
-        transfer += hop * hops_per_pass;
-    }
-    for out in 1..workload.output_len {
-        compute
-            .accumulate(&engine.time_step(&builder.token_step(workload.input_len + out - 1, true)));
-        transfer += hop * hops_per_pass + loopback;
-    }
+    // Every token step crosses the stages once; every generation step
+    // also loops back.
+    let transfer = pass * workload.input_len as u64
+        + (pass + loopback) * workload.output_len.saturating_sub(1) as u64;
 
     Ok(PipelinedRun {
         workload,
         stages,
-        latency_ms: compute.total.to_millis() + transfer.to_millis(),
+        latency_ms: compute.to_millis() + transfer.to_millis(),
         transfer_ms: transfer.to_millis(),
     })
 }
@@ -107,7 +96,6 @@ pub fn pipelined_generate_timed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::appliance::Appliance;
 
     #[test]
     fn pipelining_does_not_reduce_latency() {
@@ -144,6 +132,16 @@ mod tests {
         let cfg = GptConfig::tiny(); // 2 layers
         assert!(pipelined_generate_timed(&cfg, 3, Workload::new(2, 2)).is_err());
         assert!(pipelined_generate_timed(&cfg, 2, Workload::new(2, 2)).is_ok());
+    }
+
+    #[test]
+    fn overlong_workloads_are_rejected() {
+        let cfg = GptConfig::tiny();
+        let w = Workload::new(cfg.max_seq_len, 1);
+        assert!(matches!(
+            pipelined_generate_timed(&cfg, 2, w),
+            Err(SimError::InvalidRequest(_))
+        ));
     }
 
     #[test]
