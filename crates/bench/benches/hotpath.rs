@@ -4,7 +4,10 @@
 //! that drives the serving engine's three hot paths at realistic scale,
 //! measures wall-clock throughput, and writes one line-oriented JSON
 //! record per shape to `BENCH_hotpath.json` at the repo root (schema
-//! `dfx-hotpath-v1`, one JSON object per line):
+//! `dfx-hotpath-v1`, one JSON object per line). Each shape runs
+//! [`REPEATS`] times in one process, each time on freshly built
+//! appliances and engines, and its record holds the median `wall_ms`;
+//! the simulated `events` must agree across the repeats:
 //!
 //! ```json
 //! {"schema":"dfx-hotpath-v1"}
@@ -14,7 +17,8 @@
 //! Shapes:
 //!
 //! - `static-fifo` — the static dispatch path: heap-ordered arrivals,
-//!   memoized service times, 10⁵ requests through FIFO.
+//!   10⁵ requests through FIFO, each dispatch one `serve` call the
+//!   appliance answers from its timing memo after the first of a shape.
 //! - `continuous-batching` — the token-boundary path: admission seam,
 //!   per-token stepping, early exit, at max batch 8.
 //! - `cluster-least-kv` — the routed tier: 10⁵ requests over 4
@@ -34,6 +38,8 @@
 //!                                                     # committed baseline,
 //!                                                     # exit 1 on >2x regression
 //! cargo bench -p dfx-bench --bench hotpath -- --out /tmp/hp.json
+//! cargo bench -p dfx-bench --bench hotpath -- --check --out /tmp/hp.json
+//!                                   # gate, and keep the numbers it judged
 //! ```
 //!
 //! Arrival rates derive from the model's own simulated service time
@@ -78,8 +84,9 @@ fn bench_cfg() -> GptConfig {
     GptConfig::new("hotpath", 64, 2, 2, 512, 640)
 }
 
-/// A short-decode request mix cycling a few shapes, so the static
-/// memo sees repeats (its designed regime) and token counts stay small.
+/// A short-decode request mix cycling a few shapes, so the appliance's
+/// timing memo sees repeats (its designed regime) and token counts stay
+/// small.
 fn bench_mix(n: usize) -> Vec<Workload> {
     (0..n)
         .map(|i| Workload::new(16 + (i % 4) * 8, 4 + (i % 3) * 2))
@@ -168,6 +175,26 @@ fn run_cluster(n: usize) -> Entry {
     }
 }
 
+/// Times of each shape per run; the record keeps the median.
+const REPEATS: usize = 5;
+
+/// Runs `shape` [`REPEATS`] times and keeps the median wall time. Every
+/// run builds its own objects, so each starts cold; the simulation is
+/// deterministic, so every run must count the same events.
+fn median_of_repeats(shape: impl Fn() -> Entry) -> Entry {
+    let mut runs: Vec<Entry> = (0..REPEATS).map(|_| shape()).collect();
+    let first = &runs[0];
+    for run in &runs[1..] {
+        assert_eq!(
+            run.events, first.events,
+            "{}: a repeat counted different events",
+            first.shape
+        );
+    }
+    runs.sort_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms));
+    runs.swap_remove(REPEATS / 2)
+}
+
 /// Pulls `"requests_per_sec":<f64>` out of one baseline JSON line.
 fn parse_rps(line: &str) -> Option<f64> {
     let rest = line.split("\"requests_per_sec\":").nth(1)?;
@@ -184,21 +211,25 @@ fn parse_shape(line: &str) -> Option<&str> {
 fn main() {
     let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
     let mut check = false;
-    let mut out_path = default_path.to_string();
+    let mut out_path = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => check = true,
-            "--out" => out_path = args.next().expect("--out needs a path"),
+            "--out" => out_path = Some(args.next().expect("--out needs a path")),
             // cargo-bench forwards its own flags (e.g. --bench); ignore.
             _ => {}
         }
     }
+    // A plain run rewrites the baseline; `--check` alone writes nothing.
+    if !check && out_path.is_none() {
+        out_path = Some(default_path.to_string());
+    }
 
     let entries = [
-        run_static(100_000),
-        run_continuous(50_000),
-        run_cluster(100_000),
+        median_of_repeats(|| run_static(100_000)),
+        median_of_repeats(|| run_continuous(50_000)),
+        median_of_repeats(|| run_cluster(100_000)),
     ];
     let mut doc = String::from("{\"schema\":\"dfx-hotpath-v1\"}\n");
     for e in &entries {
@@ -208,8 +239,15 @@ fn main() {
         doc.push('\n');
     }
 
-    if check {
-        let baseline = std::fs::read_to_string(default_path).expect("committed baseline exists");
+    // Read before writing, in case `--out` names the baseline itself.
+    let baseline =
+        check.then(|| std::fs::read_to_string(default_path).expect("committed baseline exists"));
+    if let Some(out_path) = &out_path {
+        std::fs::write(out_path, &doc).expect("write benchmark output");
+        eprintln!("[hotpath] wrote {out_path}");
+    }
+
+    if let Some(baseline) = baseline {
         let mut regressed = false;
         for e in &entries {
             let Some(base_rps) = baseline
@@ -237,8 +275,5 @@ fn main() {
         if regressed {
             std::process::exit(1);
         }
-    } else {
-        std::fs::write(&out_path, doc).expect("write benchmark output");
-        eprintln!("[hotpath] wrote {out_path}");
     }
 }

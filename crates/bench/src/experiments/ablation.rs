@@ -21,25 +21,39 @@ use crate::table::{fmt, fmt_ratio, ExperimentReport, MdTable};
 use dfx_core::{CoreParams, TimingCore};
 use dfx_isa::{BuilderOptions, ParallelConfig, ProgramBuilder, QkvOrder};
 use dfx_model::{GptConfig, Workload};
-use dfx_sim::{pipelined_generate_timed, Appliance};
+use dfx_sim::{pipelined_generate_timed, Appliance, SimError};
 
 /// Times one generation-stage token step under a QKV emission order.
-fn step_ms(cfg: &GptConfig, cores: usize, order: QkvOrder) -> f64 {
+fn step_ms(cfg: &GptConfig, cores: usize, order: QkvOrder) -> Result<f64, SimError> {
     let builder = ProgramBuilder::with_options(
         cfg.clone(),
         ParallelConfig::new(0, cores),
         BuilderOptions { qkv_order: order },
     )
-    .expect("partitionable");
+    .map_err(SimError::Partition)?;
     let engine = TimingCore::new(CoreParams::default(), cores as u32);
-    engine
+    Ok(engine
         .time_step(&builder.token_step(64, true))
         .total
-        .to_millis()
+        .to_millis())
 }
 
 /// Runs all ablations.
+///
+/// # Panics
+///
+/// Panics if a paper model does not partition over its fixed cluster
+/// size or a fixed workload does not fit it: the inputs are constants,
+/// so that is a bug.
 pub fn run() -> ExperimentReport {
+    match build() {
+        Ok(report) => report,
+        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
+        Err(e) => panic!("ablation failed: {e}"),
+    }
+}
+
+fn build() -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new("ablation", "Ablations of the paper's design choices");
 
     // 1. Transpose scheme.
@@ -57,11 +71,11 @@ pub fn run() -> ExperimentReport {
         (GptConfig::gpt2_345m(), 1usize),
         (GptConfig::gpt2_1_5b(), 4),
     ] {
-        let paper_scheme = step_ms(&cfg, cores, QkvOrder::ValueFirst);
-        let naive_order = step_ms(&cfg, cores, QkvOrder::ValueLast);
+        let paper_scheme = step_ms(&cfg, cores, QkvOrder::ValueFirst)?;
+        let naive_order = step_ms(&cfg, cores, QkvOrder::ValueLast)?;
         let read_side = {
             let builder = ProgramBuilder::new(cfg.clone(), ParallelConfig::new(0, cores))
-                .expect("partitionable");
+                .map_err(SimError::Partition)?;
             let engine =
                 TimingCore::new(CoreParams::default(), cores as u32).with_read_side_transpose();
             engine
@@ -99,16 +113,12 @@ pub fn run() -> ExperimentReport {
     );
     let w = Workload::new(32, 32);
     for cfg in [GptConfig::gpt2_345m(), GptConfig::gpt2_1_5b()] {
-        let single = Appliance::timing_only(cfg.clone(), 1)
-            .expect("1 device")
-            .generate_timed(w.input_len, w.output_len)
-            .expect("workload")
+        let single = Appliance::timing_only(cfg.clone(), 1)?
+            .generate_timed(w.input_len, w.output_len)?
             .total_latency_ms();
-        let pipe = pipelined_generate_timed(&cfg, 4, w).expect("4 stages");
-        let intra = Appliance::timing_only(cfg.clone(), 4)
-            .expect("4 devices")
-            .generate_timed(w.input_len, w.output_len)
-            .expect("workload")
+        let pipe = pipelined_generate_timed(&cfg, 4, w)?;
+        let intra = Appliance::timing_only(cfg.clone(), 4)?
+            .generate_timed(w.input_len, w.output_len)?
             .total_latency_ms();
         t2.push_row(vec![
             cfg.name.clone(),
@@ -131,7 +141,8 @@ pub fn run() -> ExperimentReport {
         &["configuration", "step ms", "note"],
     );
     let cfg = GptConfig::gpt2_1_5b();
-    let builder = ProgramBuilder::new(cfg.clone(), ParallelConfig::new(0, 4)).expect("4-way");
+    let builder =
+        ProgramBuilder::new(cfg.clone(), ParallelConfig::new(0, 4)).map_err(SimError::Partition)?;
     let program = builder.token_step(64, true);
     let with = TimingCore::new(CoreParams::default(), 4).time_step(&program);
     let without = TimingCore::new(CoreParams::default(), 4)
@@ -182,7 +193,7 @@ pub fn run() -> ExperimentReport {
         ]);
     }
     report.table(t4);
-    report
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -192,8 +203,8 @@ mod tests {
     #[test]
     fn write_side_transpose_beats_read_side() {
         let cfg = GptConfig::gpt2_345m();
-        let paper_scheme = step_ms(&cfg, 1, QkvOrder::ValueFirst);
-        let naive_order = step_ms(&cfg, 1, QkvOrder::ValueLast);
+        let paper_scheme = step_ms(&cfg, 1, QkvOrder::ValueFirst).unwrap();
+        let naive_order = step_ms(&cfg, 1, QkvOrder::ValueLast).unwrap();
         // Ordering is near-neutral once the transpose is on the write
         // side...
         assert!((naive_order - paper_scheme).abs() / paper_scheme < 0.05);

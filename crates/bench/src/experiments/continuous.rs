@@ -105,12 +105,12 @@ fn build(
             "energy J",
         ],
     );
-    // One engine per (appliance, discipline, batch size): the static
-    // path's service-time memo persists across the rate sweep. Groups
-    // share nothing, so they fan out over the work-stealing pool; the
-    // rate loop inside a group stays sequential (it reuses the memo)
-    // and `par_map` returns row blocks in group order, keeping the
-    // table bit-identical to a serial sweep.
+    // One engine per (backend, discipline, batch size). Groups share
+    // only the appliance, whose timing memo is a pure function of its
+    // keys, so they fan out over the work-stealing pool; the rate loop
+    // inside a group stays sequential and `par_map` returns row blocks
+    // in group order, keeping the table bit-identical to a serial
+    // sweep.
     let mut groups: Vec<(bool, &str, usize)> = Vec::new();
     for is_gpu in [false, true] {
         groups.push((is_gpu, "batch-1", 1));

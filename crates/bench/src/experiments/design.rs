@@ -18,6 +18,7 @@ use dfx_isa::{
     regs, Instr, MatrixInstr, MatrixKind, OpClass, Program, ReduceMax, SReg, StepMeta, TensorRef,
     VReg, VSlice,
 };
+use dfx_sim::SimError;
 
 /// Builds the multi-head-attention microbenchmark program the paper's
 /// Fig 8a sweeps: per-head score (`Query x Key^T`), softmax and context
@@ -104,7 +105,20 @@ fn mha_flops(heads: f64, dh: f64, t: f64) -> f64 {
 }
 
 /// Figure 8a and 8b: the (d, l) design-space exploration.
+///
+/// # Panics
+///
+/// Panics if the fixed microbenchmark program fails validation: its
+/// shape is a compile-time constant, so that is a bug.
 pub fn fig8() -> ExperimentReport {
+    match build_fig8() {
+        Ok(report) => report,
+        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
+        Err(e) => panic!("fig8 failed: {e}"),
+    }
+}
+
+fn build_fig8() -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new(
         "fig8",
         "Figure 8: tile-dimension/lane-count design space exploration",
@@ -119,7 +133,9 @@ pub fn fig8() -> ExperimentReport {
 
     let (heads, dh, t) = (16u32, 64u32, 1024u32);
     let program = mha_program(heads, dh, t);
-    program.validate().expect("microbench is well-formed");
+    program
+        .validate()
+        .map_err(|e| SimError::InvalidRequest(format!("fig8 microbenchmark: {e}")))?;
     let flops = mha_flops(f64::from(heads), f64::from(dh), f64::from(t));
 
     let mut a = MdTable::new(
@@ -164,7 +180,7 @@ pub fn fig8() -> ExperimentReport {
         ]);
     }
     report.table(b);
-    report
+    Ok(report)
 }
 
 /// Figure 13: per-component resource utilisation of one core.

@@ -112,7 +112,7 @@ mod tests {
     fn dfx_tail_stays_interactive_where_gpu_diverges() {
         // The old hand-rolled `service_sim` result through the new API,
         // at paper scale but debug-test cost: 345M on one device, a
-        // single distinct workload (one memoized cycle-model run), rates
+        // single distinct workload (timed once by the appliance), rates
         // straddling the GPU appliance's ~0.41 req/s capacity while DFX
         // (~0.97 req/s) still has headroom.
         let cfg = GptConfig::gpt2_345m();

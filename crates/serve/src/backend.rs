@@ -30,8 +30,6 @@ fn padded_kv_fits(memory: &MemoryModel, batch: &[Workload]) -> bool {
 /// the output tokens members actually asked for.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchReport {
-    /// Human-readable backend description.
-    pub backend: String,
     /// The member workloads, in batch order.
     pub workloads: Vec<Workload>,
     /// Summarization-stage latency of the whole batch, ms.
@@ -79,8 +77,6 @@ impl BatchReport {
 /// platform produced it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
-    /// Human-readable backend description (e.g. `DFX (4x U280, gpt2-1.5b)`).
-    pub backend: String,
     /// The workload this report timed.
     pub workload: Workload,
     /// Summarization-stage latency (first pass over the context), ms.
@@ -123,7 +119,11 @@ impl RunReport {
 /// cloud [`TpuModel`]; the serving engine (and any experiment) drives all
 /// of them through this one shape.
 pub trait Backend {
-    /// Human-readable platform description.
+    /// Human-readable platform description, e.g. `DFX (4x U280,
+    /// gpt2-1.5b)`. It labels reports, traces and metrics only
+    /// ([`ServiceReport::backend`](crate::ServiceReport::backend) names
+    /// the pool with it); nothing keys timing on it, so two backends
+    /// with equal names may time differently.
     fn name(&self) -> String;
 
     /// Number of accelerator cards behind this backend.
@@ -173,7 +173,6 @@ pub trait Backend {
             generation_ms += r.generation_ms;
         }
         Ok(BatchReport {
-            backend: self.name(),
             workloads: batch.to_vec(),
             summarization_ms,
             generation_ms,
@@ -275,9 +274,8 @@ pub fn validate_workload(w: Workload) -> Result<(), SimError> {
 
 impl Backend for Appliance {
     fn name(&self) -> String {
-        // Paged appliances name themselves distinctly: reports stay
-        // self-describing and result memoization keyed by backend name
-        // never conflates the two allocators.
+        // Paged appliances name themselves distinctly, so service
+        // reports and metric labels tell the two allocators apart.
         match self.kv_paging() {
             Some(paging) => format!(
                 "DFX ({}x U280, {}, paged KV/{})",
@@ -301,7 +299,6 @@ impl Backend for Appliance {
         validate_workload(workload)?;
         let run = self.generate_timed(workload.input_len, workload.output_len)?;
         Ok(RunReport {
-            backend: Backend::name(self),
             workload,
             summarization_ms: run.summarization_ms(),
             generation_ms: run.generation_ms(),
@@ -316,7 +313,6 @@ impl Backend for Appliance {
         }
         let run = self.generate_batch_timed(batch)?;
         Ok(BatchReport {
-            backend: Backend::name(self),
             workloads: batch.to_vec(),
             summarization_ms: run.summarization_ms(),
             generation_ms: run.generation_ms(),
@@ -365,7 +361,6 @@ impl Backend for GpuModel {
         validate_workload(workload)?;
         let report = self.run(workload);
         Ok(RunReport {
-            backend: Backend::name(self),
             workload,
             summarization_ms: report.summarization_ms,
             generation_ms: report.generation_ms,
@@ -382,7 +377,6 @@ impl Backend for GpuModel {
             .run_batch(batch)
             .map_err(|e| SimError::InvalidRequest(e.to_string()))?;
         Ok(BatchReport {
-            backend: Backend::name(self),
             workloads: batch.to_vec(),
             summarization_ms: report.summarization_ms,
             generation_ms: report.generation_ms,
@@ -438,7 +432,6 @@ impl Backend for TpuModel {
         validate_workload(workload)?;
         let report = self.run(workload);
         Ok(RunReport {
-            backend: Backend::name(self),
             workload,
             summarization_ms: report.summarization_ms,
             generation_ms: report.generation_ms,
@@ -469,7 +462,6 @@ mod tests {
         for backend in [&dfx as &dyn Backend, &gpu, &tpu] {
             let r = backend.serve(w).unwrap();
             assert_eq!(r.workload, w);
-            assert_eq!(r.backend, backend.name());
             assert_eq!(r.devices, backend.device_count());
             assert!(r.summarization_ms > 0.0);
             assert!(r.generation_ms > 0.0);

@@ -707,14 +707,12 @@ impl Backend for DecodeOnly<'_> {
 
     fn serve(&self, workload: Workload) -> Result<RunReport, SimError> {
         let mut report = self.inner.serve(workload)?;
-        report.backend = Backend::name(self);
         report.summarization_ms = 0.0;
         Ok(report)
     }
 
     fn serve_batch(&self, batch: &[Workload]) -> Result<BatchReport, SimError> {
         let mut report = self.inner.serve_batch(batch)?;
-        report.backend = Backend::name(self);
         report.summarization_ms = 0.0;
         Ok(report)
     }

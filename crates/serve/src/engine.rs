@@ -31,12 +31,10 @@
 //! ([`EngineCheckpoint`](crate::EngineCheckpoint) — the seam the
 //! cluster tier's O(n) incremental placement snapshots are built on).
 //! The hot paths are kept deliberately cheap: not-yet-queued
-//! submissions wait in a binary heap keyed `(time, id)`, the arrival
-//! queue pops its head without shifting the tail, and the static
-//! service-time memo probes with an interned backend id plus a
-//! workload-shape hash instead of allocating a
-//! `(String, Vec<Workload>)` key per dispatch (see ARCHITECTURE.md,
-//! "Performance").
+//! submissions wait in a binary heap keyed `(time, id)` and the arrival
+//! queue pops its head without shifting the tail (see ARCHITECTURE.md,
+//! "Performance"). Service times come from the backends, which keep
+//! whatever timing memo they need; the engine keeps none.
 
 use crate::arrivals::{ArrivalProcess, SubmissionPlan};
 use crate::backend::Backend;
@@ -48,7 +46,7 @@ use dfx_model::Workload;
 use dfx_sim::{PagingStats, SimError};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// One request entering the service: a workload plus its arrival time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -344,73 +342,6 @@ impl ArrivalQueue {
     }
 }
 
-/// The static dispatch's service-time memo.
-///
-/// Entries are bucketed by `(interned backend id, workload-shape
-/// hash)`; each bucket holds the full `(batch workloads, service ms)`
-/// pairs, compared exactly on probe, so a hash collision costs one
-/// extra comparison instead of a wrong answer. Backend ids are interned
-/// by *name* at engine construction — equal names share an id, so
-/// identical replicas share entries exactly as the old
-/// `(String, Vec<Workload>)` key did, but a probe no longer allocates a
-/// name `String` (or clones the batch into a key) per dispatch.
-/// One memo bucket: exact `(batch workloads, service ms)` pairs behind
-/// a shared `(backend id, shape hash)` key.
-type MemoBucket = Vec<(Vec<Workload>, f64)>;
-
-#[derive(Debug, Default)]
-struct MemoCache {
-    names: Vec<String>,
-    buckets: BTreeMap<(u32, u64), MemoBucket>,
-}
-
-impl MemoCache {
-    /// Interns `name`, returning its id; equal names get equal ids.
-    fn intern(&mut self, name: &str) -> u32 {
-        match self.names.iter().position(|n| n == name) {
-            Some(i) => i as u32,
-            None => {
-                self.names.push(name.to_string());
-                (self.names.len() - 1) as u32
-            }
-        }
-    }
-
-    /// FNV-1a over the batch's token lengths — cheap, deterministic,
-    /// and platform-independent. Collisions are tolerated (buckets are
-    /// compared exactly), they just cost a linear probe.
-    fn shape_hash(batch: &[Workload]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
-        for w in batch {
-            mix(w.input_len as u64);
-            mix(w.output_len as u64);
-        }
-        h
-    }
-
-    fn get(&self, server_id: u32, batch: &[Workload]) -> Option<f64> {
-        self.buckets
-            .get(&(server_id, Self::shape_hash(batch)))?
-            .iter()
-            .find(|(k, _)| k == batch)
-            .map(|&(_, ms)| ms)
-    }
-
-    fn insert(&mut self, server_id: u32, batch: &[Workload], ms: f64) {
-        let bucket = self
-            .buckets
-            .entry((server_id, Self::shape_hash(batch)))
-            .or_default();
-        if !bucket.iter().any(|(k, _)| k == batch) {
-            bucket.push((batch.to_vec(), ms));
-        }
-    }
-}
-
 /// A live member of a continuous server: its request, when its prefill
 /// began, how many output tokens it has produced, and when it last
 /// emitted one.
@@ -566,6 +497,13 @@ impl EngineState<'_> {
 /// A deterministic discrete-event simulator serving a request stream on
 /// a pool of [`Backend`]s behind one queue.
 ///
+/// The engine holds its pool and its discipline, nothing else: every
+/// static dispatch is timed by the server that runs it, so a pool may
+/// mix backends whatever their names. Repeats stay cheap where the
+/// backend memoizes — an [`Appliance`](dfx_sim::Appliance) answers a
+/// shape it has timed from its own memo, shared by every engine over
+/// it — and the GPU and TPU models are closed forms.
+///
 /// # Examples
 ///
 /// ```
@@ -586,21 +524,6 @@ impl EngineState<'_> {
 pub struct ServingEngine<'a> {
     servers: Vec<&'a dyn Backend>,
     scheduler: Box<dyn Scheduler>,
-    /// Static-dispatch service times memoized per `(backend, batch
-    /// workloads)` — a single request is the one-element batch;
-    /// persists across `run` calls, so a rate sweep on one engine times
-    /// each distinct workload (or batch composition) once. Keyed by the
-    /// interned backend *name* (not pool index), so identical replicas
-    /// share entries — [`Backend::name`] must therefore identify the
-    /// timing behaviour (model + cluster size), which every built-in
-    /// implementation's name does. The continuous policy does not use
-    /// it (step costs depend on batch state); on an
-    /// [`Appliance`](dfx_sim::Appliance) both policies read per-step costs
-    /// from the appliance's shared step-cost table, and this memo saves
-    /// re-summing a whole dispatch's steps.
-    cache: MemoCache,
-    /// Per-pool-slot interned memo id, precomputed at construction.
-    server_ids: Vec<u32>,
 }
 
 impl<'a> ServingEngine<'a> {
@@ -622,13 +545,9 @@ impl<'a> ServingEngine<'a> {
     }
 
     fn assemble(servers: Vec<&'a dyn Backend>) -> Self {
-        let mut cache = MemoCache::default();
-        let server_ids = servers.iter().map(|s| cache.intern(&s.name())).collect();
         ServingEngine {
             servers,
             scheduler: Box::new(Fifo),
-            cache,
-            server_ids,
         }
     }
 
@@ -644,10 +563,8 @@ impl<'a> ServingEngine<'a> {
     /// A continuous discipline ([`Scheduler::is_continuous`]) on a pool
     /// where every backend exposes a [`ContinuousStepper`] runs the
     /// continuous dispatch policy; everything else runs the static one,
-    /// where backend runs are memoized per `(backend name, batch
-    /// workloads)` and the memo persists across calls — the platform
-    /// models are deterministic, so a rate sweep on one engine times
-    /// each distinct workload (or batch composition) once.
+    /// where each dispatch is one [`Backend::serve`] (a batch of one) or
+    /// [`Backend::serve_batch`] call on the server that runs it.
     ///
     /// # Errors
     ///
@@ -1001,7 +918,7 @@ impl<'a> ServingEngine<'a> {
 
     /// The static policy at an idle server: the scheduler picks a batch
     /// (usually of one) from everything queued, and it runs as one
-    /// memoized `serve`/`serve_batch` call. Every member starts at
+    /// `serve`/`serve_batch` call. Every member starts at
     /// `now` — clamped to the newest member's arrival — gets its TTFT
     /// sample (`start - arrival`) at once, and retires with the batch at
     /// `start + service`, which becomes the server's clock. Returns the
@@ -1050,21 +967,16 @@ impl<'a> ServingEngine<'a> {
         // order within the batch.
         let mut batch: Vec<Request> = picked.iter().rev().map(|&i| st.queue.remove(i)).collect();
         batch.reverse();
-        let batch_workloads: Vec<Workload> = batch.iter().map(|r| r.workload).collect();
 
-        let server_id = self.server_ids[server];
-        let service_ms = match self.cache.get(server_id, &batch_workloads) {
-            Some(ms) => ms,
-            None => {
-                // A one-element batch goes through the single-request
-                // path (bit-identical numbers to the pre-batching
-                // engine); larger batches execute as one unit.
-                let ms = match batch_workloads.as_slice() {
-                    [single] => self.servers[server].serve(*single)?.total_ms(),
-                    many => self.servers[server].serve_batch(many)?.total_ms(),
-                };
-                self.cache.insert(server_id, &batch_workloads, ms);
-                ms
+        // A one-element batch goes through the single-request path
+        // (bit-identical numbers to the pre-batching engine); larger
+        // batches execute as one unit.
+        let backend = self.servers[server];
+        let service_ms = match batch.as_slice() {
+            [single] => backend.serve(single.workload)?.total_ms(),
+            many => {
+                let workloads: Vec<Workload> = many.iter().map(|r| r.workload).collect();
+                backend.serve_batch(&workloads)?.total_ms()
             }
         };
         // `now` dominates the server's free time and the queue head's
@@ -1530,7 +1442,6 @@ mod tests {
         fn serve(&self, w: Workload) -> Result<RunReport, SimError> {
             validate_workload(w)?;
             Ok(RunReport {
-                backend: self.name(),
                 workload: w,
                 summarization_ms: w.input_len as f64,
                 generation_ms: w.output_len as f64,

@@ -15,6 +15,8 @@
 //! runs the LM head, and the batch it runs for, so each appliance times
 //! every such program once and keeps it in a step-cost table that all
 //! timed paths share ([`Appliance::timed_step_programs`] counts it).
+//! The same memo keeps each `(padded shape, batch)` run's stage sums, so
+//! a repeated `generate_timed` or `generate_batch_timed` is one lookup.
 
 use crate::cluster::FunctionalCluster;
 use crate::error::SimError;
@@ -147,6 +149,17 @@ enum Mode {
 /// Step-cost table key: `(context position, LM head, batch)`.
 type StepKey = (usize, bool, u32);
 
+/// The appliance's timing memo. Every entry is a pure function of its
+/// key, so fill order (and which thread fills) cannot change a value.
+#[derive(Default)]
+struct TimingMemo {
+    /// Every `token_step` program the cycle model has timed.
+    steps: BTreeMap<StepKey, StepTiming>,
+    /// `(summarization, generation)` of every `(padded shape, batch)`
+    /// run, summed from `steps`.
+    stages: BTreeMap<(Workload, u32), (StepTiming, StepTiming)>,
+}
+
 /// A simulated DFX appliance.
 ///
 /// # Examples
@@ -176,11 +189,9 @@ pub struct Appliance {
     /// [`with_kv_paging`](Appliance::with_kv_paging); `None` admits
     /// through a reserved [`BlockPool`](crate::BlockPool).
     kv_paging: Option<crate::PagedKvConfig>,
-    /// The step-cost table: every `token_step` program the cycle model
-    /// has timed on this appliance, filled on first use. A step's cost
-    /// is a pure function of its key, so fill order (and which thread
-    /// fills) cannot change a value.
-    steps: Mutex<BTreeMap<StepKey, StepTiming>>,
+    /// Step costs and stage sums timed on this appliance, filled on
+    /// first use.
+    memo: Mutex<TimingMemo>,
 }
 
 impl std::fmt::Debug for Appliance {
@@ -235,7 +246,7 @@ impl Appliance {
             mode: Mode::TimingOnly,
             hbm_capacity_bytes: dfx_hw::HbmModel::default().capacity_bytes,
             kv_paging: None,
-            steps: Mutex::new(BTreeMap::new()),
+            memo: Mutex::default(),
         })
     }
 
@@ -259,7 +270,7 @@ impl Appliance {
             mode: Mode::Functional(Box::new(cluster)),
             hbm_capacity_bytes: dfx_hw::HbmModel::default().capacity_bytes,
             kv_paging: None,
-            steps: Mutex::new(BTreeMap::new()),
+            memo: Mutex::default(),
         })
     }
 
@@ -365,13 +376,13 @@ impl Appliance {
     /// through [`TimingCore::time_step_batched`] outside the lock.
     fn step(&self, pos: usize, lm_head: bool, batch: u32) -> StepTiming {
         let key = (pos, lm_head, batch);
-        let hit = self.steps().get(&key).copied();
+        let hit = self.memo().steps.get(&key).copied();
         if let Some(timing) = hit {
             return timing;
         }
         let program = self.builder.token_step(pos, lm_head);
         let timing = self.timing.time_step_batched(&program, batch);
-        self.steps().insert(key, timing);
+        self.memo().steps.insert(key, timing);
         timing
     }
 
@@ -387,15 +398,15 @@ impl Appliance {
     /// time a miss.
     pub(crate) fn prefill_cycles(&self, input_len: usize, from: usize, to: usize) -> Cycles {
         let mut cycles = Cycles::ZERO;
-        let mut table = self.steps();
+        let mut memo = self.memo();
         for pos in from..to {
             let lm_head = pos + 1 >= input_len;
-            cycles += match table.get(&(pos, lm_head, 1)) {
+            cycles += match memo.steps.get(&(pos, lm_head, 1)) {
                 Some(timing) => timing.total,
                 None => {
-                    drop(table);
+                    drop(memo);
                     let total = self.step_cycles(pos, lm_head, 1);
-                    table = self.steps();
+                    memo = self.memo();
                     total
                 }
             };
@@ -409,19 +420,24 @@ impl Appliance {
     /// [`BatchState`](crate::BatchState)) shares the one table, so a
     /// program is timed once per appliance however often it recurs.
     pub fn timed_step_programs(&self) -> usize {
-        self.steps().len()
+        self.memo().steps.len()
     }
 
-    /// The step-cost table, recovered if a panicking thread poisoned
-    /// the lock (entries are inserted whole, so it is never torn).
-    fn steps(&self) -> MutexGuard<'_, BTreeMap<StepKey, StepTiming>> {
-        self.steps.lock().unwrap_or_else(PoisonError::into_inner)
+    /// The timing memo, recovered if a panicking thread poisoned the
+    /// lock (entries are inserted whole, so it is never torn).
+    fn memo(&self) -> MutexGuard<'_, TimingMemo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Times `padded.input_len` summarization steps (LM head on the
     /// last, when any output follows) and `padded.output_len - 1`
-    /// generation steps, each run for `batch` requests.
+    /// generation steps, each run for `batch` requests. A repeated
+    /// `(padded, batch)` is one memo lookup.
     pub(crate) fn stage_timings(&self, padded: Workload, batch: u32) -> (StepTiming, StepTiming) {
+        let hit = self.memo().stages.get(&(padded, batch)).copied();
+        if let Some(stages) = hit {
+            return stages;
+        }
         let mut summarization = StepTiming::default();
         for pos in 0..padded.input_len {
             let lm = pos + 1 == padded.input_len && padded.output_len > 0;
@@ -431,6 +447,9 @@ impl Appliance {
         for out in 1..padded.output_len {
             generation.accumulate(&self.step(padded.input_len + out - 1, true, batch));
         }
+        self.memo()
+            .stages
+            .insert((padded, batch), (summarization, generation));
         (summarization, generation)
     }
 
@@ -555,9 +574,11 @@ mod tests {
         }
         assert_eq!(solo.prefill_cost_ms(8), run.summarization_ms());
         assert_eq!(a.timed_step_programs(), 11);
+        // The single run and the batch of one share one stage entry.
+        assert_eq!(a.memo().stages.len(), 1);
 
         // A two-member batch re-times only its batch-2 decode steps.
-        let before: Vec<StepKey> = a.steps().keys().copied().collect();
+        let before: Vec<StepKey> = a.memo().steps.keys().copied().collect();
         let mut pair = a.batch_state();
         pair.admit(0, w).unwrap();
         pair.admit(1, w).unwrap();
@@ -565,7 +586,8 @@ mod tests {
             pair.step_token().unwrap();
         }
         let added: Vec<StepKey> = a
-            .steps()
+            .memo()
+            .steps
             .keys()
             .filter(|k| !before.contains(k))
             .copied()
@@ -592,7 +614,7 @@ mod tests {
                     .1
                     .accumulate(&a.timing.time_step_batched(&program, batch));
             }
-            // Cold (filling the table), then warm (reading it back).
+            // Cold (filling the memo), then warm (reading it back).
             assert_eq!(a.stage_timings(padded, batch), direct);
             assert_eq!(a.stage_timings(padded, batch), direct);
         }

@@ -80,7 +80,6 @@ impl Backend for UnitBackend {
     fn serve(&self, w: Workload) -> Result<RunReport, SimError> {
         dfx::serve::validate_workload(w)?;
         Ok(RunReport {
-            backend: self.name(),
             workload: w,
             summarization_ms: w.input_len as f64,
             generation_ms: w.output_len as f64,

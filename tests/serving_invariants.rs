@@ -78,7 +78,6 @@ impl Backend for UnitBackend {
     fn serve(&self, w: Workload) -> Result<RunReport, SimError> {
         dfx::serve::validate_workload(w)?;
         Ok(RunReport {
-            backend: self.name(),
             workload: w,
             summarization_ms: w.input_len as f64,
             generation_ms: w.output_len as f64,
@@ -606,5 +605,56 @@ fn invariants_hold_on_a_real_appliance() {
     for r in &a.responses {
         assert!(r.start_ms >= r.request.arrival_ms);
         assert!(r.service_ms() > 0.0);
+    }
+}
+
+/// Every static dispatch is timed by the server that runs it, even when
+/// pool members share a name: a FIFO pool of a default tiny appliance
+/// and one whose core issues 4× slower serves each request in exactly
+/// its own server's `serve` time.
+#[test]
+fn a_mixed_pool_times_each_response_on_its_own_server() {
+    use dfx::core::CoreParams;
+    use dfx::sim::Appliance;
+
+    let fast = Appliance::timing_only(GptConfig::tiny(), 1).unwrap();
+    let defaults = CoreParams::default();
+    let params = CoreParams {
+        issue_interval: 4 * defaults.issue_interval,
+        ..defaults
+    };
+    let slow = Appliance::timing_only_with_params(GptConfig::tiny(), 1, params).unwrap();
+    assert_eq!(fast.name(), slow.name());
+    let pool: [&dyn Backend; 2] = [&fast, &slow];
+
+    // Two shapes, all arriving at once, so both servers run both.
+    let workloads: Vec<Workload> = (0..8).map(|i| Workload::new(8, 2 + i % 2)).collect();
+    let arrivals = ArrivalProcess::Trace(vec![0.0; workloads.len()]);
+    let report = ServingEngine::pool(pool.to_vec())
+        .unwrap()
+        .run(&workloads, &arrivals)
+        .unwrap();
+    assert_eq!(report.responses.len(), workloads.len());
+    for server in 0..pool.len() {
+        assert!(report.responses.iter().any(|r| r.server == server));
+    }
+    for r in &report.responses {
+        let own = pool[r.server].serve(r.request.workload).unwrap().total_ms();
+        let other = pool[1 - r.server]
+            .serve(r.request.workload)
+            .unwrap()
+            .total_ms();
+        assert!(
+            own != other,
+            "the two servers must time {} apart",
+            r.request.workload
+        );
+        assert!(
+            (r.service_ms() - own).abs() <= 1e-9 * own,
+            "request {} on server {}: served in {} ms, its server takes {own} ms",
+            r.request.id,
+            r.server,
+            r.service_ms()
+        );
     }
 }
