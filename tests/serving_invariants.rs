@@ -541,6 +541,119 @@ proptest! {
     }
 }
 
+proptest! {
+    // The seam suite runs the real cycle model per case.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The appliance's boxed [`ContinuousStepper`] accounts for every
+    /// token through its [`StepEvent`]s alone, under chunked prefill,
+    /// reserved or paged K/V (recompute or retain, with and without a
+    /// shared prefix) and an HBM budget tight enough to refuse
+    /// admissions and preempt decoders. An admission earns the joiner
+    /// one token unless it is listed in `prefilling`; a step earns one
+    /// for every live member not listed there. Every member then earns
+    /// exactly its `output_len`, every id finishes exactly once, and
+    /// the per-event sums `live + finished − prefilling` (a step) plus
+    /// one per emitting admission total Σ`output_len` — the count the
+    /// engine and the simbench seam check both rely on.
+    #[test]
+    fn appliance_stepper_events_account_for_every_token_under_preemption(
+        specs in proptest::collection::vec((2usize..28, 1usize..24), 2..7),
+        chunk_raw in 0usize..10,
+        policy in 0u8..3,
+        shared_prefix in any::<bool>(),
+        slack in 0u64..16,
+        stagger in 0usize..3,
+    ) {
+        use dfx::sim::{Appliance, PagedKvConfig, PreemptionPolicy};
+
+        let chunk = (chunk_raw > 0).then_some(chunk_raw);
+        let workloads: Vec<Workload> =
+            specs.into_iter().map(|(i, o)| Workload::new(i, o)).collect();
+        // The largest claim, rounded up to whole 4-token blocks, plus a
+        // little slack: every member fits alone, two rarely fit whole.
+        let max_claim = workloads.iter().map(|w| w.input_len + w.output_len).max().unwrap();
+        let tokens = (max_claim.div_ceil(4) * 4) as u64 + slack;
+        let base = Appliance::timing_only(GptConfig::tiny(), 2).unwrap();
+        let m = base.memory_model();
+        let capped = Appliance::timing_only(GptConfig::tiny(), 2)
+            .unwrap()
+            .with_hbm_capacity(m.weight_bytes + tokens * m.kv_bytes_per_token)
+            .unwrap();
+        let paging = |policy| {
+            let cfg = PagedKvConfig::new(4).with_policy(policy);
+            if shared_prefix { cfg.with_shared_prefix(8) } else { cfg }
+        };
+        let appliance = match policy {
+            0 => capped,
+            1 => capped.with_kv_paging(paging(PreemptionPolicy::Recompute)).unwrap(),
+            _ => capped.with_kv_paging(paging(PreemptionPolicy::Retain)).unwrap(),
+        };
+
+        let mut stepper = Backend::continuous(&appliance).expect("the appliance steps");
+        stepper.set_prefill_chunk(chunk);
+        let mut queue: Vec<(u64, Workload)> =
+            workloads.iter().copied().enumerate().map(|(i, w)| (i as u64, w)).rev().collect();
+        let mut earned = vec![0usize; workloads.len()];
+        let mut finishes = vec![0usize; workloads.len()];
+        let mut live: Vec<u64> = Vec::new();
+        let mut summed = 0usize;
+        while !queue.is_empty() || stepper.live() > 0 {
+            while let Some(&(id, w)) = queue.last() {
+                match stepper.admit(id, w) {
+                    Ok(ev) => {
+                        queue.pop();
+                        if !ev.prefilling.contains(&id) {
+                            earned[id as usize] += 1;
+                            summed += 1;
+                        }
+                        live.push(id);
+                        for &f in &ev.finished {
+                            prop_assert_eq!(f, id, "an admission finishes only its joiner");
+                        }
+                        live.retain(|l| !ev.finished.contains(l));
+                        for &f in &ev.finished {
+                            finishes[f as usize] += 1;
+                        }
+                        prop_assert_eq!(ev.live, live.len());
+                    }
+                    Err(SimError::Memory(_)) => {
+                        prop_assert!(stepper.live() > 0, "a solo-feasible member was refused");
+                        break;
+                    }
+                    Err(e) => return Err(TestCaseError::fail(format!("unexpected: {e}"))),
+                }
+                if stagger > 0 {
+                    break;
+                }
+            }
+            for _ in 0..stagger.max(1) {
+                if stepper.live() == 0 {
+                    break;
+                }
+                let ev = stepper.step_token().unwrap();
+                for &id in &live {
+                    if !ev.prefilling.contains(&id) {
+                        earned[id as usize] += 1;
+                    }
+                }
+                summed += (ev.live + ev.finished.len()).checked_sub(ev.prefilling.len()).unwrap();
+                for &f in &ev.finished {
+                    prop_assert!(live.contains(&f), "member {} finished while not live", f);
+                    finishes[f as usize] += 1;
+                }
+                live.retain(|l| !ev.finished.contains(l));
+                prop_assert_eq!(ev.live, live.len());
+            }
+        }
+        for (id, w) in workloads.iter().enumerate() {
+            prop_assert_eq!(earned[id], w.output_len, "member {} earned the wrong count", id);
+            prop_assert_eq!(finishes[id], 1, "member {} finished {} times", id, finishes[id]);
+        }
+        prop_assert_eq!(summed, workloads.iter().map(|w| w.output_len).sum::<usize>());
+    }
+}
+
 /// Token-boundary scheduling holds its invariants end to end on the
 /// real cycle-model appliance: deterministic, causal, and equivalent to
 /// FIFO at `max_batch == 1` (up to float accumulation order — the
