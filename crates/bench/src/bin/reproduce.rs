@@ -94,39 +94,73 @@ fn write_observability(
     }
 }
 
+/// The parsed command line.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    ids: Vec<String>,
+    full: bool,
+    help: bool,
+    write: Option<String>,
+    metrics: Option<String>,
+    trace: Option<String>,
+}
+
+/// Parses the arguments after the program name. A path flag without a
+/// value, or whose value looks like another flag, and an unknown
+/// `--flag` are errors; everything else is an experiment id.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let path = match arg.as_str() {
+            "--help" | "-h" => {
+                parsed.help = true;
+                continue;
+            }
+            "--full" => {
+                parsed.full = true;
+                continue;
+            }
+            "--write" => &mut parsed.write,
+            "--metrics" => &mut parsed.metrics,
+            "--trace" => &mut parsed.trace,
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            id => {
+                parsed.ids.push(id.to_string());
+                continue;
+            }
+        };
+        match args.next() {
+            Some(value) if !value.starts_with("--") => *path = Some(value.clone()),
+            _ => return Err(format!("`{arg}` needs a <path>")),
+        }
+    }
+    Ok(parsed)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("reproduce: {e}");
+            usage();
+            std::process::exit(2);
+        }
+    };
+    if args.help {
         usage();
         return;
     }
-    let full = args.iter().any(|a| a == "--full");
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let write_path = flag_value("--write");
-    let metrics_path = flag_value("--metrics");
-    let trace_path = flag_value("--trace");
-    let flag_values = [&write_path, &metrics_path, &trace_path];
-    let ids: Vec<String> = args
-        .iter()
-        .filter(|a| {
-            !a.starts_with("--") && !flag_values.iter().any(|v| v.as_deref() == Some(a.as_str()))
-        })
-        .cloned()
-        .collect();
-    if ids.is_empty() {
+    if args.ids.is_empty() {
         usage();
         std::process::exit(2);
     }
 
-    let selected: Vec<&str> = if ids.iter().any(|i| i == "all") {
+    let selected: Vec<&str> = if args.ids.iter().any(|i| i == "all") {
         CATALOG.iter().map(|e| e.id).collect()
     } else {
-        ids.iter().map(String::as_str).collect()
+        args.ids.iter().map(String::as_str).collect()
     };
 
     let mut combined = String::from(
@@ -138,7 +172,7 @@ fn main() {
         eprintln!("[reproduce] running {id}...");
         // lint: allow(ambient-time, progress display only; no simulated quantity depends on it)
         let start = std::time::Instant::now();
-        let report = run_one(id, full);
+        let report = run_one(id, args.full);
         let md = report.to_markdown();
         println!("{md}");
         combined.push_str(&md);
@@ -148,18 +182,69 @@ fn main() {
         );
     }
 
-    if let Some(path) = write_path {
-        let mut f = std::fs::File::create(&path).expect("create output file");
+    if let Some(path) = &args.write {
+        let mut f = std::fs::File::create(path).expect("create output file");
         f.write_all(combined.as_bytes()).expect("write output file");
         eprintln!("[reproduce] wrote {path}");
     }
 
-    if metrics_path.is_some() || trace_path.is_some() {
+    if args.metrics.is_some() || args.trace.is_some() {
         write_observability(
             &selected,
-            full,
-            metrics_path.as_deref(),
-            trace_path.as_deref(),
+            args.full,
+            args.metrics.as_deref(),
+            args.trace.as_deref(),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn ids_flags_and_paths_parse_in_any_order() {
+        let args = parse("continuous --metrics m.prom serving --full --trace t.json --write o.md")
+            .unwrap();
+        assert_eq!(
+            args,
+            Args {
+                ids: vec!["continuous".into(), "serving".into()],
+                full: true,
+                help: false,
+                write: Some("o.md".into()),
+                metrics: Some("m.prom".into()),
+                trace: Some("t.json".into()),
+            }
+        );
+        assert!(parse("all -h").unwrap().help);
+    }
+
+    #[test]
+    fn a_path_flag_never_takes_the_next_flag_as_its_value() {
+        let err = parse("continuous --metrics --trace").unwrap_err();
+        assert!(err.contains("--metrics"), "{err}");
+        for flag in ["--write", "--metrics", "--trace"] {
+            assert!(
+                parse(&format!("continuous {flag}")).is_err(),
+                "{flag} at the end"
+            );
+            assert!(
+                parse(&format!("continuous {flag} --full")).is_err(),
+                "{flag} before a flag"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_errors() {
+        let err = parse("continuous --metric m.prom").unwrap_err();
+        assert!(err.contains("--metric"), "{err}");
+        assert!(parse("--verbose").is_err());
     }
 }

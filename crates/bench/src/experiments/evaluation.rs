@@ -11,16 +11,32 @@
 //! clusters, one row per cluster size; [`table2`] — the cost analysis
 //! (USD, tokens/s, tokens/s per million USD) with the paper's 8.21×
 //! cost-effectiveness headline.
+//!
+//! Each runner wraps a private `Result`-returning builder and panics
+//! only at its public entry: the models, cluster sizes and workloads
+//! are compile-time constants, so a failure there is a bug.
 
 use crate::paper;
 use crate::table::{fmt, fmt_ratio, ExperimentReport, MdTable};
 use dfx_baseline::{GpuModel, TpuModel};
 use dfx_model::{GptConfig, Workload};
 use dfx_serve::{Backend, RunReport};
-use dfx_sim::{dfx_stage_gflops, Appliance, CostComparison};
+use dfx_sim::{dfx_stage_gflops, Appliance, CostComparison, SimError};
 
 /// Figure 15: latency breakdown of 4 FPGAs on the 1.5B model.
+///
+/// # Panics
+///
+/// Panics only on a bug: the inputs are constants (see the module docs).
 pub fn fig15() -> ExperimentReport {
+    match build_fig15() {
+        Ok(report) => report,
+        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
+        Err(e) => panic!("fig15 failed: {e}"),
+    }
+}
+
+fn build_fig15() -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new(
         "fig15",
         "Figure 15: DFX latency breakdown (GPT-2 1.5B, 4 FPGAs)",
@@ -29,8 +45,8 @@ pub fn fig15() -> ExperimentReport {
         "Shares over the five decoder classes, excluding embedding and LM head (which the \
          paper's figure does not break out).",
     );
-    let appliance = Appliance::timing_only(GptConfig::gpt2_1_5b(), 4).expect("4-way split");
-    let run = appliance.generate_timed(64, 64).expect("chatbot workload");
+    let appliance = Appliance::timing_only(GptConfig::gpt2_1_5b(), 4)?;
+    let run = appliance.generate_timed(64, 64)?;
     let shares = run.breakdown().fig15_shares();
 
     let mut t = MdTable::new(
@@ -45,40 +61,52 @@ pub fn fig15() -> ExperimentReport {
         ]);
     }
     report.table(t);
-    report
+    Ok(report)
 }
 
 /// Figure 16: throughput and energy efficiency on the 1.5B model.
+///
+/// # Panics
+///
+/// Panics only on a bug: the inputs are constants (see the module docs).
 pub fn fig16() -> ExperimentReport {
+    match build_fig16() {
+        Ok(report) => report,
+        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
+        Err(e) => panic!("fig16 failed: {e}"),
+    }
+}
+
+fn build_fig16() -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new(
         "fig16",
         "Figure 16: Throughput and energy efficiency, DFX vs GPU (GPT-2 1.5B)",
     );
     let cfg = GptConfig::gpt2_1_5b();
     let gpu = GpuModel::new(cfg.clone(), 4);
-    let dfx = Appliance::timing_only(cfg, 4).expect("4-way split");
+    let dfx = Appliance::timing_only(cfg, 4)?;
 
     // Both platforms behind the unified Backend API: one report shape.
-    let rows: Vec<(RunReport, RunReport)> = std::thread::scope(|s| {
+    let rows = std::thread::scope(|s| {
         let handles: Vec<_> = paper::GRID
             .iter()
             .map(|&(input, output)| {
                 let gpu = &gpu;
                 let dfx = &dfx;
-                s.spawn(move || {
+                s.spawn(move || -> Result<(RunReport, RunReport), SimError> {
                     let w = Workload::new(input, output);
-                    (
-                        gpu.serve(w).expect("valid workload"),
-                        dfx.serve(w).expect("valid workload"),
-                    )
+                    Ok((gpu.serve(w)?, dfx.serve(w)?))
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect()
-    });
+            .map(|h| {
+                h.join()
+                    .map_err(|_| SimError::Service("a fig16 worker panicked".into()))?
+            })
+            .collect::<Result<Vec<_>, SimError>>()
+    })?;
 
     let mut t = MdTable::new(
         "Per-workload throughput and energy efficiency",
@@ -94,10 +122,11 @@ pub fn fig16() -> ExperimentReport {
     );
     let mut tp_ratio_sum = 0.0;
     let mut en_ratio_sum = 0.0;
+    let uncalibrated = || SimError::InvalidRequest("a platform has no power model".into());
     for (g, d) in &rows {
         let (gtps, dtps) = (g.tokens_per_second(), d.tokens_per_second());
-        let gtpj = g.tokens_per_joule().expect("calibrated GPU power");
-        let dtpj = d.tokens_per_joule().expect("calibrated DFX power");
+        let gtpj = g.tokens_per_joule().ok_or_else(uncalibrated)?;
+        let dtpj = d.tokens_per_joule().ok_or_else(uncalibrated)?;
         tp_ratio_sum += dtps / gtps;
         en_ratio_sum += dtpj / gtpj;
         t.push_row(vec![
@@ -120,11 +149,23 @@ pub fn fig16() -> ExperimentReport {
         paper::FIG16_ENERGY_RATIO
     ));
     report.table(t);
-    report
+    Ok(report)
 }
 
 /// Figure 17: GFLOPS of GPU, TPU and DFX on the 345M model at 64:64.
+///
+/// # Panics
+///
+/// Panics only on a bug: the inputs are constants (see the module docs).
 pub fn fig17() -> ExperimentReport {
+    match build_fig17() {
+        Ok(report) => report,
+        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
+        Err(e) => panic!("fig17 failed: {e}"),
+    }
+}
+
+fn build_fig17() -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new(
         "fig17",
         "Figure 17: GFLOPS of GPU, TPU and DFX (345M, 64:64)",
@@ -140,10 +181,8 @@ pub fn fig17() -> ExperimentReport {
 
     let gpu = GpuModel::new(cfg.clone(), 1).stage_gflops(w);
     let tpu = TpuModel::new(cfg.clone()).stage_gflops(w);
-    let dfx_run = Appliance::timing_only(cfg.clone(), 1)
-        .expect("single core")
-        .generate_timed(w.input_len, w.output_len)
-        .expect("valid workload");
+    let dfx_run =
+        Appliance::timing_only(cfg.clone(), 1)?.generate_timed(w.input_len, w.output_len)?;
     let dfx = dfx_stage_gflops(&cfg, &dfx_run);
 
     let mut t = MdTable::new(
@@ -178,11 +217,23 @@ pub fn fig17() -> ExperimentReport {
         ]);
     }
     report.table(t);
-    report
+    Ok(report)
 }
 
 /// Figure 18: DFX scalability on the 345M model at 64:64.
+///
+/// # Panics
+///
+/// Panics only on a bug: the inputs are constants (see the module docs).
 pub fn fig18() -> ExperimentReport {
+    match build_fig18() {
+        Ok(report) => report,
+        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
+        Err(e) => panic!("fig18 failed: {e}"),
+    }
+}
+
+fn build_fig18() -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new(
         "fig18",
         "Figure 18: DFX scalability (345M, 64:64, 1/2/4 FPGAs)",
@@ -206,10 +257,7 @@ pub fn fig18() -> ExperimentReport {
     let mut prev: Option<f64> = None;
     let paper_scaling = [f64::NAN, 146.25 / 93.10, 207.56 / 146.25];
     for (i, fpgas) in [1usize, 2, 4].into_iter().enumerate() {
-        let run = Appliance::timing_only(cfg.clone(), fpgas)
-            .expect("divisible")
-            .serve(Workload::chatbot())
-            .expect("valid workload");
+        let run = Appliance::timing_only(cfg.clone(), fpgas)?.serve(Workload::chatbot())?;
         let tps = run.tokens_per_second();
         let scale = prev.map(|p| tps / p);
         t.push_row(vec![
@@ -226,22 +274,29 @@ pub fn fig18() -> ExperimentReport {
         prev = Some(tps);
     }
     report.table(t);
-    report
+    Ok(report)
 }
 
 /// Table II: cost analysis.
+///
+/// # Panics
+///
+/// Panics only on a bug: the inputs are constants (see the module docs).
 pub fn table2() -> ExperimentReport {
+    match build_table2() {
+        Ok(report) => report,
+        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
+        Err(e) => panic!("table2 failed: {e}"),
+    }
+}
+
+fn build_table2() -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new("table2", "Table II: Appliance cost analysis");
     let cfg = GptConfig::gpt2_1_5b();
     let w = Workload::chatbot();
-    let gpu_tps = GpuModel::new(cfg.clone(), 4)
-        .serve(w)
-        .expect("valid workload")
-        .tokens_per_second();
-    let dfx_tps = Appliance::timing_only(cfg, 4)
-        .expect("4-way split")
-        .serve(w)
-        .expect("valid workload")
+    let gpu_tps = GpuModel::new(cfg.clone(), 4).serve(w)?.tokens_per_second();
+    let dfx_tps = Appliance::timing_only(cfg, 4)?
+        .serve(w)?
         .tokens_per_second();
     let cmp = CostComparison::from_throughput(gpu_tps, dfx_tps);
 
@@ -280,7 +335,7 @@ pub fn table2() -> ExperimentReport {
         cmp.upfront_saving_usd()
     ));
     report.table(t);
-    report
+    Ok(report)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 use dfx_bench::{experiments, observability, paper};
 use dfx_model::{GptConfig, Workload};
 use dfx_serve::{ArrivalProcess, ContinuousBatching, ServingEngine};
-use dfx_sim::Appliance;
+use dfx_sim::{Appliance, ContinuousStepper};
 
 #[test]
 fn continuous_sweep_is_bit_identical_across_runs() {
@@ -113,11 +113,9 @@ fn step_cost_table_fill_order_changes_no_latency() {
         if batch.live() > 0 {
             batch.step_token().expect("a member is live");
         }
-        batch.retire();
     }
     while batch.live() > 0 {
         batch.step_token().expect("a member is live");
-        batch.retire();
     }
     assert!(stepped.timed_step_programs() > 0);
     assert_eq!(

@@ -7,11 +7,11 @@
 //! every experiment and example re-adapted them by hand. [`Backend`]
 //! collapses the three into `serve(Workload) -> RunReport`.
 
-use crate::stepper::{ApplianceStepper, ContinuousStepper, GpuStepper};
+use crate::stepper::GpuStepper;
 use dfx_baseline::{gpu_calib, GpuModel, TpuModel};
 use dfx_hw::MemoryModel;
 use dfx_model::Workload;
-use dfx_sim::{Appliance, SimError};
+use dfx_sim::{validate_workload, Appliance, ContinuousStepper, SimError};
 use serde::{Deserialize, Serialize};
 
 /// Joint K/V feasibility of a *static coalesced* batch: every member's
@@ -242,34 +242,16 @@ pub trait Backend {
     /// token per [`step_token`](ContinuousStepper::step_token), and
     /// exits members the moment they finish.
     ///
-    /// Returns `None` for backends without an incremental cost model
-    /// (the cloud [`TpuModel`]); those keep serving through the static
-    /// [`serve_batch`](Backend::serve_batch) path, and the engine falls
-    /// back to static coalescing for them even under a continuous
+    /// The appliance returns its [`BatchState`](dfx_sim::BatchState)
+    /// (which implements the trait itself), the GPU a closed-form
+    /// stepper. Returns `None` for backends without an incremental cost
+    /// model (the cloud [`TpuModel`]); those keep serving through the
+    /// static [`serve_batch`](Backend::serve_batch) path, and the engine
+    /// falls back to static coalescing for them even under a continuous
     /// discipline.
     fn continuous(&self) -> Option<Box<dyn ContinuousStepper + '_>> {
         None
     }
-}
-
-/// Validates a workload at the [`Backend`] boundary.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidRequest`] if the workload has no context
-/// tokens or generates no output tokens.
-pub fn validate_workload(w: Workload) -> Result<(), SimError> {
-    if w.input_len == 0 {
-        return Err(SimError::InvalidRequest(
-            "workload has an empty context (input_len == 0)".into(),
-        ));
-    }
-    if w.output_len == 0 {
-        return Err(SimError::InvalidRequest(
-            "workload generates nothing (output_len == 0)".into(),
-        ));
-    }
-    Ok(())
 }
 
 impl Backend for Appliance {
@@ -340,7 +322,7 @@ impl Backend for Appliance {
     }
 
     fn continuous(&self) -> Option<Box<dyn ContinuousStepper + '_>> {
-        Some(Box::new(ApplianceStepper::new(self)))
+        Some(Box::new(self.batch_state()))
     }
 }
 

@@ -47,9 +47,9 @@ use crate::checkpoint::EngineCheckpoint;
 use crate::engine::{Request, Response, ServiceReport};
 use crate::scheduler::Scheduler;
 use crate::stats;
-use crate::stepper::{ContinuousStepper, StepEvent};
 use dfx_hw::{LinkModel, MemoryModel};
 use dfx_model::Workload;
+use dfx_sim::{ContinuousStepper, StepEvent};
 use dfx_sim::{PagingStats, SimError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;

@@ -40,10 +40,9 @@ use crate::arrivals::{ArrivalProcess, SubmissionPlan};
 use crate::backend::Backend;
 use crate::scheduler::{AdmissionProbe, BatchDecision, Fifo, RunningMember, Scheduler};
 use crate::stats;
-use crate::stepper::ContinuousStepper;
 use dfx_hw::MemoryModel;
 use dfx_model::Workload;
-use dfx_sim::{PagingStats, SimError};
+use dfx_sim::{ContinuousStepper, PagingStats, SimError};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -610,71 +609,49 @@ impl<'a> ServingEngine<'a> {
     }
 
     /// Builds the [`RunTrace`](crate::telemetry::RunTrace) for a
-    /// finished run: one [`RequestTrace`](crate::telemetry::RequestTrace)
-    /// per response, its token boundaries from the engine's emission
-    /// events, and its energy as `(its input + output tokens) /
-    /// (tokens its server served)` of the server's busy energy.
+    /// finished run: the spans
+    /// [`RunTrace::from_responses`](crate::telemetry::RunTrace::from_responses)
+    /// reads off the responses, plus each request's token boundaries
+    /// from the engine's emission events and its energy as `(its input +
+    /// output tokens) / (tokens its server served)` of the server's busy
+    /// energy.
     fn assemble_trace(
         &self,
         report: &ServiceReport,
         busy: &[f64],
         token_events: Vec<(u64, f64)>,
     ) -> crate::telemetry::RunTrace {
-        use crate::telemetry::{RequestTrace, RunTrace, SpanOutcome};
-
+        let mut trace = crate::telemetry::RunTrace::from_responses(
+            &report.backend,
+            &report.scheduler,
+            &report.responses,
+        );
         let server_energy: Vec<Option<f64>> = busy
             .iter()
             .enumerate()
             .map(|(s, &b)| self.servers[s].nominal_power_w().map(|p| p * b / 1e3))
             .collect();
         let mut server_tokens = vec![0u64; self.servers.len()];
-        for r in &report.responses {
-            server_tokens[r.server] +=
-                (r.request.workload.input_len + r.request.workload.output_len) as u64;
+        for t in &trace.requests {
+            server_tokens[t.server] += (t.input_tokens + t.output_tokens) as u64;
         }
-
         // Batch-run request ids are submission indices 0..n, and every
         // request retires exactly once, so id-indexed assembly is
         // total.
-        let mut requests: Vec<RequestTrace> = report
-            .responses
-            .iter()
-            .map(|r| {
-                let tokens = (r.request.workload.input_len + r.request.workload.output_len) as f64;
-                let share = if server_tokens[r.server] > 0 {
-                    tokens / server_tokens[r.server] as f64
-                } else {
-                    0.0
-                };
-                RequestTrace {
-                    id: r.request.id,
-                    server: r.server,
-                    input_tokens: r.request.workload.input_len,
-                    output_tokens: r.request.workload.output_len,
-                    arrival_ms: r.request.arrival_ms,
-                    start_ms: r.start_ms,
-                    first_token_ms: None,
-                    finish_ms: r.finish_ms,
-                    token_ms: Vec::new(),
-                    energy_j: server_energy[r.server].map(|e| e * share),
-                    outcome: SpanOutcome::Retired,
-                }
-            })
-            .collect();
-        requests.sort_by_key(|t| t.id);
         for (id, ms) in token_events {
-            if let Some(t) = requests.get_mut(id as usize) {
+            if let Some(t) = trace.requests.get_mut(id as usize) {
                 t.token_ms.push(ms);
             }
         }
-        for t in &mut requests {
+        for t in &mut trace.requests {
             t.first_token_ms = t.token_ms.first().copied();
+            let share = match server_tokens[t.server] {
+                0 => 0.0,
+                served => (t.input_tokens + t.output_tokens) as f64 / served as f64,
+            };
+            t.energy_j = server_energy[t.server].map(|e| e * share);
         }
-        RunTrace {
-            backend: report.backend.clone(),
-            scheduler: report.scheduler.clone(),
-            requests,
-        }
+        trace
     }
 
     /// The state of a batch run: every request known up front (or
@@ -1371,9 +1348,9 @@ impl<'a> ServingEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{validate_workload, RunReport};
+    use crate::backend::RunReport;
     use crate::scheduler::{ContinuousBatching, ShortestJobFirst};
-    use crate::stepper::StepEvent;
+    use dfx_sim::{validate_workload, StepEvent};
 
     /// A backend with a closed-form service time: 1 ms per token.
     /// `stepped` additionally exposes a matching [`ContinuousStepper`]

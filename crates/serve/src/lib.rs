@@ -53,7 +53,7 @@ mod stepper;
 pub mod telemetry;
 
 pub use arrivals::ArrivalProcess;
-pub use backend::{validate_workload, Backend, BatchReport, RunReport};
+pub use backend::{Backend, BatchReport, RunReport};
 /// Incremental engine checkpoints ([`EngineCheckpoint`]): one request
 /// stream simulated in time order as its arrivals become known — the
 /// seam every cluster replica streams through, with reports
@@ -71,6 +71,12 @@ pub use cluster::{
     LeastOutstanding, Placement, ReplicaReport, ReplicaSnapshot, RoundRobin, RoutedRequest,
     SessionAffinity, TransferStats,
 };
+/// The token-step seam, defined in `dfx_sim` next to the appliance's
+/// stepper: [`ContinuousStepper`] (returned by
+/// [`Backend::continuous`]), the [`StepEvent`] each admission and step
+/// reports, and the [`validate_workload`] check every backend and
+/// stepper applies.
+pub use dfx_sim::{validate_workload, ContinuousStepper, StepEvent};
 pub use engine::{Request, Response, ServiceReport, ServingEngine};
 pub use mix::chatbot_mix;
 /// Queue disciplines for [`ServingEngine::with_scheduler`]: [`Fifo`]
@@ -91,7 +97,6 @@ pub use scheduler::{
     AdmissionProbe, BatchDecision, Batching, ContinuousBatching, Fifo, RunningMember, Scheduler,
     ShortestJobFirst, UnboundedProbe,
 };
-pub use stepper::{ContinuousStepper, StepEvent};
 /// Observability ([`telemetry`]): a deterministic, dependency-free
 /// [`MetricsRegistry`] rendered in Prometheus text exposition format,
 /// per-request lifecycle traces ([`RunTrace`], built by

@@ -1,228 +1,35 @@
-//! Token-granular execution: the stepping seam continuous batching
-//! schedules against.
+//! The GPU's token-granular stepper.
 //!
-//! A [`ContinuousStepper`] is the serving-layer view of an incremental
-//! batched executor ([`dfx_sim::BatchState`] on the appliance, a
-//! closed-form equivalent on the GPU): members are admitted with a
+//! A [`ContinuousStepper`] (defined in `dfx_sim` next to the
+//! appliance's [`BatchState`](dfx_sim::BatchState), and re-exported
+//! here with its [`StepEvent`](dfx_sim::StepEvent)) is the serving-layer
+//! view of an incremental batched executor: members are admitted with a
 //! prefill charge, every [`step_token`](ContinuousStepper::step_token)
 //! advances all live members by one output token at the live batch
 //! size, and members exit the moment they have produced their requested
 //! tokens — no padding to the longest batch-mate, no waiting for a
 //! batch to form. Backends advertise the capability through
-//! [`Backend::continuous`](crate::Backend::continuous); backends
-//! without it (the cloud TPU) keep serving through the static
-//! [`serve_batch`](crate::Backend::serve_batch) path.
+//! [`Backend::continuous`](crate::Backend::continuous): the appliance
+//! returns its `BatchState`, the GPU the closed-form [`GpuStepper`]
+//! below, and backends without it (the cloud TPU) keep serving through
+//! the static [`serve_batch`](crate::Backend::serve_batch) path.
 //!
-//! Two memory-era extensions ride on the same seam:
-//!
-//! - **cost estimates** ([`prefill_cost_ms`], [`step_cost_ms`]) feed the
-//!   engine's [`AdmissionProbe`](crate::AdmissionProbe), so
-//!   prefill-aware disciplines can weigh an admission's serial stall
-//!   against the running members' deadlines before committing to it;
-//! - **chunked prefill** ([`set_prefill_chunk`]) splits a long prefill
-//!   into token-budgeted chunks interleaved with decode steps
-//!   (Sarathi/TGI style) on steppers that support it, bounding the
-//!   per-step decode stall; [`StepEvent::prefilling`] reports the
-//!   members that consumed prefill budget without emitting a token.
-//!
-//! The telemetry layer hangs off the same seam: every [`StepEvent`]
+//! The stepper's cost estimates
+//! ([`prefill_cost_ms`](ContinuousStepper::prefill_cost_ms),
+//! [`step_cost_ms`](ContinuousStepper::step_cost_ms)) and K/V hooks feed
+//! the engine's [`AdmissionProbe`](crate::AdmissionProbe), so
+//! prefill-aware disciplines can weigh an admission's serial stall
+//! against the running members' deadlines before committing to it.
+//! The telemetry layer hangs off the same seam: every `StepEvent`
 //! boundary the engine commits becomes a token-emission instant in a
 //! [`RunTrace`](crate::telemetry::RunTrace) (via
 //! [`ServingEngine::run_traced`](crate::ServingEngine::run_traced)) and
 //! an inter-token-latency sample in the
 //! [`ServiceReport`](crate::ServiceReport) percentiles.
-//!
-//! [`prefill_cost_ms`]: ContinuousStepper::prefill_cost_ms
-//! [`step_cost_ms`]: ContinuousStepper::step_cost_ms
-//! [`set_prefill_chunk`]: ContinuousStepper::set_prefill_chunk
 
-use crate::backend::validate_workload;
 use dfx_baseline::GpuModel;
 use dfx_model::Workload;
-use dfx_sim::{Appliance, BatchState, SimError};
-
-/// Result of one stepper operation (an admission's prefill or one
-/// decode step).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepEvent {
-    /// Time the operation added to the run's shared timeline, ms.
-    pub ms: f64,
-    /// Live members after the operation (including members whose
-    /// chunked prefill is still in flight).
-    pub live: usize,
-    /// Member ids that produced their last token during the operation.
-    pub finished: Vec<u64>,
-    /// Member ids that produced *no* token during the operation: their
-    /// prefill is still in flight (admitted under a chunk budget, or
-    /// queued behind another member's chunks), or — on a paged-K/V
-    /// stepper — they were preempted, are parked in DDR, or spent the
-    /// step being restored. Always empty on steppers without chunked
-    /// prefill or paging.
-    pub prefilling: Vec<u64>,
-}
-
-/// A backend executing requests token by token, with admissions between
-/// steps.
-///
-/// The contract the serving engine relies on:
-///
-/// - a member admitted into an *empty* stepper and stepped to
-///   completion accumulates
-///   [`Backend::serve`](crate::Backend::serve)'s latency for the same
-///   workload — exactly on backends whose per-step costs add without
-///   rounding (integer-millisecond test backends), and within float
-///   accumulation order otherwise (the built-in appliance/GPU steppers
-///   sum per-step milliseconds where `serve` sums per-stage totals, a
-///   ~1e-9 relative difference) — so continuous batching at
-///   `max_batch == 1` reproduces the single-dispatch FIFO numbers;
-/// - every [`step_token`](ContinuousStepper::step_token) produces one
-///   credited output token per live *decoding* member (members listed
-///   in [`StepEvent::prefilling`] produce none yet), so token work is
-///   conserved under any admission/exit interleaving;
-/// - admission feasibility is per member for *shape* (each workload is
-///   validated alone — the static path's joint padded-shape constraint
-///   does not apply between decode steps) but *joint* for memory: a
-///   stepper backed by a K/V allocator ([`dfx_sim::BatchState`]) fails
-///   admission with [`SimError::Memory`] when the member's claim does
-///   not fit next to the already-admitted members' claims. Schedulers
-///   avoid such admissions through the engine's
-///   [`AdmissionProbe`](crate::AdmissionProbe).
-pub trait ContinuousStepper {
-    /// Admits a member, charging its prefill (or its first chunk, under
-    /// a [`set_prefill_chunk`](ContinuousStepper::set_prefill_chunk)
-    /// budget) to the shared timeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidRequest`] for workloads the backend
-    /// rejects (zero-length, over the model's sequence cap) or a
-    /// duplicate id, and [`SimError::Memory`] when the member's K/V
-    /// claim exceeds the backend's free device-memory budget.
-    fn admit(&mut self, id: u64, workload: Workload) -> Result<StepEvent, SimError>;
-
-    /// Advances every live member: one prefill chunk if one is in
-    /// flight, then one output token for every decoding member.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidRequest`] when no members are live.
-    fn step_token(&mut self) -> Result<StepEvent, SimError>;
-
-    /// Number of live (admitted, unfinished) members.
-    fn live(&self) -> usize;
-
-    /// Sets the prefill chunk budget (tokens charged per admission or
-    /// step before decode resumes). The default implementation ignores
-    /// the budget: backends without an incremental prefill model keep
-    /// whole-prefill admission, which is always correct — chunking only
-    /// redistributes when the same work is charged.
-    fn set_prefill_chunk(&mut self, chunk: Option<usize>) {
-        let _ = chunk;
-    }
-
-    /// Estimated serial stall of admitting `workload` now: its full
-    /// prefill cost, ms. Feeds prefill-aware admission policies; the
-    /// default (no estimate) returns 0, which makes such policies admit
-    /// greedily on this backend.
-    fn prefill_cost_ms(&mut self, workload: Workload) -> f64 {
-        let _ = workload;
-        0.0
-    }
-
-    /// Estimated cost of one decode step at a hypothetical live batch
-    /// of `live` members, ms. Same default caveat as
-    /// [`prefill_cost_ms`](ContinuousStepper::prefill_cost_ms).
-    fn step_cost_ms(&mut self, live: usize) -> f64 {
-        let _ = live;
-        0.0
-    }
-
-    /// Backend-granular K/V feasibility of a hypothetical resident set
-    /// (current live members plus candidates), when the stepper can
-    /// answer more precisely than summed whole claims — the paged
-    /// appliance stepper counts free *blocks* against the joiners'
-    /// prompts. `None` (the default) tells the engine's
-    /// [`AdmissionProbe`](crate::AdmissionProbe) to fall back to the
-    /// claim-sum check against [`Backend::memory`](crate::Backend).
-    fn kv_fits_resident(&self, members: &[Workload]) -> Option<bool> {
-        let _ = members;
-        None
-    }
-
-    /// Paged-K/V run counters ([`dfx_sim::PagingStats`]), when the
-    /// stepper allocates K/V in blocks. `None` (the default) on
-    /// reserved-claim and memory-less steppers.
-    fn kv_stats(&self) -> Option<dfx_sim::PagingStats> {
-        None
-    }
-}
-
-/// The appliance stepper: a thin adapter over [`dfx_sim::BatchState`]
-/// (which carries the K/V pool and the chunked-prefill machinery).
-pub(crate) struct ApplianceStepper<'a> {
-    state: BatchState<'a>,
-}
-
-impl<'a> ApplianceStepper<'a> {
-    pub(crate) fn new(appliance: &'a Appliance) -> Self {
-        ApplianceStepper {
-            state: appliance.batch_state(),
-        }
-    }
-}
-
-impl ContinuousStepper for ApplianceStepper<'_> {
-    fn admit(&mut self, id: u64, workload: Workload) -> Result<StepEvent, SimError> {
-        validate_workload(workload)?;
-        let out = self.state.admit(id, workload)?;
-        self.state.retire();
-        Ok(StepEvent {
-            ms: out.prefill_ms,
-            live: self.state.live(),
-            finished: if out.finished { vec![id] } else { Vec::new() },
-            prefilling: if out.pending_prefill > 0 {
-                vec![id]
-            } else {
-                Vec::new()
-            },
-        })
-    }
-
-    fn step_token(&mut self) -> Result<StepEvent, SimError> {
-        let out = self.state.step_token()?;
-        self.state.retire();
-        Ok(StepEvent {
-            ms: out.ms,
-            live: self.state.live(),
-            finished: out.finished,
-            prefilling: out.prefilling,
-        })
-    }
-
-    fn live(&self) -> usize {
-        self.state.live()
-    }
-
-    fn set_prefill_chunk(&mut self, chunk: Option<usize>) {
-        self.state.set_prefill_chunk(chunk);
-    }
-
-    fn prefill_cost_ms(&mut self, workload: Workload) -> f64 {
-        self.state.prefill_cost_ms(workload.input_len)
-    }
-
-    fn step_cost_ms(&mut self, live: usize) -> f64 {
-        self.state.decode_step_cost_ms(live)
-    }
-
-    fn kv_fits_resident(&self, members: &[Workload]) -> Option<bool> {
-        self.state.resident_kv_fits(members)
-    }
-
-    fn kv_stats(&self) -> Option<dfx_sim::PagingStats> {
-        self.state.paging_stats()
-    }
-}
+use dfx_sim::{validate_workload, ContinuousStepper, SimError, StepEvent};
 
 struct GpuMember {
     id: u64,
@@ -339,6 +146,7 @@ mod tests {
     use crate::backend::Backend;
     use dfx_baseline::TpuModel;
     use dfx_model::GptConfig;
+    use dfx_sim::Appliance;
 
     fn solo_ms(stepper: &mut dyn ContinuousStepper, w: Workload) -> f64 {
         let mut total = stepper.admit(0, w).unwrap().ms;

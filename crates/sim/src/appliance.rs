@@ -540,6 +540,7 @@ impl Appliance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ContinuousStepper;
 
     #[test]
     fn timed_run_reports_consistent_stages() {
@@ -572,7 +573,7 @@ mod tests {
         while solo.live() > 0 {
             solo.step_token().unwrap();
         }
-        assert_eq!(solo.prefill_cost_ms(8), run.summarization_ms());
+        assert_eq!(solo.prefill_cost_ms(w), run.summarization_ms());
         assert_eq!(a.timed_step_programs(), 11);
         // The single run and the batch of one share one stage entry.
         assert_eq!(a.memo().stages.len(), 1);

@@ -1,29 +1,33 @@
 //! Token-granular batched execution: the incremental executor behind
-//! continuous (iteration-level) batching.
+//! continuous (iteration-level) batching, and the stepping seam the
+//! serving layer schedules against.
 //!
 //! [`Appliance::generate_batch_timed`] executes a *static* batch: every
 //! member is padded to the batch's longest context and longest output,
-//! and the whole batch completes as a unit. [`BatchState`] splits that
-//! whole-batch run into its token steps so a serving layer can make
-//! decisions *between* steps, the discipline of Orca/vLLM-style
+//! and the whole batch completes as a unit. A [`ContinuousStepper`]
+//! splits that whole-batch run into its token steps so a serving layer
+//! can make decisions *between* steps, the discipline of Orca/vLLM-style
 //! continuous batching:
 //!
-//! - [`BatchState::admit`] joins a new member, funding its K/V from the
-//!   device's HBM budget ([`BlockPool`]) and charging its prefill
-//!   (summarization) pass to the shared timeline;
-//! - [`BatchState::step_token`] advances every live member by one decode
-//!   token through [`dfx_core::TimingCore::time_step_batched`] at the
-//!   *current* live batch size — members with different output lengths
-//!   exit early instead of padding to the longest;
-//! - [`BatchState::retire`] drains members that have produced their last
-//!   token, freeing their slots for the next admission (their K/V is
-//!   released the moment they finish).
+//! - [`admit`](ContinuousStepper::admit) joins a new member, charging
+//!   its prefill (summarization) pass to the shared timeline;
+//! - [`step_token`](ContinuousStepper::step_token) advances every live
+//!   member by one output token at the *current* live batch size —
+//!   members with different output lengths exit early instead of
+//!   padding to the longest.
 //!
-//! A member that runs alone through this API costs exactly what
+//! Each operation reports a [`StepEvent`]: the time it added, the live
+//! count after it, the members that produced their last token, and the
+//! members that produced none. [`BatchState`] is the appliance's
+//! stepper, charging every step through
+//! [`dfx_core::TimingCore::time_step_batched`]; the serving crate adds a
+//! closed-form GPU stepper and re-exports the trait and the event.
+//!
+//! A member that runs alone through a `BatchState` costs exactly what
 //! [`Appliance::generate_timed`] charges (the per-step programs are
-//! identical), and each decode step produces one credited token per live
-//! member, so total token work is conserved no matter how admissions and
-//! early exits interleave.
+//! identical), and each decode step produces one credited token per
+//! decoding member, so total token work is conserved no matter how
+//! admissions and early exits interleave.
 //!
 //! # Memory admission
 //!
@@ -35,10 +39,10 @@
 //! - **reserved** (the default) — admission takes the member's whole
 //!   claim (`input_len + output_len` context positions ×
 //!   [`MemoryModel::kv_bytes_per_token`](dfx_hw::MemoryModel)) and
-//!   [`admit`](BatchState::admit) fails with [`SimError::Memory`] when it
-//!   exceeds the free budget. A member can never be evicted mid-decode
-//!   by a later admission, and its claim is released in full when it
-//!   finishes.
+//!   [`admit`](ContinuousStepper::admit) fails with [`SimError::Memory`]
+//!   when it exceeds the free budget. A member can never be evicted
+//!   mid-decode by a later admission, and its claim is released in full
+//!   when it finishes.
 //! - **paged** (under [`Appliance::with_kv_paging`]) — admission takes
 //!   blocks for the member's *prompt* only, decode grows the block table
 //!   page by page, and a grow that finds the pool exhausted preempts the
@@ -57,16 +61,17 @@
 //! By default a member's whole prefill is charged at admission, stalling
 //! every decoding member for the full summarization pass — on DFX the
 //! dominant cost of joining a running batch. With
-//! [`set_prefill_chunk`](BatchState::set_prefill_chunk), the prefill is
-//! split into token-budgeted chunks interleaved with decode steps
-//! (Sarathi/TGI style): each [`step_token`](BatchState::step_token)
-//! advances the oldest in-flight prefill by at most the budget before
-//! decoding the live members, bounding the decode stall per step by one
-//! chunk instead of one whole context. Total prefill work is identical
-//! (the same per-position programs run in the same order), so the
-//! member produces exactly the same tokens — chunking trades nothing
-//! but the interleaving. An unset (or `>= input_len`) budget reproduces
-//! the unchunked path bit for bit.
+//! [`set_prefill_chunk`](ContinuousStepper::set_prefill_chunk), the
+//! prefill is split into token-budgeted chunks interleaved with decode
+//! steps (Sarathi/TGI style): each
+//! [`step_token`](ContinuousStepper::step_token) advances the oldest
+//! in-flight prefill by at most the budget before decoding the live
+//! members, bounding the decode stall per step by one chunk instead of
+//! one whole context. Total prefill work is identical (the same
+//! per-position programs run in the same order), so the member produces
+//! exactly the same tokens — chunking trades nothing but the
+//! interleaving. An unset (or `>= input_len`) budget reproduces the
+//! unchunked path bit for bit.
 //!
 //! Decode steps at heterogeneous positions are charged at the *largest*
 //! live position (the attention shape the hardware would pad to within
@@ -77,69 +82,143 @@ use crate::block::{BlockPool, PagingStats, PreemptionPolicy, Prefix};
 use crate::error::SimError;
 use dfx_model::Workload;
 
-/// Result of admitting one member into a running batch.
+/// Result of one stepper operation (an admission's prefill or one
+/// step).
+///
+/// An operation emits `live + finished.len() − prefilling.len()`
+/// tokens when it is a step; an admission emits one token for its
+/// joiner unless the joiner is listed in `prefilling`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AdmitOutcome {
-    /// Time the member's prefill pass (or, under a chunk budget, its
-    /// first prefill chunk) added to the shared timeline, ms. Decode of
-    /// the other live members stalls for this long — the admission cost
-    /// a scheduler weighs against queue wait.
-    pub prefill_ms: f64,
-    /// True when the prefill already produced the member's only output
-    /// token (`output_len == 1`): the member never decodes and is
-    /// immediately ready to [`retire`](BatchState::retire).
-    pub finished: bool,
-    /// Context positions still to prefill (zero without a chunk budget:
-    /// the whole pass is charged at admission). While positive, the
-    /// member is live but produces no tokens; subsequent
-    /// [`step_token`](BatchState::step_token)s work the remainder off
-    /// one chunk at a time.
-    pub pending_prefill: usize,
-}
-
-/// Result of one decode step over every live member.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TokenStepOutcome {
-    /// Time the step added to the shared timeline, ms (a prefill chunk,
-    /// if one was in flight, plus the decode pass; under paged K/V,
-    /// also any preemption swaps the step forced).
+pub struct StepEvent {
+    /// Time the operation added to the run's shared timeline, ms.
     pub ms: f64,
-    /// Decoding members the step advanced — also the number of output
-    /// tokens the step produced for *previously running* members (one
-    /// per decoding member, never padding). Under paged K/V a member
-    /// preempted mid-step by a co-tenant's growth is not counted, even
-    /// though the decode pass was charged at the pre-preemption batch
-    /// shape (the hardware step it was padded into ran regardless).
-    pub batch: usize,
-    /// Ids of members that produced their last token in this step; they
-    /// are ready to [`retire`](BatchState::retire) and no longer count
-    /// as live.
+    /// Live members after the operation (including members whose
+    /// chunked prefill is still in flight).
+    pub live: usize,
+    /// Member ids that produced their last token during the operation.
     pub finished: Vec<u64>,
-    /// Ids whose prefill completed in this step, emitting their first
-    /// output token (always empty without a chunk budget).
-    pub first_tokens: Vec<u64>,
-    /// Ids of live members that produced *no* token this step: their
-    /// prefill is still in flight (mid-chunk or queued behind another
-    /// member's) or — under paged K/V — they are preempted, parked in
-    /// DDR, or were resumed this step. Always empty without a chunk
-    /// budget under reserved admission.
+    /// Member ids that produced *no* token during the operation: their
+    /// prefill is still in flight (admitted under a chunk budget, or
+    /// queued behind another member's chunks), or — on a paged-K/V
+    /// stepper — they were preempted, are parked in DDR, or spent the
+    /// step being restored. Always empty on steppers without chunked
+    /// prefill or paging.
     pub prefilling: Vec<u64>,
 }
 
-/// A member drained by [`BatchState::retire`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetiredMember {
-    /// Caller-assigned id from [`BatchState::admit`].
-    pub id: u64,
-    /// The member's workload.
-    pub workload: Workload,
-    /// Output tokens the member produced — always exactly
-    /// `workload.output_len` when drained by
-    /// [`BatchState::retire`]: early exit means a member stops *when it
-    /// is done*, not that it is truncated. Only
-    /// [`BatchState::cancel`] returns fewer: the tokens produced before
-    /// the cancellation.
-    pub tokens: usize,
+/// A backend executing requests token by token, with admissions between
+/// steps.
+///
+/// The contract a serving engine relies on:
+///
+/// - a member admitted into an *empty* stepper and stepped to
+///   completion accumulates the backend's whole-run latency for the
+///   same workload — exactly on backends whose per-step costs add
+///   without rounding (integer-millisecond test backends), and within
+///   float accumulation order otherwise (the built-in appliance/GPU
+///   steppers sum per-step milliseconds where a whole run sums
+///   per-stage totals, a ~1e-9 relative difference) — so continuous
+///   batching at `max_batch == 1` reproduces the single-dispatch FIFO
+///   numbers;
+/// - every [`step_token`](ContinuousStepper::step_token) produces one
+///   credited output token per live *decoding* member (members listed
+///   in [`StepEvent::prefilling`] produce none yet), so token work is
+///   conserved under any admission/exit interleaving;
+/// - admission feasibility is per member for *shape* (each workload is
+///   validated alone — the static path's joint padded-shape constraint
+///   does not apply between decode steps) but *joint* for memory: a
+///   stepper backed by a K/V allocator ([`BatchState`]) fails admission
+///   with [`SimError::Memory`] when the member's claim does not fit next
+///   to the already-admitted members' claims. Schedulers avoid such
+///   admissions through the cost and K/V estimates below.
+pub trait ContinuousStepper {
+    /// Admits a member, charging its prefill (or its first chunk, under
+    /// a [`set_prefill_chunk`](ContinuousStepper::set_prefill_chunk)
+    /// budget) to the shared timeline.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidRequest`] for workloads the backend
+    /// rejects (zero-length, over the model's sequence cap) or a
+    /// duplicate id, and [`SimError::Memory`] when the member's K/V
+    /// claim exceeds the backend's free device-memory budget.
+    fn admit(&mut self, id: u64, workload: Workload) -> Result<StepEvent, SimError>;
+
+    /// Advances every live member: one prefill chunk if one is in
+    /// flight, then one output token for every decoding member.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidRequest`] when no members are live.
+    fn step_token(&mut self) -> Result<StepEvent, SimError>;
+
+    /// Number of live (admitted, unfinished) members.
+    fn live(&self) -> usize;
+
+    /// Sets the prefill chunk budget (tokens charged per admission or
+    /// step before decode resumes). The default implementation ignores
+    /// the budget: backends without an incremental prefill model keep
+    /// whole-prefill admission, which is always correct — chunking only
+    /// redistributes when the same work is charged.
+    fn set_prefill_chunk(&mut self, chunk: Option<usize>) {
+        let _ = chunk;
+    }
+
+    /// Estimated serial stall of admitting `workload` now: its full
+    /// prefill cost, ms. Feeds prefill-aware admission policies; the
+    /// default (no estimate) returns 0, which makes such policies admit
+    /// greedily on this backend.
+    fn prefill_cost_ms(&mut self, workload: Workload) -> f64 {
+        let _ = workload;
+        0.0
+    }
+
+    /// Estimated cost of one decode step at a hypothetical live batch
+    /// of `live` members, ms. Same default caveat as
+    /// [`prefill_cost_ms`](ContinuousStepper::prefill_cost_ms).
+    fn step_cost_ms(&mut self, live: usize) -> f64 {
+        let _ = live;
+        0.0
+    }
+
+    /// Backend-granular K/V feasibility of a hypothetical resident set
+    /// (current live members plus candidates), when the stepper can
+    /// answer more precisely than summed whole claims — the paged
+    /// appliance stepper counts free *blocks* against the joiners'
+    /// prompts. `None` (the default) tells the caller to fall back to
+    /// summing whole claims against the backend's memory model.
+    fn kv_fits_resident(&self, members: &[Workload]) -> Option<bool> {
+        let _ = members;
+        None
+    }
+
+    /// Paged-K/V run counters ([`PagingStats`]), when the stepper
+    /// allocates K/V in blocks. `None` (the default) on reserved-claim
+    /// and memory-less steppers.
+    fn kv_stats(&self) -> Option<PagingStats> {
+        None
+    }
+}
+
+/// Validates a workload at a serving boundary: every backend's `serve`
+/// and every stepper's admission.
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidRequest`] if the workload has no context
+/// tokens or generates no output tokens.
+pub fn validate_workload(w: Workload) -> Result<(), SimError> {
+    if w.input_len == 0 {
+        return Err(SimError::InvalidRequest(
+            "workload has an empty context (input_len == 0)".into(),
+        ));
+    }
+    if w.output_len == 0 {
+        return Err(SimError::InvalidRequest(
+            "workload generates nothing (output_len == 0)".into(),
+        ));
+    }
+    Ok(())
 }
 
 struct Member {
@@ -168,8 +247,8 @@ impl Member {
     }
 }
 
-/// Incremental batched executor over one [`Appliance`]: the
-/// token-granular API continuous batching schedules against.
+/// Incremental batched executor over one [`Appliance`]: the appliance's
+/// [`ContinuousStepper`].
 ///
 /// Costs are charged through the same cycle model as the static paths:
 /// prefills replay [`Appliance::generate_timed`]'s summarization loop,
@@ -184,13 +263,14 @@ impl Member {
 /// [`memory_model`](Appliance::memory_model) budget — its whole claim
 /// by default, its prompt blocks under
 /// [`with_kv_paging`](Appliance::with_kv_paging) — and fails with
-/// [`SimError::Memory`] when that does not fit.
+/// [`SimError::Memory`] when that does not fit. A member's K/V is
+/// released the moment it produces its last token.
 ///
 /// # Examples
 ///
 /// ```
 /// use dfx_model::{GptConfig, Workload};
-/// use dfx_sim::Appliance;
+/// use dfx_sim::{Appliance, ContinuousStepper};
 ///
 /// # fn main() -> Result<(), dfx_sim::SimError> {
 /// let appliance = Appliance::timing_only(GptConfig::tiny(), 2)?;
@@ -199,22 +279,18 @@ impl Member {
 /// // Admit one member, decode a token, then admit a second mid-flight.
 /// batch.admit(0, Workload::new(8, 4))?;
 /// let step = batch.step_token()?;
-/// assert_eq!(step.batch, 1);
+/// assert_eq!(step.live, 1);
 /// batch.admit(1, Workload::new(4, 2))?;
 /// let step = batch.step_token()?;
-/// assert_eq!(step.batch, 2);
 /// // The short member exits early; the long one keeps decoding.
 /// assert_eq!(step.finished, vec![1]);
-/// assert_eq!(batch.retire().len(), 1);
-/// assert_eq!(batch.live(), 1);
+/// assert_eq!(step.live, 1);
 /// # Ok(())
 /// # }
 /// ```
 pub struct BatchState<'a> {
     appliance: &'a Appliance,
     members: Vec<Member>,
-    finished: Vec<RetiredMember>,
-    elapsed_ms: f64,
     /// The K/V allocator over the appliance's per-device HBM budget
     /// (reserved by default; paged under [`Appliance::with_kv_paging`]).
     kv: BlockPool,
@@ -228,13 +304,11 @@ impl Appliance {
     /// [`memory_model`](Appliance::memory_model): reserved by default,
     /// paged under [`with_kv_paging`](Appliance::with_kv_paging).
     ///
-    /// See [`BatchState`] for the admit / step / retire cycle.
+    /// See [`BatchState`] for the admit / step cycle.
     pub fn batch_state(&self) -> BatchState<'_> {
         BatchState {
             appliance: self,
             members: Vec::new(),
-            finished: Vec::new(),
-            elapsed_ms: 0.0,
             kv: match self.kv_paging() {
                 Some(cfg) => BlockPool::new(self.memory_model(), cfg.block_tokens),
                 None => BlockPool::reserved(self.memory_model()),
@@ -245,67 +319,9 @@ impl Appliance {
 }
 
 impl BatchState<'_> {
-    /// Number of live (admitted, not yet finished) members, including
-    /// members whose chunked prefill is still in flight.
-    pub fn live(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Total time charged to the shared timeline so far, ms (prefills
-    /// plus decode steps).
-    pub fn elapsed_ms(&self) -> f64 {
-        self.elapsed_ms
-    }
-
     /// The K/V allocator: inspect committed/free budget from outside.
     pub fn kv(&self) -> &BlockPool {
         &self.kv
-    }
-
-    /// Paged-K/V run counters, when paged allocation is active.
-    pub fn paging_stats(&self) -> Option<PagingStats> {
-        self.appliance.kv_paging().map(|_| self.kv.stats())
-    }
-
-    /// Sets the prefill chunk budget: admissions charge at most `chunk`
-    /// context positions up front and later [`step_token`]s interleave
-    /// the remainder with decode, one chunk per step. `None` (the
-    /// default) restores whole-prefill admission; a budget at or above
-    /// a member's `input_len` is equivalent to it for that member.
-    /// Clearing the budget while a chunked prefill is in flight is
-    /// allowed: the next step finishes that prefill in one whole chunk.
-    ///
-    /// [`step_token`]: BatchState::step_token
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is `Some(0)`.
-    pub fn set_prefill_chunk(&mut self, chunk: Option<usize>) {
-        assert!(chunk != Some(0), "a prefill chunk must be at least 1 token");
-        self.prefill_chunk = chunk;
-    }
-
-    /// Estimated cost of the full prefill pass over `input_len` context
-    /// tokens, ms — the serial stall an unchunked admission would add to
-    /// the shared timeline. Charges nothing; sums the same per-position
-    /// step costs admission charges.
-    pub fn prefill_cost_ms(&self, input_len: usize) -> f64 {
-        self.prefill_span_ms(input_len, 0, input_len)
-    }
-
-    /// Estimated cost of one decode step at a hypothetical live batch of
-    /// `batch` members, ms, positioned at the current largest live
-    /// context (or the first decode position when the batch is empty).
-    /// Charges nothing; reads the step cost the decode pass charges.
-    pub fn decode_step_cost_ms(&self, batch: usize) -> f64 {
-        let pos = self
-            .members
-            .iter()
-            .filter(|m| m.decoding())
-            .map(|m| m.workload.input_len + m.emitted - 1)
-            .max()
-            .unwrap_or(1);
-        self.decode_cost(pos, batch.max(1))
     }
 
     fn decode_cost(&self, pos: usize, batch: usize) -> f64 {
@@ -314,67 +330,78 @@ impl BatchState<'_> {
             .to_millis()
     }
 
-    /// Charges positions `from..to` of `workload`'s prefill (LM head on
+    /// Cost of `workload`'s prefill positions `from..to`, ms (LM head on
     /// the context's last position and on every generated position — the
     /// latter only arise when a recompute preemption replays decode
-    /// output), returning the chunk's cost in ms.
-    fn charge_prefill_chunk(&mut self, workload: Workload, from: usize, to: usize) -> f64 {
-        let ms = self.prefill_span_ms(workload.input_len, from, to);
-        self.elapsed_ms += ms;
-        ms
-    }
-
-    /// Cost of prefill positions `from..to` over an `input_len`-token
-    /// context, ms, without charging it (cycles are summed before the
-    /// conversion to ms).
+    /// output; cycles are summed before the conversion to ms).
     fn prefill_span_ms(&self, input_len: usize, from: usize, to: usize) -> f64 {
         self.appliance
             .prefill_cycles(input_len, from, to)
             .to_millis()
     }
 
-    /// Moves a member to the finished list, releasing its K/V lease.
-    fn finish(&mut self, member: Member) {
-        self.kv.release(member.id);
-        self.finished.push(RetiredMember {
-            id: member.id,
-            workload: member.workload,
-            tokens: member.emitted,
-        });
+    /// Ensures member `grower` can write `tokens` more positions,
+    /// evicting the youngest block-holding co-tenant at a time under the
+    /// configured [`PreemptionPolicy`] until the write fits. Decode
+    /// growth calls this every token; prefill growth only as a last
+    /// resort (see [`step_token`](ContinuousStepper::step_token) — an
+    /// evicting prefill invites recompute livelock). Returns the DDR swap
+    /// time charged (retain policy only); a no-op returning 0 on a
+    /// reserved pool, where admission funded the whole claim.
+    fn make_room(&mut self, grower: u64, tokens: usize) -> Result<f64, SimError> {
+        let mut ms = 0.0;
+        loop {
+            let pool = &mut self.kv;
+            if pool.can_write(grower, tokens) {
+                return Ok(ms);
+            }
+            let Some(i) = self.members.iter().rposition(|m| {
+                m.id != grower
+                    && m.parked.is_none()
+                    && pool.lease_blocks(m.id).is_some_and(|(o, s)| o + s > 0)
+            }) else {
+                // Unreachable when every admission was solo-feasible:
+                // a lone block-holder can always reach its own claim.
+                return Err(SimError::Memory(format!(
+                    "the block pool cannot make room for member {grower}: \
+                     no preemptible co-tenant holds blocks"
+                )));
+            };
+            let policy = self
+                .appliance
+                .kv_paging()
+                .map_or(PreemptionPolicy::Recompute, |cfg| cfg.policy);
+            let victim = &mut self.members[i];
+            let (used, owned) = pool.evict(victim.id)?;
+            match policy {
+                PreemptionPolicy::Recompute => {
+                    // The victim restarts its prefill over everything it
+                    // had materialised: its prompt plus the K/V of every
+                    // token it already emitted.
+                    victim.prefilled = 0;
+                    victim.prefill_target =
+                        victim.workload.input_len + victim.emitted.saturating_sub(1);
+                }
+                PreemptionPolicy::Retain => {
+                    pool.record_swap_out();
+                    victim.parked = Some(used);
+                    let bytes = pool.memory().kv_claim_bytes(owned * pool.block_tokens());
+                    // lint: order-sensitive — simulated-clock accumulation
+                    ms += dfx_hw::DdrModel::default()
+                        .transfer_cycles(bytes)
+                        .to_millis();
+                }
+            }
+        }
     }
+}
 
-    /// Cancels live member `id` mid-flight — mid-prefill, parked, or
-    /// decoding — releasing its whole K/V lease immediately (a lease is
-    /// freed in full however a member exits; see
-    /// [`BlockPool::release`]). The member is returned with the tokens it
-    /// actually produced and is *not* queued for
-    /// [`retire`](BatchState::retire); its id becomes reusable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidRequest`] for an id that is not live.
-    pub fn cancel(&mut self, id: u64) -> Result<RetiredMember, SimError> {
-        let i = self
-            .members
-            .iter()
-            .position(|m| m.id == id)
-            .ok_or_else(|| {
-                SimError::InvalidRequest(format!("member {id} is not live, nothing to cancel"))
-            })?;
-        let member = self.members.remove(i);
-        self.kv.release(member.id);
-        Ok(RetiredMember {
-            id: member.id,
-            workload: member.workload,
-            tokens: member.emitted,
-        })
-    }
-
+impl ContinuousStepper for BatchState<'_> {
     /// Admits a member: validates the workload, funds its K/V from the
     /// HBM budget (its whole claim, or under paging its first write's
-    /// blocks), charges its prefill pass (or its
-    /// first chunk, under [`set_prefill_chunk`]) to the shared timeline
-    /// and registers it for decode steps.
+    /// blocks), charges its prefill pass (or its first chunk, under
+    /// [`set_prefill_chunk`](ContinuousStepper::set_prefill_chunk)) to
+    /// the shared timeline and registers it for decode steps.
     ///
     /// The unchunked prefill replays the summarization stage of
     /// [`Appliance::generate_timed`] (every context token, LM head on
@@ -384,22 +411,16 @@ impl BatchState<'_> {
     /// model cap — there is no joint padded shape) *and* room in the
     /// K/V pool for what admission takes.
     ///
-    /// [`set_prefill_chunk`]: BatchState::set_prefill_chunk
-    ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidRequest`] for an empty context, a
-    /// workload exceeding the model's maximum sequence length, or an id
-    /// already live or awaiting retirement; [`SimError::Memory`] when
-    /// the K/V pool cannot fund the admission.
-    pub fn admit(&mut self, id: u64, workload: Workload) -> Result<AdmitOutcome, SimError> {
+    /// Returns [`SimError::InvalidRequest`] for an empty context, an
+    /// empty output, a workload exceeding the model's maximum sequence
+    /// length, or an id already live; [`SimError::Memory`] when the K/V
+    /// pool cannot fund the admission.
+    fn admit(&mut self, id: u64, workload: Workload) -> Result<StepEvent, SimError> {
+        validate_workload(workload)?;
         self.appliance.check_workload(workload)?;
-        if workload.output_len == 0 {
-            return Err(SimError::InvalidRequest(
-                "workload generates nothing (output_len == 0)".into(),
-            ));
-        }
-        if self.members.iter().any(|m| m.id == id) || self.finished.iter().any(|m| m.id == id) {
+        if self.members.iter().any(|m| m.id == id) {
             return Err(SimError::InvalidRequest(format!(
                 "member id {id} is already in the batch"
             )));
@@ -427,69 +448,57 @@ impl BatchState<'_> {
         )?;
         debug_assert_eq!(hit, hits);
         let prefilled = hit + first_computed;
-        let prefill_ms = self.charge_prefill_chunk(workload, hit, prefilled);
-        if prefilled < workload.input_len {
+        let ms = self.prefill_span_ms(workload.input_len, hit, prefilled);
+        // The prefill's LM head produces the first output token, unless
+        // the prefill is still in flight.
+        let pending = prefilled < workload.input_len;
+        let finished = !pending && workload.output_len == 1;
+        if finished {
+            self.kv.release(id);
+        } else {
             self.members.push(Member {
                 id,
                 workload,
                 prefilled,
                 prefill_target: workload.input_len,
-                emitted: 0,
+                emitted: usize::from(!pending),
                 parked: None,
             });
-            return Ok(AdmitOutcome {
-                prefill_ms,
-                finished: false,
-                pending_prefill: workload.input_len - prefilled,
-            });
         }
-        // The prefill's LM head produces the first output token.
-        let finished = workload.output_len == 1;
-        let member = Member {
-            id,
-            workload,
-            prefilled,
-            prefill_target: workload.input_len,
-            emitted: 1,
-            parked: None,
-        };
-        if finished {
-            self.finish(member);
-        } else {
-            self.members.push(member);
-        }
-        Ok(AdmitOutcome {
-            prefill_ms,
-            finished,
-            pending_prefill: 0,
+        Ok(StepEvent {
+            ms,
+            live: self.members.len(),
+            finished: if finished { vec![id] } else { Vec::new() },
+            prefilling: if pending { vec![id] } else { Vec::new() },
         })
     }
 
     /// Advances the batch by one step: works one chunk of the oldest
     /// in-flight prefill (if any — see
-    /// [`set_prefill_chunk`](BatchState::set_prefill_chunk)), then
-    /// advances every decoding member by one output token.
+    /// [`set_prefill_chunk`](ContinuousStepper::set_prefill_chunk)),
+    /// then advances every decoding member by one output token.
     ///
     /// The decode pass runs one `token_step` program through
     /// [`dfx_core::TimingCore::time_step_batched`] at the decoding batch
     /// size, positioned at the largest decoding member's context (the
     /// attention shape the step pads to); every decoding member earns
     /// one output token, and a member completing its prefill earns its
-    /// first. Members reaching their requested length are moved to the
-    /// retirement list (releasing their K/V claim) and returned in
-    /// [`TokenStepOutcome::finished`].
+    /// first. Members reaching their requested length leave the batch
+    /// (releasing their K/V) and are listed in [`StepEvent::finished`].
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidRequest`] when no members are live.
-    pub fn step_token(&mut self) -> Result<TokenStepOutcome, SimError> {
+    fn step_token(&mut self) -> Result<StepEvent, SimError> {
         if self.members.is_empty() {
             return Err(SimError::InvalidRequest(
                 "no live members to step (admit first)".into(),
             ));
         }
         let mut ms = 0.0;
-        let mut first_tokens = Vec::new();
+        // Members that earned a token this step: a completed prefill's
+        // first, or one decoded token.
+        let mut earned: Vec<u64> = Vec::new();
         let mut finished = Vec::new();
         // Members that made paged-only progress this step (a swap back
         // in, or a recompute catching up): live, but no token earned.
@@ -507,11 +516,10 @@ impl BatchState<'_> {
             if self.kv.can_write(id, swapped) {
                 self.kv.restore(id, swapped)?;
                 let bytes = self.kv.memory().kv_claim_bytes(swapped);
-                let swap_ms = dfx_hw::DdrModel::default()
+                // lint: order-sensitive — simulated-clock accumulation
+                ms += dfx_hw::DdrModel::default()
                     .transfer_cycles(bytes)
                     .to_millis();
-                ms += swap_ms;
-                self.elapsed_ms += swap_ms;
                 self.members[i].parked = None;
                 resumed.push(id);
             }
@@ -573,20 +581,22 @@ impl BatchState<'_> {
             let from = self.members[i].prefilled;
             let to = from.saturating_add(chunk).min(target);
             if force {
+                // lint: order-sensitive — simulated-clock accumulation
                 ms += self.make_room(id, to - from)?;
             }
-            ms += self.charge_prefill_chunk(workload, from, to);
+            // lint: order-sensitive — simulated-clock accumulation
+            ms += self.prefill_span_ms(workload.input_len, from, to);
             self.kv.write(id, to - from)?;
             let m = &mut self.members[i];
             m.prefilled = to;
             if m.decoding() {
                 if m.emitted == 0 {
                     m.emitted = 1;
-                    first_tokens.push(id);
+                    earned.push(id);
                     if m.workload.output_len == 1 {
                         finished.push(id);
-                        let m = self.members.remove(i);
-                        self.finish(m);
+                        self.members.remove(i);
+                        self.kv.release(id);
                     }
                 } else {
                     // A recompute caught back up: its K/V is whole
@@ -603,7 +613,7 @@ impl BatchState<'_> {
         let decoding: Vec<u64> = self
             .members
             .iter()
-            .filter(|m| m.decoding() && !first_tokens.contains(&m.id) && !resumed.contains(&m.id))
+            .filter(|m| m.decoding() && !earned.contains(&m.id) && !resumed.contains(&m.id))
             .map(|m| m.id)
             .collect();
         if !decoding.is_empty() {
@@ -615,12 +625,10 @@ impl BatchState<'_> {
                 .filter(|m| decoding.contains(&m.id))
                 .map(|m| m.workload.input_len + m.emitted - 1)
                 .fold(0, usize::max);
-            let step_ms = self.decode_cost(pos, decoding.len());
-            ms += step_ms;
-            self.elapsed_ms += step_ms;
+            // lint: order-sensitive — simulated-clock accumulation
+            ms += self.decode_cost(pos, decoding.len());
         }
 
-        let mut advanced: Vec<u64> = Vec::new();
         let mut i = 0;
         while i < self.members.len() {
             let id = self.members[i].id;
@@ -636,11 +644,11 @@ impl BatchState<'_> {
             ms += self.make_room(id, 1)?;
             self.kv.write(id, 1)?;
             self.members[i].emitted += 1;
-            advanced.push(id);
+            earned.push(id);
             if self.members[i].emitted == self.members[i].workload.output_len {
-                let m = self.members.remove(i);
-                finished.push(m.id);
-                self.finish(m);
+                self.members.remove(i);
+                self.kv.release(id);
+                finished.push(id);
             } else {
                 i += 1;
             }
@@ -648,80 +656,65 @@ impl BatchState<'_> {
         let prefilling: Vec<u64> = self
             .members
             .iter()
-            .filter(|m| !advanced.contains(&m.id) && !first_tokens.contains(&m.id))
+            .filter(|m| !earned.contains(&m.id))
             .map(|m| m.id)
             .collect();
-        Ok(TokenStepOutcome {
+        Ok(StepEvent {
             ms,
-            batch: advanced.len(),
+            live: self.members.len(),
             finished,
-            first_tokens,
             prefilling,
         })
     }
 
-    /// Ensures member `grower` can write `tokens` more positions,
-    /// evicting the youngest block-holding co-tenant at a time under the
-    /// configured [`PreemptionPolicy`] until the write fits. Decode
-    /// growth calls this every token; prefill growth only as a last
-    /// resort (see [`step_token`](BatchState::step_token) — an evicting
-    /// prefill invites recompute livelock). Returns the DDR swap time
-    /// charged (retain policy only); a no-op returning 0 on a reserved
-    /// pool, where admission funded the whole claim.
-    fn make_room(&mut self, grower: u64, tokens: usize) -> Result<f64, SimError> {
-        let mut ms = 0.0;
-        loop {
-            let pool = &mut self.kv;
-            if pool.can_write(grower, tokens) {
-                return Ok(ms);
-            }
-            let Some(i) = self.members.iter().rposition(|m| {
-                m.id != grower
-                    && m.parked.is_none()
-                    && pool.lease_blocks(m.id).is_some_and(|(o, s)| o + s > 0)
-            }) else {
-                // Unreachable when every admission was solo-feasible:
-                // a lone block-holder can always reach its own claim.
-                return Err(SimError::Memory(format!(
-                    "the block pool cannot make room for member {grower}: \
-                     no preemptible co-tenant holds blocks"
-                )));
-            };
-            let policy = self
-                .appliance
-                .kv_paging()
-                .map_or(PreemptionPolicy::Recompute, |cfg| cfg.policy);
-            let victim = &mut self.members[i];
-            let (used, owned) = pool.evict(victim.id)?;
-            match policy {
-                PreemptionPolicy::Recompute => {
-                    // The victim restarts its prefill over everything it
-                    // had materialised: its prompt plus the K/V of every
-                    // token it already emitted.
-                    victim.prefilled = 0;
-                    victim.prefill_target =
-                        victim.workload.input_len + victim.emitted.saturating_sub(1);
-                }
-                PreemptionPolicy::Retain => {
-                    pool.record_swap_out();
-                    victim.parked = Some(used);
-                    let bytes = pool.memory().kv_claim_bytes(owned * pool.block_tokens());
-                    let swap_ms = dfx_hw::DdrModel::default()
-                        .transfer_cycles(bytes)
-                        .to_millis();
-                    // lint: order-sensitive — simulated-clock accumulation
-                    ms += swap_ms;
-                    // lint: order-sensitive — simulated-clock accumulation
-                    self.elapsed_ms += swap_ms;
-                }
-            }
-        }
+    fn live(&self) -> usize {
+        self.members.len()
     }
 
-    /// Block-granular feasibility of a hypothetical resident set, for
-    /// the serving layer's admission probe: `None` without paging (the
-    /// caller sums whole claims), `Some(fits)` under it. `members` is the would-be
-    /// resident set — live members are matched off by workload.
+    /// Sets the prefill chunk budget: admissions charge at most `chunk`
+    /// context positions up front and later
+    /// [`step_token`](ContinuousStepper::step_token)s interleave the
+    /// remainder with decode, one chunk per step. `None` (the default)
+    /// restores whole-prefill admission; a budget at or above a member's
+    /// `input_len` is equivalent to it for that member. Clearing the
+    /// budget while a chunked prefill is in flight is allowed: the next
+    /// step finishes that prefill in one whole chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk` is `Some(0)`.
+    fn set_prefill_chunk(&mut self, chunk: Option<usize>) {
+        assert!(chunk != Some(0), "a prefill chunk must be at least 1 token");
+        self.prefill_chunk = chunk;
+    }
+
+    /// The full prefill pass over `workload`'s context, ms — the serial
+    /// stall an unchunked admission would add to the shared timeline.
+    /// Charges nothing; sums the same per-position step costs admission
+    /// charges.
+    fn prefill_cost_ms(&mut self, workload: Workload) -> f64 {
+        self.prefill_span_ms(workload.input_len, 0, workload.input_len)
+    }
+
+    /// One decode step at a hypothetical live batch of `live` members,
+    /// ms, positioned at the current largest decoding context (or the
+    /// first decode position when none decodes). Charges nothing; reads
+    /// the step cost the decode pass charges.
+    fn step_cost_ms(&mut self, live: usize) -> f64 {
+        let pos = self
+            .members
+            .iter()
+            .filter(|m| m.decoding())
+            .map(|m| m.workload.input_len + m.emitted - 1)
+            .max()
+            .unwrap_or(1);
+        self.decode_cost(pos, live.max(1))
+    }
+
+    /// Block-granular feasibility of a hypothetical resident set:
+    /// `None` without paging (the caller sums whole claims), `Some(fits)`
+    /// under it. `members` is the would-be resident set — live members
+    /// are matched off by workload.
     ///
     /// The policy is *half-funded outputs*: prompts are funded in full
     /// (a joiner needs blocks for its whole prompt minus its cached
@@ -732,7 +725,7 @@ impl BatchState<'_> {
     /// that fund the long tail — so this packs measurably more members
     /// than max-claim reservation while keeping preemption the rare
     /// case rather than the steady state.
-    pub fn resident_kv_fits(&self, members: &[Workload]) -> Option<bool> {
+    fn kv_fits_resident(&self, members: &[Workload]) -> Option<bool> {
         let cfg = self.appliance.kv_paging()?;
         let pool = &self.kv;
         let mut live: Vec<Workload> = self.members.iter().map(|m| m.workload).collect();
@@ -769,11 +762,8 @@ impl BatchState<'_> {
         Some(need + pending <= pool.available_blocks())
     }
 
-    /// Drains every member that has produced its last token, freeing
-    /// their slots for subsequent admissions (their K/V claims were
-    /// released the moment they finished).
-    pub fn retire(&mut self) -> Vec<RetiredMember> {
-        std::mem::take(&mut self.finished)
+    fn kv_stats(&self) -> Option<PagingStats> {
+        self.appliance.kv_paging().map(|_| self.kv.stats())
     }
 }
 
@@ -786,17 +776,26 @@ mod tests {
         Appliance::timing_only(GptConfig::tiny(), 2).unwrap()
     }
 
-    /// Runs one workload alone through the incremental API.
+    /// Steps a batch to completion, returning the members in finishing
+    /// order and the timeline the steps added, ms.
+    fn drain(b: &mut BatchState<'_>) -> (Vec<u64>, f64) {
+        let (mut finished, mut ms) = (Vec::new(), 0.0);
+        while b.live() > 0 {
+            let step = b.step_token().unwrap();
+            ms += step.ms;
+            finished.extend(step.finished);
+        }
+        (finished, ms)
+    }
+
+    /// Runs one workload alone through the incremental API, returning
+    /// its whole timeline, ms.
     fn solo_ms(a: &Appliance, w: Workload) -> f64 {
         let mut b = a.batch_state();
-        b.admit(0, w).unwrap();
-        while b.live() > 0 {
-            b.step_token().unwrap();
-        }
-        let retired = b.retire();
-        assert_eq!(retired.len(), 1);
-        assert_eq!(retired[0].tokens, w.output_len);
-        b.elapsed_ms()
+        let admitted = b.admit(0, w).unwrap();
+        let (finished, stepped) = drain(&mut b);
+        assert_eq!(admitted.finished.len() + finished.len(), 1);
+        admitted.ms + stepped
     }
 
     #[test]
@@ -826,24 +825,26 @@ mod tests {
             Workload::new(4, 2),
             Workload::new(6, 7),
         ];
+        // One token per step for every live member not prefilling (the
+        // finished ones included), plus each prefill's first token.
+        let step_tokens = |ev: StepEvent| ev.live + ev.finished.len() - ev.prefilling.len();
         let mut tokens = 0usize;
+        let mut finished = Vec::new();
         b.admit(0, ws[0]).unwrap();
-        tokens += b.step_token().unwrap().batch;
+        tokens += step_tokens(b.step_token().unwrap());
         b.admit(1, ws[1]).unwrap();
         let mut admitted_third = false;
         while b.live() > 0 {
-            tokens += b.step_token().unwrap().batch;
+            let ev = b.step_token().unwrap();
+            finished.extend(ev.finished.iter().copied());
+            tokens += step_tokens(ev);
             if !admitted_third {
                 b.admit(2, ws[2]).unwrap();
                 admitted_third = true;
             }
         }
-        let retired = b.retire();
-        assert_eq!(retired.len(), 3);
-        for r in &retired {
-            assert_eq!(r.tokens, r.workload.output_len, "member {} truncated", r.id);
-        }
-        // One token per member per step, plus the prefill's first token.
+        finished.sort_unstable();
+        assert_eq!(finished, vec![0, 1, 2]);
         let expect: usize = ws.iter().map(|w| w.output_len).sum();
         assert_eq!(tokens + ws.len(), expect);
     }
@@ -854,11 +855,7 @@ mod tests {
         let mut b = a.batch_state();
         b.admit(0, Workload::new(8, 8)).unwrap();
         b.admit(1, Workload::new(8, 3)).unwrap();
-        let mut exit_order = Vec::new();
-        while b.live() > 0 {
-            exit_order.extend(b.step_token().unwrap().finished);
-        }
-        assert_eq!(exit_order, vec![1, 0]);
+        assert_eq!(drain(&mut b).0, vec![1, 0]);
     }
 
     #[test]
@@ -870,13 +867,13 @@ mod tests {
         let ws = [Workload::new(8, 24), Workload::new(8, 2)];
         let padded = a.generate_batch_timed(&ws).unwrap().total_latency_ms();
         let mut b = a.batch_state();
-        b.admit(0, ws[0]).unwrap();
-        b.admit(1, ws[1]).unwrap();
+        let mut elapsed = b.admit(0, ws[0]).unwrap().ms + b.admit(1, ws[1]).unwrap().ms;
         let mut short_done_ms = None;
         while b.live() > 0 {
             let step = b.step_token().unwrap();
+            elapsed += step.ms;
             if step.finished.contains(&1) {
-                short_done_ms = Some(b.elapsed_ms());
+                short_done_ms = Some(elapsed);
             }
         }
         let short_done_ms = short_done_ms.expect("short member finished");
@@ -897,10 +894,7 @@ mod tests {
         let mut b = a.batch_state();
         b.admit(0, long_ctx).unwrap();
         b.admit(1, long_out).unwrap();
-        while b.live() > 0 {
-            b.step_token().unwrap();
-        }
-        assert_eq!(b.retire().len(), 2);
+        assert_eq!(drain(&mut b).0.len(), 2);
     }
 
     #[test]
@@ -937,17 +931,15 @@ mod tests {
         let a = appliance();
         let mut b = a.batch_state();
         let out = b.admit(7, Workload::new(6, 1)).unwrap();
-        assert!(out.finished);
-        assert!(out.prefill_ms > 0.0);
-        assert_eq!(out.pending_prefill, 0);
-        assert_eq!(b.live(), 0);
-        let retired = b.retire();
-        assert_eq!(retired.len(), 1);
-        assert_eq!(retired[0].tokens, 1);
+        assert_eq!(out.finished, vec![7]);
+        assert!(out.prefilling.is_empty());
+        assert!(out.ms > 0.0);
+        assert_eq!((out.live, b.live()), (0, 0));
+        assert_eq!(b.kv().committed_tokens(), 0);
         // Exactly the sequential cost: generate_timed(6, 1) has no
         // generation stage either.
         let seq = a.generate_timed(6, 1).unwrap().total_latency_ms();
-        assert!((b.elapsed_ms() - seq).abs() < 1e-9);
+        assert!((out.ms - seq).abs() < 1e-9);
     }
 
     #[test]
@@ -986,13 +978,11 @@ mod tests {
         assert_eq!(b.kv().committed_tokens(), 12);
         let err = b.admit(1, Workload::new(8, 4)).unwrap_err();
         assert!(matches!(err, SimError::Memory(_)), "{err:?}");
-        while b.live() > 0 {
-            b.step_token().unwrap();
-        }
+        drain(&mut b);
         // The claim is released the moment the member finishes.
         assert_eq!(b.kv().committed_tokens(), 0);
         b.admit(1, Workload::new(8, 4)).unwrap();
-        assert_eq!(b.retire().len(), 1);
+        assert_eq!(drain(&mut b).0, vec![1]);
     }
 
     #[test]
@@ -1011,17 +1001,6 @@ mod tests {
 
     // --- Chunked prefill --------------------------------------------
 
-    /// Steps a batch to completion, returning every retired member and
-    /// the total tokens observed step by step.
-    fn drain(b: &mut BatchState<'_>) -> (Vec<RetiredMember>, usize) {
-        let mut tokens = 0;
-        while b.live() > 0 {
-            let step = b.step_token().unwrap();
-            tokens += step.batch + step.first_tokens.len();
-        }
-        (b.retire(), tokens)
-    }
-
     #[test]
     fn chunked_prefill_produces_token_identical_output() {
         let a = appliance();
@@ -1031,25 +1010,23 @@ mod tests {
             b.set_prefill_chunk(chunk);
             let mut tokens = 0;
             for (i, &w) in ws.iter().enumerate() {
-                let out = b.admit(i as u64, w).unwrap();
-                if out.pending_prefill == 0 {
+                if b.admit(i as u64, w).unwrap().prefilling.is_empty() {
                     tokens += 1; // the prefill's first token
                 }
             }
-            let (retired, stepped) = drain(&mut b);
-            let mut per_member: Vec<(u64, usize)> =
-                retired.iter().map(|r| (r.id, r.tokens)).collect();
-            per_member.sort_unstable();
-            (per_member, tokens + stepped)
+            let mut finished = Vec::new();
+            while b.live() > 0 {
+                let ev = b.step_token().unwrap();
+                tokens += ev.live + ev.finished.len() - ev.prefilling.len();
+                finished.extend(ev.finished);
+            }
+            finished.sort_unstable();
+            (finished, tokens)
         };
         let unchunked = run(None);
+        assert_eq!(unchunked, (vec![0, 1], 9));
         for chunk in [1, 4, 7, 64] {
-            let chunked = run(Some(chunk));
-            assert_eq!(
-                chunked.0, unchunked.0,
-                "chunk {chunk}: member tokens differ"
-            );
-            assert_eq!(chunked.1, unchunked.1, "chunk {chunk}: total tokens differ");
+            assert_eq!(run(Some(chunk)), unchunked, "chunk {chunk}");
         }
     }
 
@@ -1062,12 +1039,10 @@ mod tests {
         let unchunked = solo_ms(&a, w);
         let mut b = a.batch_state();
         b.set_prefill_chunk(Some(5));
-        b.admit(0, w).unwrap();
-        while b.live() > 0 {
-            b.step_token().unwrap();
-        }
-        assert_eq!(b.retire().len(), 1);
-        let chunked = b.elapsed_ms();
+        let admitted = b.admit(0, w).unwrap().ms;
+        let (finished, stepped) = drain(&mut b);
+        assert_eq!(finished, vec![0]);
+        let chunked = admitted + stepped;
         assert!(
             (chunked - unchunked).abs() < 1e-9 * unchunked,
             "chunked {chunked} vs unchunked {unchunked}"
@@ -1082,11 +1057,9 @@ mod tests {
         let mut b = a.batch_state();
         b.set_prefill_chunk(Some(w.input_len));
         let out = b.admit(0, w).unwrap();
-        assert_eq!(out.pending_prefill, 0);
-        while b.live() > 0 {
-            b.step_token().unwrap();
-        }
-        assert_eq!(b.elapsed_ms(), plain, "bit-identical at a covering budget");
+        assert!(out.prefilling.is_empty());
+        let covered = out.ms + drain(&mut b).1;
+        assert_eq!(covered, plain, "bit-identical at a covering budget");
     }
 
     #[test]
@@ -1101,14 +1074,16 @@ mod tests {
         b.admit(0, Workload::new(8, 30)).unwrap();
         b.step_token().unwrap();
         let first_chunk = b.admit(1, long).unwrap();
-        assert!(first_chunk.pending_prefill == 88);
-        let whole = a.batch_state();
-        let full_prefill = whole.prefill_cost_ms(long.input_len);
-        let mut max_step = first_chunk.prefill_ms;
+        assert_eq!(first_chunk.prefilling, vec![1]);
+        let full_prefill = a.batch_state().prefill_cost_ms(long);
+        let mut max_step = first_chunk.ms;
+        let mut finished = 0;
         while b.live() > 0 {
-            max_step = max_step.max(b.step_token().unwrap().ms);
+            let ev = b.step_token().unwrap();
+            max_step = max_step.max(ev.ms);
+            finished += ev.finished.len();
         }
-        assert_eq!(b.retire().len(), 2);
+        assert_eq!(finished, 2);
         assert!(
             max_step < 0.5 * full_prefill,
             "worst step {max_step} not well under the {full_prefill} ms whole prefill"
@@ -1120,28 +1095,28 @@ mod tests {
         let a = appliance();
         let mut b = a.batch_state();
         b.set_prefill_chunk(Some(4));
-        b.admit(0, Workload::new(8, 6)).unwrap(); // 2 chunks: 4 now, 4 later
-        b.admit(1, Workload::new(12, 2)).unwrap(); // 3 chunks: 4 now, 8 later
-                                                   // Prefills complete one chunk per step, oldest first; a member
-                                                   // mid-prefill produces no tokens and is reported as such.
+        // Member 0 prefills in 2 chunks (4 now, 4 later), member 1 in 3
+        // (4 now, 8 later).
+        assert_eq!(b.admit(0, Workload::new(8, 6)).unwrap().prefilling, vec![0]);
+        assert_eq!(
+            b.admit(1, Workload::new(12, 2)).unwrap().prefilling,
+            vec![1]
+        );
+        // Prefills complete one chunk per step, oldest first; a member
+        // mid-prefill produces no tokens and is reported as such.
         let s1 = b.step_token().unwrap();
-        assert_eq!(s1.first_tokens, vec![0]); // member 0 completes, emits
-        assert_eq!(s1.batch, 0); // nobody was decoding yet
-        assert_eq!(s1.prefilling, vec![1]);
+        assert_eq!(s1.prefilling, vec![1]); // member 0 completes, emits
         let s2 = b.step_token().unwrap();
-        assert_eq!(s2.batch, 1); // member 0 decodes...
-        assert_eq!(s2.prefilling, vec![1]); // ...while member 1 prefills
+        assert_eq!(s2.prefilling, vec![1]); // member 0 decodes, 1 prefills
         let s3 = b.step_token().unwrap();
-        assert_eq!(s3.first_tokens, vec![1]);
-        assert!(s3.prefilling.is_empty());
-        // From the next step both decode.
+        assert!(s3.prefilling.is_empty()); // member 1 emits its first
+                                           // From the next step both decode; member 1 (output 2) is done.
         let s4 = b.step_token().unwrap();
-        assert_eq!(s4.batch, 2);
-        assert_eq!(s4.finished, vec![1]); // output 2: done one step later
-        let (retired, _) = drain(&mut b);
-        let mut tokens: Vec<(u64, usize)> = retired.iter().map(|r| (r.id, r.tokens)).collect();
-        tokens.sort_unstable();
-        assert_eq!(tokens, vec![(0, 6), (1, 2)]);
+        assert_eq!((s4.live, s4.finished), (1, vec![1]));
+        // Member 0 has emitted 4 of its 6 tokens: two more steps.
+        assert_eq!(b.step_token().unwrap().finished, Vec::<u64>::new());
+        assert_eq!(b.step_token().unwrap().finished, vec![0]);
+        assert_eq!(b.live(), 0);
     }
 
     #[test]
@@ -1152,24 +1127,23 @@ mod tests {
         b.admit(0, Workload::new(12, 2)).unwrap();
         b.set_prefill_chunk(None);
         // The next step charges the remaining 8 positions in one chunk,
-        // emitting the first token.
+        // emitting the first token; one decode step finishes the member.
         let step = b.step_token().unwrap();
-        assert_eq!(step.first_tokens, vec![0]);
-        let (retired, _) = drain(&mut b);
-        assert_eq!(retired[0].tokens, 2);
+        assert!(step.prefilling.is_empty() && step.finished.is_empty());
+        let step = b.step_token().unwrap();
+        assert_eq!(step.finished, vec![0]);
     }
 
     #[test]
     fn estimates_charge_nothing() {
         let a = appliance();
         let mut b = a.batch_state();
-        let p = b.prefill_cost_ms(16);
-        let d = b.decode_step_cost_ms(4);
+        let w = Workload::new(16, 2);
+        let p = b.prefill_cost_ms(w);
+        let d = b.step_cost_ms(4);
         assert!(p > 0.0 && d > 0.0);
-        assert_eq!(b.elapsed_ms(), 0.0);
         assert_eq!(b.kv().committed_tokens(), 0);
         // The estimate equals what admission then charges.
-        let out = b.admit(0, Workload::new(16, 2)).unwrap();
-        assert_eq!(out.prefill_ms, p);
+        assert_eq!(b.admit(0, w).unwrap().ms, p);
     }
 }

@@ -40,7 +40,7 @@ pub use appliance::{Appliance, GenerationRun, LatencyBreakdown, TimedRun};
 pub use batch::BatchedRun;
 pub use block::{BlockPool, PagedKvConfig, PagingStats, PreemptionPolicy, Prefix};
 pub use cluster::FunctionalCluster;
-pub use continuous::{AdmitOutcome, BatchState, RetiredMember, TokenStepOutcome};
+pub use continuous::{validate_workload, BatchState, ContinuousStepper, StepEvent};
 pub use cost::{ApplianceCost, CostComparison, U280_PRICE_USD, V100_PRICE_USD};
 pub use error::SimError;
 pub use gflops::{dfx_stage_gflops, StageGflops};

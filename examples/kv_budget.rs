@@ -15,7 +15,7 @@
 
 use dfx::model::{GptConfig, Workload};
 use dfx::serve::{ArrivalProcess, Backend, ContinuousBatching, ServingEngine};
-use dfx::sim::Appliance;
+use dfx::sim::{Appliance, ContinuousStepper};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = GptConfig::gpt2_1_5b();

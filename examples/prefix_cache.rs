@@ -18,7 +18,7 @@
 
 use dfx::model::{GptConfig, Workload};
 use dfx::serve::{chatbot_mix, ArrivalProcess, ContinuousBatching, ServingEngine};
-use dfx::sim::{Appliance, PagedKvConfig, PreemptionPolicy};
+use dfx::sim::{Appliance, ContinuousStepper, PagedKvConfig, PreemptionPolicy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = GptConfig::gpt2_345m();
@@ -72,13 +72,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         occupancy(&batch, &format!("admit #{id} {w}"));
     }
     while batch.live() > 0 {
-        batch.step_token()?;
-        for m in batch.retire() {
-            occupancy(&batch, &format!("retire #{} ({} tokens)", m.id, m.tokens));
+        for id in batch.step_token()?.finished {
+            let tokens = conversations[id as usize].output_len;
+            occupancy(&batch, &format!("retire #{id} ({tokens} tokens)"));
         }
     }
     occupancy(&batch, "drained (prefix stays cached)");
-    let stats = batch.paging_stats().unwrap();
+    let stats = batch.kv_stats().unwrap();
     println!(
         "\nprefix cache: {} prompt tokens attached from cache, {} computed -> {:.0}% hit rate\n",
         stats.prefix_hit_tokens,

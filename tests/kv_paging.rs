@@ -18,10 +18,12 @@
 //!    engine — same responses, same timings, same token timelines. On
 //!    mixed streams at a tight capacity, the reserved engine's report
 //!    never shows more whole claims in flight than the budget holds.
-//! 3. **Preemption and cancellation semantics** (deterministic): both
+//! 3. **Preemption and prefix semantics** (deterministic): both
 //!    recompute and retain preemption complete every member with its
-//!    exact requested output; a member cancelled mid-prefill releases
-//!    its K/V whole under both policies.
+//!    exact requested output, counted from the stepper's events, and a
+//!    shared prefix shortens later prefills. (A member released
+//!    mid-prefill frees its whole lease: see the block pool's
+//!    `reserved_release_mid_prefill_frees_the_whole_claim_exactly_once`.)
 //!
 //! The property blocks deliberately carry no explicit case count: the
 //! vendored proptest honours `PROPTEST_CASES`, which CI raises for
@@ -34,8 +36,8 @@ use dfx::serve::{
     ServingEngine,
 };
 use dfx::sim::{
-    Appliance, BatchState, BlockPool, PagedKvConfig, PreemptionPolicy, Prefix, SimError,
-    TokenStepOutcome,
+    Appliance, BatchState, BlockPool, ContinuousStepper, PagedKvConfig, PreemptionPolicy, Prefix,
+    SimError, StepEvent,
 };
 use proptest::prelude::*;
 
@@ -284,9 +286,9 @@ fn covering_block_size_is_bit_identical_at_bounded_capacity() {
 proptest! {
     /// Token-timeline equivalence at the [`BatchState`] level: the same
     /// admit/step interleaving on a reserved pool and on a paged
-    /// pool with ample capacity produces bit-identical
-    /// [`TokenStepOutcome`]s — same milliseconds, same batch sizes,
-    /// same finish order.
+    /// pool with ample capacity produces bit-identical [`StepEvent`]s,
+    /// admissions and steps alike — same milliseconds, same live
+    /// counts, same finish order.
     #[test]
     fn paged_token_timelines_match_reserved_step_for_step(
         workloads in proptest::collection::vec((1usize..24, 1usize..12), 1..6),
@@ -299,7 +301,7 @@ proptest! {
             .unwrap()
             .with_kv_paging(PagedKvConfig::new(block_tokens))
             .unwrap();
-        let run = |appliance: &Appliance| -> Vec<TokenStepOutcome> {
+        let run = |appliance: &Appliance| -> Vec<StepEvent> {
             let mut batch = appliance.batch_state();
             let mut timeline = Vec::new();
             let mut queue = workloads.iter();
@@ -307,7 +309,7 @@ proptest! {
             loop {
                 for _ in 0..=admit_gap {
                     if let Some(&(input, output)) = queue.next() {
-                        batch.admit(id, Workload::new(input, output)).unwrap();
+                        timeline.push(batch.admit(id, Workload::new(input, output)).unwrap());
                         id += 1;
                     }
                 }
@@ -388,7 +390,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// 3. Preemption, prefix sharing and cancellation semantics
+// 3. Preemption and prefix sharing semantics
 // ---------------------------------------------------------------------
 
 /// A tiny appliance whose HBM holds `tokens` K/V positions next to the
@@ -408,21 +410,39 @@ fn tight_appliance(tokens: u64, paging: Option<PagedKvConfig>) -> Appliance {
     }
 }
 
+/// Admits `workload` as member `id`, keeping its admission event.
+fn admit(batch: &mut BatchState, id: u64, workload: Workload) -> (u64, StepEvent) {
+    (id, batch.admit(id, workload).unwrap())
+}
+
 /// Steps the batch to completion, asserting the pool invariants at
-/// every token boundary, and returns the per-member retired token
-/// counts in retirement order.
-fn drain(batch: &mut BatchState) -> Vec<(u64, usize)> {
-    let mut retired: Vec<(u64, usize)> = batch
-        .retire()
-        .into_iter()
-        .map(|m| (m.id, m.tokens))
-        .collect();
-    while batch.live() > 0 {
-        batch.step_token().unwrap();
-        batch.kv().assert_invariants();
-        retired.extend(batch.retire().into_iter().map(|m| (m.id, m.tokens)));
+/// every token boundary, and returns `(id, tokens)` per member in
+/// finishing order, counted from the [`StepEvent`]s alone: an admission
+/// (from `admitted`) earns the joiner's first token unless it is still
+/// prefilling, and a step earns one for every live member it does not
+/// list as prefilling.
+fn drain(batch: &mut BatchState, admitted: &[(u64, StepEvent)]) -> Vec<(u64, usize)> {
+    let (mut live, mut finished) = (Vec::new(), Vec::new());
+    for (id, ev) in admitted {
+        let member = (*id, usize::from(!ev.prefilling.contains(id)));
+        if ev.finished.contains(id) {
+            finished.push(member);
+        } else {
+            live.push(member);
+        }
     }
-    retired
+    while batch.live() > 0 {
+        let ev = batch.step_token().unwrap();
+        batch.kv().assert_invariants();
+        for (id, tokens) in &mut live {
+            *tokens += usize::from(!ev.prefilling.contains(id));
+        }
+        for id in ev.finished {
+            let i = live.iter().position(|m| m.0 == id).expect("a live member");
+            finished.push(live.remove(i));
+        }
+    }
+    finished
 }
 
 /// Two members whose combined growth exhausts a pool that fits both
@@ -432,12 +452,14 @@ fn drain(batch: &mut BatchState) -> Vec<(u64, usize)> {
 fn recompute_preemption_completes_every_member_exactly() {
     let appliance = tight_appliance(64, Some(PagedKvConfig::new(4)));
     let mut batch = appliance.batch_state();
-    batch.admit(0, Workload::new(20, 30)).unwrap();
-    batch.admit(1, Workload::new(20, 30)).unwrap();
-    let mut retired = drain(&mut batch);
+    let admitted = [
+        admit(&mut batch, 0, Workload::new(20, 30)),
+        admit(&mut batch, 1, Workload::new(20, 30)),
+    ];
+    let mut retired = drain(&mut batch, &admitted);
     retired.sort_unstable();
     assert_eq!(retired, vec![(0, 30), (1, 30)]);
-    let stats = batch.paging_stats().unwrap();
+    let stats = batch.kv_stats().unwrap();
     assert!(stats.preemptions >= 1, "growth past 64 tokens must preempt");
     assert_eq!(stats.swap_outs, 0, "recompute never swaps");
 }
@@ -451,12 +473,14 @@ fn retain_preemption_swaps_out_and_still_completes_exactly() {
         Some(PagedKvConfig::new(4).with_policy(PreemptionPolicy::Retain)),
     );
     let mut batch = appliance.batch_state();
-    batch.admit(0, Workload::new(20, 30)).unwrap();
-    batch.admit(1, Workload::new(20, 30)).unwrap();
-    let mut retired = drain(&mut batch);
+    let admitted = [
+        admit(&mut batch, 0, Workload::new(20, 30)),
+        admit(&mut batch, 1, Workload::new(20, 30)),
+    ];
+    let mut retired = drain(&mut batch, &admitted);
     retired.sort_unstable();
     assert_eq!(retired, vec![(0, 30), (1, 30)]);
-    let stats = batch.paging_stats().unwrap();
+    let stats = batch.kv_stats().unwrap();
     assert!(stats.swap_outs >= 1, "growth past 64 tokens must swap out");
 }
 
@@ -466,18 +490,19 @@ fn retain_preemption_swaps_out_and_still_completes_exactly() {
 fn shared_prefix_skips_recomputing_cached_prompt_blocks() {
     let appliance = tight_appliance(256, Some(PagedKvConfig::new(4).with_shared_prefix(16)));
     let mut batch = appliance.batch_state();
-    let first = batch.admit(0, Workload::new(24, 4)).unwrap();
-    let second = batch.admit(1, Workload::new(24, 4)).unwrap();
+    let first = admit(&mut batch, 0, Workload::new(24, 4));
+    let second = admit(&mut batch, 1, Workload::new(24, 4));
     assert!(
-        second.prefill_ms < first.prefill_ms,
+        second.1.ms < first.1.ms,
         "cached prefix must shorten the second prefill ({} !< {})",
-        second.prefill_ms,
-        first.prefill_ms
+        second.1.ms,
+        first.1.ms
     );
-    let stats = batch.paging_stats().unwrap();
+    let stats = batch.kv_stats().unwrap();
     assert_eq!(stats.prefix_hit_tokens, 16, "whole shared blocks re-used");
-    let retired = drain(&mut batch);
-    assert_eq!(retired.len(), 2);
+    let mut retired = drain(&mut batch, &[first, second]);
+    retired.sort_unstable();
+    assert_eq!(retired, vec![(0, 4), (1, 4)]);
 }
 
 /// Paged admission is block-granular: a second member fits by its
@@ -511,42 +536,6 @@ fn paged_admission_is_strictly_more_admissive_than_reservation() {
     );
 }
 
-/// The early-cancel regression (chunked prefill retired between
-/// chunks): under both policies the member's whole K/V comes back in
-/// one release, and its id is immediately reusable.
-#[test]
-fn cancel_mid_prefill_releases_the_whole_claim_on_both_backings() {
-    for paging in [None, Some(PagedKvConfig::new(4))] {
-        let backing = if paging.is_some() {
-            "paged"
-        } else {
-            "reserved"
-        };
-        let appliance = tight_appliance(64, paging);
-        let mut batch = appliance.batch_state();
-        batch.set_prefill_chunk(Some(4));
-        let outcome = batch.admit(0, Workload::new(20, 8)).unwrap();
-        assert!(
-            outcome.pending_prefill > 0,
-            "{backing}: the chunk budget must leave prefill pending"
-        );
-        let free_mid = batch.kv().free_tokens();
-        let cancelled = batch.cancel(0).unwrap();
-        assert_eq!(cancelled.tokens, 0, "{backing}: no token produced yet");
-        assert!(
-            batch.kv().free_tokens() > free_mid,
-            "{backing}: cancel must free the claim"
-        );
-        assert_eq!(batch.live(), 0, "{backing}: the member is gone");
-        assert_eq!(batch.kv().used_tokens(), 0, "{backing}: no K/V left behind");
-        // The id is free again, and the batch runs on untroubled.
-        batch.set_prefill_chunk(None);
-        batch.admit(0, Workload::new(8, 2)).unwrap();
-        let retired = drain(&mut batch);
-        assert_eq!(retired, vec![(0, 2)], "{backing}: reuse after cancel");
-    }
-}
-
 proptest! {
     /// Chunked prefill composed with paging is token-identical to the
     /// unchunked paged engine: every member retires with exactly its
@@ -572,16 +561,18 @@ proptest! {
             // failure mode (a solo-unfit claim) depends only on the
             // claim and rejects identically regardless of chunking.
             let mut prompt_blocks = 0usize;
+            let mut admitted = Vec::new();
             for (i, &(input, output)) in workloads.iter().enumerate() {
                 let need = input.div_ceil(block_tokens);
                 if prompt_blocks + need > total_blocks {
                     continue;
                 }
-                if batch.admit(i as u64, Workload::new(input, output)).is_ok() {
+                if let Ok(ev) = batch.admit(i as u64, Workload::new(input, output)) {
                     prompt_blocks += need;
+                    admitted.push((i as u64, ev));
                 }
             }
-            let mut retired = drain(&mut batch);
+            let mut retired = drain(&mut batch, &admitted);
             retired.sort_unstable();
             retired
         };

@@ -110,6 +110,73 @@ fn arb_arrivals() -> impl Strategy<Value = ArrivalProcess> {
     ]
 }
 
+/// Tokens per member, counted from a stepper's [`StepEvent`]s alone: an
+/// admission earns its joiner one token unless the joiner is listed in
+/// `prefilling`, and a step earns one for every live member not listed
+/// there.
+struct TokenLedger {
+    earned: Vec<usize>,
+    finishes: Vec<usize>,
+    live: Vec<u64>,
+    /// One per emitting admission, plus `live + finished − prefilling`
+    /// per step: the count the engine and the simbench seam check use.
+    summed: usize,
+}
+
+impl TokenLedger {
+    fn new(members: usize) -> Self {
+        TokenLedger {
+            earned: vec![0; members],
+            finishes: vec![0; members],
+            live: Vec::new(),
+            summed: 0,
+        }
+    }
+
+    fn admitted(&mut self, id: u64, ev: &StepEvent) {
+        if !ev.prefilling.contains(&id) {
+            self.earned[id as usize] += 1;
+            self.summed += 1;
+        }
+        assert!(
+            ev.finished.iter().all(|&f| f == id),
+            "an admission finishes only its joiner"
+        );
+        self.live.push(id);
+        self.retire(ev);
+    }
+
+    fn stepped(&mut self, ev: &StepEvent) {
+        for &id in &self.live {
+            if !ev.prefilling.contains(&id) {
+                self.earned[id as usize] += 1;
+            }
+        }
+        self.summed += ev.live + ev.finished.len() - ev.prefilling.len();
+        self.retire(ev);
+    }
+
+    fn retire(&mut self, ev: &StepEvent) {
+        for &f in &ev.finished {
+            assert!(self.live.contains(&f), "member {f} finished while not live");
+            self.finishes[f as usize] += 1;
+        }
+        self.live.retain(|l| !ev.finished.contains(l));
+        assert_eq!(ev.live, self.live.len(), "the event's live count");
+    }
+
+    /// Every member earned exactly its `output_len` and finished once,
+    /// and the per-event sums total the requested output.
+    fn check(&self, workloads: &[Workload]) {
+        for (id, w) in workloads.iter().enumerate() {
+            assert_eq!(self.earned[id], w.output_len, "member {id}'s tokens");
+            assert_eq!(self.finishes[id], 1, "member {id}'s finishes");
+        }
+        let expect: usize = workloads.iter().map(|w| w.output_len).sum();
+        assert_eq!(self.summed, expect, "summed tokens");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -337,14 +404,16 @@ proptest! {
         let workloads: Vec<Workload> =
             specs.into_iter().map(|(i, o)| Workload::new(i, o)).collect();
 
-        let mut tokens = 0usize;
+        let mut ledger = TokenLedger::new(workloads.len());
         let mut queued = workloads.iter().enumerate().collect::<Vec<_>>();
         queued.reverse();
         while batch.live() > 0 || !queued.is_empty() {
             // Admit one member every `stagger` steps (all at once for 0).
             while let Some(&(id, w)) = queued.last() {
-                batch.admit(id as u64, *w).unwrap();
-                tokens += 1; // the prefill's first token
+                let ev = batch.admit(id as u64, *w).unwrap();
+                // Whole prefills: every admission emits a first token.
+                prop_assert!(ev.prefilling.is_empty());
+                ledger.admitted(id as u64, &ev);
                 queued.pop();
                 if stagger > 0 {
                     break;
@@ -354,17 +423,10 @@ proptest! {
                 if batch.live() == 0 {
                     break;
                 }
-                tokens += batch.step_token().unwrap().batch;
+                ledger.stepped(&batch.step_token().unwrap());
             }
         }
-        let retired = batch.retire();
-        prop_assert_eq!(retired.len(), workloads.len());
-        for r in &retired {
-            prop_assert_eq!(r.tokens, r.workload.output_len,
-                "member {} produced {} of {} tokens", r.id, r.tokens, r.workload.output_len);
-        }
-        let expect: usize = workloads.iter().map(|w| w.output_len).sum();
-        prop_assert_eq!(tokens, expect);
+        ledger.check(&workloads);
     }
 
     /// A batch of one goes through the batched cost model bit-for-bit
@@ -454,15 +516,16 @@ proptest! {
             while let Some(&(id, w)) = queued.last() {
                 let committed_before = batch.kv().committed_tokens();
                 match batch.admit(id, w) {
-                    Ok(out) => {
+                    Ok(ev) => {
                         // A member finishing at admission (output 1,
                         // whole prefill) releases its claim on the spot.
-                        let expect = if out.finished {
-                            committed_before
-                        } else {
+                        let expect = if ev.finished.is_empty() {
                             committed_before + w.input_len + w.output_len
+                        } else {
+                            committed_before
                         };
                         prop_assert_eq!(batch.kv().committed_tokens(), expect);
+                        served += ev.finished.len();
                         queued.pop();
                     }
                     Err(dfx::sim::SimError::Memory(_)) => {
@@ -475,11 +538,8 @@ proptest! {
             }
             prop_assert!(batch.kv().committed_tokens() <= budget_tokens,
                 "over-committed: {} of {}", batch.kv().committed_tokens(), budget_tokens);
-            // Drain members that finished at admission, then step.
-            served += batch.retire().len();
             if batch.live() > 0 {
-                batch.step_token().unwrap();
-                served += batch.retire().len();
+                served += batch.step_token().unwrap().finished.len();
             } else {
                 prop_assert!(!queued.is_empty(), "live 0 with work unserved and queue empty");
             }
@@ -504,15 +564,12 @@ proptest! {
         let run = |chunk: Option<usize>| {
             let mut batch = appliance.batch_state();
             batch.set_prefill_chunk(chunk);
-            let mut tokens = 0usize;
+            let mut ledger = TokenLedger::new(workloads.len());
             let mut queued: Vec<(usize, Workload)> =
                 workloads.iter().copied().enumerate().rev().collect();
             while batch.live() > 0 || !queued.is_empty() {
                 while let Some(&(id, w)) = queued.last() {
-                    let out = batch.admit(id as u64, w).unwrap();
-                    if out.pending_prefill == 0 {
-                        tokens += 1; // whole prefill: first token now
-                    }
+                    ledger.admitted(id as u64, &batch.admit(id as u64, w).unwrap());
                     queued.pop();
                     if stagger > 0 {
                         break;
@@ -522,22 +579,17 @@ proptest! {
                     if batch.live() == 0 {
                         break;
                     }
-                    let step = batch.step_token().unwrap();
-                    tokens += step.batch + step.first_tokens.len();
+                    ledger.stepped(&batch.step_token().unwrap());
                 }
             }
-            let mut retired: Vec<(u64, usize)> =
-                batch.retire().iter().map(|r| (r.id, r.tokens)).collect();
-            retired.sort_unstable();
-            (retired, tokens)
+            ledger
         };
         let unchunked = run(None);
         let chunked = run(Some(chunk));
-        prop_assert_eq!(&chunked.0, &unchunked.0, "per-member tokens differ");
-        prop_assert_eq!(chunked.1, unchunked.1, "total token work differs");
-        for (id, tokens) in &unchunked.0 {
-            prop_assert_eq!(*tokens, workloads[*id as usize].output_len);
-        }
+        prop_assert_eq!(&chunked.earned, &unchunked.earned, "per-member tokens differ");
+        prop_assert_eq!(chunked.summed, unchunked.summed, "total token work differs");
+        unchunked.check(&workloads);
+        chunked.check(&workloads);
     }
 }
 
@@ -594,28 +646,13 @@ proptest! {
         stepper.set_prefill_chunk(chunk);
         let mut queue: Vec<(u64, Workload)> =
             workloads.iter().copied().enumerate().map(|(i, w)| (i as u64, w)).rev().collect();
-        let mut earned = vec![0usize; workloads.len()];
-        let mut finishes = vec![0usize; workloads.len()];
-        let mut live: Vec<u64> = Vec::new();
-        let mut summed = 0usize;
+        let mut ledger = TokenLedger::new(workloads.len());
         while !queue.is_empty() || stepper.live() > 0 {
             while let Some(&(id, w)) = queue.last() {
                 match stepper.admit(id, w) {
                     Ok(ev) => {
                         queue.pop();
-                        if !ev.prefilling.contains(&id) {
-                            earned[id as usize] += 1;
-                            summed += 1;
-                        }
-                        live.push(id);
-                        for &f in &ev.finished {
-                            prop_assert_eq!(f, id, "an admission finishes only its joiner");
-                        }
-                        live.retain(|l| !ev.finished.contains(l));
-                        for &f in &ev.finished {
-                            finishes[f as usize] += 1;
-                        }
-                        prop_assert_eq!(ev.live, live.len());
+                        ledger.admitted(id, &ev);
                     }
                     Err(SimError::Memory(_)) => {
                         prop_assert!(stepper.live() > 0, "a solo-feasible member was refused");
@@ -631,26 +668,10 @@ proptest! {
                 if stepper.live() == 0 {
                     break;
                 }
-                let ev = stepper.step_token().unwrap();
-                for &id in &live {
-                    if !ev.prefilling.contains(&id) {
-                        earned[id as usize] += 1;
-                    }
-                }
-                summed += (ev.live + ev.finished.len()).checked_sub(ev.prefilling.len()).unwrap();
-                for &f in &ev.finished {
-                    prop_assert!(live.contains(&f), "member {} finished while not live", f);
-                    finishes[f as usize] += 1;
-                }
-                live.retain(|l| !ev.finished.contains(l));
-                prop_assert_eq!(ev.live, live.len());
+                ledger.stepped(&stepper.step_token().unwrap());
             }
         }
-        for (id, w) in workloads.iter().enumerate() {
-            prop_assert_eq!(earned[id], w.output_len, "member {} earned the wrong count", id);
-            prop_assert_eq!(finishes[id], 1, "member {} finished {} times", id, finishes[id]);
-        }
-        prop_assert_eq!(summed, workloads.iter().map(|w| w.output_len).sum::<usize>());
+        ledger.check(&workloads);
     }
 }
 
