@@ -23,7 +23,7 @@ fn bench_appliance(c: &mut Criterion) {
     let mut g = c.benchmark_group("appliance");
     g.sample_size(10);
     // Cold: a fresh appliance (construction is microseconds) with an
-    // empty step-cost table, so every step runs the cycle model.
+    // empty step table, so every tile class runs the cycle model.
     g.bench_function("generate_timed_1.5b_32_4_cold", |b| {
         b.iter(|| {
             Appliance::timing_only(GptConfig::gpt2_1_5b(), 4)

@@ -169,6 +169,28 @@ impl TimingCore {
         &self.ring
     }
 
+    /// The first position of `pos`'s tile class. A step's context length
+    /// `t = pos + 1` enters the cost model only through `⌈t/d⌉`, `⌈t/l⌉`
+    /// (attention tiles) and `⌈t/vpu_width⌉` (softmax chunks), so every
+    /// position of an aligned run of `gcd(d, l, vpu_width)` times to the
+    /// same [`StepTiming`] for a given LM head and batch. Under
+    /// [`with_read_side_transpose`](TimingCore::with_read_side_transpose),
+    /// which charges `t` itself, each position is its own class.
+    pub fn tile_class_start(&self, pos: usize) -> usize {
+        fn gcd(a: u32, b: u32) -> u32 {
+            match b {
+                0 => a,
+                _ => gcd(b, a % b),
+            }
+        }
+        if self.read_side_transpose {
+            return pos;
+        }
+        let p = &self.params;
+        let run = gcd(gcd(p.shape.d, p.shape.l), p.vpu_width) as usize;
+        pos - pos % run
+    }
+
     /// Times one token-step program.
     ///
     /// Equivalent to [`time_step_batched`] with a batch of one — the two
@@ -610,6 +632,123 @@ mod tests {
         let b = ProgramBuilder::new(GptConfig::tiny(), ParallelConfig::new(0, 1)).unwrap();
         let _ =
             TimingCore::new(CoreParams::default(), 1).time_step_batched(&b.token_step(0, false), 0);
+    }
+
+    /// Checks that [`TimingCore::tile_class_start`] draws each `(core,
+    /// batch)`'s classes exactly at `positions` (`program(pos)` builds
+    /// the step at `pos`, once for all cores): a position inside a class
+    /// times like its class start, and a class start past 0 times unlike
+    /// the position before it.
+    fn check_tile_classes(
+        cores: &[(TimingCore, u32)],
+        program: &dyn Fn(usize) -> Program,
+        positions: impl IntoIterator<Item = usize>,
+    ) {
+        let mut timed = BTreeMap::new();
+        let mut time = |pos: usize, i: usize| {
+            timed.entry(pos).or_insert_with(|| {
+                let p = program(pos);
+                cores
+                    .iter()
+                    .map(|(core, batch)| core.time_step_batched(&p, *batch))
+                    .collect::<Vec<_>>()
+            })[i]
+        };
+        for pos in positions {
+            for (i, (core, batch)) in cores.iter().enumerate() {
+                let start = core.tile_class_start(pos);
+                let at = format!("pos {pos} at batch {batch} on {core:?}");
+                if start == pos {
+                    let differs = pos == 0 || time(pos, i) != time(pos - 1, i);
+                    assert!(differs, "{at}: times like pos - 1");
+                } else {
+                    let (t, class) = (time(pos, i), time(start, i));
+                    assert_eq!(t, class, "{at}: differs from class start {start}");
+                }
+            }
+        }
+    }
+
+    /// The timing-core variants of the class proof at `shape`: the
+    /// scoreboard on and off, at each of `batches`.
+    fn class_variants(
+        shape: dfx_hw::TileShape,
+        num_cores: usize,
+        batches: &[u32],
+    ) -> Vec<(TimingCore, u32)> {
+        let core = TimingCore::new(CoreParams::with_shape(shape), num_cores as u32);
+        [core.clone(), core.without_scoreboard()]
+            .into_iter()
+            .flat_map(|c| batches.iter().map(move |&b| (c.clone(), b)))
+            .collect()
+    }
+
+    /// Positions on both sides of every class edge of `core` below `len`.
+    fn edge_positions(core: &TimingCore, len: usize) -> Vec<usize> {
+        (1..len)
+            .filter(|&p| core.tile_class_start(p) == p)
+            .flat_map(|s| [s - 1, s, s + 1])
+            .filter(|&p| p < len)
+            .collect()
+    }
+
+    #[test]
+    fn every_step_times_like_its_tile_class_start() {
+        use dfx_isa::{BuilderOptions, QkvOrder};
+        let cfg = GptConfig::tiny();
+        let len = cfg.max_seq_len;
+        for num_cores in [1, 2] {
+            for qkv_order in [QkvOrder::ValueFirst, QkvOrder::ValueLast] {
+                let par = ParallelConfig::new(0, num_cores);
+                let b =
+                    ProgramBuilder::with_options(cfg.clone(), par, BuilderOptions { qkv_order })
+                        .unwrap();
+                for lm in [false, true] {
+                    let program = |p: usize| b.token_step(p, lm);
+                    for shape in dfx_hw::TileShape::DSE_CANDIDATES {
+                        let mut cores = class_variants(shape, num_cores, &[1, 2, 3, 4]);
+                        let edges = edge_positions(&cores[0].0, len);
+                        // The transpose ablation must merge no positions:
+                        // its step at each edge differs from the one
+                        // before.
+                        let transposed: Vec<_> = cores
+                            .iter()
+                            .map(|(c, b)| (c.clone().with_read_side_transpose(), *b))
+                            .collect();
+                        cores.extend(transposed);
+                        check_tile_classes(&cores, &program, edges);
+                    }
+                }
+            }
+        }
+        // The paper's geometry runs 16 positions per class; under the
+        // transpose ablation each position is its own class.
+        let core = TimingCore::new(CoreParams::default(), 1);
+        assert_eq!(core.tile_class_start(31), 16);
+        let transposed = core.with_read_side_transpose();
+        assert!((0..len).all(|p| transposed.tile_class_start(p) == p));
+    }
+
+    #[test]
+    #[ignore = "paper scale: about 30 s in release"]
+    fn paper_scale_steps_time_like_their_tile_class_start() {
+        use dfx_isa::{BuilderOptions, QkvOrder};
+        for (cfg, num_cores) in [
+            (GptConfig::gpt2_345m(), 1),
+            (GptConfig::gpt2_774m(), 2),
+            (GptConfig::gpt2_1_5b(), 4),
+        ] {
+            let cores = class_variants(dfx_hw::TileShape::PAPER, num_cores, &[1, 8]);
+            for qkv_order in [QkvOrder::ValueFirst, QkvOrder::ValueLast] {
+                let par = ParallelConfig::new(0, num_cores);
+                let b =
+                    ProgramBuilder::with_options(cfg.clone(), par, BuilderOptions { qkv_order })
+                        .unwrap();
+                for lm in [false, true] {
+                    check_tile_classes(&cores, &|p| b.token_step(p, lm), 0..cfg.max_seq_len);
+                }
+            }
+        }
     }
 
     #[test]

@@ -253,23 +253,27 @@ fn scan_float_accumulation(
 ) {
     let float_idents = collect_float_idents(toks);
 
-    // Loop depth per token: a `{` opened after `for`/`while`/`loop`
-    // (before any `;` or `{`) starts a loop body.
+    // Loop depth per token: a `{` opened after `while`/`loop` or a
+    // `for .. in` header (before any `;` or `{`) starts a loop body; a
+    // `for` without `in` (`impl Trait for Type`, `for<'a>`) does not.
     let mut loop_depth_at = vec![0usize; toks.len()];
     let mut stack: Vec<bool> = Vec::new();
+    let mut pending_for = false;
     let mut pending_loop = false;
     let mut depth = 0usize;
     for (i, tok) in toks.iter().enumerate() {
         loop_depth_at[i] = depth;
         match (tok.kind, tok.text.as_str()) {
-            (TokKind::Ident, "for" | "while" | "loop") => pending_loop = true,
-            (TokKind::Punct, ";") => pending_loop = false,
+            (TokKind::Ident, "for") => pending_for = true,
+            (TokKind::Ident, "in") if pending_for => pending_loop = true,
+            (TokKind::Ident, "while" | "loop") => pending_loop = true,
+            (TokKind::Punct, ";") => (pending_for, pending_loop) = (false, false),
             (TokKind::Punct, "{") => {
                 stack.push(pending_loop);
                 if pending_loop {
                     depth += 1;
                 }
-                pending_loop = false;
+                (pending_for, pending_loop) = (false, false);
             }
             (TokKind::Punct, "}") if stack.pop().unwrap_or(false) => {
                 depth = depth.saturating_sub(1);

@@ -79,6 +79,20 @@ fn an_unsorted_hashmap_in_crates_serve_fails_the_ratchet() {
 }
 
 #[test]
+fn a_for_without_in_opens_no_loop_body() {
+    // `impl Trait for Type { .. }` and a `for<'a>` bound are not loops:
+    // only the accumulation inside `replay`'s `for .. in` loop flags.
+    let src = fixture("float_accumulation_outside_loops.rs.txt");
+    let violations = scan_file("crates/sim/src/regression.rs", &src);
+    let floats: Vec<_> = violations
+        .iter()
+        .filter(|v| v.rule == Rule::FloatAccumulation)
+        .map(|v| v.excerpt.trim())
+        .collect();
+    assert_eq!(floats, ["self.now_ms += gap;"], "{violations:?}");
+}
+
+#[test]
 fn the_same_sources_are_clean_outside_the_guarded_scopes() {
     // Scope sanity: the fixtures only violate *because of where* they
     // pretend to live. Under tests/ the unwraps are fine; outside the

@@ -499,9 +499,9 @@ impl EngineState<'_> {
 /// The engine holds its pool and its discipline, nothing else: every
 /// static dispatch is timed by the server that runs it, so a pool may
 /// mix backends whatever their names. Repeats stay cheap where the
-/// backend memoizes — an [`Appliance`](dfx_sim::Appliance) answers a
-/// shape it has timed from its own memo, shared by every engine over
-/// it — and the GPU and TPU models are closed forms.
+/// backend memoizes — an [`Appliance`](dfx_sim::Appliance) sums a shape
+/// from its own step table, which times each tile class once for every
+/// engine over it — and the GPU and TPU models are closed forms.
 ///
 /// # Examples
 ///

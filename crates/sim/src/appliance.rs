@@ -11,12 +11,13 @@
 //!   simulated core *and* each step is timed, so generated text comes
 //!   with its latency report.
 //!
-//! A token step's cost depends only on its context position, whether it
-//! runs the LM head, and the batch it runs for, so each appliance times
-//! every such program once and keeps it in a step-cost table that all
-//! timed paths share ([`Appliance::timed_step_programs`] counts it).
-//! The same memo keeps each `(padded shape, batch)` run's stage sums, so
-//! a repeated `generate_timed` or `generate_batch_timed` is one lookup.
+//! A token step's cost depends only on its context position's tile
+//! class ([`TimingCore::tile_class_start`]: the context changes cost
+//! only when it crosses a tile edge), whether it runs the LM head, and
+//! the batch it runs for. So each appliance times one program per
+//! `(tile class, LM head, batch)` and keeps it in one step table that
+//! every timed path shares ([`Appliance::timed_step_programs`] counts
+//! it). Stage sums are summed from the table on each call.
 
 use crate::cluster::FunctionalCluster;
 use crate::error::SimError;
@@ -146,19 +147,8 @@ enum Mode {
     Functional(Box<FunctionalCluster>),
 }
 
-/// Step-cost table key: `(context position, LM head, batch)`.
+/// Step table key: `(tile class start, LM head, batch)`.
 type StepKey = (usize, bool, u32);
-
-/// The appliance's timing memo. Every entry is a pure function of its
-/// key, so fill order (and which thread fills) cannot change a value.
-#[derive(Default)]
-struct TimingMemo {
-    /// Every `token_step` program the cycle model has timed.
-    steps: BTreeMap<StepKey, StepTiming>,
-    /// `(summarization, generation)` of every `(padded shape, batch)`
-    /// run, summed from `steps`.
-    stages: BTreeMap<(Workload, u32), (StepTiming, StepTiming)>,
-}
 
 /// A simulated DFX appliance.
 ///
@@ -189,9 +179,11 @@ pub struct Appliance {
     /// [`with_kv_paging`](Appliance::with_kv_paging); `None` admits
     /// through a reserved [`BlockPool`](crate::BlockPool).
     kv_paging: Option<crate::PagedKvConfig>,
-    /// Step costs and stage sums timed on this appliance, filled on
-    /// first use.
-    memo: Mutex<TimingMemo>,
+    /// The step table: the timing of every `(tile class start, LM head,
+    /// batch)` step run on this appliance, filled on first use. Every
+    /// entry is a pure function of its key, so fill order (and which
+    /// thread fills) cannot change a value.
+    memo: Mutex<BTreeMap<StepKey, StepTiming>>,
 }
 
 impl std::fmt::Debug for Appliance {
@@ -372,17 +364,20 @@ impl Appliance {
     }
 
     /// Timing of one `token_step(pos, lm_head)` program run for `batch`
-    /// requests, from the step-cost table. A miss times the program
-    /// through [`TimingCore::time_step_batched`] outside the lock.
+    /// requests, from the step table under `pos`'s tile class
+    /// ([`TimingCore::tile_class_start`]). A miss times the class's first
+    /// position through [`TimingCore::time_step_batched`] outside the
+    /// lock.
     fn step(&self, pos: usize, lm_head: bool, batch: u32) -> StepTiming {
-        let key = (pos, lm_head, batch);
-        let hit = self.memo().steps.get(&key).copied();
+        let class = self.timing.tile_class_start(pos);
+        let key = (class, lm_head, batch);
+        let hit = self.memo().get(&key).copied();
         if let Some(timing) = hit {
             return timing;
         }
-        let program = self.builder.token_step(pos, lm_head);
+        let program = self.builder.token_step(class, lm_head);
         let timing = self.timing.time_step_batched(&program, batch);
-        self.memo().steps.insert(key, timing);
+        self.memo().insert(key, timing);
         timing
     }
 
@@ -394,50 +389,31 @@ impl Appliance {
 
     /// Summed makespans of prefill positions `from..to` over an
     /// `input_len`-token context at batch 1, LM head from the context's
-    /// last position on. Holds the lock across hits and releases it to
-    /// time a miss.
+    /// last position on.
     pub(crate) fn prefill_cycles(&self, input_len: usize, from: usize, to: usize) -> Cycles {
-        let mut cycles = Cycles::ZERO;
-        let mut memo = self.memo();
-        for pos in from..to {
-            let lm_head = pos + 1 >= input_len;
-            cycles += match memo.steps.get(&(pos, lm_head, 1)) {
-                Some(timing) => timing.total,
-                None => {
-                    drop(memo);
-                    let total = self.step_cycles(pos, lm_head, 1);
-                    memo = self.memo();
-                    total
-                }
-            };
-        }
-        cycles
+        (from..to)
+            .map(|pos| self.step_cycles(pos, pos + 1 >= input_len, 1))
+            .sum()
     }
 
-    /// Number of distinct `token_step` programs the cycle model has
-    /// timed on this appliance (the step-cost table's size). Every timed
-    /// path (`generate_timed`, `generate_batch_timed` and every
-    /// [`BatchState`](crate::BatchState)) shares the one table, so a
-    /// program is timed once per appliance however often it recurs.
+    /// Number of step programs the cycle model has timed on this
+    /// appliance: the step table's size, one per `(tile class, LM head,
+    /// batch)`. Every timed path (`generate_timed`, `generate_batch_timed`
+    /// and every [`BatchState`](crate::BatchState)) shares the table.
     pub fn timed_step_programs(&self) -> usize {
-        self.memo().steps.len()
+        self.memo().len()
     }
 
-    /// The timing memo, recovered if a panicking thread poisoned the
-    /// lock (entries are inserted whole, so it is never torn).
-    fn memo(&self) -> MutexGuard<'_, TimingMemo> {
+    /// The step table, recovered if a panicking thread poisoned the lock
+    /// (entries are inserted whole, so it is never torn).
+    fn memo(&self) -> MutexGuard<'_, BTreeMap<StepKey, StepTiming>> {
         self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Times `padded.input_len` summarization steps (LM head on the
-    /// last, when any output follows) and `padded.output_len - 1`
-    /// generation steps, each run for `batch` requests. A repeated
-    /// `(padded, batch)` is one memo lookup.
+    /// Sums `padded.input_len` summarization steps (LM head on the last,
+    /// when any output follows) and `padded.output_len - 1` generation
+    /// steps, each run for `batch` requests, from the step table.
     pub(crate) fn stage_timings(&self, padded: Workload, batch: u32) -> (StepTiming, StepTiming) {
-        let hit = self.memo().stages.get(&(padded, batch)).copied();
-        if let Some(stages) = hit {
-            return stages;
-        }
         let mut summarization = StepTiming::default();
         for pos in 0..padded.input_len {
             let lm = pos + 1 == padded.input_len && padded.output_len > 0;
@@ -447,9 +423,6 @@ impl Appliance {
         for out in 1..padded.output_len {
             generation.accumulate(&self.step(padded.input_len + out - 1, true, batch));
         }
-        self.memo()
-            .stages
-            .insert((padded, batch), (summarization, generation));
         (summarization, generation)
     }
 
@@ -558,13 +531,16 @@ mod tests {
     fn every_timed_path_shares_one_step_cost_table() {
         let a = Appliance::timing_only(GptConfig::tiny(), 2).unwrap();
         assert_eq!(a.timed_step_programs(), 0);
-        // 8 summarization steps (LM head on the last) + 3 generation steps.
-        let run = a.generate_timed(8, 4).unwrap();
-        assert_eq!(a.timed_step_programs(), 11);
+        // 14 summarization steps (LM head on position 13) and 5
+        // generation steps (positions 14..=18) cross the tile edge at 16:
+        // one entry per (tile class, LM head, batch).
+        let run = a.generate_timed(14, 6).unwrap();
+        let single: Vec<StepKey> = vec![(0, false, 1), (0, true, 1), (16, true, 1)];
+        assert_eq!(a.memo().keys().copied().collect::<Vec<_>>(), single);
 
         // The static batch of one, a solo continuous run and the
         // prefill estimate all hit the table.
-        let w = Workload::new(8, 4);
+        let w = Workload::new(14, 6);
         let batched = a.generate_batch_timed(&[w]).unwrap();
         assert_eq!(batched.summarization, run.summarization);
         assert_eq!(batched.generation, run.generation);
@@ -574,12 +550,9 @@ mod tests {
             solo.step_token().unwrap();
         }
         assert_eq!(solo.prefill_cost_ms(w), run.summarization_ms());
-        assert_eq!(a.timed_step_programs(), 11);
-        // The single run and the batch of one share one stage entry.
-        assert_eq!(a.memo().stages.len(), 1);
+        assert_eq!(a.timed_step_programs(), 3);
 
-        // A two-member batch re-times only its batch-2 decode steps.
-        let before: Vec<StepKey> = a.memo().steps.keys().copied().collect();
+        // A two-member batch times only its batch-2 decode classes.
         let mut pair = a.batch_state();
         pair.admit(0, w).unwrap();
         pair.admit(1, w).unwrap();
@@ -588,36 +561,39 @@ mod tests {
         }
         let added: Vec<StepKey> = a
             .memo()
-            .steps
             .keys()
-            .filter(|k| !before.contains(k))
+            .filter(|k| !single.contains(k))
             .copied()
             .collect();
-        assert_eq!(added, vec![(8, true, 2), (9, true, 2), (10, true, 2)]);
-        assert_eq!(a.timed_step_programs(), 14);
+        assert_eq!(added, vec![(0, true, 2), (16, true, 2)]);
+        assert_eq!(a.timed_step_programs(), 5);
     }
 
     #[test]
     fn table_entries_reproduce_the_cycle_model_exactly() {
         let a = Appliance::timing_only(GptConfig::tiny(), 2).unwrap();
-        for batch in [1u32, 3] {
-            let padded = Workload::new(6, 3);
-            let mut direct = (StepTiming::default(), StepTiming::default());
-            for pos in 0..6 {
-                let program = a.builder.token_step(pos, pos == 5);
-                direct
-                    .0
-                    .accumulate(&a.timing.time_step_batched(&program, batch));
+        // The second shape crosses the tile edge at position 16.
+        for padded in [Workload::new(6, 3), Workload::new(14, 6)] {
+            let (input, output) = (padded.input_len, padded.output_len);
+            for batch in [1u32, 3] {
+                // Every position timed on its own, not as its class.
+                let mut direct = (StepTiming::default(), StepTiming::default());
+                for pos in 0..input {
+                    let program = a.builder.token_step(pos, pos + 1 == input);
+                    direct
+                        .0
+                        .accumulate(&a.timing.time_step_batched(&program, batch));
+                }
+                for pos in input..input + output - 1 {
+                    let program = a.builder.token_step(pos, true);
+                    direct
+                        .1
+                        .accumulate(&a.timing.time_step_batched(&program, batch));
+                }
+                // Filling the table, then reading it back.
+                assert_eq!(a.stage_timings(padded, batch), direct, "{padded} x{batch}");
+                assert_eq!(a.stage_timings(padded, batch), direct, "{padded} x{batch}");
             }
-            for pos in 6..8 {
-                let program = a.builder.token_step(pos, true);
-                direct
-                    .1
-                    .accumulate(&a.timing.time_step_batched(&program, batch));
-            }
-            // Cold (filling the memo), then warm (reading it back).
-            assert_eq!(a.stage_timings(padded, batch), direct);
-            assert_eq!(a.stage_timings(padded, batch), direct);
         }
     }
 

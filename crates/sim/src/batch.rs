@@ -106,8 +106,8 @@ impl Appliance {
     ///
     /// Members are padded to the batch's longest context and longest
     /// output; each padded token step runs through
-    /// [`dfx_core::TimingCore::time_step_batched`] (once per appliance,
-    /// via its step-cost table), so per-request work scales with the
+    /// [`dfx_core::TimingCore::time_step_batched`] (once per tile class
+    /// per appliance, via its step table), so per-request work scales with the
     /// batch while shared weight streams are paid once.
     /// `generate_batch_timed(&[w])` is bit-identical to
     /// [`generate_timed`]`(w.input_len, w.output_len)`.

@@ -254,10 +254,10 @@ impl Member {
 /// prefills replay [`Appliance::generate_timed`]'s summarization loop,
 /// decode steps run one `token_step` program through
 /// [`dfx_core::TimingCore::time_step_batched`] at the live batch size.
-/// Every step cost comes from the appliance's step-cost table, keyed by
-/// `(position, lm_head, batch)` and shared with the static paths and
-/// every other `BatchState` on the appliance, so a stream re-times no
-/// program another run already timed
+/// Every step cost comes from the appliance's step table, keyed by
+/// `(tile class start, lm_head, batch)` and shared with the static paths
+/// and every other `BatchState` on the appliance, so a stream times no
+/// class another run already timed
 /// ([`Appliance::timed_step_programs`] counts them). Admission funds
 /// each member's K/V from one [`BlockPool`] over the appliance's
 /// [`memory_model`](Appliance::memory_model) budget — its whole claim
@@ -516,7 +516,6 @@ impl ContinuousStepper for BatchState<'_> {
             if self.kv.can_write(id, swapped) {
                 self.kv.restore(id, swapped)?;
                 let bytes = self.kv.memory().kv_claim_bytes(swapped);
-                // lint: order-sensitive — simulated-clock accumulation
                 ms += dfx_hw::DdrModel::default()
                     .transfer_cycles(bytes)
                     .to_millis();
@@ -581,10 +580,8 @@ impl ContinuousStepper for BatchState<'_> {
             let from = self.members[i].prefilled;
             let to = from.saturating_add(chunk).min(target);
             if force {
-                // lint: order-sensitive — simulated-clock accumulation
                 ms += self.make_room(id, to - from)?;
             }
-            // lint: order-sensitive — simulated-clock accumulation
             ms += self.prefill_span_ms(workload.input_len, from, to);
             self.kv.write(id, to - from)?;
             let m = &mut self.members[i];
@@ -625,7 +622,6 @@ impl ContinuousStepper for BatchState<'_> {
                 .filter(|m| decoding.contains(&m.id))
                 .map(|m| m.workload.input_len + m.emitted - 1)
                 .fold(0, usize::max);
-            // lint: order-sensitive — simulated-clock accumulation
             ms += self.decode_cost(pos, decoding.len());
         }
 
