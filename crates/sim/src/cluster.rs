@@ -313,6 +313,85 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the bit patterns of `values`, folded into `hash`.
+    fn fnv_bits(hash: u64, values: &[F16]) -> u64 {
+        values.iter().fold(hash, |h, v| {
+            v.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// Multi-step contexts for the bit pins: short, across the 16-wide
+    /// tile edge and with repeated tokens.
+    const PIN_CONTEXTS: [&[u32]; 3] = [
+        &[3, 1, 4, 1, 5],
+        &[
+            17, 250, 9, 9, 301, 42, 7, 88, 123, 5, 64, 500, 2, 77, 19, 260, 31, 8,
+        ],
+        &[511, 0, 128, 255, 256, 1, 383],
+    ];
+
+    /// The configurations the bit pins cover and the cluster sizes each
+    /// divides over.
+    fn pin_configs() -> [(GptConfig, &'static [usize]); 2] {
+        [(GptConfig::tiny(), &[1, 2]), (GptConfig::small(), &[1, 3])]
+    }
+
+    /// The FP16 reference model's logit vector at every position of every
+    /// pinned context, hashed bit for bit. Agreement rates read 100% on
+    /// these models, so only a pin like this shows a flipped bit in the
+    /// reference's vector-matrix and attention kernels.
+    #[test]
+    fn fp16_reference_logits_are_bit_pinned() {
+        let want = [0xfa0d_6b9d_dc5a_9c12_u64, 0xd768_3cb5_abc3_05a3];
+        for ((cfg, _), want) in pin_configs().into_iter().zip(want) {
+            let model = Gpt2Model::new(GptWeights::synthetic(&cfg).cast::<F16>());
+            let mut hash = FNV_OFFSET;
+            for context in PIN_CONTEXTS {
+                let mut cache = dfx_model::KvCache::new(cfg.num_layers);
+                for (pos, &tok) in context.iter().enumerate() {
+                    let hidden = model.forward_token(tok, pos, &mut cache);
+                    hash = fnv_bits(hash, &model.logits(&hidden));
+                }
+            }
+            assert_eq!(hash, want, "{}: {hash:#018x}", cfg.name);
+        }
+    }
+
+    /// Every core's final hidden state (`LM_HIDDEN`) and logit partial
+    /// (`LOGITS`) after every LM-head step of every pinned context,
+    /// hashed bit for bit: the executor's MAC trees and block
+    /// accumulation must not move a bit.
+    #[test]
+    fn functional_core_hidden_state_is_bit_pinned() {
+        let want: [&[u64]; 2] = [
+            &[0xc542_4a91_f523_3012, 0x55fd_b1ea_347e_be58],
+            &[0x7f13_cfd7_3853_6d1d, 0x57ca_9f10_ed9b_fc61],
+        ];
+        for ((cfg, sizes), want) in pin_configs().into_iter().zip(want) {
+            let w: GptWeights<F16> = GptWeights::synthetic(&cfg).cast();
+            for (&cores, &want) in sizes.iter().zip(want) {
+                let mut cluster = FunctionalCluster::new(w.clone(), cores).unwrap();
+                let mut hash = FNV_OFFSET;
+                for context in PIN_CONTEXTS {
+                    cluster.reset().unwrap();
+                    for (pos, &tok) in context.iter().enumerate() {
+                        cluster.run_step(tok, pos, true).unwrap();
+                        for core in &cluster.cores {
+                            hash = fnv_bits(hash, core.vreg(dfx_isa::regs::LM_HIDDEN));
+                            hash = fnv_bits(hash, core.vreg(dfx_isa::regs::LOGITS));
+                        }
+                    }
+                }
+                assert_eq!(hash, want, "{} on {cores} cores: {hash:#018x}", cfg.name);
+            }
+        }
+    }
+
     #[test]
     fn indivisible_partition_is_an_error() {
         let err = FunctionalCluster::new(weights(), 3).unwrap_err();
