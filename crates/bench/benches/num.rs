@@ -16,8 +16,25 @@ fn bench_f16(c: &mut Criterion) {
     g.finish();
 }
 
+/// Best of five timings of `calls` calls of `f`, in ns per each of the
+/// `ops_per_call` operations a call performs.
+fn ns_per_op(calls: u32, ops_per_call: u32, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        // lint: allow(ambient-time, wall-clock cost per op is this bench's measurement)
+        let start = std::time::Instant::now();
+        for _ in 0..calls {
+            f();
+        }
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    best * 1e9 / (f64::from(calls) * f64::from(ops_per_call))
+}
+
 /// A 256×256 FP16 vector-matrix product (the reference model's `vecmat`,
-/// one multiply and one add per weight), reported as ns per F16 op.
+/// one multiply and one add per weight), reported as ns per F16 op; and
+/// one `d × l` = 64×16 weight tile through the executor's lane-parallel
+/// MAC trees, reported as ns per MAC.
 fn bench_vecmat(c: &mut Criterion) {
     const N: usize = 256;
     const OPS_PER_CALL: u32 = 2 * (N * N) as u32;
@@ -27,22 +44,32 @@ fn bench_vecmat(c: &mut Criterion) {
     let x: Vec<F16> = (0..N)
         .map(|i| F16::from_f32((i % 13) as f32 * 0.05))
         .collect();
+    const D: usize = 64;
+    const MACS_PER_CALL: u32 = (D * reduce::LANES) as u32;
+    let wide: Vec<f32> = x[..D].iter().map(|v| v.to_f32()).collect();
+    let tile: Vec<&[F16]> = w.as_slice().chunks_exact(D).take(reduce::LANES).collect();
+    let mut table = Vec::new();
     let mut g = c.benchmark_group("f16");
     g.bench_function("vecmat_256", |b| b.iter(|| w.vecmat(black_box(&x))));
+    g.bench_function("mac_trees_64x16", |b| {
+        b.iter(|| reduce::mac_trees_widened(black_box(&wide), black_box(&tile), &mut table))
+    });
     g.finish();
 
-    let calls = 200u32;
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        // lint: allow(ambient-time, wall-clock cost per op is this bench's measurement)
-        let start = std::time::Instant::now();
-        for _ in 0..calls {
-            black_box(w.vecmat(black_box(&x)));
-        }
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    let ns_per_op = best * 1e9 / f64::from(calls * OPS_PER_CALL);
-    println!("f16/vecmat_256 per op                    {ns_per_op:.2} ns per F16 op (best of 5 x {calls} calls)");
+    let calls = 200;
+    let per_op = ns_per_op(calls, OPS_PER_CALL, || {
+        black_box(w.vecmat(black_box(&x)));
+    });
+    println!("f16/vecmat_256 per op                    {per_op:.2} ns per F16 op (best of 5 x {calls} calls)");
+    let calls = 20_000;
+    let per_mac = ns_per_op(calls, MACS_PER_CALL, || {
+        black_box(reduce::mac_trees_widened(
+            black_box(&wide),
+            black_box(&tile),
+            &mut table,
+        ));
+    });
+    println!("f16/mac_trees_64x16 per MAC              {per_mac:.2} ns per MAC (best of 5 x {calls} calls)");
 }
 
 fn bench_reduce(c: &mut Criterion) {

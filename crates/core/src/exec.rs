@@ -64,6 +64,8 @@ pub struct FunctionalCore {
     scratch: Vec<F16>,
     /// The current matrix input, widened once for all its columns.
     wide_input: Vec<f32>,
+    /// The MAC trees' lane table, one row per input of a block.
+    lane_table: Vec<[f32; reduce::LANES]>,
 }
 
 /// The scalar register `r` of `file` (the FP16 or the index file).
@@ -123,11 +125,18 @@ fn write_slice(vregs: &mut [Vec<F16>], s: VSlice, data: &[F16]) -> Result<(), Ex
 /// each output sums its `d`-row blocks through a pairwise MAC tree and
 /// accumulates the block partials in FP16, in row order. `x` is the
 /// input widened once with [`F16::to_f32`].
+///
+/// The columns go through the MPU's `l` trees the way its weight tiles
+/// do: [`reduce::LANES`] columns at a time, each 64-row block of the
+/// group reduced by [`reduce::mac_trees_widened`] side by side, in the
+/// core's lane `table`. Every output is still its own column's trees
+/// and FP16 block sum, bit for bit. `out` is overwritten.
 fn mac_columns<'w>(
     x: &[f32],
     columns: impl ExactSizeIterator<Item = &'w [F16]>,
     bias: Option<&[F16]>,
     out: &mut Vec<F16>,
+    table: &mut Vec<[f32; reduce::LANES]>,
 ) -> Result<(), ExecError> {
     if bias.is_some_and(|b| b.len() != columns.len()) {
         return Err(ExecError::Shape(format!(
@@ -136,21 +145,39 @@ fn mac_columns<'w>(
             columns.len()
         )));
     }
-    for (c, col) in columns.enumerate() {
-        if col.len() != x.len() {
-            return Err(ExecError::Shape(format!(
-                "column {c} holds {} weights for a {}-element input",
-                col.len(),
-                x.len()
-            )));
+    out.clear();
+    let mut columns = columns.enumerate();
+    loop {
+        let mut group: [&[F16]; reduce::LANES] = [&[]; reduce::LANES];
+        let mut lanes = 0;
+        for (slot, (c, col)) in group.iter_mut().zip(columns.by_ref()) {
+            if col.len() != x.len() {
+                return Err(ExecError::Shape(format!(
+                    "column {c} holds {} weights for a {}-element input",
+                    col.len(),
+                    x.len()
+                )));
+            }
+            *slot = col;
+            lanes += 1;
         }
-        let mut acc = bias.map_or(F16::ZERO, |b| b[c]);
-        for (xs, ws) in x.chunks(MAC_TREE_WIDTH).zip(col.chunks(MAC_TREE_WIDTH)) {
-            acc += reduce::mac_tree_widened(xs, ws);
+        if lanes == 0 {
+            return Ok(());
         }
-        out.push(acc);
+        let first = out.len();
+        match bias {
+            Some(b) => out.extend_from_slice(&b[first..first + lanes]),
+            None => out.resize(first + lanes, F16::ZERO),
+        }
+        for (block, xs) in x.chunks(MAC_TREE_WIDTH).enumerate() {
+            let rows = block * MAC_TREE_WIDTH..block * MAC_TREE_WIDTH + xs.len();
+            let tile = group.map(|col| col.get(rows.clone()).unwrap_or_default());
+            let partials = reduce::mac_trees_widened(xs, &tile[..lanes], table);
+            for (acc, p) in out[first..].iter_mut().zip(partials) {
+                *acc += p;
+            }
+        }
     }
-    Ok(())
 }
 
 impl FunctionalCore {
@@ -172,6 +199,7 @@ impl FunctionalCore {
             out_token: None,
             scratch: Vec::new(),
             wide_input: Vec::new(),
+            lane_table: Vec::new(),
         }
     }
 
@@ -317,7 +345,13 @@ impl FunctionalCore {
                         columns.len()
                     )));
                 }
-                mac_columns(x, columns.iter().map(Vec::as_slice), bias, &mut out)?;
+                mac_columns(
+                    x,
+                    columns.iter().map(Vec::as_slice),
+                    bias,
+                    &mut out,
+                    &mut self.lane_table,
+                )?;
             }
             _ => {
                 let w = self.weights.weight_matrix(m.weight)?;
@@ -329,7 +363,7 @@ impl FunctionalCore {
                         (rows, cols)
                     )));
                 }
-                mac_columns(x, w.columns(), bias, &mut out)?;
+                mac_columns(x, w.columns(), bias, &mut out, &mut self.lane_table)?;
             }
         }
 
@@ -521,6 +555,34 @@ mod tests {
         let core = FunctionalCore::new(CoreWeights::partition(&w, par).unwrap());
         let builder = ProgramBuilder::new(cfg, par).unwrap();
         (core, builder)
+    }
+
+    #[test]
+    fn mac_columns_match_per_column_trees_and_fp16_block_sums() {
+        let number = |i: usize| F16::from_f32(((i * 37) % 41) as f32 * 0.0625 - 1.25);
+        for (rows, cols) in [(1, 1), (64, 16), (63, 17), (130, 37)] {
+            let x: Vec<F16> = (0..rows).map(number).collect();
+            let mut columns: Vec<Vec<F16>> = (0..cols)
+                .map(|c| (0..rows).map(|r| number(r * 3 + c + 1)).collect())
+                .collect();
+            // One NaN with a payload, in the last column's last block.
+            columns[cols - 1][rows - 1] = F16::from_bits(0x7d01);
+            let bias: Vec<F16> = (0..cols).map(|c| number(c + 7)).collect();
+            let wide: Vec<f32> = x.iter().map(|v| v.to_f32()).collect();
+            for bias in [None, Some(bias.as_slice())] {
+                let mut out = Vec::new();
+                let columns_in = columns.iter().map(Vec::as_slice);
+                mac_columns(&wide, columns_in, bias, &mut out, &mut Vec::new()).unwrap();
+                for (c, col) in columns.iter().enumerate() {
+                    let mut want = bias.map_or(F16::ZERO, |b| b[c]);
+                    for (xs, ws) in x.chunks(MAC_TREE_WIDTH).zip(col.chunks(MAC_TREE_WIDTH)) {
+                        want += reduce::mac_tree(xs, ws);
+                    }
+                    assert_eq!(out[c].to_bits(), want.to_bits(), "{rows}x{cols} column {c}");
+                }
+                assert_eq!(out.len(), cols);
+            }
+        }
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! same path once per context token).
 
 use crate::config::GptConfig;
-use crate::tensor::{dot, vec_add, Matrix};
+use crate::tensor::{vec_add, Matrix};
 use crate::weights::{GptWeights, LayerWeights};
+use dfx_num::reduce::LANES;
 use dfx_num::Scalar;
 
 /// LayerNorm epsilon (GPT-2 uses 1e-5; the paper's formula omits it but
@@ -111,6 +112,37 @@ pub fn argmax<T: Scalar>(x: &[T]) -> usize {
     best
 }
 
+/// `out[r] = dot(x, row(r))` for every `r < out.len()`, through
+/// [`Scalar::vecmat_acc`] over transposed tiles of [`LANES`] rows (the
+/// MPU's `l`), so the rows are evaluated side by side as output lanes.
+/// Every output is still its own sequential fold from zero, the
+/// [`dot`](crate::tensor::dot) of its row, bit for bit. `tile` is
+/// scratch.
+///
+/// # Panics
+///
+/// Panics if a row's length differs from `x`'s.
+fn dot_rows<'r, T: Scalar + 'r>(
+    x: &[T],
+    row: impl Fn(usize) -> &'r [T],
+    out: &mut [T],
+    tile: &mut Vec<T>,
+) {
+    for (t, lanes) in out.chunks_mut(LANES).enumerate() {
+        tile.clear();
+        tile.resize(x.len() * lanes.len(), T::ZERO);
+        for l in 0..lanes.len() {
+            let row = row(t * LANES + l);
+            assert_eq!(row.len(), x.len(), "vector lengths must match");
+            for (slot, &v) in tile.iter_mut().skip(l).step_by(lanes.len()).zip(row) {
+                *slot = v;
+            }
+        }
+        lanes.fill(T::ZERO);
+        T::vecmat_acc(x, tile, lanes);
+    }
+}
+
 /// Result of a full text-generation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GenerationOutput {
@@ -191,23 +223,27 @@ impl<T: Scalar> Gpt2Model<T> {
         let keys = cache.keys(layer);
         let values = cache.values(layer);
         let mut attn = vec![T::ZERO; cfg.embedding_dim];
+        let (mut scores, mut tile) = (vec![T::ZERO; t], Vec::new());
         for head in 0..h {
-            let c0 = head * dh;
-            let q_h = &query[c0..c0 + dh];
+            let heads = head * dh..(head + 1) * dh;
             // Score row: q_h · K_h[j]ᵀ, scaled.
-            let mut scores = Vec::with_capacity(t);
-            for j in 0..t {
-                let k_row = &keys.row(j)[c0..c0 + dh];
-                scores.push(dot(q_h, k_row).mul(scale));
+            dot_rows(
+                &query[heads.clone()],
+                |j| &keys.row(j)[heads.clone()],
+                &mut scores,
+                &mut tile,
+            );
+            for s in &mut scores {
+                *s = s.mul(scale);
             }
             let probs = softmax(&scores);
-            // attn_h = probs · V_h (1×t times t×dh).
-            for (j, &p) in probs.iter().enumerate() {
-                let v_row = &values.row(j)[c0..c0 + dh];
-                for (k, &v) in v_row.iter().enumerate() {
-                    attn[c0 + k] = attn[c0 + k].add(p.mul(v));
-                }
+            // attn_h = probs · V_h (1×t times t×dh), V_h gathered into
+            // consecutive rows.
+            tile.clear();
+            for j in 0..t {
+                tile.extend_from_slice(&values.row(j)[heads.clone()]);
             }
+            T::vecmat_acc(&probs, &tile, &mut attn[heads]);
         }
 
         // Attention output projection + residual.
@@ -236,11 +272,13 @@ impl<T: Scalar> Gpt2Model<T> {
         layer_norm(&x, &self.weights.ln_f_gamma, &self.weights.ln_f_beta)
     }
 
-    /// LM head: logits = hidden · WTEᵀ (paper §II-A).
+    /// LM head: logits = hidden · WTEᵀ (paper §II-A), each logit the
+    /// sequential [`dot`](crate::tensor::dot) of `hidden` with its WTE row.
     pub fn logits(&self, hidden: &[T]) -> Vec<T> {
-        (0..self.weights.config.vocab_size)
-            .map(|v| dot(hidden, self.weights.wte.row(v)))
-            .collect()
+        let wte = &self.weights.wte;
+        let mut logits = vec![T::ZERO; self.weights.config.vocab_size];
+        dot_rows(hidden, |v| wte.row(v), &mut logits, &mut Vec::new());
+        logits
     }
 
     /// Greedy next-token selection (argmax over logits; the paper selects
@@ -414,6 +452,28 @@ mod tests {
         let model = tiny_model();
         let ctx: Vec<u32> = (0..100).collect();
         let _ = model.generate(&ctx, 100);
+    }
+
+    /// Tiled dot products against [`dot`](crate::tensor::dot) row by row,
+    /// bit for bit, on a row count that is not a multiple of the tile.
+    fn check_dot_rows<T: Scalar>(bits: impl Fn(T) -> u64) {
+        let value = |i: usize| T::from_f64(((i * 53) % 47) as f64 * 0.03 - 0.7);
+        let x: Vec<T> = (0..70).map(value).collect();
+        let rows: Vec<Vec<T>> = (0..37)
+            .map(|r| (0..70).map(|i| value(i * 3 + r)).collect())
+            .collect();
+        let mut out = vec![T::ONE; 37];
+        dot_rows(&x, |r| &rows[r], &mut out, &mut Vec::new());
+        for (r, (got, row)) in out.iter().zip(&rows).enumerate() {
+            assert_eq!(bits(*got), bits(crate::tensor::dot(&x, row)), "row {r}");
+        }
+    }
+
+    #[test]
+    fn tiled_dot_rows_equal_the_sequential_dot_in_every_precision() {
+        check_dot_rows::<f32>(|v| u64::from(v.to_bits()));
+        check_dot_rows::<f64>(f64::to_bits);
+        check_dot_rows::<F16>(|v| u64::from(v.to_bits()));
     }
 
     #[test]

@@ -64,6 +64,9 @@ const F32_MIN_NORMAL_HALF: u32 = 113 << 23;
 /// `f32` bits of 2¹⁶, the first magnitude that rounds to the half infinity
 /// whatever its low bits.
 const F32_HALF_OVERFLOW: u32 = 143 << 23;
+/// `f32` bits of 65520, the midpoint between [`F16::MAX`] and 2¹⁶: the
+/// first magnitude that rounds to the half infinity.
+const F32_HALF_ROUNDS_TO_INF: u32 = 0x477f_f000;
 /// Difference of the `f32` and binary16 exponent biases, in `f32` exponent
 /// field units.
 const REBIAS: u32 = (127 - 15) << 23;
@@ -419,30 +422,61 @@ fn nan_rule(result: f32, a: f32, b: f32) -> f32 {
 /// must be widened halves). The result is again a widened half.
 #[inline]
 pub(crate) fn round_op_widened(result: f32, a: f32, b: f32) -> f32 {
-    let bits = result.to_bits();
-    let abs = bits & 0x7fff_ffff;
-    // Normal: round the 13 bits below the half's lsb to nearest-even in
-    // place (see `from_f32`); anything from 2¹⁶ up, ∞ included, is ∞.
-    let odd = (abs >> 13) & 1;
-    let normal = abs.wrapping_add(0x0fff + odd) & !0x1fff;
-    let normal = if normal >= F32_HALF_OVERFLOW {
-        0x7f80_0000
-    } else {
-        normal
-    };
-    // Half subnormal or zero: round to the 2⁻²⁴ grid through 0.5 (see
-    // `from_f32`); taking 0.5 off again is exact.
-    let subnormal = ((f32::from_bits(abs) + 0.5) - 0.5).to_bits();
-    let mag = if abs < F32_MIN_NORMAL_HALF {
-        subnormal
-    } else {
-        normal
-    };
-    let rounded = f32::from_bits(bits & 0x8000_0000 | mag);
     if result.is_nan() {
         nan_rule(result, a, b)
     } else {
+        round_widened(result)
+    }
+}
+
+/// Rounds `result` to the half grid and returns it widened, the same
+/// value as `F16::from_f32(result).to_f32()` for every non-NaN `result`.
+/// A NaN maps to ∞ of its sign: the NaN rule needs the operands, so
+/// kernels leave it to [`round_step`].
+#[inline]
+pub(crate) fn round_widened(result: f32) -> f32 {
+    let bits = result.to_bits();
+    let abs = bits & 0x7fff_ffff;
+    // Adding 2¹³ times the power of two that starts `abs`'s binade moves
+    // the f32 lsb to the half's lsb there, so the f32 addition rounds
+    // `abs` to the half grid, nearest-even, and taking it off again is
+    // exact. Below 2⁻¹⁴ the half grid is the fixed subnormal step 2⁻²⁴,
+    // the lsb next to 2⁻¹ = 2¹³ · 2⁻¹⁴. Written as a float max, so it is
+    // one instruction per lane.
+    let binade = f32::from_bits(abs & 0x7f80_0000);
+    let min_normal = f32::from_bits(F32_MIN_NORMAL_HALF);
+    let binade = if binade > min_normal {
+        binade
+    } else {
+        min_normal
+    };
+    let magic = f32::from_bits(binade.to_bits() + (13 << 23));
+    let rounded = ((f32::from_bits(abs) + magic) - magic).to_bits();
+    // From the midpoint between MAX and 2¹⁶ up, ∞ included, the result
+    // is ∞.
+    let mag = if abs >= F32_HALF_ROUNDS_TO_INF {
+        0x7f80_0000
+    } else {
         rounded
+    };
+    f32::from_bits(bits & 0x8000_0000 | mag)
+}
+
+/// One rounding step of a NaN-hoisted kernel, whose body is written once
+/// over `EXACT`. With `EXACT` this is [`round_op_widened`]. Without it,
+/// the step only rounds, and a NaN becomes ∞ (see [`round_widened`]).
+/// The two agree on every non-NaN result. The kernels chain only
+/// products of their inputs and sums, and a sum keeps an infinite
+/// operand infinite or makes a NaN, which rounds to ∞ again; so a pass
+/// without `EXACT` in which any result was NaN ends with a non-finite
+/// output. A kernel that sees one reruns the pass with `EXACT`. The
+/// per-op NaN rule thus leaves the lane loops, which then vectorize.
+#[inline(always)]
+pub(crate) fn round_step<const EXACT: bool>(result: f32, a: f32, b: f32) -> f32 {
+    if EXACT {
+        round_op_widened(result, a, b)
+    } else {
+        round_widened(result)
     }
 }
 
@@ -689,6 +723,20 @@ mod tests {
             F16::round_f64(f64::from(x)).to_bits()
         };
         assert_eq!(got, want, "from_f32({bits:#010x})");
+        if !x.is_nan() {
+            check_round_widened(x);
+        }
+    }
+
+    /// The kernels' rounding of a non-NaN `f32` against the narrowing
+    /// and widening it stands for.
+    fn check_round_widened(x: f32) {
+        assert_eq!(
+            round_widened(x).to_bits(),
+            F16::from_f32(x).to_f32().to_bits(),
+            "round_widened({:#010x})",
+            x.to_bits()
+        );
     }
 
     /// Bit patterns every sample must include: zeros, the subnormal and
@@ -821,6 +869,32 @@ mod tests {
                     for hi in (t..=usize::from(u16::MAX)).step_by(threads) {
                         for lo in 0..=u32::from(u16::MAX) {
                             check_from_f32((hi as u32) << 16 | lo);
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    /// `round_widened` against `from_f32` then `to_f32` for every
+    /// non-NaN `f32`: the proof that a hoisted kernel pass with finite
+    /// outputs rounded every step exactly. About 20 s in release on two
+    /// cores; run with `cargo test --release -p dfx-num --lib --
+    /// --ignored --exact
+    /// f16::tests::round_widened_matches_the_half_narrowing_exhaustively`.
+    #[test]
+    #[ignore]
+    fn round_widened_matches_the_half_narrowing_exhaustively() {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                scope.spawn(move || {
+                    for hi in (t..=usize::from(u16::MAX)).step_by(threads) {
+                        for lo in 0..=u32::from(u16::MAX) {
+                            let x = f32::from_bits((hi as u32) << 16 | lo);
+                            if !x.is_nan() {
+                                check_round_widened(x);
+                            }
                         }
                     }
                 });

@@ -7,7 +7,14 @@
 //! than a sequential accumulator. The functional executor uses these
 //! routines so simulated numerics match the hardware's dataflow.
 
-use crate::f16::{round_op_widened, F16};
+use crate::f16::{round_step, F16};
+
+/// Output lanes the MAC-tree kernel evaluates side by side: the paper's
+/// `l`, the number of `d`-input MAC trees in the MPU (§V-B).
+pub const LANES: usize = 16;
+
+/// The MAC-tree fan-in `d`. Trees up to this wide use a stack table.
+const TREE_WIDTH: usize = 64;
 
 /// Sums a slice with a balanced pairwise adder tree, padding the last level
 /// with `+0.0` exactly like unfilled tree inputs in hardware.
@@ -26,45 +33,90 @@ pub fn tree_sum(values: &[F16]) -> F16 {
     match values.len() {
         0 => F16::ZERO,
         1 => values[0],
-        n if n <= 64 => {
-            // Hardware-width fast path: reduce in a stack buffer.
-            let mut buf = [0.0f32; 64];
-            for (b, v) in buf.iter_mut().zip(values) {
-                *b = v.to_f32();
-            }
-            F16::from_f32(tree_reduce_in_place(&mut buf[..n]))
-        }
-        _ => {
-            let mut level: Vec<f32> = values.iter().map(|v| v.to_f32()).collect();
-            F16::from_f32(tree_reduce_in_place(&mut level))
-        }
+        n if n <= TREE_WIDTH => sum_lane(values, &mut [[0.0; 1]; TREE_WIDTH][..n]),
+        n => sum_lane(values, &mut vec![[0.0; 1]; n]),
     }
 }
 
-/// Pairwise reduction performed in place; an odd element at any level
-/// pairs with an implicit +0 input, as unfilled tree ports do in hardware.
-///
-/// The levels hold widened halves and every adder rounds to half
-/// precision, so the result is the FP16 tree's, bit for bit, without
-/// narrowing and widening each partial sum.
-fn tree_reduce_in_place(level: &mut [f32]) -> f32 {
-    let mut len = level.len();
+/// [`tree_sum`] through the one-lane tree, in `table` (one row per value).
+fn sum_lane(values: &[F16], table: &mut [[f32; 1]]) -> F16 {
+    let fill = |table: &mut [[f32; 1]]| {
+        for (t, v) in table.iter_mut().zip(values) {
+            *t = [v.to_f32()];
+        }
+    };
+    fill(table);
+    let mut sum = tree_lanes::<1, false>(table);
+    if !sum[0].is_finite() {
+        fill(table);
+        sum = tree_lanes::<1, true>(table);
+    }
+    F16::from_f32(sum[0])
+}
+
+/// The pairwise adder tree, over `L` lanes side by side and in place:
+/// level by level `table[i] = table[2i] + table[2i + 1]` in every lane,
+/// an odd element paired with an implicit +0 input as unfilled tree
+/// ports are in hardware (so a −0 there becomes +0). The rows hold
+/// widened halves and every adder rounds to half through [`round_step`],
+/// so each lane is the FP16 tree's sum, bit for bit, without narrowing
+/// and widening each partial sum. An empty table sums to +0.
+fn tree_lanes<const L: usize, const EXACT: bool>(table: &mut [[f32; L]]) -> [f32; L] {
+    let mut len = table.len();
     while len > 1 {
         let half = len / 2;
         for i in 0..half {
-            let (a, b) = (level[2 * i], level[2 * i + 1]);
-            level[i] = round_op_widened(a + b, a, b);
+            let (a, b) = (table[2 * i], table[2 * i + 1]);
+            for (s, (a, b)) in table[i].iter_mut().zip(a.into_iter().zip(b)) {
+                *s = round_step::<EXACT>(a + b, a, b);
+            }
         }
         if len % 2 == 1 {
-            // Odd element pairs with an implicit +0 input.
-            let a = level[len - 1];
-            level[half] = round_op_widened(a + 0.0, a, 0.0);
+            let a = table[len - 1];
+            for (s, a) in table[half].iter_mut().zip(a) {
+                *s = round_step::<EXACT>(a + 0.0, a, 0.0);
+            }
             len = half + 1;
         } else {
             len = half;
         }
     }
-    level.first().copied().unwrap_or(0.0)
+    table.first().copied().unwrap_or([0.0; L])
+}
+
+/// One pass of up to `L` MAC trees: lane `l` of row `r` gets the product
+/// `inputs[r] · columns[l][r]`, lanes past `columns.len()` get +0, and
+/// [`tree_lanes`] reduces the rows to their roots.
+fn mac_pass<const L: usize, const EXACT: bool>(
+    inputs: &[f32],
+    columns: &[&[F16]],
+    table: &mut [[f32; L]],
+) -> [f32; L] {
+    for (l, column) in columns.iter().enumerate() {
+        for ((t, &x), w) in table.iter_mut().zip(inputs).zip(*column) {
+            let w = w.to_f32();
+            t[l] = round_step::<EXACT>(x * w, x, w);
+        }
+    }
+    for t in table.iter_mut() {
+        t[columns.len()..].fill(0.0);
+    }
+    tree_lanes::<L, EXACT>(table)
+}
+
+/// The NaN-hoisted MAC trees: a pass that only rounds, run again under
+/// the per-op NaN rule if a root came out non-finite, which any NaN on
+/// the way makes it (see [`round_step`]).
+fn mac_lanes<const L: usize>(
+    inputs: &[f32],
+    columns: &[&[F16]],
+    table: &mut [[f32; L]],
+) -> [F16; L] {
+    let mut sums = mac_pass::<L, false>(inputs, columns, table);
+    if sums.iter().any(|s| !s.is_finite()) {
+        sums = mac_pass::<L, true>(inputs, columns, table);
+    }
+    sums.map(F16::from_f32)
 }
 
 /// The `d`-input multiply-accumulate tree: elementwise FP16 products, then
@@ -74,8 +126,8 @@ fn tree_reduce_in_place(level: &mut [f32]) -> f32 {
 ///
 /// Panics if the slices have different lengths.
 pub fn mac_tree(inputs: &[F16], weights: &[F16]) -> F16 {
-    if inputs.len() <= 64 {
-        let mut buf = [0.0f32; 64];
+    if inputs.len() <= TREE_WIDTH {
+        let mut buf = [0.0f32; TREE_WIDTH];
         for (b, x) in buf.iter_mut().zip(inputs) {
             *b = x.to_f32();
         }
@@ -89,7 +141,7 @@ pub fn mac_tree(inputs: &[F16], weights: &[F16]) -> F16 {
 /// [`mac_tree`] on inputs already widened with [`F16::to_f32`], for a
 /// caller that streams one input vector against many weight columns and
 /// widens it once. Inputs that are not widened halves give meaningless
-/// sums.
+/// sums. This is the one-lane case of [`mac_trees_widened`].
 ///
 /// # Panics
 ///
@@ -100,22 +152,50 @@ pub fn mac_tree_widened(inputs: &[f32], weights: &[F16]) -> F16 {
         weights.len(),
         "MAC tree operands must have equal length"
     );
-    let product = |(&x, w): (&f32, &F16)| {
-        let w = w.to_f32();
-        round_op_widened(x * w, x, w)
-    };
     let n = inputs.len();
-    if n <= 64 {
-        // Hardware width: products land in a stack buffer.
-        let mut buf = [0.0f32; 64];
-        for (b, p) in buf.iter_mut().zip(inputs.iter().zip(weights).map(product)) {
-            *b = p;
-        }
-        F16::from_f32(tree_reduce_in_place(&mut buf[..n]))
+    let [sum] = if n <= TREE_WIDTH {
+        mac_lanes(inputs, &[weights], &mut [[0.0; 1]; TREE_WIDTH][..n])
     } else {
-        let mut products: Vec<f32> = inputs.iter().zip(weights).map(product).collect();
-        F16::from_f32(tree_reduce_in_place(&mut products))
+        mac_lanes(inputs, &[weights], &mut vec![[0.0; 1]; n])
+    };
+    sum
+}
+
+/// Up to [`LANES`] MAC trees evaluated side by side, as the MPU's `l`
+/// trees consume one `d × l` weight tile: lane `c` of the result is
+/// `mac_tree_widened(inputs, columns[c])`, bit for bit, and the lanes
+/// past `columns.len()` are +0.
+///
+/// The lanes round each product and sum to half without the per-op NaN
+/// rule; if any lane's sum comes out non-finite, as one that met a NaN
+/// does, the call is evaluated again under the rule, so NaN payloads
+/// come out exactly as the FP16 operations give them. `table` is the
+/// caller's scratch lane table, one row per input, so a caller that
+/// keeps it allocates nothing per call.
+///
+/// # Panics
+///
+/// Panics if more than [`LANES`] columns are given or a column's length
+/// differs from the inputs'.
+pub fn mac_trees_widened(
+    inputs: &[f32],
+    columns: &[&[F16]],
+    table: &mut Vec<[f32; LANES]>,
+) -> [F16; LANES] {
+    assert!(
+        columns.len() <= LANES,
+        "{} columns for {LANES} MAC tree lanes",
+        columns.len()
+    );
+    for column in columns {
+        assert_eq!(
+            inputs.len(),
+            column.len(),
+            "MAC tree operands must have equal length"
+        );
     }
+    table.resize(inputs.len(), [0.0; LANES]);
+    mac_lanes(inputs, columns, table)
 }
 
 /// Sequential accumulation (the VPU `accum` instruction): left-to-right
@@ -191,6 +271,122 @@ mod tests {
                 "mac_tree {start} {n}"
             );
         }
+    }
+
+    /// Operand pools of ordinary numbers with every fifth element one of
+    /// a class of special values: NaNs with payloads and both signs, ±∞,
+    /// subnormals, and −0.
+    fn special_pools() -> Vec<(&'static str, Vec<F16>)> {
+        let classes: [(&str, &[u16]); 4] = [
+            ("NaN", &[0x7c01, 0xfd55, 0x7e00, 0xffff, 0x7d23]),
+            ("inf", &[0x7c00, 0xfc00]),
+            ("subnormal", &[0x0001, 0x83ff, 0x0200, 0x8010]),
+            ("-0", &[0x8000]),
+        ];
+        classes
+            .iter()
+            .map(|&(name, specials)| {
+                let pool = (0..211)
+                    .map(|i| match i % 5 {
+                        0 => F16::from_bits(specials[i / 5 % specials.len()]),
+                        _ => F16::from_f32(((i * 37) % 29) as f32 * 0.37 - 5.0),
+                    })
+                    .collect();
+                (name, pool)
+            })
+            .collect()
+    }
+
+    /// Each lane against its own column's `mac_tree` and the tree of
+    /// [`F16`] operations, and the unused lanes +0.
+    fn check_lanes(x: &[F16], columns: &[&[F16]], what: &str) -> [F16; LANES] {
+        let wide: Vec<f32> = x.iter().map(|v| v.to_f32()).collect();
+        let got = mac_trees_widened(&wide, columns, &mut Vec::new());
+        for (c, column) in columns.iter().enumerate() {
+            let products = x.iter().zip(*column).map(|(&a, &b)| a * b).collect();
+            let want = f16_tree(products).to_bits();
+            assert_eq!(got[c].to_bits(), want, "{what}: lane {c} vs the F16 tree");
+            assert_eq!(mac_tree(x, column).to_bits(), want, "{what}: mac_tree {c}");
+        }
+        assert!(
+            got[columns.len()..].iter().all(|h| h.to_bits() == 0),
+            "{what}: unused lanes must be +0"
+        );
+        got
+    }
+
+    #[test]
+    fn lane_trees_match_per_column_trees_on_special_operands() {
+        for (name, pool) in special_pools() {
+            for n in [1usize, 2, 3, 33, 63, 64] {
+                for lanes in [1usize, 5, 15, 16] {
+                    let take = |start: usize| -> Vec<F16> {
+                        pool.iter().cycle().skip(start).take(n).copied().collect()
+                    };
+                    let x = take(lanes * 3);
+                    let columns: Vec<Vec<F16>> = (0..lanes).map(|c| take(7 * c + 1)).collect();
+                    let columns: Vec<&[F16]> = columns.iter().map(Vec::as_slice).collect();
+                    check_lanes(
+                        &x,
+                        &columns,
+                        &format!("{name} pool, {n} rows, {lanes} lanes"),
+                    );
+                }
+            }
+        }
+        // All-zero products of both signs: an odd element's carry with
+        // +0 turns −0 into +0, so the sign of a zero sum depends on the
+        // tree's shape.
+        for n in [1usize, 2, 3, 33, 63, 64] {
+            let x = vec![F16::NEG_ZERO; n];
+            let plus = vec![F16::ONE; n];
+            let minus = vec![F16::NEG_ONE; n];
+            let got = check_lanes(&x, &[&plus, &minus], &format!("zeros, {n} rows"));
+            if n == 3 {
+                assert_eq!(got[0].to_bits(), 0x0000, "−0 carried as +0");
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_in_one_lane_leaves_the_other_lanes_unchanged() {
+        let number = |i: usize| F16::from_f32(((i * 13) % 23) as f32 * 0.25 - 2.5);
+        for n in [3usize, 33, 64] {
+            let x: Vec<F16> = (0..n).map(number).collect();
+            let columns: Vec<Vec<F16>> = (0..LANES)
+                .map(|c| (0..n).map(|r| number(r + 5 * c + 1)).collect())
+                .collect();
+            let refs: Vec<&[F16]> = columns.iter().map(Vec::as_slice).collect();
+            // A signalling NaN weight with a payload, and 0 · ∞, each in
+            // one lane only.
+            for (lane, row, weight, input, want) in [
+                (7, n / 2, F16::from_bits(0xfd23), None, 0xff23),
+                (12, n - 1, F16::INFINITY, Some(F16::ZERO), 0xfe00),
+            ] {
+                let mut x = x.clone();
+                if let Some(input) = input {
+                    x[row] = input;
+                }
+                let clean = check_lanes(&x, &refs, &format!("{n} rows, no NaN"));
+                let mut columns = columns.clone();
+                columns[lane][row] = weight;
+                let refs: Vec<&[F16]> = columns.iter().map(Vec::as_slice).collect();
+                let got = check_lanes(&x, &refs, &format!("{n} rows, NaN in lane {lane}"));
+                assert_eq!(got[lane].to_bits(), want, "lane {lane}'s NaN");
+                for (c, (g, w)) in got.iter().zip(clean).enumerate() {
+                    if c != lane {
+                        assert_eq!(g.to_bits(), w.to_bits(), "lane {c} moved");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "MAC tree lanes")]
+    fn mac_trees_reject_more_columns_than_lanes() {
+        let column = [F16::ONE];
+        let _ = mac_trees_widened(&[1.0], &[&column[..]; LANES + 1], &mut Vec::new());
     }
 
     #[test]

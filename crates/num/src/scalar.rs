@@ -5,7 +5,7 @@
 //! or [`F16`] (the precision the GPU baseline and the DFX datapath use).
 //! Accuracy experiments (paper §VII-A) compare these instantiations.
 
-use crate::f16::{round_op_widened, F16};
+use crate::f16::{round_step, F16};
 use crate::sfu;
 
 /// A floating-point scalar usable by the reference model.
@@ -49,6 +49,12 @@ pub trait Scalar:
     /// rounding after the multiply and after the add (no fused
     /// multiply-add), exactly as the loop of [`Scalar::mul`] and
     /// [`Scalar::add`] does.
+    ///
+    /// This is the reference model's one vector-matrix kernel, with the
+    /// columns of `y` as independent output lanes: the projections call
+    /// it directly, and the logits, attention scores and P·V call it
+    /// over tiles of 16 transposed rows, where each output is the
+    /// sequential dot product of its row, folded from zero.
     #[inline]
     fn vecmat_acc(x: &[Self], w: &[Self], y: &mut [Self]) {
         if y.is_empty() {
@@ -176,21 +182,37 @@ impl Scalar for F16 {
     }
     /// The accumulators stay widened across all rows and are narrowed
     /// once at the end; every product and sum is still rounded to half.
+    /// The output columns are independent lanes, evaluated side by side
+    /// without the per-op NaN rule; a call that leaves any accumulator
+    /// non-finite, as one that met a NaN does, is evaluated again under
+    /// the rule, so the result is the loop of [`F16`] operations', bit
+    /// for bit.
     fn vecmat_acc(x: &[Self], w: &[Self], y: &mut [Self]) {
         if y.is_empty() {
             return;
         }
         let mut acc: Vec<f32> = y.iter().map(|v| v.to_f32()).collect();
-        for (&xi, row) in x.iter().zip(w.chunks_exact(y.len())) {
-            let a = xi.to_f32();
-            for (yj, &wj) in acc.iter_mut().zip(row) {
-                let wj = wj.to_f32();
-                let product = round_op_widened(a * wj, a, wj);
-                *yj = round_op_widened(*yj + product, *yj, product);
-            }
+        vecmat_pass::<false>(x, w, &mut acc);
+        if acc.iter().any(|a| !a.is_finite()) {
+            acc.clear();
+            acc.extend(y.iter().map(|v| v.to_f32()));
+            vecmat_pass::<true>(x, w, &mut acc);
         }
         for (yj, aj) in y.iter_mut().zip(acc) {
             *yj = F16::from_f32(aj);
+        }
+    }
+}
+
+/// One pass of `acc = acc + x · W` on widened halves, row by row, with
+/// every product and sum rounded through [`round_step`].
+fn vecmat_pass<const EXACT: bool>(x: &[F16], w: &[F16], acc: &mut [f32]) {
+    for (&xi, row) in x.iter().zip(w.chunks_exact(acc.len())) {
+        let a = xi.to_f32();
+        for (yj, &wj) in acc.iter_mut().zip(row) {
+            let wj = wj.to_f32();
+            let product = round_step::<EXACT>(a * wj, a, wj);
+            *yj = round_step::<EXACT>(*yj + product, *yj, product);
         }
     }
 }
@@ -231,13 +253,68 @@ mod tests {
             let mut fast = take(start + 500, cols);
             let mut slow = fast.clone();
             F16::vecmat_acc(&x, &w, &mut fast);
-            for (i, &xi) in x.iter().enumerate() {
-                for (y, &wv) in slow.iter_mut().zip(&w[i * cols..(i + 1) * cols]) {
-                    *y += xi * wv;
-                }
-            }
+            vecmat_by_ops(&x, &w, &mut slow);
             let bits = |v: &[F16]| v.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&fast), bits(&slow), "x from {start}");
+        }
+    }
+
+    /// The loop of [`F16`] operations `vecmat_acc` stands for.
+    fn vecmat_by_ops(x: &[F16], w: &[F16], y: &mut [F16]) {
+        let cols = y.len();
+        for (i, &xi) in x.iter().enumerate() {
+            for (y, &wv) in y.iter_mut().zip(&w[i * cols..(i + 1) * cols]) {
+                *y += xi * wv;
+            }
+        }
+    }
+
+    #[test]
+    fn f16_vecmat_acc_reruns_a_call_whose_nan_appears_mid_matrix() {
+        let (rows, cols) = (13, 41);
+        let number = |i: usize| F16::from_f32(((i * 29) % 31) as f32 * 0.125 - 1.75);
+        let x: Vec<F16> = (0..rows).map(number).collect();
+        let w: Vec<F16> = (0..rows * cols).map(|i| number(i + 3)).collect();
+        let y: Vec<F16> = (0..cols).map(|i| number(i + 11)).collect();
+        let bits = |v: &[F16]| v.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
+        let at = |row: usize, col: usize| row * cols + col;
+        // A NaN weight with a payload, 0 · ∞, and ∞ − ∞ in an
+        // accumulator, each first appearing at row 7 of column 3.
+        // (what, weight edits, input edits), as (index, value) pairs.
+        type Edits = Vec<(usize, F16)>;
+        let cases: [(&str, Edits, Edits); 3] = [
+            ("payload", vec![(at(7, 3), F16::from_bits(0x7d55))], vec![]),
+            (
+                "0 * inf",
+                vec![(at(7, 3), F16::INFINITY)],
+                vec![(7, F16::ZERO)],
+            ),
+            (
+                "inf - inf",
+                vec![(at(2, 3), F16::INFINITY), (at(7, 3), F16::NEG_INFINITY)],
+                vec![],
+            ),
+        ];
+        for (what, weights, inputs) in cases {
+            let (mut x, mut w) = (x.clone(), w.clone());
+            for (row, v) in inputs {
+                x[row] = v;
+            }
+            let mut clean = y.clone();
+            F16::vecmat_acc(&x, &w, &mut clean);
+            for (k, v) in weights {
+                w[k] = v;
+            }
+            let (mut fast, mut slow) = (y.clone(), y.clone());
+            F16::vecmat_acc(&x, &w, &mut fast);
+            vecmat_by_ops(&x, &w, &mut slow);
+            assert_eq!(bits(&fast), bits(&slow), "{what}");
+            assert!(fast[3].is_nan(), "{what}: column 3 must be NaN");
+            for (j, (f, c)) in fast.iter().zip(&clean).enumerate() {
+                if j != 3 {
+                    assert_eq!(f.to_bits(), c.to_bits(), "{what}: column {j} moved");
+                }
+            }
         }
     }
 
