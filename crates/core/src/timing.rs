@@ -177,6 +177,15 @@ impl TimingCore {
     /// [`with_read_side_transpose`](TimingCore::with_read_side_transpose),
     /// which charges `t` itself, each position is its own class.
     pub fn tile_class_start(&self, pos: usize) -> usize {
+        pos - pos % self.tile_class_len()
+    }
+
+    /// The number of positions in every tile class: `gcd(d, l,
+    /// vpu_width)`, or 1 under
+    /// [`with_read_side_transpose`](TimingCore::with_read_side_transpose).
+    /// Classes are aligned, so `pos`'s class ends before
+    /// `tile_class_start(pos) + tile_class_len()`.
+    pub fn tile_class_len(&self) -> usize {
         fn gcd(a: u32, b: u32) -> u32 {
             match b {
                 0 => a,
@@ -184,11 +193,10 @@ impl TimingCore {
             }
         }
         if self.read_side_transpose {
-            return pos;
+            return 1;
         }
         let p = &self.params;
-        let run = gcd(gcd(p.shape.d, p.shape.l), p.vpu_width) as usize;
-        pos - pos % run
+        gcd(gcd(p.shape.d, p.shape.l), p.vpu_width) as usize
     }
 
     /// Times one token-step program.

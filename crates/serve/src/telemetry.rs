@@ -202,7 +202,7 @@ struct Family {
 /// let labels = Labels::new().with("backend", "dfx");
 /// reg.counter("dfx_requests_total", "Requests served.", &labels, 3);
 /// reg.gauge("dfx_utilization_ratio", "Busy fraction.", &labels, 0.5);
-/// reg.observe("dfx_request_ttft_ms", "Time to first token.", &labels, 7.5);
+/// reg.observe("dfx_request_ttft_ms", "Time to first token.", &labels, &[7.5, 30.0]);
 ///
 /// let text = reg.render();
 /// assert!(text.contains(r#"dfx_requests_total{backend="dfx"} 3"#));
@@ -220,20 +220,21 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// The family `name`, registered with `kind` and `help` on first
+    /// use (the only call that allocates its name), or `None` when it
+    /// was registered with another kind.
     fn family(&mut self, name: &str, kind: MetricKind, help: &str) -> Option<&mut Family> {
-        let fam = self
-            .families
-            .entry(name.to_string())
-            .or_insert_with(|| Family {
-                kind,
-                help: help.to_string(),
-                series: BTreeMap::new(),
-            });
-        if fam.kind == kind {
-            Some(fam)
-        } else {
-            None
+        if !self.families.contains_key(name) {
+            self.families.insert(
+                name.to_string(),
+                Family {
+                    kind,
+                    help: help.to_string(),
+                    series: BTreeMap::new(),
+                },
+            );
         }
+        self.families.get_mut(name).filter(|fam| fam.kind == kind)
     }
 
     /// Adds `delta` to the counter `name{labels}` (created at 0).
@@ -256,16 +257,23 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records one observation into the histogram `name{labels}`
-    /// (fixed [`BUCKET_BOUNDS_MS`] buckets).
-    pub fn observe(&mut self, name: &str, help: &str, labels: &Labels, value: f64) {
+    /// Records `values`, in slice order, into the histogram
+    /// `name{labels}` (fixed [`BUCKET_BOUNDS_MS`] buckets). The family
+    /// and series are looked up once per call; an empty slice records
+    /// nothing and registers neither.
+    pub fn observe(&mut self, name: &str, help: &str, labels: &Labels, values: &[f64]) {
+        if values.is_empty() {
+            return;
+        }
         if let Some(fam) = self.family(name, MetricKind::Histogram, help) {
             let v = fam
                 .series
                 .entry(labels.render())
                 .or_insert_with(|| Value::Histogram(Hist::new()));
             if let Value::Histogram(h) = v {
-                h.observe(value);
+                for &value in values {
+                    h.observe(value);
+                }
             }
         }
     }
@@ -1136,25 +1144,24 @@ pub fn record_service_report(reg: &mut MetricsRegistry, report: &ServiceReport, 
         );
     }
 
-    for &v in report.sorted_ttfts() {
-        reg.observe(
-            "dfx_request_ttft_ms",
-            "Per-request time to first token, ms.",
-            l,
-            v,
-        );
-    }
-    for &v in report.sorted_token_gaps() {
-        reg.observe(
-            "dfx_request_itl_ms",
-            "Per-token inter-token gaps, ms.",
-            l,
-            v,
-        );
-    }
-    for &v in report.sorted_sojourns() {
-        reg.observe("dfx_request_sojourn_ms", "Per-request sojourn, ms.", l, v);
-    }
+    reg.observe(
+        "dfx_request_ttft_ms",
+        "Per-request time to first token, ms.",
+        l,
+        report.sorted_ttfts(),
+    );
+    reg.observe(
+        "dfx_request_itl_ms",
+        "Per-token inter-token gaps, ms.",
+        l,
+        report.sorted_token_gaps(),
+    );
+    reg.observe(
+        "dfx_request_sojourn_ms",
+        "Per-request sojourn, ms.",
+        l,
+        report.sorted_sojourns(),
+    );
 }
 
 /// Records a [`ClusterReport`] into `reg`: each replica's engine
@@ -1257,9 +1264,7 @@ mod tests {
         let l = Labels::new().with("backend", "dfx");
         reg.counter("dfx_requests_total", "Requests.", &l, 5);
         reg.gauge("dfx_utilization_ratio", "Busy fraction.", &l, 0.25);
-        for v in [0.3, 1.0, 7.0, 1e6] {
-            reg.observe("dfx_request_ttft_ms", "TTFT.", &l, v);
-        }
+        reg.observe("dfx_request_ttft_ms", "TTFT.", &l, &[0.3, 1.0, 7.0, 1e6]);
         let text = reg.render();
         let samples = validate_prometheus(&text).expect("valid exposition");
         // 1 counter + 1 gauge + 22 buckets + sum + count.
@@ -1281,6 +1286,49 @@ mod tests {
         reg.gauge("dfx_x", "X again.", &l, 9.0); // ignored: kind differs
         assert!(reg.render().contains("dfx_x 1"));
         assert!(!reg.render().contains('9'));
+    }
+
+    #[test]
+    fn a_slice_observes_like_its_values_one_by_one() {
+        // Every bucket bound and the value just above it, zeros,
+        // negatives and inexact sums (so `_sum` shows its addition order).
+        let mut finite = vec![0.0, -0.0, -1.0, -1e9, 0.1, 1.0 / 3.0];
+        for &b in &BUCKET_BOUNDS_MS {
+            finite.extend([b, b.next_up()]);
+        }
+        let mut special = finite.clone();
+        special.extend([f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+        let mut orders = Vec::new();
+        for mut values in [finite, special] {
+            values.sort_by(f64::total_cmp);
+            let mut unsorted = values.clone();
+            unsorted.reverse();
+            unsorted.rotate_left(values.len() / 3);
+            orders.extend([values, unsorted]);
+        }
+        let l = Labels::new().with("backend", "dfx");
+        for order in orders {
+            let mut whole = MetricsRegistry::new();
+            whole.observe("dfx_request_ttft_ms", "TTFT.", &l, &order);
+            let mut one_by_one = MetricsRegistry::new();
+            for v in &order {
+                one_by_one.observe("dfx_request_ttft_ms", "TTFT.", &l, std::slice::from_ref(v));
+            }
+            assert_eq!(whole.render(), one_by_one.render());
+            validate_prometheus(&whole.render()).expect("valid exposition");
+        }
+
+        // An empty slice registers no family, so no empty histogram block.
+        let mut reg = MetricsRegistry::new();
+        reg.observe("dfx_request_itl_ms", "ITL.", &l, &[]);
+        assert_eq!(reg.render(), "");
+        // A kind conflict is still ignored.
+        reg.gauge("dfx_x", "X.", &l, 2.0);
+        reg.observe("dfx_x", "X again.", &l, &[1.0, 3.0]);
+        assert_eq!(
+            reg.render(),
+            "# HELP dfx_x X.\n# TYPE dfx_x gauge\ndfx_x{backend=\"dfx\"} 2\n"
+        );
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! the batch it runs for. So each appliance times one program per
 //! `(tile class, LM head, batch)` and keeps it in one step table that
 //! every timed path shares ([`Appliance::timed_step_programs`] counts
-//! it). Stage sums are summed from the table on each call.
+//! it). Stage sums and prefill spans are summed from the table on each
+//! call, one lookup per run of positions that share an entry.
 
 use crate::cluster::FunctionalCluster;
 use crate::error::SimError;
@@ -28,6 +29,7 @@ use dfx_model::{GptConfig, GptWeights, Workload};
 use dfx_num::F16;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Timing of one full text-generation request.
@@ -387,13 +389,46 @@ impl Appliance {
         self.step(pos, lm_head, batch).total
     }
 
+    /// Calls `add` with the step timing of every position in `span`, in
+    /// order, each run for `batch` requests with the LM head from
+    /// position `lm_from` on. Positions are walked in maximal runs that
+    /// share one table entry (one tile class, one LM head), so the table
+    /// is looked up once per run, not once per position.
+    fn for_each_step(
+        &self,
+        span: Range<usize>,
+        lm_from: usize,
+        batch: u32,
+        mut add: impl FnMut(&StepTiming),
+    ) {
+        let class_len = self.timing.tile_class_len();
+        let mut pos = span.start;
+        while pos < span.end {
+            let lm_head = pos >= lm_from;
+            let class_end = pos - pos % class_len + class_len;
+            let run_end = if lm_head {
+                class_end
+            } else {
+                class_end.min(lm_from)
+            };
+            let end = run_end.min(span.end);
+            let timing = self.step(pos, lm_head, batch);
+            for _ in pos..end {
+                add(&timing);
+            }
+            pos = end;
+        }
+    }
+
     /// Summed makespans of prefill positions `from..to` over an
     /// `input_len`-token context at batch 1, LM head from the context's
     /// last position on.
     pub(crate) fn prefill_cycles(&self, input_len: usize, from: usize, to: usize) -> Cycles {
-        (from..to)
-            .map(|pos| self.step_cycles(pos, pos + 1 >= input_len, 1))
-            .sum()
+        let mut total = Cycles::ZERO;
+        self.for_each_step(from..to, input_len.saturating_sub(1), 1, |t| {
+            total += t.total
+        });
+        total
     }
 
     /// Number of step programs the cycle model has timed on this
@@ -414,15 +449,16 @@ impl Appliance {
     /// when any output follows) and `padded.output_len - 1` generation
     /// steps, each run for `batch` requests, from the step table.
     pub(crate) fn stage_timings(&self, padded: Workload, batch: u32) -> (StepTiming, StepTiming) {
+        let input = padded.input_len;
+        let lm_from = match padded.output_len {
+            0 => usize::MAX,
+            _ => input.saturating_sub(1),
+        };
         let mut summarization = StepTiming::default();
-        for pos in 0..padded.input_len {
-            let lm = pos + 1 == padded.input_len && padded.output_len > 0;
-            summarization.accumulate(&self.step(pos, lm, batch));
-        }
+        self.for_each_step(0..input, lm_from, batch, |t| summarization.accumulate(t));
         let mut generation = StepTiming::default();
-        for out in 1..padded.output_len {
-            generation.accumulate(&self.step(padded.input_len + out - 1, true, batch));
-        }
+        let decode = input..input + padded.output_len.saturating_sub(1);
+        self.for_each_step(decode, 0, batch, |t| generation.accumulate(t));
         (summarization, generation)
     }
 
@@ -594,6 +630,74 @@ mod tests {
                 assert_eq!(a.stage_timings(padded, batch), direct, "{padded} x{batch}");
                 assert_eq!(a.stage_timings(padded, batch), direct, "{padded} x{batch}");
             }
+        }
+    }
+
+    #[test]
+    fn class_runs_sum_like_every_position() {
+        let tiny = || Appliance::timing_only(GptConfig::tiny(), 2).unwrap();
+        let transposed = || {
+            let mut a = tiny();
+            a.timing = a.timing.clone().with_read_side_transpose();
+            a
+        };
+        // Tiny classes are 16 positions wide (1 under the transpose).
+        // `(input_len, from, to)`: whole and chunked prefills that start
+        // and end mid-class, cross class edges, cross the LM-head switch
+        // at `input_len - 1`, and run past it (recompute replays).
+        let spans = [
+            (1, 0, 1),
+            (14, 0, 14),
+            (14, 3, 9),
+            (14, 5, 20),
+            (16, 0, 16),
+            (17, 0, 17),
+            (17, 16, 17),
+            (33, 16, 33),
+            (40, 0, 40),
+            (40, 10, 37),
+            (40, 17, 33),
+            (40, 30, 52),
+        ];
+        let shapes: [(usize, usize); 6] = [(1, 1), (14, 6), (16, 1), (17, 0), (17, 16), (40, 9)];
+        for (name, make) in [
+            ("tiled", &tiny as &dyn Fn() -> Appliance),
+            ("transposed", &transposed),
+        ] {
+            let (walked, stepped) = (make(), make());
+            for (input_len, from, to) in spans {
+                let per_position: Cycles = (from..to)
+                    .map(|pos| stepped.step_cycles(pos, pos + 1 >= input_len, 1))
+                    .sum();
+                let walk = walked.prefill_cycles(input_len, from, to);
+                assert_eq!(walk, per_position, "{name} {input_len}: {from}..{to}");
+            }
+            for (input, output) in shapes {
+                for batch in [1u32, 3] {
+                    let mut summarization = StepTiming::default();
+                    for pos in 0..input {
+                        let lm = pos + 1 == input && output > 0;
+                        summarization.accumulate(&stepped.step(pos, lm, batch));
+                    }
+                    let mut generation = StepTiming::default();
+                    for pos in input..input + output.saturating_sub(1) {
+                        generation.accumulate(&stepped.step(pos, true, batch));
+                    }
+                    let walk = walked.stage_timings(Workload::new(input, output), batch);
+                    assert_eq!(
+                        walk,
+                        (summarization, generation),
+                        "{name} [{input}:{output}] x{batch}"
+                    );
+                }
+            }
+            // The walk times exactly the programs the positions need.
+            assert_eq!(
+                walked.timed_step_programs(),
+                stepped.timed_step_programs(),
+                "{name}"
+            );
+            assert_eq!(*walked.memo(), *stepped.memo(), "{name}");
         }
     }
 

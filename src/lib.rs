@@ -172,7 +172,7 @@
 //! let labels = Labels::new().with("backend", "dfx").with("discipline", "continuous");
 //! reg.counter("dfx_requests_total", "Requests retired.", &labels, 96);
 //! reg.gauge("dfx_p99_ttft_ms", "p99 time to first token.", &labels, 41.5);
-//! reg.observe("dfx_request_ttft_ms", "Per-request TTFT.", &labels, 12.0);
+//! reg.observe("dfx_request_ttft_ms", "Per-request TTFT.", &labels, &[12.0]);
 //!
 //! let text = reg.render();
 //! assert!(text.contains("# TYPE dfx_requests_total counter"));
