@@ -34,6 +34,15 @@ fn bench_timing_engine(c: &mut Criterion) {
         g.bench_function(format!("time_step/{name}"), |bench| {
             bench.iter(|| engine.time_step(black_box(&program)))
         });
+        if cores == 4 {
+            g.bench_function(format!("time_step_batched/{name}_b8"), |bench| {
+                bench.iter(|| engine.time_step_batched(black_box(&program), 8))
+            });
+            let unchecked = engine.clone().without_scoreboard();
+            g.bench_function(format!("time_step/{name}_without_scoreboard"), |bench| {
+                bench.iter(|| unchecked.time_step(black_box(&program)))
+            });
+        }
     }
     g.finish();
 }

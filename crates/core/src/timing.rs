@@ -759,6 +759,85 @@ mod tests {
         }
     }
 
+    /// FNV-1a over every field of `t`, folded into `hash`.
+    fn fnv_step(hash: u64, t: &StepTiming) -> u64 {
+        let words = [t.total.0, t.instructions as u64]
+            .into_iter()
+            .chain(t.by_class.iter().chain(&t.unit_busy).map(|c| c.0));
+        words.flat_map(u64::to_le_bytes).fold(hash, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The hash of every step of `cfg` on core 0 of `num_cores` at
+    /// `positions`, for each tile shape in `shapes`: both `QkvOrder`s, LM
+    /// head off and on, the scoreboard on and off and the read-side
+    /// transpose, at batches 1, 3 and 8.
+    fn pin_hash(
+        cfg: &GptConfig,
+        num_cores: usize,
+        shapes: &[dfx_hw::TileShape],
+        positions: &[usize],
+    ) -> u64 {
+        use dfx_isa::{BuilderOptions, QkvOrder};
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for qkv_order in [QkvOrder::ValueFirst, QkvOrder::ValueLast] {
+            let par = ParallelConfig::new(0, num_cores);
+            let b = ProgramBuilder::with_options(cfg.clone(), par, BuilderOptions { qkv_order })
+                .unwrap();
+            for &pos in positions {
+                for lm in [false, true] {
+                    let p = b.token_step(pos, lm);
+                    for &shape in shapes {
+                        let core = TimingCore::new(CoreParams::with_shape(shape), num_cores as u32);
+                        let variants = [
+                            core.clone(),
+                            core.clone().without_scoreboard(),
+                            core.with_read_side_transpose(),
+                        ];
+                        for core in &variants {
+                            for batch in [1, 3, 8] {
+                                hash = fnv_step(hash, &core.time_step_batched(&p, batch));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn step_timings_are_bit_pinned() {
+        // Every field of every step, hashed: a change to the cycle model
+        // that moves any cycle of these grids changes a constant. The
+        // small model's 3 heads split across 1 or 3 cores, not 2.
+        let shapes = dfx_hw::TileShape::DSE_CANDIDATES;
+        let positions = [0, 7, 8, 15, 16, 31, 32, 127];
+        let got = [
+            pin_hash(&GptConfig::tiny(), 1, &shapes, &positions),
+            pin_hash(&GptConfig::tiny(), 2, &shapes, &positions),
+            pin_hash(&GptConfig::small(), 1, &shapes, &positions),
+            pin_hash(&GptConfig::small(), 3, &shapes, &positions),
+            pin_hash(
+                &GptConfig::gpt2_1_5b(),
+                4,
+                &[dfx_hw::TileShape::PAPER],
+                &[0, 15, 16, 255, 1023],
+            ),
+        ];
+        // tiny×1, tiny×2, small×1, small×3, 1.5B×4.
+        let want: [u64; 5] = [
+            0xbf1c_5460_f09e_d377,
+            0x48d2_c3a1_edff_8724,
+            0x8f49_38bc_bbb7_6ea3,
+            0x9c0d_0805_c6ec_41c9,
+            0xb8fe_2cb2_dd0a_1f76,
+        ];
+        let hex = |h: [u64; 5]| h.map(|h| format!("{h:#018x}"));
+        assert_eq!(hex(got), hex(want));
+    }
+
     #[test]
     fn units_overlap_and_pipelines_chain() {
         // The makespan must beat the fully serialised schedule (every
