@@ -13,7 +13,8 @@ use crate::error::ExecError;
 use crate::weights::{CoreWeights, KvStore};
 use dfx_isa::{
     regs, DmaDir, EmbedTable, Instr, KvKind, MatrixKind, Program, ReduceKind, ReduceMax,
-    RouterInstr, RouterOp, SReg, ScalarOpKind, TensorRef, VReg, VSlice, VectorOpKind,
+    RouterInstr, RouterOp, SReg, ScalarOpKind, TensorRef, VReg, VSlice, VectorOpKind, NUM_SREGS,
+    NUM_VREGS,
 };
 use dfx_num::{reduce, SfuMath, F16};
 
@@ -191,9 +192,9 @@ impl FunctionalCore {
         FunctionalCore {
             weights,
             kv,
-            vregs: vec![Vec::new(); crate::scoreboard::NUM_VREGS],
-            sregs: vec![F16::ZERO; crate::scoreboard::NUM_SREGS],
-            sreg_idx: vec![0; crate::scoreboard::NUM_SREGS],
+            vregs: vec![Vec::new(); NUM_VREGS],
+            sregs: vec![F16::ZERO; NUM_SREGS],
+            sreg_idx: vec![0; NUM_SREGS],
             sfu: SfuMath::new(),
             current_token: 0,
             out_token: None,
@@ -732,7 +733,7 @@ mod tests {
         for ai in step.instrs() {
             if let Instr::Scalar(s) = &ai.instr {
                 let mut bad = *s;
-                bad.a = SReg(crate::scoreboard::NUM_SREGS as u8);
+                bad.a = SReg(NUM_SREGS as u8);
                 p.push(ai.class, Instr::Scalar(bad));
                 break;
             }

@@ -39,9 +39,10 @@ mod scoreboard;
 mod timing;
 mod weights;
 
+pub use dfx_isa::{NUM_SREGS, NUM_VREGS};
 pub use error::ExecError;
 pub use exec::{CoreEvent, FunctionalCore};
 pub use params::CoreParams;
-pub use scoreboard::{instr_reads, instr_writes, RegId, Scoreboard, NUM_SREGS, NUM_VREGS};
+pub use scoreboard::Scoreboard;
 pub use timing::{StepTiming, TimingCore, Unit};
 pub use weights::{ColumnMatrix, CoreLayerWeights, CoreWeights, HeadKv, KvStore};

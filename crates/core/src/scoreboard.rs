@@ -2,125 +2,25 @@
 //!
 //! The hardware scoreboard tracks source/destination addresses of
 //! in-flight instructions with `stale`/`valid` bits so chained
-//! instructions never read half-written registers. The simulator uses it
-//! in two ways: the timing engine queries register-ready times to place
-//! instruction start cycles, and tests disable it to demonstrate that the
-//! hazard it guards against is real (failure injection).
+//! instructions never read half-written registers. The simulator keeps
+//! one ready cycle per register, in one flat array over both files
+//! (indexed by [`VReg::flat`](dfx_isa::VReg::flat) and
+//! [`SReg::flat`](dfx_isa::SReg::flat)), and takes each instruction's
+//! operands from the one operand table in `dfx-isa`
+//! ([`Instr::reads`](dfx_isa::Instr::reads),
+//! [`Instr::writes`](dfx_isa::Instr::writes)). The timing engine queries
+//! register-ready times to place instruction start cycles, and tests
+//! disable it to demonstrate that the hazard it guards against is real
+//! (failure injection).
 
 use dfx_hw::Cycles;
-use dfx_isa::{Instr, ReduceMax, RouterOp, SReg, VReg};
-
-/// A register identifier across both files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RegId {
-    /// Vector register.
-    V(u8),
-    /// Scalar register.
-    S(u8),
-}
-
-impl From<VReg> for RegId {
-    fn from(r: VReg) -> RegId {
-        RegId::V(r.0)
-    }
-}
-
-impl From<SReg> for RegId {
-    fn from(r: SReg) -> RegId {
-        RegId::S(r.0)
-    }
-}
-
-/// Registers an instruction reads.
-pub fn instr_reads(instr: &Instr) -> Vec<RegId> {
-    match instr {
-        Instr::Matrix(m) => vec![m.src.reg.into()],
-        Instr::Vector(v) => {
-            let mut r: Vec<RegId> = vec![v.a.into()];
-            if let Some(b) = v.b {
-                r.push(b.into());
-            }
-            if let Some(s) = v.s {
-                r.push(s.into());
-            }
-            r
-        }
-        Instr::Reduce(r) => vec![r.v.into()],
-        Instr::Scalar(s) => {
-            let mut r: Vec<RegId> = vec![s.a.into()];
-            if let Some(b) = s.b {
-                r.push(b.into());
-            }
-            r
-        }
-        Instr::Dma(d) => match (d.dir, d.reg) {
-            (dfx_isa::DmaDir::Store, Some(slice)) => vec![slice.reg.into()],
-            _ => Vec::new(),
-        },
-        Instr::Router(r) => match r.op {
-            RouterOp::AllGather => vec![r.src.reg.into()],
-            RouterOp::AllReduceArgMax => {
-                let mut v = Vec::new();
-                if let Some(i) = r.idx {
-                    v.push(i.into());
-                }
-                if let Some(m) = r.max {
-                    v.push(m.into());
-                }
-                v
-            }
-        },
-    }
-}
-
-/// Registers an instruction writes.
-pub fn instr_writes(instr: &Instr) -> Vec<RegId> {
-    match instr {
-        Instr::Matrix(m) => {
-            let mut w: Vec<RegId> = vec![m.dst.reg.into()];
-            match m.reduce_max {
-                ReduceMax::None => {}
-                ReduceMax::Max(s) => w.push(s.into()),
-                ReduceMax::ArgMax { idx, max } => {
-                    w.push(idx.into());
-                    w.push(max.into());
-                }
-            }
-            w
-        }
-        Instr::Vector(v) => vec![v.dst.into()],
-        Instr::Reduce(r) => vec![r.dst.into()],
-        Instr::Scalar(s) => vec![s.dst.into()],
-        Instr::Dma(d) => match (d.dir, d.reg) {
-            (dfx_isa::DmaDir::Load, Some(slice)) => vec![slice.reg.into()],
-            _ => Vec::new(),
-        },
-        Instr::Router(r) => match r.op {
-            RouterOp::AllGather => vec![r.dst.reg.into()],
-            RouterOp::AllReduceArgMax => {
-                let mut v = Vec::new();
-                if let Some(i) = r.idx {
-                    v.push(i.into());
-                }
-                if let Some(m) = r.max {
-                    v.push(m.into());
-                }
-                v
-            }
-        },
-    }
-}
-
-/// Number of architectural vector registers.
-pub const NUM_VREGS: usize = 32;
-/// Number of architectural scalar registers.
-pub const NUM_SREGS: usize = 16;
+use dfx_isa::{RegSet, NUM_SREGS, NUM_VREGS};
 
 /// Ready-time scoreboard used by the timing engine.
 #[derive(Debug, Clone)]
 pub struct Scoreboard {
-    vreg_ready: [Cycles; NUM_VREGS],
-    sreg_ready: [Cycles; NUM_SREGS],
+    /// Ready cycle per register, by flat index.
+    ready: [Cycles; NUM_VREGS + NUM_SREGS],
     /// When disabled, hazards are ignored (failure-injection mode).
     enabled: bool,
 }
@@ -135,8 +35,7 @@ impl Scoreboard {
     /// Creates a scoreboard with all registers ready at cycle 0.
     pub fn new() -> Self {
         Scoreboard {
-            vreg_ready: [Cycles::ZERO; NUM_VREGS],
-            sreg_ready: [Cycles::ZERO; NUM_SREGS],
+            ready: [Cycles::ZERO; NUM_VREGS + NUM_SREGS],
             enabled: true,
         }
     }
@@ -155,36 +54,21 @@ impl Scoreboard {
         self.enabled
     }
 
-    fn ready_of(&self, reg: RegId) -> Cycles {
-        match reg {
-            RegId::V(i) => self.vreg_ready[i as usize],
-            RegId::S(i) => self.sreg_ready[i as usize],
-        }
-    }
-
-    /// Earliest cycle at which all of `instr`'s dependencies (RAW on
-    /// sources, WAW on destinations) are satisfied.
-    pub fn ready_time(&self, instr: &Instr) -> Cycles {
+    /// Earliest cycle at which an instruction reading `reads` and
+    /// writing `writes` has its dependencies (RAW on sources, WAW on
+    /// destinations) satisfied.
+    pub fn ready_time(&self, reads: &RegSet, writes: &RegSet) -> Cycles {
         if !self.enabled {
             return Cycles::ZERO;
         }
-        let mut t = Cycles::ZERO;
-        for r in instr_reads(instr) {
-            t = t.max(self.ready_of(r));
-        }
-        for w in instr_writes(instr) {
-            t = t.max(self.ready_of(w));
-        }
-        t
+        let regs = reads.as_slice().iter().chain(writes.as_slice());
+        regs.fold(Cycles::ZERO, |t, &r| t.max(self.ready[r]))
     }
 
-    /// Marks `instr`'s destinations ready at `finish`.
-    pub fn commit(&mut self, instr: &Instr, finish: Cycles) {
-        for w in instr_writes(instr) {
-            match w {
-                RegId::V(i) => self.vreg_ready[i as usize] = finish,
-                RegId::S(i) => self.sreg_ready[i as usize] = finish,
-            }
+    /// Marks the registers in `writes` ready at `finish`.
+    pub fn commit(&mut self, writes: &RegSet, finish: Cycles) {
+        for &w in writes.as_slice() {
+            self.ready[w] = finish;
         }
     }
 }
@@ -192,7 +76,7 @@ impl Scoreboard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfx_isa::{VectorInstr, VectorOpKind};
+    use dfx_isa::{Instr, SReg, ScalarInstr, ScalarOpKind, VReg, VectorInstr, VectorOpKind};
 
     fn vadd(a: u8, b: u8, dst: u8) -> Instr {
         Instr::Vector(VectorInstr {
@@ -205,36 +89,57 @@ mod tests {
         })
     }
 
+    fn ready(sb: &Scoreboard, instr: &Instr) -> Cycles {
+        sb.ready_time(&instr.reads(), &instr.writes())
+    }
+
     #[test]
     fn raw_hazard_is_tracked() {
         let mut sb = Scoreboard::new();
-        let producer = vadd(0, 1, 2);
-        sb.commit(&producer, Cycles(100));
-        let consumer = vadd(2, 3, 4);
-        assert_eq!(sb.ready_time(&consumer), Cycles(100));
-        let independent = vadd(5, 6, 7);
-        assert_eq!(sb.ready_time(&independent), Cycles::ZERO);
+        sb.commit(&vadd(0, 1, 2).writes(), Cycles(100));
+        assert_eq!(ready(&sb, &vadd(2, 3, 4)), Cycles(100));
+        assert_eq!(ready(&sb, &vadd(5, 6, 7)), Cycles::ZERO);
     }
 
     #[test]
     fn waw_hazard_is_tracked() {
         let mut sb = Scoreboard::new();
-        sb.commit(&vadd(0, 1, 2), Cycles(50));
+        sb.commit(&vadd(0, 1, 2).writes(), Cycles(50));
         // Writing v2 again must wait for the previous write.
-        assert_eq!(sb.ready_time(&vadd(3, 4, 2)), Cycles(50));
+        assert_eq!(ready(&sb, &vadd(3, 4, 2)), Cycles(50));
     }
 
     #[test]
-    fn disabled_scoreboard_reports_everything_ready() {
+    fn scalar_registers_do_not_alias_vector_registers() {
+        let mut sb = Scoreboard::new();
+        let recip = |a: u8, dst: u8| {
+            Instr::Scalar(ScalarInstr {
+                op: ScalarOpKind::Recip,
+                a: SReg(a),
+                b: None,
+                imm: None,
+                dst: SReg(dst),
+            })
+        };
+        sb.commit(&recip(0, 2).writes(), Cycles(70));
+        assert_eq!(ready(&sb, &vadd(2, 3, 4)), Cycles::ZERO, "v2 is not s2");
+        assert_eq!(ready(&sb, &recip(2, 5)), Cycles(70));
+        let last = (NUM_SREGS - 1) as u8;
+        sb.commit(&recip(0, last).writes(), Cycles(90));
+        assert_eq!(ready(&sb, &recip(last, 0)), Cycles(90));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn a_register_past_its_file_is_never_another_register() {
+        // v32 would be s0 if the flat index merely ran on.
         let mut sb = Scoreboard::disabled();
-        sb.commit(&vadd(0, 1, 2), Cycles(100));
-        assert_eq!(sb.ready_time(&vadd(2, 3, 4)), Cycles::ZERO);
-        assert!(!sb.is_enabled());
+        sb.commit(&vadd(0, 1, NUM_VREGS as u8).writes(), Cycles(10));
     }
 
     #[test]
     fn reads_and_writes_cover_matrix_fusions() {
-        use dfx_isa::{MatrixInstr, MatrixKind, ReduceMax, SReg, TensorRef, VSlice, WeightKind};
+        use dfx_isa::{MatrixInstr, MatrixKind, ReduceMax, TensorRef, VSlice, WeightKind};
         let m = Instr::Matrix(MatrixInstr {
             kind: MatrixKind::Mm,
             src: VSlice::full(VReg(1), 4),
@@ -254,10 +159,31 @@ mod tests {
                 max: SReg(5),
             },
         });
-        assert_eq!(instr_reads(&m), vec![RegId::V(1)]);
-        let writes = instr_writes(&m);
-        assert!(writes.contains(&RegId::V(2)));
-        assert!(writes.contains(&RegId::S(4)));
-        assert!(writes.contains(&RegId::S(5)));
+        let mut sb = Scoreboard::new();
+        sb.commit(&vadd(0, 0, 1).writes(), Cycles(20));
+        assert_eq!(ready(&sb, &m), Cycles(20), "the matrix input");
+        sb.commit(&m.writes(), Cycles(60));
+        let copy = |s: u8| {
+            Instr::Scalar(ScalarInstr {
+                op: ScalarOpKind::Add,
+                a: SReg(s),
+                b: None,
+                imm: Some(0.0),
+                dst: SReg(0),
+            })
+        };
+        // The fused argmax writes both scalars next to the output.
+        assert_eq!(ready(&sb, &vadd(2, 3, 6)), Cycles(60));
+        assert_eq!(ready(&sb, &copy(4)), Cycles(60));
+        assert_eq!(ready(&sb, &copy(5)), Cycles(60));
+        assert_eq!(ready(&sb, &copy(6)), Cycles::ZERO);
+    }
+
+    #[test]
+    fn disabled_scoreboard_reports_everything_ready() {
+        let mut sb = Scoreboard::disabled();
+        sb.commit(&vadd(0, 1, 2).writes(), Cycles(100));
+        assert_eq!(ready(&sb, &vadd(2, 3, 4)), Cycles::ZERO);
+        assert!(!sb.is_enabled());
     }
 }

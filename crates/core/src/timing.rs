@@ -11,6 +11,12 @@
 //! The engine is data-free: it never touches weights, so full-scale
 //! models (345M…1.5B) are timed exactly as the paper's appliance ran
 //! them, without materialising gigabytes of parameters.
+//!
+//! The walk allocates nothing per instruction. Each instruction's
+//! operands come once from the operand table in `dfx-isa`
+//! ([`Instr::reads`], [`Instr::writes`]); register ready times live in
+//! the [`Scoreboard`]'s flat array, and this step's K/V stores in one
+//! table indexed by `(layer, head, kind)`, sized once per program.
 
 use crate::params::CoreParams;
 use crate::scoreboard::Scoreboard;
@@ -19,7 +25,6 @@ use dfx_isa::{
     DmaDir, Instr, OpClass, Program, ReduceKind, RouterOp, ScalarOpKind, TensorRef, VectorOpKind,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// The execution units instructions occupy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -95,6 +100,60 @@ impl StepTiming {
         self.instructions += other.instructions;
     }
 }
+
+/// When each K/V region a step stores becomes readable, indexed by
+/// `(layer, head, kind)` over the layers and heads the step stores: a
+/// region it never stores reads cycle 0.
+struct KvReady {
+    heads: usize,
+    ready: Vec<Cycles>,
+}
+
+impl KvReady {
+    /// A table covering every K/V region `program` stores.
+    fn for_stores_of(program: &Program) -> KvReady {
+        let (mut layers, mut heads) = (0, 0);
+        for ai in program.instrs() {
+            if let Instr::Dma(d) = &ai.instr {
+                if let (DmaDir::Store, TensorRef::Kv { layer, head, .. }) = (d.dir, d.tensor) {
+                    layers = layers.max(usize::from(layer) + 1);
+                    heads = heads.max(usize::from(head) + 1);
+                }
+            }
+        }
+        KvReady {
+            heads,
+            ready: vec![Cycles::ZERO; layers * heads * KV_KINDS],
+        }
+    }
+
+    /// The slot of `tensor`, if it is a K/V region inside the table.
+    fn slot(&self, tensor: TensorRef) -> Option<usize> {
+        match tensor {
+            TensorRef::Kv { layer, head, kind } if usize::from(head) < self.heads => {
+                let region = usize::from(layer) * self.heads + usize::from(head);
+                Some(region * KV_KINDS + kind as usize).filter(|&i| i < self.ready.len())
+            }
+            _ => None,
+        }
+    }
+
+    /// When `tensor` becomes readable by the matrix stream.
+    fn get(&self, tensor: TensorRef) -> Cycles {
+        self.slot(tensor).map_or(Cycles::ZERO, |i| self.ready[i])
+    }
+
+    /// Records that a store of `tensor` finishes at `finish`; stores of
+    /// anything but a K/V region are not tracked.
+    fn set(&mut self, tensor: TensorRef, finish: Cycles) {
+        if let Some(i) = self.slot(tensor) {
+            self.ready[i] = finish;
+        }
+    }
+}
+
+/// Key and Value: the kinds of K/V region per `(layer, head)`.
+const KV_KINDS: usize = 2;
 
 /// The timing model of one core within a cluster.
 ///
@@ -232,6 +291,8 @@ impl TimingCore {
     /// Panics if `batch` is zero.
     pub fn time_step_batched(&self, program: &Program, batch: u32) -> StepTiming {
         assert!(batch > 0, "batch must be at least 1");
+        let batch = u64::from(batch);
+        let issue_interval = Cycles(u64::from(self.params.issue_interval));
         let mut sb = if self.scoreboard_enabled {
             Scoreboard::new()
         } else {
@@ -246,16 +307,16 @@ impl TimingCore {
         // not readable by the matrix stream until the DMA store — and for
         // Values, the transpose unit — completes. This is the dependency
         // the paper's Value-first instruction order exists to hide (§V-B).
-        let mut kv_ready: BTreeMap<TensorRef, Cycles> = BTreeMap::new();
+        let mut kv_ready = KvReady::for_stores_of(program);
         let mut issue_cursor = Cycles::ZERO;
 
         for ai in program.instrs() {
-            let cost = self.batched_instr_cost(&ai.instr, batch);
-            let mut ready = sb.ready_time(&ai.instr);
-            if let Instr::Matrix(m) = &ai.instr {
-                if let Some(&region) = kv_ready.get(&m.weight) {
-                    ready = ready.max(region);
-                }
+            let instr = &ai.instr;
+            let writes = instr.writes();
+            let cost = self.cost(instr, batch);
+            let mut ready = sb.ready_time(&instr.reads(), &writes);
+            if let Instr::Matrix(m) = instr {
+                ready = ready.max(kv_ready.get(m.weight));
             }
             let unit = cost.unit as usize;
             let issue = ready.max(unit_free[unit]).max(issue_cursor);
@@ -266,15 +327,15 @@ impl TimingCore {
             let unit_done = issue + cost.occupancy;
             let finish = unit_done + cost.latency;
 
-            sb.commit(&ai.instr, finish);
-            if let Instr::Dma(d) = &ai.instr {
-                if let (DmaDir::Store, TensorRef::Kv { .. }) = (d.dir, d.tensor) {
-                    kv_ready.insert(d.tensor, finish);
+            sb.commit(&writes, finish);
+            if let Instr::Dma(d) = instr {
+                if d.dir == DmaDir::Store {
+                    kv_ready.set(d.tensor, finish);
                 }
             }
             unit_free[unit] = unit_done;
             timing.unit_busy[unit] += cost.occupancy;
-            issue_cursor = issue + Cycles(u64::from(self.params.issue_interval));
+            issue_cursor = issue + issue_interval;
 
             timing.by_class[ai.class as usize] += finish.saturating_sub(timing.total);
             timing.total = timing.total.max(finish);
@@ -324,9 +385,14 @@ impl TimingCore {
     /// [`time_step_batched`]: TimingCore::time_step_batched
     pub fn batched_instr_cost(&self, instr: &Instr, batch: u32) -> InstrCost {
         assert!(batch > 0, "batch must be at least 1");
+        self.cost(instr, u64::from(batch))
+    }
+
+    /// [`batched_instr_cost`](TimingCore::batched_instr_cost) for a
+    /// batch `b` already checked to be at least 1.
+    fn cost(&self, instr: &Instr, b: u64) -> InstrCost {
         let p = &self.params;
         let vw = p.vpu_width;
-        let b = u64::from(batch);
         match instr {
             Instr::Matrix(m) => {
                 let tiles = p.shape.tile_count(m.rows, m.cols);
@@ -447,6 +513,7 @@ mod tests {
     use super::*;
     use dfx_isa::{ParallelConfig, ProgramBuilder};
     use dfx_model::GptConfig;
+    use std::collections::BTreeMap;
 
     fn time(cfg: &GptConfig, cores: u32, pos: usize, lm: bool) -> StepTiming {
         let b = ProgramBuilder::new(cfg.clone(), ParallelConfig::new(0, cores as usize)).unwrap();

@@ -26,6 +26,36 @@ pub struct VReg(pub u8);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct SReg(pub u8);
 
+/// Number of architectural vector registers.
+pub const NUM_VREGS: usize = 32;
+/// Number of architectural scalar registers.
+pub const NUM_SREGS: usize = 16;
+
+impl VReg {
+    /// This register's flat index: `0..NUM_VREGS`. A register past the
+    /// vector file maps past both files (`NUM_VREGS + NUM_SREGS` or
+    /// more), never onto a scalar register.
+    #[inline]
+    pub fn flat(self) -> usize {
+        let i = usize::from(self.0);
+        if i < NUM_VREGS {
+            i
+        } else {
+            NUM_SREGS + i
+        }
+    }
+}
+
+impl SReg {
+    /// This register's flat index: `NUM_VREGS..NUM_VREGS + NUM_SREGS`,
+    /// after the vector file. A register past the scalar file maps past
+    /// both files.
+    #[inline]
+    pub fn flat(self) -> usize {
+        NUM_VREGS + usize::from(self.0)
+    }
+}
+
 impl std::fmt::Display for VReg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "v{}", self.0)
@@ -301,7 +331,100 @@ pub enum Instr {
     Router(RouterInstr),
 }
 
+/// The registers one instruction reads or writes, as flat indices
+/// ([`VReg::flat`], [`SReg::flat`]) in operand order: at most three, so
+/// the set lives inline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegSet {
+    regs: [usize; 3],
+    len: usize,
+}
+
+impl RegSet {
+    const EMPTY: RegSet = RegSet {
+        regs: [0; 3],
+        len: 0,
+    };
+
+    #[inline]
+    fn with(mut self, reg: usize) -> RegSet {
+        self.regs[self.len] = reg;
+        self.len += 1;
+        self
+    }
+
+    #[inline]
+    fn with_opt(self, reg: Option<usize>) -> RegSet {
+        match reg {
+            Some(r) => self.with(r),
+            None => self,
+        }
+    }
+
+    /// The registers, in operand order.
+    #[inline]
+    pub fn as_slice(&self) -> &[usize] {
+        &self.regs[..self.len]
+    }
+}
+
 impl Instr {
+    /// The registers this instruction reads: the scoreboard's RAW
+    /// sources (paper §V-A). Every `Some` operand counts.
+    #[inline]
+    pub fn reads(&self) -> RegSet {
+        let set = RegSet::EMPTY;
+        match self {
+            Instr::Matrix(m) => set.with(m.src.reg.flat()),
+            Instr::Vector(v) => set
+                .with(v.a.flat())
+                .with_opt(v.b.map(VReg::flat))
+                .with_opt(v.s.map(SReg::flat)),
+            Instr::Reduce(r) => set.with(r.v.flat()),
+            Instr::Scalar(s) => set.with(s.a.flat()).with_opt(s.b.map(SReg::flat)),
+            Instr::Dma(d) => match (d.dir, d.reg) {
+                (DmaDir::Store, Some(slice)) => set.with(slice.reg.flat()),
+                _ => set,
+            },
+            Instr::Router(r) => match r.op {
+                RouterOp::AllGather => set.with(r.src.reg.flat()),
+                RouterOp::AllReduceArgMax => set
+                    .with_opt(r.idx.map(SReg::flat))
+                    .with_opt(r.max.map(SReg::flat)),
+            },
+        }
+    }
+
+    /// The registers this instruction writes: the scoreboard's WAW
+    /// destinations, which become ready when it finishes.
+    #[inline]
+    pub fn writes(&self) -> RegSet {
+        let set = RegSet::EMPTY;
+        match self {
+            Instr::Matrix(m) => {
+                let set = set.with(m.dst.reg.flat());
+                match m.reduce_max {
+                    ReduceMax::None => set,
+                    ReduceMax::Max(s) => set.with(s.flat()),
+                    ReduceMax::ArgMax { idx, max } => set.with(idx.flat()).with(max.flat()),
+                }
+            }
+            Instr::Vector(v) => set.with(v.dst.flat()),
+            Instr::Reduce(r) => set.with(r.dst.flat()),
+            Instr::Scalar(s) => set.with(s.dst.flat()),
+            Instr::Dma(d) => match (d.dir, d.reg) {
+                (DmaDir::Load, Some(slice)) => set.with(slice.reg.flat()),
+                _ => set,
+            },
+            Instr::Router(r) => match r.op {
+                RouterOp::AllGather => set.with(r.dst.reg.flat()),
+                RouterOp::AllReduceArgMax => set
+                    .with_opt(r.idx.map(SReg::flat))
+                    .with_opt(r.max.map(SReg::flat)),
+            },
+        }
+    }
+
     /// The paper's coarse instruction class ("compute", "dma", "router").
     pub fn class_name(&self) -> &'static str {
         match self {
@@ -490,6 +613,47 @@ mod tests {
         assert!(text.contains("mask>=9"), "{text}");
         assert!(text.contains("scale=0.125"), "{text}");
         assert!(text.contains("rmax->s0"), "{text}");
+    }
+
+    #[test]
+    fn operand_sets_cover_matrix_fusions() {
+        let m = Instr::Matrix(MatrixInstr {
+            kind: MatrixKind::Mm,
+            src: VSlice::full(VReg(1), 4),
+            weight: TensorRef::Weight {
+                layer: 0,
+                kind: WeightKind::LmHead,
+            },
+            bias: None,
+            dst: VSlice::full(VReg(2), 4),
+            rows: 4,
+            cols: 4,
+            valid_cols: 4,
+            scale: None,
+            gelu: false,
+            reduce_max: ReduceMax::ArgMax {
+                idx: SReg(4),
+                max: SReg(5),
+            },
+        });
+        assert_eq!(m.reads().as_slice(), [1]);
+        let s = |r: u8| SReg(r).flat();
+        assert_eq!(m.writes().as_slice(), [2, s(4), s(5)]);
+    }
+
+    #[test]
+    fn flat_indices_keep_the_files_apart() {
+        assert_eq!(VReg(0).flat(), 0);
+        assert_eq!(VReg(31).flat(), NUM_VREGS - 1);
+        assert_eq!(SReg(0).flat(), NUM_VREGS);
+        assert_eq!(SReg(15).flat(), NUM_VREGS + NUM_SREGS - 1);
+        // Past its file, a register is past both files.
+        for r in [VReg(32), VReg(255)] {
+            assert!(r.flat() >= NUM_VREGS + NUM_SREGS, "{r}");
+        }
+        for r in [SReg(16), SReg(255)] {
+            assert!(r.flat() >= NUM_VREGS + NUM_SREGS, "{r}");
+        }
     }
 
     #[test]

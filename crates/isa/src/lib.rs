@@ -31,9 +31,9 @@ mod tensor_ref;
 pub use builder::{regs, BuilderOptions, ParallelConfig, ProgramBuilder, QkvOrder};
 pub use encoding::{decode_program, encode_program, DecodeError};
 pub use instr::{
-    DmaDir, DmaInstr, Instr, MatrixInstr, MatrixKind, ReduceInstr, ReduceKind, ReduceMax,
+    DmaDir, DmaInstr, Instr, MatrixInstr, MatrixKind, ReduceInstr, ReduceKind, ReduceMax, RegSet,
     RouterInstr, RouterOp, SReg, ScalarInstr, ScalarOpKind, VReg, VSlice, VectorInstr,
-    VectorOpKind,
+    VectorOpKind, NUM_SREGS, NUM_VREGS,
 };
 pub use program::{AnnotatedInstr, OpClass, Program, StepMeta, ValidateError};
 pub use tensor_ref::{EmbedTable, KvKind, LnParam, MemoryMap, TensorRef, WeightKind};
