@@ -71,6 +71,8 @@ pub struct FunctionalCore {
 
 /// The scalar register `r` of `file` (the FP16 or the index file).
 fn sreg_get<T: Copy>(file: &[T], r: SReg) -> Result<T, ExecError> {
+    #[cfg(test)]
+    recording::note(recording::Access::Read, r.flat());
     file.get(usize::from(r.0))
         .copied()
         .ok_or_else(|| ExecError::OutOfRange(format!("scalar register {r}")))
@@ -78,6 +80,8 @@ fn sreg_get<T: Copy>(file: &[T], r: SReg) -> Result<T, ExecError> {
 
 /// Writes `value` to the scalar register `r` of `file`.
 fn sreg_set<T>(file: &mut [T], r: SReg, value: T) -> Result<(), ExecError> {
+    #[cfg(test)]
+    recording::note(recording::Access::Write, r.flat());
     let slot = file
         .get_mut(usize::from(r.0))
         .ok_or_else(|| ExecError::OutOfRange(format!("scalar register {r}")))?;
@@ -87,6 +91,8 @@ fn sreg_set<T>(file: &mut [T], r: SReg, value: T) -> Result<(), ExecError> {
 
 /// The elements `s` selects from the register file.
 fn read_slice(vregs: &[Vec<F16>], s: VSlice) -> Result<&[F16], ExecError> {
+    #[cfg(test)]
+    recording::note(recording::Access::Read, s.reg.flat());
     let start = s.offset as usize;
     let end = start + s.len as usize;
     vregs
@@ -103,6 +109,8 @@ fn read_slice(vregs: &[Vec<F16>], s: VSlice) -> Result<&[F16], ExecError> {
 
 /// Writes `data` to the register slice `s`, growing the register.
 fn write_slice(vregs: &mut [Vec<F16>], s: VSlice, data: &[F16]) -> Result<(), ExecError> {
+    #[cfg(test)]
+    recording::note(recording::Access::Write, s.reg.flat());
     if data.len() != s.len as usize {
         return Err(ExecError::Shape(format!(
             "{} elements written to a {}-wide slice of {}",
@@ -259,6 +267,8 @@ impl FunctionalCore {
     pub fn run(&mut self, program: &Program, from: usize) -> Result<(usize, CoreEvent), ExecError> {
         let instrs = program.instrs();
         for (i, instr) in instrs.iter().enumerate().skip(from) {
+            #[cfg(test)]
+            recording::at(i);
             match &instr.instr {
                 Instr::Router(r) => return Ok((i, self.router_event(i, r)?)),
                 Instr::Matrix(m) => self.exec_matrix(m)?,
@@ -535,6 +545,68 @@ impl FunctionalCore {
     }
 }
 
+/// The test-only recording register file: while a [`recording::Log`] is
+/// installed on this thread, every register access of the accessors
+/// above is noted, by flat index, against the instruction `run` is at.
+#[cfg(test)]
+pub(crate) mod recording {
+    use std::cell::RefCell;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// A read or a write.
+    pub enum Access {
+        Read,
+        Write,
+    }
+
+    /// The registers one instruction read and wrote.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct Touched {
+        pub reads: BTreeSet<usize>,
+        pub writes: BTreeSet<usize>,
+    }
+
+    /// One core's accesses, by instruction index.
+    #[derive(Debug, Clone, Default)]
+    pub struct Log {
+        at: usize,
+        pub touched: BTreeMap<usize, Touched>,
+    }
+
+    thread_local! {
+        static LOG: RefCell<Option<Log>> = const { RefCell::new(None) };
+    }
+
+    /// Runs `f` with `log` installed; a router completion recorded
+    /// after its `run` returned lands on the router instruction.
+    pub fn record<T>(log: &mut Log, f: impl FnOnce() -> T) -> T {
+        LOG.with(|l| *l.borrow_mut() = Some(std::mem::take(log)));
+        let out = f();
+        *log = LOG.with(|l| l.borrow_mut().take()).unwrap_or_default();
+        out
+    }
+
+    pub(super) fn at(index: usize) {
+        LOG.with(|l| {
+            if let Some(log) = l.borrow_mut().as_mut() {
+                log.at = index;
+            }
+        });
+    }
+
+    pub(super) fn note(access: Access, reg: usize) {
+        LOG.with(|l| {
+            if let Some(log) = l.borrow_mut().as_mut() {
+                let touched = log.touched.entry(log.at).or_default();
+                match access {
+                    Access::Read => touched.reads.insert(reg),
+                    Access::Write => touched.writes.insert(reg),
+                };
+            }
+        });
+    }
+}
+
 /// The index and maximum registers of an `AllReduceArgMax`.
 fn argmax_regs(r: &RouterInstr) -> Result<(SReg, SReg), ExecError> {
     match (r.idx, r.max) {
@@ -673,6 +745,135 @@ mod tests {
         let (i1, _e1) = &events[1];
         assert_eq!(i0, i1, "homogeneous cores pause at the same instruction");
         assert!(matches!(e0, CoreEvent::AllGather { .. }));
+    }
+
+    /// Runs one token step on every core, exchanging router payloads in
+    /// lockstep the way the cluster does, with each core's register
+    /// accesses recorded in its log.
+    fn recorded_step(
+        cores: &mut [FunctionalCore],
+        programs: &[Program],
+        logs: &mut [recording::Log],
+        token: u32,
+    ) {
+        cores.iter_mut().for_each(|c| c.begin_step(token));
+        let mut from = vec![0; cores.len()];
+        loop {
+            let events: Vec<(usize, CoreEvent)> = (0..cores.len())
+                .map(|c| recording::record(&mut logs[c], || cores[c].run(&programs[c], from[c])))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            let router = |c: usize| match programs[c].instrs()[events[c].0].instr {
+                Instr::Router(r) => r,
+                ref other => panic!("core {c} paused at {other}"),
+            };
+            match &events[0].1 {
+                CoreEvent::Done => return,
+                CoreEvent::AllGather { .. } => {
+                    let full: Vec<F16> = events
+                        .iter()
+                        .flat_map(|(_, e)| match e {
+                            CoreEvent::AllGather { partial, .. } => partial.clone(),
+                            other => panic!("cores disagree: {other:?}"),
+                        })
+                        .collect();
+                    for c in 0..cores.len() {
+                        let r = router(c);
+                        recording::record(&mut logs[c], || cores[c].complete_allgather(&r, &full))
+                            .unwrap();
+                    }
+                }
+                CoreEvent::ArgMaxSync {
+                    local_idx,
+                    local_max,
+                    ..
+                } => {
+                    // Which core wins does not change what is touched.
+                    for c in 0..cores.len() {
+                        let r = router(c);
+                        recording::record(&mut logs[c], || {
+                            cores[c].complete_argmax(&r, *local_idx, *local_max)
+                        })
+                        .unwrap();
+                    }
+                }
+            }
+            from = events.iter().map(|(i, _)| i + 1).collect();
+        }
+    }
+
+    /// The operand oracle: each instruction of `program` touched exactly
+    /// the registers of its declared operand sets, and each K/V read
+    /// follows this step's store of the same region.
+    fn check_operands(program: &Program, log: &recording::Log, at: &str) {
+        let instrs = program.instrs();
+        for (i, ai) in instrs.iter().enumerate() {
+            let declared = recording::Touched {
+                reads: ai.instr.reads().as_slice().iter().copied().collect(),
+                writes: ai.instr.writes().as_slice().iter().copied().collect(),
+            };
+            let touched = log.touched.get(&i).cloned().unwrap_or_default();
+            assert_eq!(touched, declared, "{at}: instruction {i} `{}`", ai.instr);
+            if let Instr::Matrix(m) = &ai.instr {
+                if let TensorRef::Kv { .. } = m.weight {
+                    let stored = instrs[..i].iter().any(|s| {
+                        matches!(s.instr, Instr::Dma(d) if d.dir == DmaDir::Store && d.tensor == m.weight)
+                    });
+                    assert!(
+                        stored,
+                        "{at}: instruction {i} `{}` reads an unstored region",
+                        ai.instr
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_instruction_touches_exactly_its_declared_operands() {
+        use dfx_isa::{BuilderOptions, QkvOrder};
+        // The small model's 3 heads split across 1 or 3 cores, not 2.
+        for (cfg, num_cores) in [
+            (GptConfig::tiny(), 1),
+            (GptConfig::tiny(), 2),
+            (GptConfig::small(), 1),
+            (GptConfig::small(), 3),
+        ] {
+            let w = GptWeights::synthetic(&cfg).cast::<F16>();
+            let pars: Vec<_> = (0..num_cores)
+                .map(|c| ParallelConfig::new(c, num_cores))
+                .collect();
+            for qkv_order in [QkvOrder::ValueFirst, QkvOrder::ValueLast] {
+                let builders: Vec<_> = pars
+                    .iter()
+                    .map(|&p| {
+                        ProgramBuilder::with_options(cfg.clone(), p, BuilderOptions { qkv_order })
+                            .unwrap()
+                    })
+                    .collect();
+                for lm in [false, true] {
+                    let mut cores: Vec<_> = pars
+                        .iter()
+                        .map(|&p| FunctionalCore::new(CoreWeights::partition(&w, p).unwrap()))
+                        .collect();
+                    // 16 positions per tile class at the paper geometry:
+                    // the steps run up to both sides of the first edge.
+                    for pos in 0..=17 {
+                        let programs: Vec<_> =
+                            builders.iter().map(|b| b.token_step(pos, lm)).collect();
+                        let mut logs = vec![recording::Log::default(); num_cores];
+                        recorded_step(&mut cores, &programs, &mut logs, pos as u32 + 3);
+                        for (c, (p, log)) in programs.iter().zip(&logs).enumerate() {
+                            let at = format!(
+                                "{} core {c}/{num_cores} {qkv_order:?} lm {lm} pos {pos}",
+                                cfg.name
+                            );
+                            check_operands(p, log, &at);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

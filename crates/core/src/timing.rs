@@ -895,11 +895,11 @@ mod tests {
         ];
         // tiny×1, tiny×2, small×1, small×3, 1.5B×4.
         let want: [u64; 5] = [
-            0xbf1c_5460_f09e_d377,
-            0x48d2_c3a1_edff_8724,
-            0x8f49_38bc_bbb7_6ea3,
-            0x9c0d_0805_c6ec_41c9,
-            0xb8fe_2cb2_dd0a_1f76,
+            0x74b4_ab5b_c9a5_d6b8,
+            0xc599_9ded_fbdb_58d7,
+            0x70e0_1816_99d7_5107,
+            0xde8a_34ac_7c64_45e0,
+            0x2d06_7856_9689_0846,
         ];
         let hex = |h: [u64; 5]| h.map(|h| format!("{h:#018x}"));
         assert_eq!(hex(got), hex(want));

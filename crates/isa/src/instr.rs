@@ -14,6 +14,7 @@
 //! collectors expand it into per-tile microcode at runtime (§V-D), which
 //! is why the instruction carries the full operand geometry.
 
+use crate::builder::regs;
 use crate::tensor_ref::TensorRef;
 use serde::{Deserialize, Serialize};
 
@@ -382,8 +383,11 @@ impl Instr {
                 .with_opt(v.s.map(SReg::flat)),
             Instr::Reduce(r) => set.with(r.v.flat()),
             Instr::Scalar(s) => set.with(s.a.flat()).with_opt(s.b.map(SReg::flat)),
-            Instr::Dma(d) => match (d.dir, d.reg) {
-                (DmaDir::Store, Some(slice)) => set.with(slice.reg.flat()),
+            Instr::Dma(d) => match (d.dir, d.tensor, d.reg) {
+                // The token write-back stores the selected token, which
+                // the argmax leaves in `S_ARGMAX`.
+                (DmaDir::Store, TensorRef::TokenIo, _) => set.with(regs::S_ARGMAX.flat()),
+                (DmaDir::Store, _, Some(slice)) => set.with(slice.reg.flat()),
                 _ => set,
             },
             Instr::Router(r) => match r.op {
