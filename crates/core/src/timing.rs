@@ -805,7 +805,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "paper scale: about 30 s in release"]
+    #[ignore = "paper scale: about 7 s in release"]
     fn paper_scale_steps_time_like_their_tile_class_start() {
         use dfx_isa::{BuilderOptions, QkvOrder};
         for (cfg, num_cores) in [
@@ -813,7 +813,7 @@ mod tests {
             (GptConfig::gpt2_774m(), 2),
             (GptConfig::gpt2_1_5b(), 4),
         ] {
-            let cores = class_variants(dfx_hw::TileShape::PAPER, num_cores, &[1, 8]);
+            let cores = class_variants(dfx_hw::TileShape::PAPER, num_cores, &[1, 3, 8]);
             for qkv_order in [QkvOrder::ValueFirst, QkvOrder::ValueLast] {
                 let par = ParallelConfig::new(0, num_cores);
                 let b =
