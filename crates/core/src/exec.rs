@@ -13,8 +13,7 @@ use crate::error::ExecError;
 use crate::weights::{CoreWeights, KvStore};
 use dfx_isa::{
     regs, DmaDir, EmbedTable, Instr, KvKind, MatrixKind, Program, ReduceKind, ReduceMax,
-    RouterInstr, RouterOp, SReg, ScalarOpKind, TensorRef, VReg, VSlice, VectorOpKind, NUM_SREGS,
-    NUM_VREGS,
+    RouterInstr, RouterOp, SReg, ScalarOpKind, TensorRef, VReg, VSlice, VectorOpKind,
 };
 use dfx_num::{reduce, SfuMath, F16};
 
@@ -200,9 +199,9 @@ impl FunctionalCore {
         FunctionalCore {
             weights,
             kv,
-            vregs: vec![Vec::new(); NUM_VREGS],
-            sregs: vec![F16::ZERO; NUM_SREGS],
-            sreg_idx: vec![0; NUM_SREGS],
+            vregs: vec![Vec::new(); dfx_isa::NUM_VREGS],
+            sregs: vec![F16::ZERO; dfx_isa::NUM_SREGS],
+            sreg_idx: vec![0; dfx_isa::NUM_SREGS],
             sfu: SfuMath::new(),
             current_token: 0,
             out_token: None,
@@ -809,8 +808,8 @@ mod tests {
         let instrs = program.instrs();
         for (i, ai) in instrs.iter().enumerate() {
             let declared = recording::Touched {
-                reads: ai.instr.reads().as_slice().iter().copied().collect(),
-                writes: ai.instr.writes().as_slice().iter().copied().collect(),
+                reads: ai.instr.reads().iter().collect(),
+                writes: ai.instr.writes().iter().collect(),
             };
             let touched = log.touched.get(&i).cloned().unwrap_or_default();
             assert_eq!(touched, declared, "{at}: instruction {i} `{}`", ai.instr);
@@ -934,7 +933,7 @@ mod tests {
         for ai in step.instrs() {
             if let Instr::Scalar(s) = &ai.instr {
                 let mut bad = *s;
-                bad.a = SReg(NUM_SREGS as u8);
+                bad.a = SReg(dfx_isa::NUM_SREGS as u8);
                 p.push(ai.class, Instr::Scalar(bad));
                 break;
             }

@@ -11,12 +11,10 @@
 //! The engine is data-free: it never touches weights, so full-scale
 //! models (345M…1.5B) are timed exactly as the paper's appliance ran
 //! them, without materialising gigabytes of parameters.
-//!
-//! The walk allocates nothing per instruction. Each instruction's
-//! operands come once from the operand table in `dfx-isa`
-//! ([`Instr::reads`], [`Instr::writes`]); register ready times live in
-//! the [`Scoreboard`]'s flat array, and this step's K/V stores in one
-//! table indexed by `(layer, head, kind)`, sized once per program.
+//! The walk allocates nothing per instruction: operands come from the
+//! operand table in `dfx-isa` ([`Instr::reads`], [`Instr::writes`]),
+//! register ready times from the [`Scoreboard`]'s flat array, and K/V
+//! readiness from one table sized once per program.
 
 use crate::params::CoreParams;
 use crate::scoreboard::Scoreboard;
@@ -100,60 +98,6 @@ impl StepTiming {
         self.instructions += other.instructions;
     }
 }
-
-/// When each K/V region a step stores becomes readable, indexed by
-/// `(layer, head, kind)` over the layers and heads the step stores: a
-/// region it never stores reads cycle 0.
-struct KvReady {
-    heads: usize,
-    ready: Vec<Cycles>,
-}
-
-impl KvReady {
-    /// A table covering every K/V region `program` stores.
-    fn for_stores_of(program: &Program) -> KvReady {
-        let (mut layers, mut heads) = (0, 0);
-        for ai in program.instrs() {
-            if let Instr::Dma(d) = &ai.instr {
-                if let (DmaDir::Store, TensorRef::Kv { layer, head, .. }) = (d.dir, d.tensor) {
-                    layers = layers.max(usize::from(layer) + 1);
-                    heads = heads.max(usize::from(head) + 1);
-                }
-            }
-        }
-        KvReady {
-            heads,
-            ready: vec![Cycles::ZERO; layers * heads * KV_KINDS],
-        }
-    }
-
-    /// The slot of `tensor`, if it is a K/V region inside the table.
-    fn slot(&self, tensor: TensorRef) -> Option<usize> {
-        match tensor {
-            TensorRef::Kv { layer, head, kind } if usize::from(head) < self.heads => {
-                let region = usize::from(layer) * self.heads + usize::from(head);
-                Some(region * KV_KINDS + kind as usize).filter(|&i| i < self.ready.len())
-            }
-            _ => None,
-        }
-    }
-
-    /// When `tensor` becomes readable by the matrix stream.
-    fn get(&self, tensor: TensorRef) -> Cycles {
-        self.slot(tensor).map_or(Cycles::ZERO, |i| self.ready[i])
-    }
-
-    /// Records that a store of `tensor` finishes at `finish`; stores of
-    /// anything but a K/V region are not tracked.
-    fn set(&mut self, tensor: TensorRef, finish: Cycles) {
-        if let Some(i) = self.slot(tensor) {
-            self.ready[i] = finish;
-        }
-    }
-}
-
-/// Key and Value: the kinds of K/V region per `(layer, head)`.
-const KV_KINDS: usize = 2;
 
 /// The timing model of one core within a cluster.
 ///
@@ -278,12 +222,11 @@ impl TimingCore {
     /// per-request *work* (MAC passes, vector chunks, KV traffic,
     /// activation synchronisation) scales with the batch, while the
     /// *weight stream* is shared — the whole point of batching a
-    /// memory-bound decoder. With `batch == 1` every cost is identical to
-    /// [`instr_cost`], so this is a strict generalisation of
+    /// memory-bound decoder. With `batch == 1` every cost is the
+    /// unbatched one, so this is a strict generalisation of
     /// [`time_step`].
     ///
     /// [`batched_instr_cost`]: TimingCore::batched_instr_cost
-    /// [`instr_cost`]: TimingCore::instr_cost
     /// [`time_step`]: TimingCore::time_step
     ///
     /// # Panics
@@ -307,7 +250,24 @@ impl TimingCore {
         // not readable by the matrix stream until the DMA store — and for
         // Values, the transpose unit — completes. This is the dependency
         // the paper's Value-first instruction order exists to hide (§V-B).
-        let mut kv_ready = KvReady::for_stores_of(program);
+        // Ready cycles sit in one table indexed by (layer, head, kind) over
+        // the regions the step stores; any other region reads cycle 0.
+        let (mut layers, mut heads) = (0, 0);
+        for ai in program.instrs() {
+            if let Instr::Dma(d) = ai.instr {
+                if let (DmaDir::Store, TensorRef::Kv { layer, head, .. }) = (d.dir, d.tensor) {
+                    layers = layers.max(usize::from(layer) + 1);
+                    heads = heads.max(usize::from(head) + 1);
+                }
+            }
+        }
+        let mut kv_ready = vec![Cycles::ZERO; layers * heads * 2];
+        let kv_slot = |t: TensorRef| match t {
+            TensorRef::Kv { layer, head, kind } if usize::from(head) < heads => {
+                Some((usize::from(layer) * heads + usize::from(head)) * 2 + kind as usize)
+            }
+            _ => None,
+        };
         let mut issue_cursor = Cycles::ZERO;
 
         for ai in program.instrs() {
@@ -316,7 +276,9 @@ impl TimingCore {
             let cost = self.cost(instr, batch);
             let mut ready = sb.ready_time(&instr.reads(), &writes);
             if let Instr::Matrix(m) = instr {
-                ready = ready.max(kv_ready.get(m.weight));
+                if let Some(&region) = kv_slot(m.weight).and_then(|i| kv_ready.get(i)) {
+                    ready = ready.max(region);
+                }
             }
             let unit = cost.unit as usize;
             let issue = ready.max(unit_free[unit]).max(issue_cursor);
@@ -329,8 +291,9 @@ impl TimingCore {
 
             sb.commit(&writes, finish);
             if let Instr::Dma(d) = instr {
-                if d.dir == DmaDir::Store {
-                    kv_ready.set(d.tensor, finish);
+                let slot = kv_slot(d.tensor).and_then(|i| kv_ready.get_mut(i));
+                if let (DmaDir::Store, Some(slot)) = (d.dir, slot) {
+                    *slot = finish;
                 }
             }
             unit_free[unit] = unit_done;
@@ -343,18 +306,9 @@ impl TimingCore {
         timing
     }
 
-    /// Cost of one instruction: the unit it occupies, the cycles it
-    /// occupies it for, and the extra pipeline latency until its result
-    /// is architecturally visible.
-    ///
-    /// Shorthand for [`batched_instr_cost`] with a batch of one.
-    ///
-    /// [`batched_instr_cost`]: TimingCore::batched_instr_cost
-    pub fn instr_cost(&self, instr: &Instr) -> InstrCost {
-        self.batched_instr_cost(instr, 1)
-    }
-
-    /// Cost of one instruction executed for `batch` requests at once.
+    /// Cost of one instruction executed for `batch` requests at once: the
+    /// unit it occupies, the cycles it occupies it for, and the extra
+    /// pipeline latency until its result is architecturally visible.
     ///
     /// The batch dimension scales exactly the per-request terms and
     /// nothing else:
@@ -373,10 +327,6 @@ impl TimingCore {
     /// - **Router**: the ring carries every request's partial
     ///   activations, so synchronisation bytes (and per-request argmax
     ///   reductions) scale with the batch.
-    ///
-    /// With `batch == 1` this is exactly [`instr_cost`].
-    ///
-    /// [`instr_cost`]: TimingCore::instr_cost
     ///
     /// # Panics
     ///
@@ -653,12 +603,6 @@ mod tests {
         for pos in [0, 3, 7] {
             let p = b.token_step(pos, pos == 7);
             assert_eq!(engine.time_step(&p), engine.time_step_batched(&p, 1));
-            for ai in p.instrs() {
-                assert_eq!(
-                    engine.instr_cost(&ai.instr),
-                    engine.batched_instr_cost(&ai.instr, 1)
-                );
-            }
         }
     }
 
@@ -918,7 +862,7 @@ mod tests {
             .instrs()
             .iter()
             .map(|ai| {
-                let c = engine.instr_cost(&ai.instr);
+                let c = engine.batched_instr_cost(&ai.instr, 1);
                 c.occupancy.0 + c.latency.0
             })
             .sum();

@@ -33,24 +33,18 @@ pub const NUM_VREGS: usize = 32;
 pub const NUM_SREGS: usize = 16;
 
 impl VReg {
-    /// This register's flat index: `0..NUM_VREGS`. A register past the
-    /// vector file maps past both files (`NUM_VREGS + NUM_SREGS` or
-    /// more), never onto a scalar register.
+    /// This register's flat index, `0..NUM_VREGS`. A register past the
+    /// vector file lands past both files, never on a scalar register.
     #[inline]
     pub fn flat(self) -> usize {
         let i = usize::from(self.0);
-        if i < NUM_VREGS {
-            i
-        } else {
-            NUM_SREGS + i
-        }
+        i + usize::from(i >= NUM_VREGS) * NUM_SREGS
     }
 }
 
 impl SReg {
-    /// This register's flat index: `NUM_VREGS..NUM_VREGS + NUM_SREGS`,
-    /// after the vector file. A register past the scalar file maps past
-    /// both files.
+    /// This register's flat index, after the vector file; past both
+    /// files if it is past its own.
     #[inline]
     pub fn flat(self) -> usize {
         NUM_VREGS + usize::from(self.0)
@@ -333,39 +327,15 @@ pub enum Instr {
 }
 
 /// The registers one instruction reads or writes, as flat indices
-/// ([`VReg::flat`], [`SReg::flat`]) in operand order: at most three, so
-/// the set lives inline.
+/// ([`VReg::flat`], [`SReg::flat`]): at most three, inline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegSet {
-    regs: [usize; 3],
-    len: usize,
-}
+pub struct RegSet([Option<usize>; 3]);
 
 impl RegSet {
-    const EMPTY: RegSet = RegSet {
-        regs: [0; 3],
-        len: 0,
-    };
-
-    #[inline]
-    fn with(mut self, reg: usize) -> RegSet {
-        self.regs[self.len] = reg;
-        self.len += 1;
-        self
-    }
-
-    #[inline]
-    fn with_opt(self, reg: Option<usize>) -> RegSet {
-        match reg {
-            Some(r) => self.with(r),
-            None => self,
-        }
-    }
-
     /// The registers, in operand order.
     #[inline]
-    pub fn as_slice(&self) -> &[usize] {
-        &self.regs[..self.len]
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().flatten().copied()
     }
 }
 
@@ -374,59 +344,50 @@ impl Instr {
     /// sources (paper §V-A). Every `Some` operand counts.
     #[inline]
     pub fn reads(&self) -> RegSet {
-        let set = RegSet::EMPTY;
-        match self {
-            Instr::Matrix(m) => set.with(m.src.reg.flat()),
-            Instr::Vector(v) => set
-                .with(v.a.flat())
-                .with_opt(v.b.map(VReg::flat))
-                .with_opt(v.s.map(SReg::flat)),
-            Instr::Reduce(r) => set.with(r.v.flat()),
-            Instr::Scalar(s) => set.with(s.a.flat()).with_opt(s.b.map(SReg::flat)),
-            Instr::Dma(d) => match (d.dir, d.tensor, d.reg) {
+        let (v, s) = (|r: VReg| Some(r.flat()), |r: SReg| Some(r.flat()));
+        RegSet(match self {
+            Instr::Matrix(m) => [v(m.src.reg), None, None],
+            Instr::Vector(i) => [v(i.a), i.b.and_then(v), i.s.and_then(s)],
+            Instr::Reduce(r) => [v(r.v), None, None],
+            Instr::Scalar(i) => [s(i.a), i.b.and_then(s), None],
+            Instr::Dma(d) => match (d.dir, d.tensor) {
                 // The token write-back stores the selected token, which
                 // the argmax leaves in `S_ARGMAX`.
-                (DmaDir::Store, TensorRef::TokenIo, _) => set.with(regs::S_ARGMAX.flat()),
-                (DmaDir::Store, _, Some(slice)) => set.with(slice.reg.flat()),
-                _ => set,
+                (DmaDir::Store, TensorRef::TokenIo) => [s(regs::S_ARGMAX), None, None],
+                (DmaDir::Store, _) => [d.reg.and_then(|slice| v(slice.reg)), None, None],
+                (DmaDir::Load, _) => [None; 3],
             },
             Instr::Router(r) => match r.op {
-                RouterOp::AllGather => set.with(r.src.reg.flat()),
-                RouterOp::AllReduceArgMax => set
-                    .with_opt(r.idx.map(SReg::flat))
-                    .with_opt(r.max.map(SReg::flat)),
+                RouterOp::AllGather => [v(r.src.reg), None, None],
+                RouterOp::AllReduceArgMax => [r.idx.and_then(s), r.max.and_then(s), None],
             },
-        }
+        })
     }
 
     /// The registers this instruction writes: the scoreboard's WAW
     /// destinations, which become ready when it finishes.
     #[inline]
     pub fn writes(&self) -> RegSet {
-        let set = RegSet::EMPTY;
-        match self {
-            Instr::Matrix(m) => {
-                let set = set.with(m.dst.reg.flat());
-                match m.reduce_max {
-                    ReduceMax::None => set,
-                    ReduceMax::Max(s) => set.with(s.flat()),
-                    ReduceMax::ArgMax { idx, max } => set.with(idx.flat()).with(max.flat()),
-                }
-            }
-            Instr::Vector(v) => set.with(v.dst.flat()),
-            Instr::Reduce(r) => set.with(r.dst.flat()),
-            Instr::Scalar(s) => set.with(s.dst.flat()),
-            Instr::Dma(d) => match (d.dir, d.reg) {
-                (DmaDir::Load, Some(slice)) => set.with(slice.reg.flat()),
-                _ => set,
+        let (v, s) = (|r: VReg| Some(r.flat()), |r: SReg| Some(r.flat()));
+        RegSet(match self {
+            Instr::Matrix(m) => match m.reduce_max {
+                ReduceMax::None => [v(m.dst.reg), None, None],
+                ReduceMax::Max(r) => [v(m.dst.reg), s(r), None],
+                ReduceMax::ArgMax { idx, max } => [v(m.dst.reg), s(idx), s(max)],
+            },
+            Instr::Vector(i) => [v(i.dst), None, None],
+            Instr::Reduce(r) => [s(r.dst), None, None],
+            Instr::Scalar(i) => [s(i.dst), None, None],
+            Instr::Dma(d) => match d.dir {
+                DmaDir::Load => [d.reg.and_then(|slice| v(slice.reg)), None, None],
+                DmaDir::Store => [None; 3],
             },
             Instr::Router(r) => match r.op {
-                RouterOp::AllGather => set.with(r.dst.reg.flat()),
-                RouterOp::AllReduceArgMax => set
-                    .with_opt(r.idx.map(SReg::flat))
-                    .with_opt(r.max.map(SReg::flat)),
+                RouterOp::AllGather => [v(r.dst.reg), None, None],
+                // The exchange replaces the local pair with the global one.
+                RouterOp::AllReduceArgMax => return self.reads(),
             },
-        }
+        })
     }
 
     /// The paper's coarse instruction class ("compute", "dma", "router").
@@ -640,9 +601,9 @@ mod tests {
                 max: SReg(5),
             },
         });
-        assert_eq!(m.reads().as_slice(), [1]);
+        assert_eq!(m.reads().iter().collect::<Vec<_>>(), [1]);
         let s = |r: u8| SReg(r).flat();
-        assert_eq!(m.writes().as_slice(), [2, s(4), s(5)]);
+        assert_eq!(m.writes().iter().collect::<Vec<_>>(), [2, s(4), s(5)]);
     }
 
     #[test]
