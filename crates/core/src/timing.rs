@@ -250,8 +250,9 @@ impl TimingCore {
         // not readable by the matrix stream until the DMA store — and for
         // Values, the transpose unit — completes. This is the dependency
         // the paper's Value-first instruction order exists to hide (§V-B).
-        // Ready cycles sit in one table indexed by (layer, head, kind) over
-        // the regions the step stores; any other region reads cycle 0.
+        // Ready cycles sit in a table indexed by (layer, head, kind) over the
+        // stored regions (a list if they spread past one slot pair per
+        // instruction, never in a builder program); others read cycle 0.
         let (mut layers, mut heads) = (0, 0);
         for ai in program.instrs() {
             if let Instr::Dma(d) = ai.instr {
@@ -261,7 +262,11 @@ impl TimingCore {
                 }
             }
         }
+        if layers * heads > program.len() {
+            heads = 0;
+        }
         let mut kv_ready = vec![Cycles::ZERO; layers * heads * 2];
+        let mut kv_sparse: Vec<(TensorRef, Cycles)> = Vec::new();
         let kv_slot = |t: TensorRef| match t {
             TensorRef::Kv { layer, head, kind } if usize::from(head) < heads => {
                 Some((usize::from(layer) * heads + usize::from(head)) * 2 + kind as usize)
@@ -276,7 +281,9 @@ impl TimingCore {
             let cost = self.cost(instr, batch);
             let mut ready = sb.ready_time(&instr.reads(), &writes);
             if let Instr::Matrix(m) = instr {
-                if let Some(&region) = kv_slot(m.weight).and_then(|i| kv_ready.get(i)) {
+                let sparse = || kv_sparse.iter().rfind(|e| e.0 == m.weight).map(|e| &e.1);
+                let region = kv_slot(m.weight).map_or_else(sparse, |i| kv_ready.get(i));
+                if let Some(&region) = region {
                     ready = ready.max(region);
                 }
             }
@@ -291,9 +298,11 @@ impl TimingCore {
 
             sb.commit(&writes, finish);
             if let Instr::Dma(d) = instr {
-                let slot = kv_slot(d.tensor).and_then(|i| kv_ready.get_mut(i));
-                if let (DmaDir::Store, Some(slot)) = (d.dir, slot) {
-                    *slot = finish;
+                if let (DmaDir::Store, TensorRef::Kv { .. }) = (d.dir, d.tensor) {
+                    match kv_slot(d.tensor).and_then(|i| kv_ready.get_mut(i)) {
+                        Some(slot) => *slot = finish,
+                        None => kv_sparse.push((d.tensor, finish)),
+                    }
                 }
             }
             unit_free[unit] = unit_done;
@@ -586,6 +595,65 @@ mod tests {
             slowed.total,
             normal.total
         );
+    }
+
+    #[test]
+    fn kv_readiness_does_not_depend_on_where_the_region_sits() {
+        // A V store, then the Score x Value read of the same region, at a
+        // region a table would index and at one far past any model: the
+        // read waits for the store either way, and the step times alike.
+        use dfx_isa::{
+            DmaInstr, KvKind, MatrixInstr, MatrixKind, ReduceMax, StepMeta, VReg, VSlice,
+        };
+        let step = |layer: u16, head: u16, read_head: u16| {
+            let meta = StepMeta {
+                token_pos: 0,
+                lm_head: false,
+                core_id: 0,
+                num_cores: 1,
+            };
+            let region = |head| TensorRef::Kv {
+                layer,
+                head,
+                kind: KvKind::Value,
+            };
+            let mut p = Program::new(meta);
+            p.push(
+                OpClass::SelfAttention,
+                Instr::Dma(DmaInstr {
+                    dir: DmaDir::Store,
+                    tensor: region(head),
+                    row: 0,
+                    reg: Some(VSlice::full(VReg(4), 64)),
+                    bytes: 128,
+                    transpose: true,
+                }),
+            );
+            p.push(
+                OpClass::SelfAttention,
+                Instr::Matrix(MatrixInstr {
+                    kind: MatrixKind::Mm,
+                    src: VSlice::full(VReg(8), 1),
+                    weight: region(read_head),
+                    bias: None,
+                    dst: VSlice::full(VReg(9), 64),
+                    rows: 1,
+                    cols: 64,
+                    valid_cols: 64,
+                    scale: None,
+                    gelu: false,
+                    reduce_max: ReduceMax::None,
+                }),
+            );
+            TimingCore::new(CoreParams::default(), 1).time_step(&p)
+        };
+        let near = step(0, 0, 0);
+        assert!(
+            near.total > step(0, 0, 1).total,
+            "the read waits for the store"
+        );
+        assert_eq!(step(u16::MAX, u16::MAX, u16::MAX), near);
+        assert_eq!(step(u16::MAX, 7, 6), step(0, 0, 1));
     }
 
     #[test]
