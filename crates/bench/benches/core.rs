@@ -53,7 +53,9 @@ fn bench_functional_step(c: &mut Criterion) {
     let par = ParallelConfig::new(0, 1);
     let builder = ProgramBuilder::new(cfg, par).unwrap();
     let program = builder.token_step(0, true);
-    let core_weights = CoreWeights::partition(&weights, par).expect("tiny model partitions");
+    let core_weights = CoreWeights::partition_cluster(&weights, 1)
+        .expect("tiny model partitions")
+        .swap_remove(0);
     let mut core = FunctionalCore::new(core_weights);
     let mut g = c.benchmark_group("functional");
     g.sample_size(20);

@@ -624,7 +624,11 @@ mod tests {
         let cfg = GptConfig::tiny();
         let w = GptWeights::synthetic(&cfg).cast::<F16>();
         let par = ParallelConfig::new(0, 1);
-        let core = FunctionalCore::new(CoreWeights::partition(&w, par).unwrap());
+        let core = FunctionalCore::new(
+            CoreWeights::partition_cluster(&w, 1)
+                .unwrap()
+                .swap_remove(0),
+        );
         let builder = ProgramBuilder::new(cfg, par).unwrap();
         (core, builder)
     }
@@ -704,7 +708,11 @@ mod tests {
         let ref_hidden = reference.forward_token(11, 0, &mut cache);
 
         let par = ParallelConfig::new(0, 1);
-        let mut core = FunctionalCore::new(CoreWeights::partition(&w16, par).unwrap());
+        let mut core = FunctionalCore::new(
+            CoreWeights::partition_cluster(&w16, 1)
+                .unwrap()
+                .swap_remove(0),
+        );
         let builder = ProgramBuilder::new(cfg, par).unwrap();
         let p = builder.token_step(0, true);
         core.begin_step(11);
@@ -725,10 +733,10 @@ mod tests {
     fn two_core_execution_pauses_at_allgather_with_matching_indices() {
         let cfg = GptConfig::tiny();
         let w = GptWeights::synthetic(&cfg).cast::<F16>();
-        let mut cores: Vec<FunctionalCore> = (0..2)
-            .map(|c| {
-                FunctionalCore::new(CoreWeights::partition(&w, ParallelConfig::new(c, 2)).unwrap())
-            })
+        let mut cores: Vec<FunctionalCore> = CoreWeights::partition_cluster(&w, 2)
+            .unwrap()
+            .into_iter()
+            .map(FunctionalCore::new)
             .collect();
         let builders: Vec<ProgramBuilder> = (0..2)
             .map(|c| ProgramBuilder::new(cfg.clone(), ParallelConfig::new(c, 2)).unwrap())
@@ -851,9 +859,10 @@ mod tests {
                     })
                     .collect();
                 for lm in [false, true] {
-                    let mut cores: Vec<_> = pars
-                        .iter()
-                        .map(|&p| FunctionalCore::new(CoreWeights::partition(&w, p).unwrap()))
+                    let mut cores: Vec<_> = CoreWeights::partition_cluster(&w, num_cores)
+                        .unwrap()
+                        .into_iter()
+                        .map(FunctionalCore::new)
                         .collect();
                     // 16 positions per tile class at the paper geometry:
                     // the steps run up to both sides of the first edge.

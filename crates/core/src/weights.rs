@@ -1,16 +1,19 @@
 //! Per-core weight partitions (paper Fig 6).
 //!
-//! The model partitioner slices the full GPT-2 parameter set for one
-//! core: attention projections head-wise (contiguous column ranges, since
-//! a head's columns are contiguous), FC/FFN matrices column-wise, and the
-//! LM head by vocabulary range. LayerNorm parameters, embeddings and the
-//! full-width FFN2 input rows are replicated on every core — exactly the
-//! data the paper stores per-FPGA in DDR/HBM.
+//! The model partitioner slices the full GPT-2 parameter set for every
+//! core of a cluster: attention projections head-wise (contiguous column
+//! ranges, since a head's columns are contiguous), FC/FFN matrices
+//! column-wise, and the LM head by vocabulary range. LayerNorm
+//! parameters, embeddings and the full-width FFN2 input rows are
+//! replicated on every core — exactly the data the paper stores per-FPGA
+//! in DDR/HBM. The simulated cores of one cluster read a single copy of
+//! the embedding tables, which no core writes.
 
 use crate::error::ExecError;
 use dfx_isa::{KvKind, LnParam, ParallelConfig, TensorRef, WeightKind};
 use dfx_model::{GptConfig, GptWeights, Matrix};
 use dfx_num::F16;
+use std::sync::Arc;
 
 /// A weight partition stored column-major, the order the MAC trees
 /// stream it: column `c`, the weights feeding output `c`, is contiguous.
@@ -113,10 +116,11 @@ pub struct CoreWeights {
     pub par: ParallelConfig,
     /// Per-layer partitions.
     pub layers: Vec<CoreLayerWeights>,
-    /// Full WTE (DDR-resident; used row-wise for embedding).
-    pub wte: Matrix<F16>,
-    /// Full WPE.
-    pub wpe: Matrix<F16>,
+    /// Full WTE (DDR-resident; used row-wise for embedding), shared by
+    /// the cluster's cores.
+    pub wte: Arc<Matrix<F16>>,
+    /// Full WPE, shared by the cluster's cores.
+    pub wpe: Arc<Matrix<F16>>,
     /// LM head slice: WTEᵀ columns for this core's vocabulary range,
     /// `(emb, vocab_part)`.
     pub lm_head: ColumnMatrix,
@@ -129,13 +133,33 @@ pub struct CoreWeights {
 }
 
 impl CoreWeights {
-    /// Partitions `weights` for the core at `par`.
+    /// Partitions `weights` over a cluster of `num_cores` cores, one
+    /// entry per core in core-id order. The cores share one copy of the
+    /// embedding tables.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::Partition`] if the model does not divide
     /// evenly over the cluster.
-    pub fn partition(weights: &GptWeights<F16>, par: ParallelConfig) -> Result<Self, ExecError> {
+    pub fn partition_cluster(
+        weights: &GptWeights<F16>,
+        num_cores: usize,
+    ) -> Result<Vec<Self>, ExecError> {
+        let wte = Arc::new(weights.wte.clone());
+        let wpe = Arc::new(weights.wpe.clone());
+        (0..num_cores)
+            .map(|c| Self::partition(weights, ParallelConfig::new(c, num_cores), &wte, &wpe))
+            .collect()
+    }
+
+    /// Partitions `weights` for the core at `par`, with the cluster's
+    /// embedding tables `wte` and `wpe`.
+    fn partition(
+        weights: &GptWeights<F16>,
+        par: ParallelConfig,
+        wte: &Arc<Matrix<F16>>,
+        wpe: &Arc<Matrix<F16>>,
+    ) -> Result<Self, ExecError> {
         let cfg = weights.config.clone();
         par.check(&cfg).map_err(ExecError::Partition)?;
         let part = par.emb_part(&cfg);
@@ -183,8 +207,8 @@ impl CoreWeights {
             cfg,
             par,
             layers,
-            wte: weights.wte.clone(),
-            wpe: weights.wpe.clone(),
+            wte: Arc::clone(wte),
+            wpe: Arc::clone(wpe),
             lm_head,
             vocab_offset: v0 as u32,
             ln_f_gamma: weights.ln_f_gamma.clone(),
@@ -432,9 +456,7 @@ mod tests {
     fn partitions_tile_the_full_matrices() {
         let w = weights16();
         let cfg = &w.config;
-        let parts: Vec<CoreWeights> = (0..2)
-            .map(|c| CoreWeights::partition(&w, ParallelConfig::new(c, 2)).unwrap())
-            .collect();
+        let parts = CoreWeights::partition_cluster(&w, 2).unwrap();
         // Column ranges reassemble w_q.
         for r in 0..cfg.embedding_dim {
             for c in 0..cfg.embedding_dim {
@@ -448,7 +470,9 @@ mod tests {
     #[test]
     fn ffn2_keeps_full_rows() {
         let w = weights16();
-        let p = CoreWeights::partition(&w, ParallelConfig::new(0, 2)).unwrap();
+        let p = CoreWeights::partition_cluster(&w, 2)
+            .unwrap()
+            .swap_remove(0);
         assert_eq!(p.layers[0].w_ffn2.rows(), w.config.ffn_dim);
         assert_eq!(p.layers[0].w_ffn2.cols(), w.config.embedding_dim / 2);
     }
@@ -456,7 +480,9 @@ mod tests {
     #[test]
     fn lm_head_is_wte_transposed_slice() {
         let w = weights16();
-        let p = CoreWeights::partition(&w, ParallelConfig::new(1, 2)).unwrap();
+        let p = CoreWeights::partition_cluster(&w, 2)
+            .unwrap()
+            .swap_remove(1);
         let (v0, _) = p.par.vocab_range(&p.cfg);
         assert_eq!(p.vocab_offset as usize, v0);
         for r in [0usize, 5, 63] {
@@ -469,7 +495,9 @@ mod tests {
     #[test]
     fn column_matrix_columns_are_the_logical_columns() {
         let w = weights16();
-        let p = CoreWeights::partition(&w, ParallelConfig::new(0, 1)).unwrap();
+        let p = CoreWeights::partition_cluster(&w, 1)
+            .unwrap()
+            .swap_remove(0);
         let w_q = &p.layers[0].w_q;
         assert_eq!(w_q.columns().len(), w_q.cols());
         for (c, col) in w_q.columns().enumerate() {
@@ -483,14 +511,16 @@ mod tests {
     #[test]
     fn indivisible_partition_is_an_error() {
         let w = weights16();
-        let err = CoreWeights::partition(&w, ParallelConfig::new(0, 3)).unwrap_err();
+        let err = CoreWeights::partition_cluster(&w, 3).unwrap_err();
         assert!(matches!(err, ExecError::Partition(_)));
     }
 
     #[test]
     fn single_core_partition_is_identity() {
         let w = weights16();
-        let p = CoreWeights::partition(&w, ParallelConfig::new(0, 1)).unwrap();
+        let p = CoreWeights::partition_cluster(&w, 1)
+            .unwrap()
+            .swap_remove(0);
         assert_eq!(p.layers[0].w_q.shape(), w.layers[0].w_q.shape());
         assert_eq!(p.lm_head.cols(), w.config.vocab_size);
     }
@@ -552,8 +582,7 @@ mod tests {
             .collect();
         let reference = model.logits(&hidden);
         let mut stitched: Vec<F16> = Vec::new();
-        for c in 0..2 {
-            let p = CoreWeights::partition(&w, ParallelConfig::new(c, 2)).unwrap();
+        for p in CoreWeights::partition_cluster(&w, 2).unwrap() {
             stitched.extend(p.lm_head.columns().map(|col| dfx_model::dot(&hidden, col)));
         }
         assert_eq!(stitched.len(), reference.len());

@@ -10,21 +10,21 @@ use crate::error::SimError;
 use dfx_core::{CoreEvent, CoreWeights, FunctionalCore};
 use dfx_hw::{allgather_reorder, argmax_reduce};
 use dfx_isa::{Instr, ParallelConfig, Program, ProgramBuilder};
-use dfx_model::GptWeights;
+use dfx_model::{GptConfig, GptWeights};
 use dfx_num::F16;
 
 /// A functionally simulated cluster of DFX cores.
 pub struct FunctionalCluster {
     cores: Vec<FunctionalCore>,
     builders: Vec<ProgramBuilder>,
-    weights: GptWeights<F16>,
+    cfg: GptConfig,
 }
 
 impl std::fmt::Debug for FunctionalCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FunctionalCluster")
             .field("cores", &self.cores.len())
-            .field("model", &self.weights.config.name)
+            .field("model", &self.cfg.name)
             .finish()
     }
 }
@@ -39,29 +39,24 @@ impl FunctionalCluster {
     /// evenly across the cluster.
     pub fn new(weights: GptWeights<F16>, num_cores: usize) -> Result<Self, SimError> {
         let cfg = weights.config.clone();
-        let mut cores = Vec::with_capacity(num_cores);
-        let mut builders = Vec::with_capacity(num_cores);
-        for c in 0..num_cores {
-            let par = ParallelConfig::new(c, num_cores);
-            par.check(&cfg).map_err(SimError::Partition)?;
-            cores.push(FunctionalCore::new(CoreWeights::partition(&weights, par)?));
-            builders.push(ProgramBuilder::new(cfg.clone(), par).map_err(SimError::Partition)?);
-        }
+        let builders = (0..num_cores)
+            .map(|c| ProgramBuilder::new(cfg.clone(), ParallelConfig::new(c, num_cores)))
+            .collect::<Result<_, _>>()
+            .map_err(SimError::Partition)?;
+        let cores = CoreWeights::partition_cluster(&weights, num_cores)?
+            .into_iter()
+            .map(FunctionalCore::new)
+            .collect();
         Ok(FunctionalCluster {
             cores,
             builders,
-            weights,
+            cfg,
         })
     }
 
     /// Number of cores.
     pub fn num_cores(&self) -> usize {
         self.cores.len()
-    }
-
-    /// The model weights (full, unpartitioned).
-    pub fn weights(&self) -> &GptWeights<F16> {
-        &self.weights
     }
 
     /// Clears every core's K/V cache and registers for a fresh request.
@@ -214,7 +209,7 @@ impl FunctionalCluster {
                 "context must contain at least one token".into(),
             ));
         }
-        let max = self.weights.config.max_seq_len;
+        let max = self.cfg.max_seq_len;
         if input.len() + output_len > max {
             return Err(SimError::InvalidRequest(format!(
                 "sequence of {} exceeds the model maximum {max}",

@@ -18,8 +18,13 @@ fn encoded_programs_execute_identically_after_decode() {
     let decoded = decode_program(encode_program(&original)).expect("decode");
     assert_eq!(original, decoded);
 
-    let mut core_a = FunctionalCore::new(CoreWeights::partition(&weights, par).unwrap());
-    let mut core_b = FunctionalCore::new(CoreWeights::partition(&weights, par).unwrap());
+    let partition = || {
+        CoreWeights::partition_cluster(&weights, 1)
+            .unwrap()
+            .swap_remove(0)
+    };
+    let mut core_a = FunctionalCore::new(partition());
+    let mut core_b = FunctionalCore::new(partition());
     core_a.begin_step(9);
     core_b.begin_step(9);
     let (_, ev_a) = core_a.run(&original, 0).unwrap();
