@@ -184,12 +184,13 @@ impl<T: Scalar> Matrix<T> {
         self.rows += 1;
     }
 
-    /// Converts every element to another scalar precision through `f64`.
+    /// Converts every element to another scalar precision with
+    /// [`Scalar::cast`].
     pub fn cast<U: Scalar>(&self) -> Matrix<U> {
         Matrix {
             rows: self.rows,
             cols: self.cols,
-            data: self.data.iter().map(|x| U::from_f64(x.to_f64())).collect(),
+            data: self.data.iter().map(|&x| x.cast()).collect(),
         }
     }
 

@@ -54,10 +54,10 @@ pub struct LayerWeights<T> {
 }
 
 impl<T: Scalar> LayerWeights<T> {
-    /// Converts the layer to another precision through `f64`.
+    /// Converts the layer to another precision with [`Scalar::cast`].
     pub fn cast<U: Scalar>(&self) -> LayerWeights<U> {
         fn cv<T: Scalar, U: Scalar>(v: &[T]) -> Vec<U> {
-            v.iter().map(|x| U::from_f64(x.to_f64())).collect()
+            v.iter().map(|&x| x.cast()).collect()
         }
         LayerWeights {
             ln1_gamma: cv(&self.ln1_gamma),
@@ -181,10 +181,10 @@ impl GptWeights<f32> {
 }
 
 impl<T: Scalar> GptWeights<T> {
-    /// Converts all weights to another precision through `f64`.
+    /// Converts all weights to another precision with [`Scalar::cast`].
     pub fn cast<U: Scalar>(&self) -> GptWeights<U> {
         fn cv<T: Scalar, U: Scalar>(v: &[T]) -> Vec<U> {
-            v.iter().map(|x| U::from_f64(x.to_f64())).collect()
+            v.iter().map(|&x| x.cast()).collect()
         }
         GptWeights {
             config: self.config.clone(),
@@ -243,6 +243,53 @@ mod tests {
         // Casting to F16 must not lose any value to zero or infinity.
         let h: GptWeights<F16> = w.cast();
         assert!(h.wte.as_slice().iter().all(|x| x.is_finite()));
+    }
+
+    /// Every parameter of `w`, in field order.
+    fn all_values<T: Scalar>(w: &GptWeights<T>) -> Vec<T> {
+        let mut all = [w.wte.as_slice(), w.wpe.as_slice()].concat();
+        for l in &w.layers {
+            for v in [
+                &l.ln1_gamma[..],
+                &l.ln1_beta,
+                l.w_q.as_slice(),
+                &l.b_q,
+                l.w_k.as_slice(),
+                &l.b_k,
+                l.w_v.as_slice(),
+                &l.b_v,
+                l.w_attn_proj.as_slice(),
+                &l.b_attn_proj,
+                &l.ln2_gamma,
+                &l.ln2_beta,
+                l.w_ffn1.as_slice(),
+                &l.b_ffn1,
+                l.w_ffn2.as_slice(),
+                &l.b_ffn2,
+            ] {
+                all.extend_from_slice(v);
+            }
+        }
+        all.extend_from_slice(&w.ln_f_gamma);
+        all.extend_from_slice(&w.ln_f_beta);
+        all
+    }
+
+    #[test]
+    fn casting_synthetic_weights_equals_the_round_trip_through_f64() {
+        for cfg in [GptConfig::tiny(), GptConfig::small()] {
+            let w = GptWeights::synthetic(&cfg);
+            let want: Vec<u16> = all_values(&w)
+                .into_iter()
+                .map(|x| F16::from_f64(f64::from(x)).to_bits())
+                .collect();
+            let got: Vec<u16> = all_values(&w.cast::<F16>())
+                .into_iter()
+                .map(F16::to_bits)
+                .collect();
+            assert_eq!(got.len(), cfg.num_parameters() as usize, "{}", cfg.name);
+            assert!(got == want, "{}: a cast weight moved", cfg.name);
+        }
     }
 
     #[test]

@@ -22,8 +22,19 @@ pub trait Scalar:
 
     /// Converts from `f64` (rounding as appropriate for the precision).
     fn from_f64(x: f64) -> Self;
+    /// Converts from `f32` (rounding as appropriate for the precision):
+    /// the value `from_f64` gives for the exactly widened `x`.
+    fn from_f32(x: f32) -> Self;
     /// Converts to `f64` (exact for all three precisions).
     fn to_f64(self) -> f64;
+
+    /// Converts to another precision, rounding as `U` does: through
+    /// `f64`, or for an `f32` straight through [`Scalar::from_f32`],
+    /// which gives the same value without the round trip.
+    #[inline]
+    fn cast<U: Scalar>(self) -> U {
+        U::from_f64(self.to_f64())
+    }
 
     /// Addition.
     fn add(self, rhs: Self) -> Self;
@@ -76,7 +87,7 @@ mod private {
 }
 
 macro_rules! impl_scalar_for_native {
-    ($t:ty) => {
+    ($t:ty $(, $cast:item)?) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -85,6 +96,11 @@ macro_rules! impl_scalar_for_native {
             fn from_f64(x: f64) -> Self {
                 x as $t
             }
+            #[inline]
+            fn from_f32(x: f32) -> Self {
+                <$t>::from(x)
+            }
+            $($cast)?
             #[inline]
             fn to_f64(self) -> f64 {
                 f64::from(self)
@@ -133,7 +149,13 @@ macro_rules! impl_scalar_for_native {
     };
 }
 
-impl_scalar_for_native!(f32);
+impl_scalar_for_native!(
+    f32,
+    #[inline]
+    fn cast<U: Scalar>(self) -> U {
+        U::from_f32(self)
+    }
+);
 impl_scalar_for_native!(f64);
 
 impl Scalar for F16 {
@@ -143,6 +165,10 @@ impl Scalar for F16 {
     #[inline]
     fn from_f64(x: f64) -> Self {
         F16::from_f64(x)
+    }
+    #[inline]
+    fn from_f32(x: f32) -> Self {
+        F16::from_f32(x)
     }
     #[inline]
     fn to_f64(self) -> f64 {
@@ -315,6 +341,29 @@ mod tests {
                     assert_eq!(f.to_bits(), c.to_bits(), "{what}: column {j} moved");
                 }
             }
+        }
+    }
+
+    /// The `f32` cast against the `f64` round trip it replaces, bit for
+    /// bit, on a strided sample of every `f32` bit pattern: NaN payloads
+    /// of both signs and kinds, subnormals, ±0 and ±∞ included.
+    #[test]
+    fn casting_from_f32_equals_the_round_trip_through_f64() {
+        let specials = [
+            0x7fc0_0000,
+            0xff80_0001,
+            0x7fbf_ffff,
+            0x0000_0001,
+            0x8000_0000,
+        ];
+        let sample = (0..=u32::MAX).step_by(65_521).chain(specials);
+        for x in sample.map(f32::from_bits) {
+            let want = F16::from_f64(f64::from(x));
+            assert_eq!(x.cast::<F16>().to_bits(), want.to_bits(), "{x:e}");
+            assert_eq!(x.cast::<f64>().to_bits(), f64::from(x).to_bits(), "{x:e}");
+        }
+        for x in [0.0f32, -0.0, 1.5, -65504.0, f32::INFINITY] {
+            assert_eq!(x.cast::<f32>().to_bits(), x.to_bits());
         }
     }
 
