@@ -53,7 +53,7 @@ fn bench_functional_step(c: &mut Criterion) {
     let par = ParallelConfig::new(0, 1);
     let builder = ProgramBuilder::new(cfg, par).unwrap();
     let program = builder.token_step(0, true);
-    let core_weights = CoreWeights::partition_cluster(&weights, 1)
+    let core_weights = CoreWeights::partition_cluster(weights, 1)
         .expect("tiny model partitions")
         .swap_remove(0);
     let mut core = FunctionalCore::new(core_weights);

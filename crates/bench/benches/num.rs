@@ -33,8 +33,8 @@ fn ns_per_op(calls: u32, ops_per_call: u32, mut f: impl FnMut()) -> f64 {
 
 /// A 256×256 FP16 vector-matrix product (the reference model's `vecmat`,
 /// one multiply and one add per weight), reported as ns per F16 op; and
-/// one `d × l` = 64×16 weight tile through the executor's lane-parallel
-/// MAC trees, reported as ns per MAC.
+/// one `d × l` = 64×16 widened weight tile through the executor's
+/// lane-parallel MAC trees, reported as ns per MAC.
 fn bench_vecmat(c: &mut Criterion) {
     const N: usize = 256;
     const OPS_PER_CALL: u32 = 2 * (N * N) as u32;
@@ -47,12 +47,22 @@ fn bench_vecmat(c: &mut Criterion) {
     const D: usize = 64;
     const MACS_PER_CALL: u32 = (D * reduce::LANES) as u32;
     let wide: Vec<f32> = x[..D].iter().map(|v| v.to_f32()).collect();
-    let tile: Vec<&[F16]> = w.as_slice().chunks_exact(D).take(reduce::LANES).collect();
+    let tile: Vec<[f32; reduce::LANES]> = w.as_slice()[..D * reduce::LANES]
+        .chunks_exact(reduce::LANES)
+        .map(|row| std::array::from_fn(|l| row[l].to_f32()))
+        .collect();
     let mut table = Vec::new();
     let mut g = c.benchmark_group("f16");
     g.bench_function("vecmat_256", |b| b.iter(|| w.vecmat(black_box(&x))));
-    g.bench_function("mac_trees_64x16", |b| {
-        b.iter(|| reduce::mac_trees_widened(black_box(&wide), black_box(&tile), &mut table))
+    g.bench_function("mac_tile_64x16", |b| {
+        b.iter(|| {
+            reduce::mac_tile(
+                black_box(&wide),
+                black_box(&tile),
+                reduce::LANES,
+                &mut table,
+            )
+        })
     });
     g.finish();
 
@@ -63,13 +73,14 @@ fn bench_vecmat(c: &mut Criterion) {
     println!("f16/vecmat_256 per op                    {per_op:.2} ns per F16 op (best of 5 x {calls} calls)");
     let calls = 20_000;
     let per_mac = ns_per_op(calls, MACS_PER_CALL, || {
-        black_box(reduce::mac_trees_widened(
+        black_box(reduce::mac_tile(
             black_box(&wide),
             black_box(&tile),
+            reduce::LANES,
             &mut table,
         ));
     });
-    println!("f16/mac_trees_64x16 per MAC              {per_mac:.2} ns per MAC (best of 5 x {calls} calls)");
+    println!("f16/mac_tile_64x16 per MAC               {per_mac:.2} ns per MAC (best of 5 x {calls} calls)");
 }
 
 fn bench_reduce(c: &mut Criterion) {

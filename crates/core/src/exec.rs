@@ -10,7 +10,7 @@
 //! RX-buffer rendezvous of the hardware.
 
 use crate::error::ExecError;
-use crate::weights::{CoreWeights, KvStore};
+use crate::weights::{CoreWeights, KvStore, LaneTiles};
 use dfx_isa::{
     regs, DmaDir, EmbedTable, Instr, KvKind, MatrixKind, Program, ReduceKind, ReduceMax,
     RouterInstr, RouterOp, SReg, ScalarOpKind, TensorRef, VReg, VSlice, VectorOpKind,
@@ -132,60 +132,41 @@ fn write_slice(vregs: &mut [Vec<F16>], s: VSlice, data: &[F16]) -> Result<(), Ex
 /// `out[c] = bias[c] + Σ_blocks mac_tree(x[block], column_c[block])`:
 /// each output sums its `d`-row blocks through a pairwise MAC tree and
 /// accumulates the block partials in FP16, in row order. `x` is the
-/// input widened once with [`F16::to_f32`].
+/// input widened once with [`F16::to_f32`], one element per row of `w`.
 ///
-/// The columns go through the MPU's `l` trees the way its weight tiles
-/// do: [`reduce::LANES`] columns at a time, each 64-row block of the
-/// group reduced by [`reduce::mac_trees_widened`] side by side, in the
-/// core's lane `table`. Every output is still its own column's trees
-/// and FP16 block sum, bit for bit. `out` is overwritten.
-fn mac_columns<'w>(
+/// The MPU's `l` trees take `w` one `d × l` tile at a time: each 64-row
+/// block of a tile of [`reduce::LANES`] columns is reduced by
+/// [`reduce::mac_tile`] side by side, in the core's lane `table`. Every
+/// output is still its own column's trees and FP16 block sum, bit for
+/// bit. `out` is overwritten.
+fn mac_tiles(
     x: &[f32],
-    columns: impl ExactSizeIterator<Item = &'w [F16]>,
+    w: &LaneTiles,
     bias: Option<&[F16]>,
     out: &mut Vec<F16>,
     table: &mut Vec<[f32; reduce::LANES]>,
 ) -> Result<(), ExecError> {
-    if bias.is_some_and(|b| b.len() != columns.len()) {
-        return Err(ExecError::Shape(format!(
-            "bias of {} elements for {} outputs",
-            bias.map_or(0, <[F16]>::len),
-            columns.len()
-        )));
-    }
     out.clear();
-    let mut columns = columns.enumerate();
-    loop {
-        let mut group: [&[F16]; reduce::LANES] = [&[]; reduce::LANES];
-        let mut lanes = 0;
-        for (slot, (c, col)) in group.iter_mut().zip(columns.by_ref()) {
-            if col.len() != x.len() {
-                return Err(ExecError::Shape(format!(
-                    "column {c} holds {} weights for a {}-element input",
-                    col.len(),
-                    x.len()
-                )));
-            }
-            *slot = col;
-            lanes += 1;
+    match bias {
+        Some(b) if b.len() != w.cols() => {
+            return Err(ExecError::Shape(format!(
+                "bias of {} elements for {} outputs",
+                b.len(),
+                w.cols()
+            )))
         }
-        if lanes == 0 {
-            return Ok(());
-        }
-        let first = out.len();
-        match bias {
-            Some(b) => out.extend_from_slice(&b[first..first + lanes]),
-            None => out.resize(first + lanes, F16::ZERO),
-        }
-        for (block, xs) in x.chunks(MAC_TREE_WIDTH).enumerate() {
-            let rows = block * MAC_TREE_WIDTH..block * MAC_TREE_WIDTH + xs.len();
-            let tile = group.map(|col| col.get(rows.clone()).unwrap_or_default());
-            let partials = reduce::mac_trees_widened(xs, &tile[..lanes], table);
-            for (acc, p) in out[first..].iter_mut().zip(partials) {
+        Some(b) => out.extend_from_slice(b),
+        None => out.resize(w.cols(), F16::ZERO),
+    }
+    for (outs, tile) in out.chunks_mut(reduce::LANES).zip(w.tiles()) {
+        for (xs, rows) in x.chunks(MAC_TREE_WIDTH).zip(tile.chunks(MAC_TREE_WIDTH)) {
+            let partials = reduce::mac_tile(xs, rows, outs.len(), table);
+            for (acc, p) in outs.iter_mut().zip(partials) {
                 *acc += p;
             }
         }
     }
+    Ok(())
 }
 
 impl FunctionalCore {
@@ -328,7 +309,7 @@ impl FunctionalCore {
     /// Matrix-vector multiply through the MAC trees, tile-accurate:
     /// the input is consumed in `d`-row blocks, each block reduced by a
     /// pairwise tree, block partials accumulated in FP16. Weights and
-    /// K/V columns are borrowed in place.
+    /// K/V tiles are borrowed in place, already widened.
     fn exec_matrix(&mut self, m: &dfx_isa::MatrixInstr) -> Result<(), ExecError> {
         let x = read_slice(&self.vregs, m.src)?;
         let (rows, cols) = (m.rows as usize, m.cols as usize);
@@ -342,40 +323,20 @@ impl FunctionalCore {
         let bias = m.bias.map(|b| self.weights.bias(b)).transpose()?;
         self.wide_input.clear();
         self.wide_input.extend(x.iter().map(|v| v.to_f32()));
-        let x = self.wide_input.as_slice();
-        let mut out = std::mem::take(&mut self.scratch);
-        out.clear();
-        match m.weight {
-            TensorRef::Kv { .. } => {
-                let columns = self.kv.stream_columns(m.weight)?;
-                if columns.len() != cols {
-                    return Err(ExecError::Shape(format!(
-                        "{} holds {} columns, instruction wants {cols}",
-                        m.weight,
-                        columns.len()
-                    )));
-                }
-                mac_columns(
-                    x,
-                    columns.iter().map(Vec::as_slice),
-                    bias,
-                    &mut out,
-                    &mut self.lane_table,
-                )?;
-            }
-            _ => {
-                let w = self.weights.weight_matrix(m.weight)?;
-                if w.shape() != (rows, cols) {
-                    return Err(ExecError::Shape(format!(
-                        "{} is {:?}, instruction wants {:?}",
-                        m.weight,
-                        w.shape(),
-                        (rows, cols)
-                    )));
-                }
-                mac_columns(x, w.columns(), bias, &mut out, &mut self.lane_table)?;
-            }
+        let w = match m.weight {
+            TensorRef::Kv { .. } => self.kv.matrix(m.weight)?,
+            _ => self.weights.weight_matrix(m.weight)?,
+        };
+        if w.shape() != (rows, cols) {
+            return Err(ExecError::Shape(format!(
+                "{} is {:?}, instruction wants {:?}",
+                m.weight,
+                w.shape(),
+                (rows, cols)
+            )));
         }
+        let mut out = std::mem::take(&mut self.scratch);
+        mac_tiles(&self.wide_input, w, bias, &mut out, &mut self.lane_table)?;
 
         if let Some(scale) = m.scale {
             let s = F16::from_f32(scale);
@@ -522,7 +483,7 @@ impl FunctionalCore {
                 let row = read_slice(&self.vregs, reg("kv store source")?)?;
                 let hkv = self.kv.head_mut(layer, head)?;
                 match (kind, d.transpose) {
-                    (KvKind::Key, false) => hkv.push_key(row),
+                    (KvKind::Key, false) => hkv.push_key(row)?,
                     (KvKind::Value, true) => hkv.push_value(row)?,
                     // K rows are stored untransposed; V rows go through
                     // the transpose unit.
@@ -625,7 +586,7 @@ mod tests {
         let w = GptWeights::synthetic(&cfg).cast::<F16>();
         let par = ParallelConfig::new(0, 1);
         let core = FunctionalCore::new(
-            CoreWeights::partition_cluster(&w, 1)
+            CoreWeights::partition_cluster(w.clone(), 1)
                 .unwrap()
                 .swap_remove(0),
         );
@@ -634,21 +595,27 @@ mod tests {
     }
 
     #[test]
-    fn mac_columns_match_per_column_trees_and_fp16_block_sums() {
+    fn mac_tiles_match_per_column_trees_and_fp16_block_sums() {
         let number = |i: usize| F16::from_f32(((i * 37) % 41) as f32 * 0.0625 - 1.25);
         for (rows, cols) in [(1, 1), (64, 16), (63, 17), (130, 37)] {
-            let x: Vec<F16> = (0..rows).map(number).collect();
             let mut columns: Vec<Vec<F16>> = (0..cols)
                 .map(|c| (0..rows).map(|r| number(r * 3 + c + 1)).collect())
                 .collect();
             // One NaN with a payload, in the last column's last block.
             columns[cols - 1][rows - 1] = F16::from_bits(0x7d01);
+            let w = LaneTiles::transposed_rows(&dfx_model::Matrix::from_rows(&columns), 0, cols);
             let bias: Vec<F16> = (0..cols).map(|c| number(c + 7)).collect();
-            let wide: Vec<f32> = x.iter().map(|v| v.to_f32()).collect();
-            for bias in [None, Some(bias.as_slice())] {
+            let plain: Vec<F16> = (0..rows).map(number).collect();
+            // An ∞ and a NaN input make the padding lanes of a partial
+            // last tile NaN; the real lanes must not move.
+            let mut special = plain.clone();
+            special[0] = F16::INFINITY;
+            special[rows / 2] = F16::from_bits(0xfe11);
+            for (x, bias) in [(&plain, None), (&plain, Some(&bias[..])), (&special, None)] {
+                let wide: Vec<f32> = x.iter().map(|v| v.to_f32()).collect();
                 let mut out = Vec::new();
-                let columns_in = columns.iter().map(Vec::as_slice);
-                mac_columns(&wide, columns_in, bias, &mut out, &mut Vec::new()).unwrap();
+                mac_tiles(&wide, &w, bias, &mut out, &mut Vec::new()).unwrap();
+                assert_eq!(out.len(), cols);
                 for (c, col) in columns.iter().enumerate() {
                     let mut want = bias.map_or(F16::ZERO, |b| b[c]);
                     for (xs, ws) in x.chunks(MAC_TREE_WIDTH).zip(col.chunks(MAC_TREE_WIDTH)) {
@@ -656,7 +623,6 @@ mod tests {
                     }
                     assert_eq!(out[c].to_bits(), want.to_bits(), "{rows}x{cols} column {c}");
                 }
-                assert_eq!(out.len(), cols);
             }
         }
     }
@@ -709,7 +675,7 @@ mod tests {
 
         let par = ParallelConfig::new(0, 1);
         let mut core = FunctionalCore::new(
-            CoreWeights::partition_cluster(&w16, 1)
+            CoreWeights::partition_cluster(w16, 1)
                 .unwrap()
                 .swap_remove(0),
         );
@@ -733,7 +699,7 @@ mod tests {
     fn two_core_execution_pauses_at_allgather_with_matching_indices() {
         let cfg = GptConfig::tiny();
         let w = GptWeights::synthetic(&cfg).cast::<F16>();
-        let mut cores: Vec<FunctionalCore> = CoreWeights::partition_cluster(&w, 2)
+        let mut cores: Vec<FunctionalCore> = CoreWeights::partition_cluster(w.clone(), 2)
             .unwrap()
             .into_iter()
             .map(FunctionalCore::new)
@@ -859,7 +825,7 @@ mod tests {
                     })
                     .collect();
                 for lm in [false, true] {
-                    let mut cores: Vec<_> = CoreWeights::partition_cluster(&w, num_cores)
+                    let mut cores: Vec<_> = CoreWeights::partition_cluster(w.clone(), num_cores)
                         .unwrap()
                         .into_iter()
                         .map(FunctionalCore::new)

@@ -45,4 +45,4 @@ pub use exec::{CoreEvent, FunctionalCore};
 pub use params::CoreParams;
 pub use scoreboard::Scoreboard;
 pub use timing::{StepTiming, TimingCore, Unit};
-pub use weights::{ColumnMatrix, CoreLayerWeights, CoreWeights, HeadKv, KvStore};
+pub use weights::{CoreLayerWeights, CoreWeights, HeadKv, KvStore, LaneTiles};

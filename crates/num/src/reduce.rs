@@ -85,117 +85,104 @@ fn tree_lanes<const L: usize, const EXACT: bool>(table: &mut [[f32; L]]) -> [f32
 }
 
 /// One pass of up to `L` MAC trees: lane `l` of row `r` gets the product
-/// `inputs[r] · columns[l][r]`, lanes past `columns.len()` get +0, and
-/// [`tree_lanes`] reduces the rows to their roots.
+/// `inputs[r] · tile[r][l]`, and [`tree_lanes`] reduces the rows to their
+/// roots.
 fn mac_pass<const L: usize, const EXACT: bool>(
     inputs: &[f32],
-    columns: &[&[F16]],
+    tile: &[[f32; L]],
     table: &mut [[f32; L]],
 ) -> [f32; L] {
-    for (l, column) in columns.iter().enumerate() {
-        for ((t, &x), w) in table.iter_mut().zip(inputs).zip(*column) {
-            let w = w.to_f32();
-            t[l] = round_step::<EXACT>(x * w, x, w);
+    for ((t, &x), w) in table.iter_mut().zip(inputs).zip(tile) {
+        for (t, &w) in t.iter_mut().zip(w) {
+            *t = round_step::<EXACT>(x * w, x, w);
         }
-    }
-    for t in table.iter_mut() {
-        t[columns.len()..].fill(0.0);
     }
     tree_lanes::<L, EXACT>(table)
 }
 
-/// The NaN-hoisted MAC trees: a pass that only rounds, run again under
-/// the per-op NaN rule if a root came out non-finite, which any NaN on
-/// the way makes it (see [`round_step`]).
+/// The NaN-hoisted MAC trees of the first `lanes` lanes: a pass that only
+/// rounds, run again under the per-op NaN rule if one of their roots came
+/// out non-finite, which any NaN on the way makes it (see
+/// [`round_step`]). The other lanes come out +0.
 fn mac_lanes<const L: usize>(
     inputs: &[f32],
-    columns: &[&[F16]],
+    tile: &[[f32; L]],
+    lanes: usize,
     table: &mut [[f32; L]],
 ) -> [F16; L] {
-    let mut sums = mac_pass::<L, false>(inputs, columns, table);
-    if sums.iter().any(|s| !s.is_finite()) {
-        sums = mac_pass::<L, true>(inputs, columns, table);
+    let mut sums = mac_pass::<L, false>(inputs, tile, table);
+    if sums[..lanes].iter().any(|s| !s.is_finite()) {
+        sums = mac_pass::<L, true>(inputs, tile, table);
     }
-    sums.map(F16::from_f32)
+    let mut out = [F16::ZERO; L];
+    for (o, &s) in out.iter_mut().zip(&sums[..lanes]) {
+        *o = F16::from_f32(s);
+    }
+    out
 }
 
 /// The `d`-input multiply-accumulate tree: elementwise FP16 products, then
-/// [`tree_sum`]. This is one lane of the MFU for one tile row.
+/// [`tree_sum`]. This is one lane of the MFU for one tile row, and the
+/// one-lane case of [`mac_tile`].
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 pub fn mac_tree(inputs: &[F16], weights: &[F16]) -> F16 {
-    if inputs.len() <= TREE_WIDTH {
-        let mut buf = [0.0f32; TREE_WIDTH];
-        for (b, x) in buf.iter_mut().zip(inputs) {
-            *b = x.to_f32();
-        }
-        mac_tree_widened(&buf[..inputs.len()], weights)
-    } else {
-        let wide: Vec<f32> = inputs.iter().map(|x| x.to_f32()).collect();
-        mac_tree_widened(&wide, weights)
-    }
-}
-
-/// [`mac_tree`] on inputs already widened with [`F16::to_f32`], for a
-/// caller that streams one input vector against many weight columns and
-/// widens it once. Inputs that are not widened halves give meaningless
-/// sums. This is the one-lane case of [`mac_trees_widened`].
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn mac_tree_widened(inputs: &[f32], weights: &[F16]) -> F16 {
     assert_eq!(
         inputs.len(),
         weights.len(),
         "MAC tree operands must have equal length"
     );
+    fn widen(values: &[F16]) -> impl Iterator<Item = f32> + '_ {
+        values.iter().map(|v| v.to_f32())
+    }
     let n = inputs.len();
     let [sum] = if n <= TREE_WIDTH {
-        mac_lanes(inputs, &[weights], &mut [[0.0; 1]; TREE_WIDTH][..n])
+        let (mut x, mut w) = ([0.0; TREE_WIDTH], [[0.0; 1]; TREE_WIDTH]);
+        x.iter_mut().zip(widen(inputs)).for_each(|(x, v)| *x = v);
+        w.iter_mut().zip(widen(weights)).for_each(|(w, v)| *w = [v]);
+        mac_lanes(&x[..n], &w[..n], 1, &mut [[0.0; 1]; TREE_WIDTH][..n])
     } else {
-        mac_lanes(inputs, &[weights], &mut vec![[0.0; 1]; n])
+        let x: Vec<f32> = widen(inputs).collect();
+        let w: Vec<[f32; 1]> = widen(weights).map(|v| [v]).collect();
+        mac_lanes(&x, &w, 1, &mut vec![[0.0; 1]; n])
     };
     sum
 }
 
-/// Up to [`LANES`] MAC trees evaluated side by side, as the MPU's `l`
-/// trees consume one `d × l` weight tile: lane `c` of the result is
-/// `mac_tree_widened(inputs, columns[c])`, bit for bit, and the lanes
-/// past `columns.len()` are +0.
+/// The MPU's `l` = [`LANES`] MAC trees on one `d × l` weight tile: lane
+/// `l` of the result is the MAC tree of `inputs` with the tile's lane `l`,
+/// `mac_tree(inputs, column l)` bit for bit, for the first `lanes` lanes;
+/// the lanes past them come out +0 whatever they hold. `inputs` and the
+/// tile are halves widened with [`F16::to_f32`] (other values give
+/// meaningless sums), one tile row per input.
 ///
 /// The lanes round each product and sum to half without the per-op NaN
-/// rule; if any lane's sum comes out non-finite, as one that met a NaN
-/// does, the call is evaluated again under the rule, so NaN payloads
-/// come out exactly as the FP16 operations give them. `table` is the
-/// caller's scratch lane table, one row per input, so a caller that
-/// keeps it allocates nothing per call.
+/// rule; if any of the `lanes` sums comes out non-finite, as one that met
+/// a NaN does, the call is evaluated again under the rule, so NaN
+/// payloads come out exactly as the FP16 operations give them. `table`
+/// is the caller's scratch lane table, so a caller that keeps it
+/// allocates nothing per call.
 ///
 /// # Panics
 ///
-/// Panics if more than [`LANES`] columns are given or a column's length
-/// differs from the inputs'.
-pub fn mac_trees_widened(
+/// Panics if `lanes` exceeds [`LANES`] or the tile's row count differs
+/// from the inputs'.
+pub fn mac_tile(
     inputs: &[f32],
-    columns: &[&[F16]],
+    tile: &[[f32; LANES]],
+    lanes: usize,
     table: &mut Vec<[f32; LANES]>,
 ) -> [F16; LANES] {
-    assert!(
-        columns.len() <= LANES,
-        "{} columns for {LANES} MAC tree lanes",
-        columns.len()
+    assert!(lanes <= LANES, "{lanes} lanes for {LANES} MAC trees");
+    assert_eq!(
+        inputs.len(),
+        tile.len(),
+        "MAC tree operands must have equal length"
     );
-    for column in columns {
-        assert_eq!(
-            inputs.len(),
-            column.len(),
-            "MAC tree operands must have equal length"
-        );
-    }
     table.resize(inputs.len(), [0.0; LANES]);
-    mac_lanes(inputs, columns, table)
+    mac_lanes(inputs, tile, lanes, table)
 }
 
 /// Sequential accumulation (the VPU `accum` instruction): left-to-right
@@ -297,11 +284,22 @@ mod tests {
             .collect()
     }
 
-    /// Each lane against its own column's `mac_tree` and the tree of
-    /// [`F16`] operations, and the unused lanes +0.
-    fn check_lanes(x: &[F16], columns: &[&[F16]], what: &str) -> [F16; LANES] {
+    /// Each lane of the tile kernel against its own column's `mac_tree`
+    /// and the tree of [`F16`] operations, and the unused lanes +0. The
+    /// tile's lanes past the columns hold `pad`, which must reach no
+    /// output.
+    fn check_lanes(x: &[F16], columns: &[&[F16]], pad: f32, what: &str) -> [F16; LANES] {
         let wide: Vec<f32> = x.iter().map(|v| v.to_f32()).collect();
-        let got = mac_trees_widened(&wide, columns, &mut Vec::new());
+        let tile: Vec<[f32; LANES]> = (0..x.len())
+            .map(|r| {
+                let mut row = [pad; LANES];
+                for (w, column) in row.iter_mut().zip(columns) {
+                    *w = column[r].to_f32();
+                }
+                row
+            })
+            .collect();
+        let got = mac_tile(&wide, &tile, columns.len(), &mut Vec::new());
         for (c, column) in columns.iter().enumerate() {
             let products = x.iter().zip(*column).map(|(&a, &b)| a * b).collect();
             let want = f16_tree(products).to_bits();
@@ -326,11 +324,17 @@ mod tests {
                     let x = take(lanes * 3);
                     let columns: Vec<Vec<F16>> = (0..lanes).map(|c| take(7 * c + 1)).collect();
                     let columns: Vec<&[F16]> = columns.iter().map(Vec::as_slice).collect();
-                    check_lanes(
-                        &x,
-                        &columns,
-                        &format!("{name} pool, {n} rows, {lanes} lanes"),
-                    );
+                    // A partial last lane group whose padding meets the
+                    // pool's NaN and ∞ inputs, or holds a NaN or ∞ itself:
+                    // the real lanes' bits must not move.
+                    for pad in [0.0, f32::NAN, f32::NEG_INFINITY] {
+                        check_lanes(
+                            &x,
+                            &columns,
+                            pad,
+                            &format!("{name} pool, {n} rows, {lanes} lanes, pad {pad}"),
+                        );
+                    }
                 }
             }
         }
@@ -341,7 +345,7 @@ mod tests {
             let x = vec![F16::NEG_ZERO; n];
             let plus = vec![F16::ONE; n];
             let minus = vec![F16::NEG_ONE; n];
-            let got = check_lanes(&x, &[&plus, &minus], &format!("zeros, {n} rows"));
+            let got = check_lanes(&x, &[&plus, &minus], 0.0, &format!("zeros, {n} rows"));
             if n == 3 {
                 assert_eq!(got[0].to_bits(), 0x0000, "−0 carried as +0");
             }
@@ -367,11 +371,11 @@ mod tests {
                 if let Some(input) = input {
                     x[row] = input;
                 }
-                let clean = check_lanes(&x, &refs, &format!("{n} rows, no NaN"));
+                let clean = check_lanes(&x, &refs, 0.0, &format!("{n} rows, no NaN"));
                 let mut columns = columns.clone();
                 columns[lane][row] = weight;
                 let refs: Vec<&[F16]> = columns.iter().map(Vec::as_slice).collect();
-                let got = check_lanes(&x, &refs, &format!("{n} rows, NaN in lane {lane}"));
+                let got = check_lanes(&x, &refs, 0.0, &format!("{n} rows, NaN in lane {lane}"));
                 assert_eq!(got[lane].to_bits(), want, "lane {lane}'s NaN");
                 for (c, (g, w)) in got.iter().zip(clean).enumerate() {
                     if c != lane {
@@ -383,10 +387,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "MAC tree lanes")]
-    fn mac_trees_reject_more_columns_than_lanes() {
-        let column = [F16::ONE];
-        let _ = mac_trees_widened(&[1.0], &[&column[..]; LANES + 1], &mut Vec::new());
+    #[should_panic(expected = "lanes for 16 MAC trees")]
+    fn mac_tile_rejects_more_lanes_than_trees() {
+        let _ = mac_tile(&[1.0], &[[1.0; LANES]], LANES + 1, &mut Vec::new());
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl FunctionalCluster {
             .map(|c| ProgramBuilder::new(cfg.clone(), ParallelConfig::new(c, num_cores)))
             .collect::<Result<_, _>>()
             .map_err(SimError::Partition)?;
-        let cores = CoreWeights::partition_cluster(&weights, num_cores)?
+        let cores = CoreWeights::partition_cluster(weights, num_cores)?
             .into_iter()
             .map(FunctionalCore::new)
             .collect();

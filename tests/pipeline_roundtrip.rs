@@ -19,7 +19,7 @@ fn encoded_programs_execute_identically_after_decode() {
     assert_eq!(original, decoded);
 
     let partition = || {
-        CoreWeights::partition_cluster(&weights, 1)
+        CoreWeights::partition_cluster(weights.clone(), 1)
             .unwrap()
             .swap_remove(0)
     };
