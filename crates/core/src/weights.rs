@@ -99,8 +99,16 @@ impl LaneTiles {
             group.clear();
             group.resize(self.rows, [0.0; LANES]);
         }
-        for (t, x) in group.iter_mut().zip(column) {
-            t[lane] = x.to_f32();
+        // Widened a block at a time, contiguously, so the conversion
+        // vectorizes; only the stores go down the lane.
+        let mut wide = [0.0f32; 64];
+        for (rows, xs) in group.chunks_mut(wide.len()).zip(column.chunks(wide.len())) {
+            for (w, x) in wide.iter_mut().zip(xs) {
+                *w = x.to_f32();
+            }
+            for (t, &w) in rows.iter_mut().zip(&wide) {
+                t[lane] = w;
+            }
         }
         self.cols += 1;
     }

@@ -61,14 +61,24 @@ fn sum_lane(values: &[F16], table: &mut [[f32; 1]]) -> F16 {
 /// widened halves and every adder rounds to half through [`round_step`],
 /// so each lane is the FP16 tree's sum, bit for bit, without narrowing
 /// and widening each partial sum. An empty table sums to +0.
+///
+/// Each adder row goes four lanes at a time, a vector register's worth
+/// of `f32`: the rounding's constants and one group of operands then fit
+/// the registers, where a whole 16-lane row at once spills.
 fn tree_lanes<const L: usize, const EXACT: bool>(table: &mut [[f32; L]]) -> [f32; L] {
+    const GROUP: usize = 4;
     let mut len = table.len();
     while len > 1 {
         let half = len / 2;
         for i in 0..half {
-            let (a, b) = (table[2 * i], table[2 * i + 1]);
-            for (s, (a, b)) in table[i].iter_mut().zip(a.into_iter().zip(b)) {
-                *s = round_step::<EXACT>(a + b, a, b);
+            for g in (0..L).step_by(GROUP) {
+                let lanes = g..(g + GROUP).min(L);
+                let (mut a, mut b) = ([0.0; GROUP], [0.0; GROUP]);
+                a[..lanes.len()].copy_from_slice(&table[2 * i][lanes.clone()]);
+                b[..lanes.len()].copy_from_slice(&table[2 * i + 1][lanes.clone()]);
+                for (s, (a, b)) in table[i][lanes].iter_mut().zip(a.into_iter().zip(b)) {
+                    *s = round_step::<EXACT>(a + b, a, b);
+                }
             }
         }
         if len % 2 == 1 {
@@ -388,7 +398,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "lanes for 16 MAC trees")]
-    fn mac_tile_rejects_more_lanes_than_trees() {
+    fn mac_trees_reject_more_columns_than_lanes() {
         let _ = mac_tile(&[1.0], &[[1.0; LANES]], LANES + 1, &mut Vec::new());
     }
 
