@@ -32,9 +32,11 @@ fn ns_per_op(calls: u32, ops_per_call: u32, mut f: impl FnMut()) -> f64 {
 }
 
 /// A 256×256 FP16 vector-matrix product (the reference model's `vecmat`,
-/// one multiply and one add per weight), reported as ns per F16 op; and
-/// one `d × l` = 64×16 widened weight tile through the executor's
-/// lane-parallel MAC trees, reported as ns per MAC.
+/// one multiply and one add per weight) and the same matrix applied to
+/// 16 rows in one pass (the summarization stage's `matmul_bias`), each
+/// reported as ns per F16 op; and one `d × l` = 64×16 widened weight
+/// tile through the executor's lane-parallel MAC trees, reported as ns
+/// per MAC.
 fn bench_vecmat(c: &mut Criterion) {
     const N: usize = 256;
     const OPS_PER_CALL: u32 = 2 * (N * N) as u32;
@@ -51,9 +53,15 @@ fn bench_vecmat(c: &mut Criterion) {
         .chunks_exact(reduce::LANES)
         .map(|row| std::array::from_fn(|l| row[l].to_f32()))
         .collect();
+    const ROWS: usize = 16;
+    let rows = Matrix::from_fn(ROWS, N, |r, c| x[(c + 5 * r) % N]);
+    let bias = vec![F16::ZERO; N];
     let mut table = Vec::new();
     let mut g = c.benchmark_group("f16");
     g.bench_function("vecmat_256", |b| b.iter(|| w.vecmat(black_box(&x))));
+    g.bench_function("vecmat_rows_16x256", |b| {
+        b.iter(|| w.matmul_bias(black_box(&rows), &bias))
+    });
     g.bench_function("mac_tile_64x16", |b| {
         b.iter(|| {
             reduce::mac_tile(
@@ -71,6 +79,11 @@ fn bench_vecmat(c: &mut Criterion) {
         black_box(w.vecmat(black_box(&x)));
     });
     println!("f16/vecmat_256 per op                    {per_op:.2} ns per F16 op (best of 5 x {calls} calls)");
+    let calls = 20;
+    let per_op = ns_per_op(calls, OPS_PER_CALL * ROWS as u32, || {
+        black_box(w.matmul_bias(black_box(&rows), &bias));
+    });
+    println!("f16/vecmat_rows_16x256 per op            {per_op:.2} ns per F16 op (best of 5 x {calls} calls)");
     let calls = 20_000;
     let per_mac = ns_per_op(calls, MACS_PER_CALL, || {
         black_box(reduce::mac_tile(

@@ -7,9 +7,13 @@
 //! GELU, residual — plus GPT-2's final LayerNorm and the LM head (matmul
 //! with WTEᵀ and argmax).
 //!
-//! Processing is strictly token-by-token with a KV cache, exactly the
-//! matrix-vector dataflow DFX executes (the summarization stage runs the
-//! same path once per context token).
+//! The summarization stage takes the whole context at once, as the FP16
+//! GPU baseline does: one matrix–matrix pass per weight matrix over all
+//! context rows, each row attending over the KV cache up to its own
+//! position. Every row keeps its own reduction order, so the result is
+//! bit-identical to processing the context token by token. The
+//! generation stage is the one-row case of the same layer function, the
+//! matrix-vector dataflow DFX executes.
 
 use crate::config::GptConfig;
 use crate::tensor::{vec_add, Matrix};
@@ -72,20 +76,54 @@ impl<T: Scalar> KvCache<T> {
 /// hardware replaces division by the (compile-time constant) embedding
 /// size with a multiplication (paper §V-C).
 pub fn layer_norm<T: Scalar>(x: &[T], gamma: &[T], beta: &[T]) -> Vec<T> {
-    let n = T::from_f64(1.0 / x.len() as f64);
-    let mean = x.iter().fold(T::ZERO, |a, &b| a.add(b)).mul(n);
-    let var = x
-        .iter()
-        .fold(T::ZERO, |a, &b| {
-            let d = b.sub(mean);
-            a.add(d.mul(d))
-        })
-        .mul(n);
-    let rstd = var.add(T::from_f64(LAYER_NORM_EPS)).recip_sqrt();
-    x.iter()
-        .zip(gamma.iter().zip(beta))
-        .map(|(&xi, (&g, &b))| xi.sub(mean).mul(rstd).mul(g).add(b))
-        .collect()
+    norm_rows(x, x.len(), gamma, beta)
+}
+
+/// [`layer_norm`] of every row of `x`, bit for bit. The rows' mean and
+/// variance folds run side by side, as lanes: each row is still its own
+/// sequential fold from zero, but the folds of different rows are
+/// independent, so their adds overlap instead of each waiting on the one
+/// before it.
+fn layer_norm_rows<T: Scalar>(x: &Matrix<T>, gamma: &[T], beta: &[T]) -> Matrix<T> {
+    Matrix::from_vec(
+        x.rows(),
+        x.cols(),
+        norm_rows(x.as_slice(), x.cols(), gamma, beta),
+    )
+}
+
+/// [`layer_norm`] of each `width`-element row of the row-major `data`.
+fn norm_rows<T: Scalar>(data: &[T], width: usize, gamma: &[T], beta: &[T]) -> Vec<T> {
+    if width == 0 {
+        return Vec::new();
+    }
+    let rows = || data.chunks_exact(width);
+    let n = T::from_f64(1.0 / width as f64);
+    let mut mean = vec![T::ZERO; data.len() / width];
+    for i in 0..width {
+        for (m, row) in mean.iter_mut().zip(rows()) {
+            *m = m.add(row[i]);
+        }
+    }
+    mean.iter_mut().for_each(|m| *m = m.mul(n));
+    let mut var = vec![T::ZERO; mean.len()];
+    for i in 0..width {
+        for ((v, &m), row) in var.iter_mut().zip(&mean).zip(rows()) {
+            let d = row[i].sub(m);
+            *v = v.add(d.mul(d));
+        }
+    }
+    let eps = T::from_f64(LAYER_NORM_EPS);
+    let mut out = Vec::with_capacity(data.len());
+    for ((row, &mean), var) in rows().zip(&mean).zip(var) {
+        let rstd = var.mul(n).add(eps).recip_sqrt();
+        out.extend(
+            row.iter()
+                .zip(gamma.iter().zip(beta))
+                .map(|(&xi, (&g, &b))| xi.sub(mean).mul(rstd).mul(g).add(b)),
+        );
+    }
+    out
 }
 
 /// Numerically stable softmax: `exp(x_i − max)/Σ exp(x_j − max)`, with the
@@ -143,6 +181,11 @@ fn dot_rows<'r, T: Scalar + 'r>(
     }
 }
 
+/// Elementwise `a + b` of two matrices of one shape.
+fn mat_add<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+    Matrix::from_vec(a.rows(), a.cols(), vec_add(a.as_slice(), b.as_slice()))
+}
+
 /// Result of a full text-generation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GenerationOutput {
@@ -195,81 +238,116 @@ impl<T: Scalar> Gpt2Model<T> {
         vec_add(wte_row, wpe_row)
     }
 
-    /// Runs one decoder layer on a single token embedding, reading and
-    /// appending to the KV cache. Follows Algorithm 1 of the paper.
-    pub fn decoder_layer(&self, layer: usize, in_emb: &[T], cache: &mut KvCache<T>) -> Vec<T> {
+    /// Runs one decoder layer on the embeddings of consecutive positions,
+    /// the rows of `x`, which follow the `layer`'s cached context.
+    /// Follows Algorithm 1 of the paper: each weight matrix is one pass
+    /// over all rows, every row's key and value are appended to the KV
+    /// cache, and row `r` attends over the cache up to its own position.
+    /// Each row's result is the one-row call's on that row alone, bit for
+    /// bit.
+    pub fn decoder_layer(&self, layer: usize, x: &Matrix<T>, cache: &mut KvCache<T>) -> Matrix<T> {
         let cfg = &self.weights.config;
         let lw: &LayerWeights<T> = &self.weights.layers[layer];
         let h = cfg.num_heads;
         let dh = cfg.head_dim();
 
         // LayerNorm 1.
-        let lnorm1 = layer_norm(in_emb, &lw.ln1_gamma, &lw.ln1_beta);
+        let lnorm1 = layer_norm_rows(x, &lw.ln1_gamma, &lw.ln1_beta);
 
         // Q, K, V projections (Conv1D). The hardware computes Value first
         // to hide its transpose; numerically the order is irrelevant here.
-        let value = lw.w_v.vecmat_bias(&lnorm1, &lw.b_v);
-        let key = lw.w_k.vecmat_bias(&lnorm1, &lw.b_k);
-        let query = lw.w_q.vecmat_bias(&lnorm1, &lw.b_q);
+        let value = lw.w_v.matmul_bias(&lnorm1, &lw.b_v);
+        let key = lw.w_k.matmul_bias(&lnorm1, &lw.b_k);
+        let query = lw.w_q.matmul_bias(&lnorm1, &lw.b_q);
 
-        // Concat K, V: append this token's rows to the cache.
-        cache.push(layer, &key, &value);
-        let t = cache.len(); // context length including current token
+        // Concat K, V: append the rows to the cache.
+        let cached = cache.keys(layer).rows();
+        for r in 0..x.rows() {
+            cache.push(layer, key.row(r), value.row(r));
+        }
 
-        // Multi-head attention. The current token is position t-1; the
-        // causal mask admits all cached positions (MaskedMM masks only
-        // *future* positions, none of which exist in the cache).
+        // Multi-head attention. Row r is position cached + r; the causal
+        // mask admits the cached positions up to it (MaskedMM masks only
+        // *future* positions).
         let scale = T::from_f64(1.0 / (dh as f64).sqrt());
         let keys = cache.keys(layer);
         let values = cache.values(layer);
-        let mut attn = vec![T::ZERO; cfg.embedding_dim];
-        let (mut scores, mut tile) = (vec![T::ZERO; t], Vec::new());
-        for head in 0..h {
-            let heads = head * dh..(head + 1) * dh;
-            // Score row: q_h · K_h[j]ᵀ, scaled.
-            dot_rows(
-                &query[heads.clone()],
-                |j| &keys.row(j)[heads.clone()],
-                &mut scores,
-                &mut tile,
-            );
-            for s in &mut scores {
-                *s = s.mul(scale);
+        let mut attn = Matrix::zeros(x.rows(), cfg.embedding_dim);
+        let (mut scores, mut tile) = (Vec::new(), Vec::new());
+        for r in 0..x.rows() {
+            let t = cached + r + 1; // context length including this row
+            scores.resize(t, T::ZERO);
+            let (query, attn) = (query.row(r), attn.row_mut(r));
+            for head in 0..h {
+                let heads = head * dh..(head + 1) * dh;
+                // Score row: q_h · K_h[j]ᵀ, scaled.
+                dot_rows(
+                    &query[heads.clone()],
+                    |j| &keys.row(j)[heads.clone()],
+                    &mut scores,
+                    &mut tile,
+                );
+                for s in &mut scores {
+                    *s = s.mul(scale);
+                }
+                let probs = softmax(&scores);
+                // attn_h = probs · V_h (1×t times t×dh), V_h gathered into
+                // consecutive rows.
+                tile.clear();
+                for j in 0..t {
+                    tile.extend_from_slice(&values.row(j)[heads.clone()]);
+                }
+                T::vecmat_acc(&probs, &tile, &mut attn[heads]);
             }
-            let probs = softmax(&scores);
-            // attn_h = probs · V_h (1×t times t×dh), V_h gathered into
-            // consecutive rows.
-            tile.clear();
-            for j in 0..t {
-                tile.extend_from_slice(&values.row(j)[heads.clone()]);
-            }
-            T::vecmat_acc(&probs, &tile, &mut attn[heads]);
         }
 
         // Attention output projection + residual.
-        let c_attn = lw.w_attn_proj.vecmat_bias(&attn, &lw.b_attn_proj);
-        let c_attn = vec_add(&c_attn, in_emb);
+        let c_attn = lw.w_attn_proj.matmul_bias(&attn, &lw.b_attn_proj);
+        let c_attn = mat_add(&c_attn, x);
 
         // LayerNorm 2, FFN with GELU, residual.
-        let lnorm2 = layer_norm(&c_attn, &lw.ln2_gamma, &lw.ln2_beta);
-        let ffn1: Vec<T> = lw
-            .w_ffn1
-            .vecmat_bias(&lnorm2, &lw.b_ffn1)
-            .into_iter()
-            .map(Scalar::gelu)
-            .collect();
-        let ffn2 = lw.w_ffn2.vecmat_bias(&ffn1, &lw.b_ffn2);
-        vec_add(&ffn2, &c_attn)
+        let lnorm2 = layer_norm_rows(&c_attn, &lw.ln2_gamma, &lw.ln2_beta);
+        let ffn1 = lw.w_ffn1.matmul_bias(&lnorm2, &lw.b_ffn1);
+        let ffn1 = Matrix::from_vec(
+            ffn1.rows(),
+            ffn1.cols(),
+            ffn1.as_slice().iter().map(|&v| v.gelu()).collect(),
+        );
+        let ffn2 = lw.w_ffn2.matmul_bias(&ffn1, &lw.b_ffn2);
+        mat_add(&ffn2, &c_attn)
     }
 
-    /// Processes one token through the full decoder stack and the final
-    /// LayerNorm, returning the output hidden state.
-    pub fn forward_token(&self, token: u32, pos: usize, cache: &mut KvCache<T>) -> Vec<T> {
-        let mut x = self.embed(token, pos);
+    /// Processes the tokens of consecutive positions from `pos` through
+    /// the full decoder stack, one matrix pass per weight for all of them,
+    /// and returns the last one's output hidden state after the final
+    /// LayerNorm. The cache must hold the `pos` positions before them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tokens` is empty.
+    pub fn forward_tokens(&self, tokens: &[u32], pos: usize, cache: &mut KvCache<T>) -> Vec<T> {
+        assert!(!tokens.is_empty(), "at least one token to process");
+        let emb = self.weights.config.embedding_dim;
+        let mut x = Matrix::from_vec(
+            tokens.len(),
+            emb,
+            (pos..)
+                .zip(tokens)
+                .flat_map(|(p, &tok)| self.embed(tok, p))
+                .collect(),
+        );
         for layer in 0..self.weights.config.num_layers {
             x = self.decoder_layer(layer, &x, cache);
         }
-        layer_norm(&x, &self.weights.ln_f_gamma, &self.weights.ln_f_beta)
+        let last = x.row(x.rows() - 1);
+        layer_norm(last, &self.weights.ln_f_gamma, &self.weights.ln_f_beta)
+    }
+
+    /// Processes one token through the full decoder stack and the final
+    /// LayerNorm, returning the output hidden state: the one-row call of
+    /// [`Gpt2Model::forward_tokens`].
+    pub fn forward_token(&self, token: u32, pos: usize, cache: &mut KvCache<T>) -> Vec<T> {
+        self.forward_tokens(&[token], pos, cache)
     }
 
     /// LM head: logits = hidden · WTEᵀ (paper §II-A), each logit the
@@ -288,8 +366,8 @@ impl<T: Scalar> Gpt2Model<T> {
         argmax(&self.logits(hidden)) as u32
     }
 
-    /// End-to-end text generation: summarises `input_tokens` one token at
-    /// a time (building the KV cache), then generates `output_len` tokens
+    /// End-to-end text generation: summarises `input_tokens` in one pass
+    /// (building the KV cache), then generates `output_len` tokens
     /// greedily.
     ///
     /// # Panics
@@ -309,13 +387,10 @@ impl<T: Scalar> Gpt2Model<T> {
         );
         let mut cache = KvCache::new(self.weights.config.num_layers);
 
-        // Summarization stage: only the *last* token's hidden state feeds
-        // the LM head (paper §II-A: "Only the last row of the output
-        // matrix is processed in LM head").
-        let mut hidden = Vec::new();
-        for (pos, &tok) in input_tokens.iter().enumerate() {
-            hidden = self.forward_token(tok, pos, &mut cache);
-        }
+        // Summarization stage: all context rows at once; only the *last*
+        // token's hidden state feeds the LM head (paper §II-A: "Only the
+        // last row of the output matrix is processed in LM head").
+        let mut hidden = self.forward_tokens(input_tokens, 0, &mut cache);
 
         let mut tokens = Vec::with_capacity(output_len);
         for pos in input_tokens.len()..input_tokens.len() + output_len {
@@ -474,6 +549,111 @@ mod tests {
         check_dot_rows::<f32>(|v| u64::from(v.to_bits()));
         check_dot_rows::<f64>(f64::to_bits);
         check_dot_rows::<F16>(|v| u64::from(v.to_bits()));
+    }
+
+    /// The summarization stage's row-batched pass against successive
+    /// one-row calls, bit for bit: the last hidden state, every cached
+    /// K and V row of every layer, and the logits; each context also in
+    /// two chunks, the second after a cached first.
+    fn check_rows_match_tokens<T: Scalar>(
+        weights: GptWeights<T>,
+        contexts: &[Vec<u32>],
+        bits: impl Fn(T) -> u64,
+    ) {
+        let model = Gpt2Model::new(weights);
+        let layers = model.config().num_layers;
+        let name = &model.config().name;
+        let bits = |v: &[T]| v.iter().map(|&x| bits(x)).collect::<Vec<_>>();
+        for context in contexts {
+            let what = format!("{name}, {} tokens", context.len());
+            let mut by_token = KvCache::new(layers);
+            let mut want = Vec::new();
+            for (pos, &tok) in context.iter().enumerate() {
+                want = model.forward_token(tok, pos, &mut by_token);
+            }
+            let split = context.len() / 2;
+            let mut whole = KvCache::new(layers);
+            let mut chunked = KvCache::new(layers);
+            if split > 0 {
+                model.forward_tokens(&context[..split], 0, &mut chunked);
+            }
+            for (got, cache) in [
+                (model.forward_tokens(context, 0, &mut whole), &whole),
+                (
+                    model.forward_tokens(&context[split..], split, &mut chunked),
+                    &chunked,
+                ),
+            ] {
+                assert_eq!(bits(&got), bits(&want), "{what}: hidden");
+                assert_eq!(
+                    bits(&model.logits(&got)),
+                    bits(&model.logits(&want)),
+                    "{what}: logits"
+                );
+                for l in 0..layers {
+                    for (m, w) in [
+                        (cache.keys(l), by_token.keys(l)),
+                        (cache.values(l), by_token.values(l)),
+                    ] {
+                        assert_eq!(m.shape(), w.shape(), "{what}: layer {l} K/V");
+                        assert_eq!(bits(m.as_slice()), bits(w.as_slice()), "{what}: layer {l}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A context of `n` tokens below 500.
+    fn context(n: u32) -> Vec<u32> {
+        (0..n).map(|i| (i * 37 + 11) % 500).collect()
+    }
+
+    #[test]
+    fn summarization_rows_equal_token_by_token_bit_for_bit() {
+        // Lengths on both sides of the 16-wide tile edge; the small model,
+        // slow in unoptimized test builds, takes the two next to it.
+        for (cfg, lengths) in [
+            (GptConfig::tiny(), &[1, 15, 16, 17, 33][..]),
+            (GptConfig::small(), &[15, 17]),
+        ] {
+            let contexts: Vec<Vec<u32>> = lengths.iter().map(|&n| context(n)).collect();
+            let w = GptWeights::synthetic(&cfg);
+            check_rows_match_tokens(w.cast::<F16>(), &contexts, |v| u64::from(v.to_bits()));
+            check_rows_match_tokens(w, &contexts, |v| u64::from(v.to_bits()));
+        }
+    }
+
+    #[test]
+    fn a_planted_nan_or_infinity_reruns_only_its_own_row() {
+        // A NaN with a payload, or ∞, in the embedding of a token that
+        // only the last of 17 rows holds: that row reruns under the NaN
+        // rule and the 16 rows before it do not.
+        let cfg = GptConfig::tiny();
+        let mut planted = GptWeights::synthetic(&cfg);
+        let (nan_token, inf_token) = (508, 509);
+        planted.wte[(nan_token, 3)] = f32::from_bits(0x7fa0_0155);
+        planted.wte[(inf_token, 5)] = f32::NEG_INFINITY;
+        let contexts = [nan_token, inf_token].map(|special| {
+            let mut c = context(17);
+            c[16] = special as u32;
+            c
+        });
+        let m16 = Gpt2Model::new(planted.cast::<F16>());
+        for c in &contexts {
+            let mut cache = KvCache::new(cfg.num_layers);
+            let hidden = m16.forward_tokens(c, 0, &mut cache);
+            assert!(
+                hidden.iter().all(|v| v.is_nan()),
+                "the planted value reached the output"
+            );
+            let keys = cache.keys(0).as_slice();
+            assert!(
+                keys[..16 * cfg.embedding_dim].iter().all(|v| v.is_finite()),
+                "rows before the planted value stay finite"
+            );
+        }
+        check_rows_match_tokens(planted.cast::<F16>(), &contexts, |v| u64::from(v.to_bits()));
+        check_rows_match_tokens(planted, &contexts, |v| u64::from(v.to_bits()));
     }
 
     #[test]

@@ -194,20 +194,23 @@ impl<T: Scalar> Matrix<T> {
         }
     }
 
-    /// `y = x · self + b` — the GPT-2 `Conv1D` convention with `self`
-    /// shaped `(in_dim, out_dim)`.
+    /// `Y = X · self + b` for every row of `x` — the GPT-2 `Conv1D`
+    /// convention with `self` shaped `(in_dim, out_dim)` and `x` shaped
+    /// `(n, in_dim)` — in one pass over `self` for all rows.
     ///
-    /// Accumulation is sequential in `T` (conventional semantics).
+    /// Accumulation is sequential in `T` (conventional semantics), each
+    /// row in its own order, so row `r` of the result is the vector-matrix
+    /// product of row `r` alone, bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != rows` or `bias.len() != cols`.
-    pub fn vecmat_bias(&self, x: &[T], bias: &[T]) -> Vec<T> {
-        assert_eq!(x.len(), self.rows, "input length must equal in_dim");
+    /// Panics if `x.cols() != rows` or `bias.len() != cols`.
+    pub fn matmul_bias(&self, x: &Matrix<T>, bias: &[T]) -> Matrix<T> {
+        assert_eq!(x.cols(), self.rows, "input length must equal in_dim");
         assert_eq!(bias.len(), self.cols, "bias length must equal out_dim");
-        let mut out = bias.to_vec();
-        T::vecmat_acc(x, &self.data, &mut out);
-        out
+        let mut out = bias.repeat(x.rows());
+        T::vecmat_rows_acc(x.as_slice(), &self.data, &mut out, self.cols);
+        Matrix::from_vec(x.rows(), self.cols, out)
     }
 
     /// `y = x · self` without bias.
@@ -320,11 +323,13 @@ mod tests {
     }
 
     #[test]
-    fn vecmat_bias_matches_manual_computation() {
-        // W is (2 in, 3 out): y_j = sum_i x_i W[i][j] + b_j.
+    fn matmul_bias_matches_manual_computation() {
+        // W is (2 in, 3 out): y_j = sum_i x_i W[i][j] + b_j, per row.
         let w = Matrix::from_rows(&[vec![1.0f32, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let y = w.vecmat_bias(&[10.0, 100.0], &[0.5, 0.5, 0.5]);
-        assert_eq!(y, vec![410.5, 520.5, 630.5]);
+        let x = Matrix::from_rows(&[vec![10.0, 100.0], vec![1.0, 0.0]]);
+        let y = w.matmul_bias(&x, &[0.5, 0.5, 0.5]);
+        assert_eq!(y.row(0), &[410.5, 520.5, 630.5]);
+        assert_eq!(y.row(1), &[1.5, 2.5, 3.5]);
     }
 
     #[test]

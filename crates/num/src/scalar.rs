@@ -77,6 +77,21 @@ pub trait Scalar:
             }
         }
     }
+
+    /// `Y = Y + X · W`: [`Scalar::vecmat_acc`] of every row of `xs` into
+    /// the same row of `ys`, bit for bit, where `ys` holds rows of `out`
+    /// outputs and `xs` as many rows of `w.len() / out` inputs. This is
+    /// the matrix–matrix form the summarization stage runs, one pass per
+    /// weight matrix for all its rows.
+    fn vecmat_rows_acc(xs: &[Self], w: &[Self], ys: &mut [Self], out: usize) {
+        let inputs = w.len() / out.max(1);
+        if out == 0 || inputs == 0 {
+            return;
+        }
+        for (x, y) in xs.chunks_exact(inputs).zip(ys.chunks_exact_mut(out)) {
+            Self::vecmat_acc(x, w, y);
+        }
+    }
 }
 
 mod private {
@@ -206,39 +221,63 @@ impl Scalar for F16 {
     fn max_num(self, rhs: Self) -> Self {
         self.max(rhs)
     }
-    /// The accumulators stay widened across all rows and are narrowed
-    /// once at the end; every product and sum is still rounded to half.
-    /// The output columns are independent lanes, evaluated side by side
-    /// without the per-op NaN rule; a call that leaves any accumulator
-    /// non-finite, as one that met a NaN does, is evaluated again under
-    /// the rule, so the result is the loop of [`F16`] operations', bit
-    /// for bit.
+    /// The one-row case of [`Scalar::vecmat_rows_acc`].
     fn vecmat_acc(x: &[Self], w: &[Self], y: &mut [Self]) {
-        if y.is_empty() {
+        Self::vecmat_rows_acc(x, w, y, y.len());
+    }
+
+    /// Each weight row is widened once and applied to every row's
+    /// accumulators, which stay widened across all weight rows and are
+    /// narrowed once at the end; every product and sum is still rounded
+    /// to half, in each row's own order. The outputs are independent
+    /// lanes, evaluated side by side without the per-op NaN rule; a row
+    /// whose accumulators end non-finite, as one that met a NaN does, is
+    /// evaluated again alone under the rule, so every row is the loop of
+    /// [`F16`] operations', bit for bit.
+    fn vecmat_rows_acc(xs: &[Self], w: &[Self], ys: &mut [Self], out: usize) {
+        let inputs = w.len() / out.max(1);
+        if out == 0 || inputs == 0 {
             return;
         }
-        let mut acc: Vec<f32> = y.iter().map(|v| v.to_f32()).collect();
-        vecmat_pass::<false>(x, w, &mut acc);
-        if acc.iter().any(|a| !a.is_finite()) {
-            acc.clear();
-            acc.extend(y.iter().map(|v| v.to_f32()));
-            vecmat_pass::<true>(x, w, &mut acc);
+        let wide_xs: Vec<f32> = xs.iter().map(|v| v.to_f32()).collect();
+        let mut acc: Vec<f32> = ys.iter().map(|v| v.to_f32()).collect();
+        let mut wide_w = vec![0.0f32; out];
+        for (i, w_row) in w.chunks_exact(out).enumerate() {
+            for (wide, v) in wide_w.iter_mut().zip(w_row) {
+                *wide = v.to_f32();
+            }
+            for (x, acc) in wide_xs.chunks_exact(inputs).zip(acc.chunks_exact_mut(out)) {
+                let xi = x[i];
+                for (a, &wj) in acc.iter_mut().zip(&wide_w) {
+                    let product = round_step::<false>(xi * wj, xi, wj);
+                    *a = round_step::<false>(*a + product, *a, product);
+                }
+            }
         }
-        for (yj, aj) in y.iter_mut().zip(acc) {
-            *yj = F16::from_f32(aj);
+        let rows = xs.chunks_exact(inputs).zip(ys.chunks_exact_mut(out));
+        for ((x, y), acc) in rows.zip(acc.chunks_exact_mut(out)) {
+            if acc.iter().any(|a| !a.is_finite()) {
+                for (a, v) in acc.iter_mut().zip(y.iter()) {
+                    *a = v.to_f32();
+                }
+                vecmat_exact(x, w, acc);
+            }
+            for (yj, &aj) in y.iter_mut().zip(acc.iter()) {
+                *yj = F16::from_f32(aj);
+            }
         }
     }
 }
 
-/// One pass of `acc = acc + x · W` on widened halves, row by row, with
-/// every product and sum rounded through [`round_step`].
-fn vecmat_pass<const EXACT: bool>(x: &[F16], w: &[F16], acc: &mut [f32]) {
+/// `acc = acc + x · W` on widened halves, row by row, with every product
+/// and sum rounded under the per-op NaN rule.
+fn vecmat_exact(x: &[F16], w: &[F16], acc: &mut [f32]) {
     for (&xi, row) in x.iter().zip(w.chunks_exact(acc.len())) {
         let a = xi.to_f32();
         for (yj, &wj) in acc.iter_mut().zip(row) {
             let wj = wj.to_f32();
-            let product = round_step::<EXACT>(a * wj, a, wj);
-            *yj = round_step::<EXACT>(*yj + product, *yj, product);
+            let product = round_step::<true>(a * wj, a, wj);
+            *yj = round_step::<true>(*yj + product, *yj, product);
         }
     }
 }
@@ -282,6 +321,46 @@ mod tests {
             vecmat_by_ops(&x, &w, &mut slow);
             let bits = |v: &[F16]| v.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&fast), bits(&slow), "x from {start}");
+        }
+    }
+
+    #[test]
+    fn vecmat_rows_acc_equals_each_rows_loop() {
+        let (rows, cols) = (13, 41);
+        let number = |i: usize| F16::from_f32(((i * 29) % 31) as f32 * 0.125 - 1.75);
+        let w: Vec<F16> = (0..rows * cols).map(|i| number(i + 3)).collect();
+        let bits = |v: &[F16]| v.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
+        // 17 rows of inputs, two of them with a NaN payload or an ∞ that
+        // makes only their own row rerun under the NaN rule.
+        let mut xs: Vec<F16> = (0..17 * rows).map(|i| number(i * 7 + 1)).collect();
+        xs[4 * rows + 5] = F16::from_bits(0x7d55);
+        xs[11 * rows] = F16::NEG_INFINITY;
+        let ys: Vec<F16> = (0..17 * cols).map(|i| number(i + 11)).collect();
+        let mut fast = ys.clone();
+        F16::vecmat_rows_acc(&xs, &w, &mut fast, cols);
+        for r in 0..17 {
+            let mut slow = ys[r * cols..(r + 1) * cols].to_vec();
+            vecmat_by_ops(&xs[r * rows..(r + 1) * rows], &w, &mut slow);
+            assert_eq!(
+                bits(&fast[r * cols..(r + 1) * cols]),
+                bits(&slow),
+                "row {r}"
+            );
+            assert_eq!(
+                slow.iter().any(|v| v.is_nan()),
+                r == 4 || r == 11,
+                "row {r}"
+            );
+        }
+        // The native default: each row through its own `vecmat_acc`.
+        let xs: Vec<f32> = (0..3 * rows).map(|i| number(i).to_f32()).collect();
+        let w: Vec<f32> = w.iter().map(|v| v.to_f32()).collect();
+        let mut ys = vec![0.5f32; 3 * cols];
+        f32::vecmat_rows_acc(&xs, &w, &mut ys, cols);
+        for r in 0..3 {
+            let mut y = vec![0.5f32; cols];
+            f32::vecmat_acc(&xs[r * rows..(r + 1) * rows], &w, &mut y);
+            assert_eq!(ys[r * cols..(r + 1) * cols], y[..], "f32 row {r}");
         }
     }
 
