@@ -194,7 +194,7 @@ impl FunctionalCore {
 
     /// Returns the core to the state [`FunctionalCore::new`] left it in
     /// (empty K/V store and registers) for a fresh request, keeping the
-    /// weights and the allocations.
+    /// weights and the register allocations.
     pub fn reset(&mut self) {
         self.kv.clear();
         self.vregs.iter_mut().for_each(Vec::clear);

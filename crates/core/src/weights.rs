@@ -21,13 +21,11 @@ use std::sync::Arc;
 /// of `[f32; LANES]` rows, where lane `l` of row `r` is the weight that
 /// input `r` feeds into output `LANES·g + l`. Every element is widened
 /// from FP16 once, as it is stored; lanes past the last column hold +0.
-/// `get(row, col)` addresses the logical `(in, out)` matrix.
 #[derive(Debug, Clone)]
 pub struct LaneTiles {
     rows: usize,
     cols: usize,
-    /// The tiles, in column order; a matrix that grows by columns may
-    /// keep allocated groups past `cols.div_ceil(LANES)`, unused.
+    /// The `cols.div_ceil(LANES)` tiles, in column order.
     groups: Vec<Vec<[f32; LANES]>>,
 }
 
@@ -91,14 +89,10 @@ impl LaneTiles {
     fn push_column(&mut self, column: &[F16]) {
         assert_eq!(column.len(), self.rows, "column height must match the rows");
         let (g, lane) = (self.cols / LANES, self.cols % LANES);
-        if g == self.groups.len() {
-            self.groups.push(Vec::new());
+        if lane == 0 {
+            self.groups.push(vec![[0.0; LANES]; self.rows]);
         }
         let group = &mut self.groups[g];
-        if lane == 0 {
-            group.clear();
-            group.resize(self.rows, [0.0; LANES]);
-        }
         // Widened a block at a time, contiguously, so the conversion
         // vectorizes; only the stores go down the lane.
         let mut wide = [0.0f32; 64];
@@ -111,17 +105,6 @@ impl LaneTiles {
             }
         }
         self.cols += 1;
-    }
-
-    /// Forgets every row, keeping the columns and the allocations.
-    fn clear_rows(&mut self) {
-        self.rows = 0;
-        self.groups.iter_mut().for_each(Vec::clear);
-    }
-
-    /// Forgets every column, keeping the rows and the allocations.
-    fn clear_columns(&mut self) {
-        self.cols = 0;
     }
 
     /// Number of rows (the input length).
@@ -142,22 +125,7 @@ impl LaneTiles {
     /// The tiles in column order, each `rows` rows long: tile `g` holds
     /// the columns `LANES·g..` in its lanes.
     pub fn tiles(&self) -> impl ExactSizeIterator<Item = &[[f32; LANES]]> {
-        self.groups[..self.cols.div_ceil(LANES)]
-            .iter()
-            .map(Vec::as_slice)
-    }
-
-    /// The element at `(row, col)`, narrowed back to FP16 (exact).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of bounds.
-    pub fn get(&self, r: usize, c: usize) -> F16 {
-        assert!(
-            r < self.rows && c < self.cols,
-            "index ({r},{c}) out of bounds"
-        );
-        F16::from_f32(self.groups[c / LANES][r][c % LANES])
+        self.groups.iter().map(Vec::as_slice)
     }
 }
 
@@ -449,10 +417,9 @@ impl HeadKv {
         Ok(())
     }
 
-    /// Forgets every cached token, keeping the allocations.
+    /// Forgets every cached token.
     pub fn clear(&mut self) {
-        self.keys.clear_columns();
-        self.values.clear_rows();
+        *self = HeadKv::new(self.values.cols());
     }
 }
 
@@ -516,8 +483,7 @@ impl KvStore {
             .map_or(0, HeadKv::len)
     }
 
-    /// Forgets every cached token (a fresh request), keeping the
-    /// allocations.
+    /// Forgets every cached token (a fresh request).
     pub fn clear(&mut self) {
         self.heads.iter_mut().flatten().for_each(HeadKv::clear);
     }
@@ -550,6 +516,17 @@ mod tests {
     use super::*;
     use dfx_model::Gpt2Model;
 
+    /// The element of `tiles` at logical `(row, col)`, narrowed back to
+    /// FP16 (exact).
+    fn at(tiles: &LaneTiles, r: usize, c: usize) -> F16 {
+        assert!(
+            r < tiles.rows() && c < tiles.cols(),
+            "({r},{c}) out of bounds"
+        );
+        let tile = tiles.tiles().nth(c / LANES).unwrap();
+        F16::from_f32(tile[r][c % LANES])
+    }
+
     fn weights16() -> GptWeights<F16> {
         GptWeights::synthetic(&GptConfig::tiny()).cast()
     }
@@ -563,7 +540,7 @@ mod tests {
         for r in 0..cfg.embedding_dim {
             for c in 0..cfg.embedding_dim {
                 let part = cfg.embedding_dim / 2;
-                let got = parts[c / part].layers[0].w_q.get(r, c % part);
+                let got = at(&parts[c / part].layers[0].w_q, r, c % part);
                 assert_eq!(got.to_bits(), w.layers[0].w_q[(r, c)].to_bits());
             }
         }
@@ -589,7 +566,7 @@ mod tests {
         assert_eq!(p.vocab_offset as usize, v0);
         for r in [0usize, 5, 63] {
             for c in [0usize, 3, 7] {
-                assert_eq!(p.lm_head.get(r, c).to_bits(), w.wte[(v0 + c, r)].to_bits());
+                assert_eq!(at(&p.lm_head, r, c).to_bits(), w.wte[(v0 + c, r)].to_bits());
             }
         }
     }
@@ -627,7 +604,7 @@ mod tests {
             .unwrap()
             .swap_remove(0);
         check_tiles(&p.layers[0].w_q, |r, c| w.layers[0].w_q[(r, c)]);
-        // K and V reopen their tiles after a clear; stale lanes must not
+        // A cleared cache starts its tiles afresh; no stale lane may
         // survive.
         let mut kv = HeadKv::new(32);
         for round in 0..2 {
@@ -675,8 +652,8 @@ mod tests {
         kv.push_key(&row2).unwrap();
         kv.push_value(&row2).unwrap();
         assert_eq!(kv.len(), 2);
-        assert_eq!(kv.values.get(1, 3).to_f32(), 13.0);
-        assert_eq!(kv.keys.get(3, 1).to_f32(), 13.0);
+        assert_eq!(at(&kv.values, 1, 3).to_f32(), 13.0);
+        assert_eq!(at(&kv.keys, 3, 1).to_f32(), 13.0);
         assert!(matches!(kv.push_key(&row1[..3]), Err(ExecError::Shape(_))));
         assert!(matches!(
             kv.push_value(&row1[..3]),
@@ -705,7 +682,7 @@ mod tests {
         };
         assert_eq!(matrix(KvKind::Key).shape(), (4, 2));
         assert_eq!(matrix(KvKind::Value).shape(), (2, 4));
-        assert_eq!(matrix(KvKind::Value).get(1, 2).to_f32(), 2.0);
+        assert_eq!(at(matrix(KvKind::Value), 1, 2).to_f32(), 2.0);
         store.clear();
         assert_eq!(store.context_len(), 0);
     }
@@ -724,7 +701,7 @@ mod tests {
         for p in CoreWeights::partition_cluster(w.clone(), 2).unwrap() {
             let head = &p.lm_head;
             stitched.extend((0..head.cols()).map(|c| {
-                let column: Vec<F16> = (0..head.rows()).map(|r| head.get(r, c)).collect();
+                let column: Vec<F16> = (0..head.rows()).map(|r| at(head, r, c)).collect();
                 dfx_model::dot(&hidden, &column)
             }));
         }

@@ -75,8 +75,13 @@ impl<T: Scalar> KvCache<T> {
 /// The mean is computed with a multiply-by-reciprocal-constant, as the
 /// hardware replaces division by the (compile-time constant) embedding
 /// size with a multiplication (paper §V-C).
+///
+/// # Panics
+///
+/// Panics if `gamma` or `beta` is shorter than `x`.
 pub fn layer_norm<T: Scalar>(x: &[T], gamma: &[T], beta: &[T]) -> Vec<T> {
-    norm_rows(x, x.len(), gamma, beta)
+    let row = Matrix::from_vec(1, x.len(), x.to_vec());
+    layer_norm_rows(&row, gamma, beta).as_slice().to_vec()
 }
 
 /// [`layer_norm`] of every row of `x`, bit for bit. The rows' mean and
@@ -85,28 +90,20 @@ pub fn layer_norm<T: Scalar>(x: &[T], gamma: &[T], beta: &[T]) -> Vec<T> {
 /// independent, so their adds overlap instead of each waiting on the one
 /// before it.
 fn layer_norm_rows<T: Scalar>(x: &Matrix<T>, gamma: &[T], beta: &[T]) -> Matrix<T> {
-    Matrix::from_vec(
-        x.rows(),
-        x.cols(),
-        norm_rows(x.as_slice(), x.cols(), gamma, beta),
-    )
-}
-
-/// [`layer_norm`] of each `width`-element row of the row-major `data`.
-fn norm_rows<T: Scalar>(data: &[T], width: usize, gamma: &[T], beta: &[T]) -> Vec<T> {
+    let width = x.cols();
     if width == 0 {
-        return Vec::new();
+        return x.clone();
     }
-    let rows = || data.chunks_exact(width);
+    let rows = || x.as_slice().chunks_exact(width);
     let n = T::from_f64(1.0 / width as f64);
-    let mut mean = vec![T::ZERO; data.len() / width];
+    let mut mean = vec![T::ZERO; x.rows()];
     for i in 0..width {
         for (m, row) in mean.iter_mut().zip(rows()) {
             *m = m.add(row[i]);
         }
     }
     mean.iter_mut().for_each(|m| *m = m.mul(n));
-    let mut var = vec![T::ZERO; mean.len()];
+    let mut var = vec![T::ZERO; x.rows()];
     for i in 0..width {
         for ((v, &m), row) in var.iter_mut().zip(&mean).zip(rows()) {
             let d = row[i].sub(m);
@@ -114,7 +111,7 @@ fn norm_rows<T: Scalar>(data: &[T], width: usize, gamma: &[T], beta: &[T]) -> Ve
         }
     }
     let eps = T::from_f64(LAYER_NORM_EPS);
-    let mut out = Vec::with_capacity(data.len());
+    let mut out = Vec::with_capacity(x.as_slice().len());
     for ((row, &mean), var) in rows().zip(&mean).zip(var) {
         let rstd = var.mul(n).add(eps).recip_sqrt();
         out.extend(
@@ -123,7 +120,7 @@ fn norm_rows<T: Scalar>(data: &[T], width: usize, gamma: &[T], beta: &[T]) -> Ve
                 .map(|(&xi, (&g, &b))| xi.sub(mean).mul(rstd).mul(g).add(b)),
         );
     }
-    out
+    Matrix::from_vec(x.rows(), width, out)
 }
 
 /// Numerically stable softmax: `exp(x_i − max)/Σ exp(x_j − max)`, with the

@@ -241,26 +241,14 @@ impl Scalar for F16 {
         }
         let wide_xs: Vec<f32> = xs.iter().map(|v| v.to_f32()).collect();
         let mut acc: Vec<f32> = ys.iter().map(|v| v.to_f32()).collect();
-        let mut wide_w = vec![0.0f32; out];
-        for (i, w_row) in w.chunks_exact(out).enumerate() {
-            for (wide, v) in wide_w.iter_mut().zip(w_row) {
-                *wide = v.to_f32();
-            }
-            for (x, acc) in wide_xs.chunks_exact(inputs).zip(acc.chunks_exact_mut(out)) {
-                let xi = x[i];
-                for (a, &wj) in acc.iter_mut().zip(&wide_w) {
-                    let product = round_step::<false>(xi * wj, xi, wj);
-                    *a = round_step::<false>(*a + product, *a, product);
-                }
-            }
-        }
-        let rows = xs.chunks_exact(inputs).zip(ys.chunks_exact_mut(out));
+        rows_pass::<false>(&wide_xs, w, &mut acc, out);
+        let rows = wide_xs.chunks_exact(inputs).zip(ys.chunks_exact_mut(out));
         for ((x, y), acc) in rows.zip(acc.chunks_exact_mut(out)) {
             if acc.iter().any(|a| !a.is_finite()) {
                 for (a, v) in acc.iter_mut().zip(y.iter()) {
                     *a = v.to_f32();
                 }
-                vecmat_exact(x, w, acc);
+                rows_pass::<true>(x, w, acc, out);
             }
             for (yj, &aj) in y.iter_mut().zip(acc.iter()) {
                 *yj = F16::from_f32(aj);
@@ -269,15 +257,23 @@ impl Scalar for F16 {
     }
 }
 
-/// `acc = acc + x · W` on widened halves, row by row, with every product
-/// and sum rounded under the per-op NaN rule.
-fn vecmat_exact(x: &[F16], w: &[F16], acc: &mut [f32]) {
-    for (&xi, row) in x.iter().zip(w.chunks_exact(acc.len())) {
-        let a = xi.to_f32();
-        for (yj, &wj) in acc.iter_mut().zip(row) {
-            let wj = wj.to_f32();
-            let product = round_step::<true>(a * wj, a, wj);
-            *yj = round_step::<true>(*yj + product, *yj, product);
+/// One pass of `acc = acc + X · W` on widened halves, for every row of
+/// `xs` and of `acc` (rows of `out` outputs), weight row by weight row,
+/// each widened once for all rows; every product and sum is rounded
+/// through [`round_step`].
+fn rows_pass<const EXACT: bool>(xs: &[f32], w: &[F16], acc: &mut [f32], out: usize) {
+    let inputs = w.len() / out;
+    let mut wide_w = vec![0.0f32; out];
+    for (i, w_row) in w.chunks_exact(out).enumerate() {
+        for (wide, v) in wide_w.iter_mut().zip(w_row) {
+            *wide = v.to_f32();
+        }
+        for (x, acc) in xs.chunks_exact(inputs).zip(acc.chunks_exact_mut(out)) {
+            let xi = x[i];
+            for (a, &wj) in acc.iter_mut().zip(&wide_w) {
+                let product = round_step::<EXACT>(xi * wj, xi, wj);
+                *a = round_step::<EXACT>(*a + product, *a, product);
+            }
         }
     }
 }
