@@ -92,17 +92,8 @@ impl LaneTiles {
         if lane == 0 {
             self.groups.push(vec![[0.0; LANES]; self.rows]);
         }
-        let group = &mut self.groups[g];
-        // Widened a block at a time, contiguously, so the conversion
-        // vectorizes; only the stores go down the lane.
-        let mut wide = [0.0f32; 64];
-        for (rows, xs) in group.chunks_mut(wide.len()).zip(column.chunks(wide.len())) {
-            for (w, x) in wide.iter_mut().zip(xs) {
-                *w = x.to_f32();
-            }
-            for (t, &w) in rows.iter_mut().zip(&wide) {
-                t[lane] = w;
-            }
+        for (t, x) in self.groups[g].iter_mut().zip(column) {
+            t[lane] = x.to_f32();
         }
         self.cols += 1;
     }
