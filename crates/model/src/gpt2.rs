@@ -304,12 +304,10 @@ impl<T: Scalar> Gpt2Model<T> {
 
         // LayerNorm 2, FFN with GELU, residual.
         let lnorm2 = layer_norm_rows(&c_attn, &lw.ln2_gamma, &lw.ln2_beta);
-        let ffn1 = lw.w_ffn1.matmul_bias(&lnorm2, &lw.b_ffn1);
-        let ffn1 = Matrix::from_vec(
-            ffn1.rows(),
-            ffn1.cols(),
-            ffn1.as_slice().iter().map(|&v| v.gelu()).collect(),
-        );
+        let mut ffn1 = lw.w_ffn1.matmul_bias(&lnorm2, &lw.b_ffn1);
+        for r in 0..ffn1.rows() {
+            ffn1.row_mut(r).iter_mut().for_each(|v| *v = v.gelu());
+        }
         let ffn2 = lw.w_ffn2.matmul_bias(&ffn1, &lw.b_ffn2);
         mat_add(&ffn2, &c_attn)
     }

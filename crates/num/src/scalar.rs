@@ -239,10 +239,9 @@ impl Scalar for F16 {
         if out == 0 || inputs == 0 {
             return;
         }
-        let wide_xs: Vec<f32> = xs.iter().map(|v| v.to_f32()).collect();
         let mut acc: Vec<f32> = ys.iter().map(|v| v.to_f32()).collect();
-        rows_pass::<false>(&wide_xs, w, &mut acc, out);
-        let rows = wide_xs.chunks_exact(inputs).zip(ys.chunks_exact_mut(out));
+        rows_pass::<false>(xs, w, &mut acc, out);
+        let rows = xs.chunks_exact(inputs).zip(ys.chunks_exact_mut(out));
         for ((x, y), acc) in rows.zip(acc.chunks_exact_mut(out)) {
             if acc.iter().any(|a| !a.is_finite()) {
                 for (a, v) in acc.iter_mut().zip(y.iter()) {
@@ -257,11 +256,11 @@ impl Scalar for F16 {
     }
 }
 
-/// One pass of `acc = acc + X · W` on widened halves, for every row of
-/// `xs` and of `acc` (rows of `out` outputs), weight row by weight row,
-/// each widened once for all rows; every product and sum is rounded
-/// through [`round_step`].
-fn rows_pass<const EXACT: bool>(xs: &[f32], w: &[F16], acc: &mut [f32], out: usize) {
+/// One pass of `acc = acc + X · W` for every row of `xs` and of the
+/// widened accumulators `acc` (rows of `out` outputs), weight row by
+/// weight row, each widened once for all rows; every product and sum is
+/// rounded through [`round_step`].
+fn rows_pass<const EXACT: bool>(xs: &[F16], w: &[F16], acc: &mut [f32], out: usize) {
     let inputs = w.len() / out;
     let mut wide_w = vec![0.0f32; out];
     for (i, w_row) in w.chunks_exact(out).enumerate() {
@@ -269,7 +268,7 @@ fn rows_pass<const EXACT: bool>(xs: &[f32], w: &[F16], acc: &mut [f32], out: usi
             *wide = v.to_f32();
         }
         for (x, acc) in xs.chunks_exact(inputs).zip(acc.chunks_exact_mut(out)) {
-            let xi = x[i];
+            let xi = x[i].to_f32();
             for (a, &wj) in acc.iter_mut().zip(&wide_w) {
                 let product = round_step::<EXACT>(xi * wj, xi, wj);
                 *a = round_step::<EXACT>(*a + product, *a, product);
