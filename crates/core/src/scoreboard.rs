@@ -52,6 +52,12 @@ impl Scoreboard {
     /// Earliest cycle at which an instruction reading `reads` and
     /// writing `writes` has its dependencies (RAW on sources, WAW on
     /// destinations) satisfied.
+    //
+    // This and `commit` are `#[inline]` for the cycle model's
+    // per-instruction loop: without the hint, how that loop was compiled
+    // depended on how unrelated code of the crate was split into codegen
+    // units, and `time_step_batched` ran a quarter slower in one split.
+    #[inline]
     pub fn ready_time(&self, reads: &RegSet, writes: &RegSet) -> Cycles {
         if !self.enabled {
             return Cycles::ZERO;
@@ -61,6 +67,7 @@ impl Scoreboard {
     }
 
     /// Marks the registers in `writes` ready at `finish`.
+    #[inline]
     pub fn commit(&mut self, writes: &RegSet, finish: Cycles) {
         for w in writes.iter() {
             self.ready[w] = finish;
