@@ -194,6 +194,16 @@ pub struct BuilderOptions {
 
 /// Builds per-token-step DFX programs for one core.
 ///
+/// A step is the concatenation of three kinds of part, each with its own
+/// emitter: the embedding ([`emit_embedding`]), one decoder layer per
+/// model layer ([`emit_decoder_layer`]) and, when the step runs it, the
+/// LM head ([`emit_lm_head`]). Decoder layers differ only in their layer
+/// index, so a consumer may emit and process a step part by part.
+///
+/// [`emit_embedding`]: ProgramBuilder::emit_embedding
+/// [`emit_decoder_layer`]: ProgramBuilder::emit_decoder_layer
+/// [`emit_lm_head`]: ProgramBuilder::emit_lm_head
+///
 /// # Examples
 ///
 /// ```
@@ -261,17 +271,7 @@ impl ProgramBuilder {
     ///
     /// Panics if `token_pos` exceeds the model's maximum sequence length.
     pub fn token_step(&self, token_pos: usize, lm_head: bool) -> Program {
-        assert!(
-            token_pos < self.cfg.max_seq_len,
-            "token position {token_pos} exceeds max sequence length {}",
-            self.cfg.max_seq_len
-        );
-        let mut p = Program::new(StepMeta {
-            token_pos: token_pos as u32,
-            lm_head,
-            core_id: self.par.core_id as u32,
-            num_cores: self.par.num_cores as u32,
-        });
+        let mut p = Program::new(self.step_meta(token_pos, lm_head));
         self.emit_embedding(&mut p, token_pos);
         for layer in 0..self.cfg.num_layers {
             self.emit_decoder_layer(&mut p, layer as u16, token_pos);
@@ -282,9 +282,30 @@ impl ProgramBuilder {
         p
     }
 
+    /// The [`StepMeta`] of [`token_step`](ProgramBuilder::token_step)'s
+    /// program, for callers that emit the step part by part.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `token_pos` exceeds the model's maximum sequence length.
+    pub fn step_meta(&self, token_pos: usize, lm_head: bool) -> StepMeta {
+        assert!(
+            token_pos < self.cfg.max_seq_len,
+            "token position {token_pos} exceeds max sequence length {}",
+            self.cfg.max_seq_len
+        );
+        StepMeta {
+            token_pos: token_pos as u32,
+            lm_head,
+            core_id: self.par.core_id as u32,
+            num_cores: self.par.num_cores as u32,
+        }
+    }
+
     /// Token embedding: fetch the current token id, gather WTE/WPE rows
-    /// and add them into the residual register.
-    fn emit_embedding(&self, p: &mut Program, token_pos: usize) {
+    /// and add them into the residual register. The first part of
+    /// [`token_step`](ProgramBuilder::token_step).
+    pub fn emit_embedding(&self, p: &mut Program, token_pos: usize) {
         let emb = self.cfg.embedding_dim as u32;
         let bytes = u64::from(emb) * 2;
         p.push(
@@ -544,8 +565,18 @@ impl ProgramBuilder {
         );
     }
 
-    /// One decoder layer (Algorithm 1).
-    fn emit_decoder_layer(&self, p: &mut Program, layer: u16, token_pos: usize) {
+    /// One decoder layer (Algorithm 1): the middle parts of
+    /// [`token_step`](ProgramBuilder::token_step), one per layer.
+    ///
+    /// Every layer emits the same instructions, differing only in the
+    /// `layer` of the tensors they name ([`TensorRef::Weight`],
+    /// [`TensorRef::Bias`], [`TensorRef::Ln`] and [`TensorRef::Kv`]), and
+    /// a layer's matrix reads name only its own K/V regions. The cycle
+    /// model relies on this: its cost of an instruction ignores the layer,
+    /// so once two consecutive layers start from the same schedule state
+    /// the remaining layers repeat them exactly
+    /// (`TimingCore::time_token_step`).
+    pub fn emit_decoder_layer(&self, p: &mut Program, layer: u16, token_pos: usize) {
         let cfg = &self.cfg;
         let emb = cfg.embedding_dim as u32;
         let part = self.par.emb_part(cfg) as u32;
@@ -836,8 +867,10 @@ impl ProgramBuilder {
     }
 
     /// Final LayerNorm, LM head matmul with fused argmax, argmax ring
-    /// reduction and token write-back.
-    fn emit_lm_head(&self, p: &mut Program) {
+    /// reduction and token write-back: the last part of
+    /// [`token_step`](ProgramBuilder::token_step) when it runs the LM
+    /// head.
+    pub fn emit_lm_head(&self, p: &mut Program) {
         let cfg = &self.cfg;
         let emb = cfg.embedding_dim as u32;
         let last_layer = cfg.num_layers as u16; // ln_f stored past the layers
@@ -908,7 +941,7 @@ impl ProgramBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::OpClass;
+    use crate::program::{AnnotatedInstr, OpClass};
 
     fn builder(cores: usize) -> ProgramBuilder {
         ProgramBuilder::new(GptConfig::tiny(), ParallelConfig::new(0, cores)).unwrap()
@@ -1074,6 +1107,71 @@ mod tests {
             })
             .unwrap();
         assert_eq!(score, 128, "head dim flows into the score operand");
+    }
+
+    #[test]
+    fn a_token_step_is_its_parts_concatenated() {
+        for (cfg, cores) in [(GptConfig::tiny(), 1), (GptConfig::tiny(), 2)] {
+            let b = ProgramBuilder::new(cfg.clone(), ParallelConfig::new(0, cores)).unwrap();
+            for (pos, lm_head) in [(0, false), (5, true)] {
+                let mut parts = Program::new(b.step_meta(pos, lm_head));
+                b.emit_embedding(&mut parts, pos);
+                for layer in 0..cfg.num_layers {
+                    b.emit_decoder_layer(&mut parts, layer as u16, pos);
+                }
+                if lm_head {
+                    b.emit_lm_head(&mut parts);
+                }
+                assert_eq!(parts, b.token_step(pos, lm_head), "{cores} cores pos {pos}");
+            }
+        }
+    }
+
+    #[test]
+    fn decoder_layers_differ_only_in_their_layer_index() {
+        // Renames every tensor of `instr` to `layer`.
+        fn at_layer(mut instr: Instr, layer: u16) -> Instr {
+            let rename = |t: &mut TensorRef| match t {
+                TensorRef::Weight { layer: l, .. }
+                | TensorRef::Bias { layer: l, .. }
+                | TensorRef::Ln { layer: l, .. }
+                | TensorRef::Kv { layer: l, .. } => *l = layer,
+                TensorRef::Embed { .. } | TensorRef::TokenIo => {}
+            };
+            match &mut instr {
+                Instr::Matrix(m) => {
+                    rename(&mut m.weight);
+                    m.bias.iter_mut().for_each(rename);
+                }
+                Instr::Dma(d) => rename(&mut d.tensor),
+                _ => {}
+            }
+            instr
+        }
+        let b = ProgramBuilder::with_options(
+            GptConfig::small(),
+            ParallelConfig::new(0, 3),
+            BuilderOptions {
+                qkv_order: QkvOrder::ValueLast,
+            },
+        )
+        .unwrap();
+        // Layer `l`'s instructions with every tensor renamed to layer 0,
+        // after checking each names layer `l` only (its own K/V too).
+        let layer = |l: u16| {
+            let mut p = Program::new(b.step_meta(9, false));
+            b.emit_decoder_layer(&mut p, l, 9);
+            let own = |ai: &AnnotatedInstr| {
+                assert_eq!(at_layer(ai.instr, l), ai.instr, "layer {l}");
+                (ai.class, at_layer(ai.instr, 0))
+            };
+            p.instrs().iter().map(own).collect::<Vec<_>>()
+        };
+        let first = layer(0);
+        assert!(!first.is_empty());
+        for l in 1..b.config().num_layers as u16 {
+            assert_eq!(layer(l), first, "layer {l}");
+        }
     }
 
     #[test]

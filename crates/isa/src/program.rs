@@ -122,6 +122,12 @@ impl Program {
         self.instrs.push(AnnotatedInstr { instr, class });
     }
 
+    /// Removes every instruction, keeping the buffer's capacity (for
+    /// emitting a step into one buffer part by part).
+    pub fn clear(&mut self) {
+        self.instrs.clear();
+    }
+
     /// The instructions in issue order.
     pub fn instrs(&self) -> &[AnnotatedInstr] {
         &self.instrs
