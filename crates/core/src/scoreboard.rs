@@ -66,6 +66,18 @@ impl Scoreboard {
         regs.fold(Cycles::ZERO, |t, r| t.max(self.ready[r]))
     }
 
+    /// Every register's ready cycle, by flat index.
+    pub(crate) fn ready_times(&self) -> [Cycles; NUM_VREGS + NUM_SREGS] {
+        self.ready
+    }
+
+    /// Moves every register's ready cycle `by` cycles later.
+    pub(crate) fn delay(&mut self, by: Cycles) {
+        for t in &mut self.ready {
+            *t += by;
+        }
+    }
+
     /// Marks the registers in `writes` ready at `finish`.
     #[inline]
     pub fn commit(&mut self, writes: &RegSet, finish: Cycles) {

@@ -15,12 +15,22 @@
 //! operand table in `dfx-isa` ([`Instr::reads`], [`Instr::writes`]),
 //! register ready times from the [`Scoreboard`]'s flat array, and K/V
 //! readiness from one table sized once per program.
+//!
+//! Two entry points share that walk and agree bit for bit.
+//! [`TimingCore::time_step_batched`] walks a built [`Program`] whole.
+//! [`TimingCore::time_token_step`] emits a builder's step part by part
+//! and stops walking decoder layers once two consecutive ones start from
+//! the same schedule state relative to the issue cursor: every later
+//! layer repeats the last, shifted in time, so its cycles are added
+//! without walking it. A GPT-2 1.5B step on four cores then walks one of
+//! its 48 layers.
 
 use crate::params::CoreParams;
 use crate::scoreboard::Scoreboard;
 use dfx_hw::{Cycles, DmaModel, RingModel};
 use dfx_isa::{
-    DmaDir, Instr, OpClass, Program, ReduceKind, RouterOp, ScalarOpKind, TensorRef, VectorOpKind,
+    DmaDir, Instr, OpClass, Program, ProgramBuilder, ReduceKind, RouterOp, ScalarOpKind, TensorRef,
+    VectorOpKind, NUM_SREGS, NUM_VREGS,
 };
 use serde::{Deserialize, Serialize};
 
@@ -96,6 +106,93 @@ impl StepTiming {
             *acc += c;
         }
         self.instructions += other.instructions;
+    }
+}
+
+/// The state of one scheduling walk over a step's instructions: what the
+/// next instruction's issue depends on, and the timing so far.
+struct Walk {
+    sb: Scoreboard,
+    unit_free: [Cycles; Unit::ALL.len()],
+    issue_cursor: Cycles,
+    timing: StepTiming,
+    /// Ready cycles of the K/V regions written this step (this token's
+    /// appended rows), indexed by (layer, head, kind) over `kv_heads`
+    /// heads per layer; regions past the table sit in `kv_sparse`, and a
+    /// region not yet written reads cycle 0. The matrix stream cannot
+    /// read a region until its DMA store (and for Values, the transpose
+    /// unit) completes: the dependency the paper's Value-first order
+    /// exists to hide (§V-B).
+    kv_ready: Vec<Cycles>,
+    kv_heads: usize,
+    kv_sparse: Vec<(TensorRef, Cycles)>,
+}
+
+/// A walk's state at the start of a decoder layer: its schedule state
+/// relative to the issue cursor, and the absolute cursor and totals the
+/// layers after it add to.
+struct LayerStart {
+    state: RelativeState,
+    issue_cursor: Cycles,
+    by_class: [Cycles; OpClass::ALL.len()],
+    unit_busy: [Cycles; Unit::ALL.len()],
+}
+
+/// Everything a layer's schedule depends on, relative to the issue
+/// cursor: equal states at two layer starts schedule the layers after
+/// them alike, shifted by the cursor's difference.
+#[derive(PartialEq)]
+struct RelativeState {
+    /// Register ready cycles past the cursor (0 at or before it).
+    regs: [Cycles; NUM_VREGS + NUM_SREGS],
+    /// Unit free cycles past the cursor (0 at or before it).
+    units: [Cycles; Unit::ALL.len()],
+    /// The makespan's lead on the cursor and the cursor's lead on the
+    /// makespan (one is 0): the exact signed `total − cursor`.
+    total_lead: (Cycles, Cycles),
+}
+
+impl Walk {
+    /// The state at the start of a decoder layer. K/V readiness is left
+    /// out: a layer reads only the regions it stores itself.
+    fn layer_start(&self) -> LayerStart {
+        let cursor = self.issue_cursor;
+        let past = |t: Cycles| t.saturating_sub(cursor);
+        LayerStart {
+            state: RelativeState {
+                regs: self.sb.ready_times().map(past),
+                units: self.unit_free.map(past),
+                total_lead: (
+                    past(self.timing.total),
+                    cursor.saturating_sub(self.timing.total),
+                ),
+            },
+            issue_cursor: cursor,
+            by_class: self.timing.by_class,
+            unit_busy: self.timing.unit_busy,
+        }
+    }
+
+    /// Adds `layers` more repeats of the layer walked from `last` to
+    /// `now` (equal relative states), each `layer_len` instructions long:
+    /// every absolute cycle moves by the layers' cursor advance and every
+    /// total grows by the layers' share.
+    fn repeat(&mut self, last: &LayerStart, now: &LayerStart, layers: usize, layer_len: usize) {
+        let k = layers as u64;
+        let shift = now.issue_cursor.saturating_sub(last.issue_cursor) * k;
+        self.sb.delay(shift);
+        let absolute = [&mut self.issue_cursor, &mut self.timing.total];
+        for cycle in self.unit_free.iter_mut().chain(absolute) {
+            *cycle += shift;
+        }
+        let grow = |acc: &mut [Cycles], now: &[Cycles], last: &[Cycles]| {
+            for ((a, n), l) in acc.iter_mut().zip(now).zip(last) {
+                *a += n.saturating_sub(*l) * k;
+            }
+        };
+        grow(&mut self.timing.by_class, &now.by_class, &last.by_class);
+        grow(&mut self.timing.unit_busy, &now.unit_busy, &last.unit_busy);
+        self.timing.instructions += layers * layer_len;
     }
 }
 
@@ -234,25 +331,9 @@ impl TimingCore {
     /// Panics if `batch` is zero.
     pub fn time_step_batched(&self, program: &Program, batch: u32) -> StepTiming {
         assert!(batch > 0, "batch must be at least 1");
-        let batch = u64::from(batch);
-        let issue_interval = Cycles(u64::from(self.params.issue_interval));
-        let mut sb = if self.scoreboard_enabled {
-            Scoreboard::new()
-        } else {
-            Scoreboard::disabled()
-        };
-        let mut unit_free = [Cycles::ZERO; Unit::ALL.len()];
-        let mut timing = StepTiming {
-            instructions: program.len(),
-            ..StepTiming::default()
-        };
-        // K/V regions written this step (this token's appended rows) are
-        // not readable by the matrix stream until the DMA store — and for
-        // Values, the transpose unit — completes. This is the dependency
-        // the paper's Value-first instruction order exists to hide (§V-B).
-        // Ready cycles sit in a table indexed by (layer, head, kind) over the
-        // stored regions (a list if they spread past one slot pair per
-        // instruction, never in a builder program); others read cycle 0.
+        // K/V readiness sits in a table over the stored regions (a list if
+        // they spread past one slot pair per instruction, never in a
+        // builder program).
         let (mut layers, mut heads) = (0, 0);
         for ai in program.instrs() {
             if let Instr::Dma(d) = ai.instr {
@@ -265,16 +346,112 @@ impl TimingCore {
         if layers * heads > program.len() {
             heads = 0;
         }
-        let mut kv_ready = vec![Cycles::ZERO; layers * heads * 2];
-        let mut kv_sparse: Vec<(TensorRef, Cycles)> = Vec::new();
+        let mut walk = self.start_walk(layers, heads);
+        self.walk(&mut walk, program, u64::from(batch));
+        walk.timing
+    }
+
+    /// Times `builder.token_step(pos, lm_head)` run for `batch` requests,
+    /// bit-identical to [`time_step_batched`] on that program, without
+    /// building or walking all of it.
+    ///
+    /// The step is emitted part by part into one reused buffer (the
+    /// embedding, each decoder layer, the LM head) and each part is
+    /// walked like [`time_step_batched`] walks the whole program. Decoder
+    /// layers differ only in their layer index and a layer reads only its
+    /// own K/V ([`ProgramBuilder`]'s invariant), so a layer's schedule
+    /// depends only on the state it starts from, taken relative to the
+    /// issue cursor: every register's ready cycle and every unit's free
+    /// cycle, clamped at the cursor (a cycle at or before it can never
+    /// delay an issue), and the signed distance from the cursor to the
+    /// makespan (which attribution charges against). Once two consecutive
+    /// layers start from equal states, each remaining layer repeats the
+    /// last one shifted in time, so its cycles are added without walking
+    /// it.
+    ///
+    /// [`time_step_batched`]: TimingCore::time_step_batched
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is zero or `pos` exceeds the model's maximum
+    /// sequence length.
+    pub fn time_token_step(
+        &self,
+        builder: &ProgramBuilder,
+        pos: usize,
+        lm_head: bool,
+        batch: u32,
+    ) -> StepTiming {
+        assert!(batch > 0, "batch must be at least 1");
+        let batch = u64::from(batch);
+        let (cfg, par) = (builder.config(), builder.parallel());
+        let mut part = Program::new(builder.step_meta(pos, lm_head));
+        let mut walk = self.start_walk(cfg.num_layers, par.heads_per_core(cfg));
+        builder.emit_embedding(&mut part, pos);
+        self.walk(&mut walk, &part, batch);
+        let mut previous: Option<LayerStart> = None;
+        for layer in 0..cfg.num_layers {
+            let start = walk.layer_start();
+            if let Some(last) = previous.filter(|last| last.state == start.state) {
+                // `part` still holds the last layer walked.
+                walk.repeat(&last, &start, cfg.num_layers - layer, part.len());
+                break;
+            }
+            part.clear();
+            builder.emit_decoder_layer(&mut part, layer as u16, pos);
+            self.walk(&mut walk, &part, batch);
+            previous = Some(start);
+        }
+        if lm_head {
+            part.clear();
+            builder.emit_lm_head(&mut part);
+            self.walk(&mut walk, &part, batch);
+        }
+        walk.timing
+    }
+
+    /// A fresh walk whose K/V table covers `layers × heads` regions.
+    fn start_walk(&self, layers: usize, heads: usize) -> Walk {
+        Walk {
+            sb: if self.scoreboard_enabled {
+                Scoreboard::new()
+            } else {
+                Scoreboard::disabled()
+            },
+            unit_free: [Cycles::ZERO; Unit::ALL.len()],
+            issue_cursor: Cycles::ZERO,
+            timing: StepTiming::default(),
+            kv_ready: vec![Cycles::ZERO; layers * heads * 2],
+            kv_heads: heads,
+            kv_sparse: Vec::new(),
+        }
+    }
+
+    /// Schedules `program`'s instructions, run for `batch` requests, in
+    /// issue order after those `walk` has already scheduled: the one walk
+    /// body of both [`time_step_batched`] and [`time_token_step`].
+    ///
+    /// [`time_step_batched`]: TimingCore::time_step_batched
+    /// [`time_token_step`]: TimingCore::time_token_step
+    #[inline]
+    fn walk(&self, walk: &mut Walk, program: &Program, batch: u64) {
+        let issue_interval = Cycles(u64::from(self.params.issue_interval));
+        let Walk {
+            sb,
+            unit_free,
+            issue_cursor,
+            timing,
+            kv_ready,
+            kv_heads,
+            kv_sparse,
+        } = walk;
+        let heads = *kv_heads;
         let kv_slot = |t: TensorRef| match t {
             TensorRef::Kv { layer, head, kind } if usize::from(head) < heads => {
                 Some((usize::from(layer) * heads + usize::from(head)) * 2 + kind as usize)
             }
             _ => None,
         };
-        let mut issue_cursor = Cycles::ZERO;
-
         for ai in program.instrs() {
             let instr = &ai.instr;
             let writes = instr.writes();
@@ -288,7 +465,7 @@ impl TimingCore {
                 }
             }
             let unit = cost.unit as usize;
-            let issue = ready.max(unit_free[unit]).max(issue_cursor);
+            let issue = ready.max(unit_free[unit]).max(*issue_cursor);
             // Instruction chaining (§IV-C): the unit frees after the
             // occupancy (streaming/processing) period; the *result*
             // becomes architecturally visible a pipeline latency later.
@@ -307,12 +484,12 @@ impl TimingCore {
             }
             unit_free[unit] = unit_done;
             timing.unit_busy[unit] += cost.occupancy;
-            issue_cursor = issue + issue_interval;
+            *issue_cursor = issue + issue_interval;
 
             timing.by_class[ai.class as usize] += finish.saturating_sub(timing.total);
             timing.total = timing.total.max(finish);
         }
-        timing
+        timing.instructions += program.len();
     }
 
     /// Cost of one instruction executed for `batch` requests at once: the
@@ -722,23 +899,27 @@ mod tests {
     }
 
     /// Checks that [`TimingCore::tile_class_start`] draws each `(core,
-    /// batch)`'s classes exactly at `positions` (`program(pos)` builds
-    /// the step at `pos`, once for all cores): a position inside a class
-    /// times like its class start, and a class start past 0 times unlike
-    /// the position before it.
+    /// batch)`'s classes exactly at `positions` of `builder`'s steps: a
+    /// position inside a class times like its class start, and a class
+    /// start past 0 times unlike the position before it. Every step it
+    /// times, it times both whole and part by part, and the two agree.
     fn check_tile_classes(
         cores: &[(TimingCore, u32)],
-        program: &dyn Fn(usize) -> Program,
+        builder: &ProgramBuilder,
+        lm_head: bool,
         positions: impl IntoIterator<Item = usize>,
     ) {
         let mut timed = BTreeMap::new();
         let mut time = |pos: usize, i: usize| {
             timed.entry(pos).or_insert_with(|| {
-                let p = program(pos);
-                cores
-                    .iter()
-                    .map(|(core, batch)| core.time_step_batched(&p, *batch))
-                    .collect::<Vec<_>>()
+                let p = builder.token_step(pos, lm_head);
+                let time = |(core, batch): &(TimingCore, u32)| {
+                    let whole = core.time_step_batched(&p, *batch);
+                    let parts = core.time_token_step(builder, pos, lm_head, *batch);
+                    assert_eq!(parts, whole, "pos {pos} at batch {batch} on {core:?}");
+                    whole
+                };
+                cores.iter().map(time).collect::<Vec<_>>()
             })[i]
         };
         for pos in positions {
@@ -791,7 +972,6 @@ mod tests {
                     ProgramBuilder::with_options(cfg.clone(), par, BuilderOptions { qkv_order })
                         .unwrap();
                 for lm in [false, true] {
-                    let program = |p: usize| b.token_step(p, lm);
                     for shape in dfx_hw::TileShape::DSE_CANDIDATES {
                         let mut cores = class_variants(shape, num_cores, &[1, 2, 3, 4]);
                         let edges = edge_positions(&cores[0].0, len);
@@ -803,7 +983,7 @@ mod tests {
                             .map(|(c, b)| (c.clone().with_read_side_transpose(), *b))
                             .collect();
                         cores.extend(transposed);
-                        check_tile_classes(&cores, &program, edges);
+                        check_tile_classes(&cores, &b, lm, edges);
                     }
                 }
             }
@@ -832,7 +1012,7 @@ mod tests {
                     ProgramBuilder::with_options(cfg.clone(), par, BuilderOptions { qkv_order })
                         .unwrap();
                 for lm in [false, true] {
-                    check_tile_classes(&cores, &|p| b.token_step(p, lm), 0..cfg.max_seq_len);
+                    check_tile_classes(&cores, &b, lm, 0..cfg.max_seq_len);
                 }
             }
         }
@@ -848,18 +1028,19 @@ mod tests {
         })
     }
 
-    /// The hash of every step of `cfg` on core 0 of `num_cores` at
-    /// `positions`, for each tile shape in `shapes`: both `QkvOrder`s, LM
+    /// The hashes of every step of `cfg` on core 0 of `num_cores` at
+    /// `positions`, for each tile shape in `shapes` (both `QkvOrder`s, LM
     /// head off and on, the scoreboard on and off and the read-side
-    /// transpose, at batches 1, 3 and 8.
+    /// transpose, at batches 1, 3 and 8), timed whole by
+    /// `time_step_batched` and part by part by `time_token_step`.
     fn pin_hash(
         cfg: &GptConfig,
         num_cores: usize,
         shapes: &[dfx_hw::TileShape],
         positions: &[usize],
-    ) -> u64 {
+    ) -> [u64; 2] {
         use dfx_isa::{BuilderOptions, QkvOrder};
-        let mut hash = 0xcbf2_9ce4_8422_2325;
+        let mut hash = [0xcbf2_9ce4_8422_2325; 2];
         for qkv_order in [QkvOrder::ValueFirst, QkvOrder::ValueLast] {
             let par = ParallelConfig::new(0, num_cores);
             let b = ProgramBuilder::with_options(cfg.clone(), par, BuilderOptions { qkv_order })
@@ -876,7 +1057,9 @@ mod tests {
                         ];
                         for core in &variants {
                             for batch in [1, 3, 8] {
-                                hash = fnv_step(hash, &core.time_step_batched(&p, batch));
+                                let whole = core.time_step_batched(&p, batch);
+                                let parts = core.time_token_step(&b, pos, lm, batch);
+                                hash = [fnv_step(hash[0], &whole), fnv_step(hash[1], &parts)];
                             }
                         }
                     }
@@ -914,7 +1097,67 @@ mod tests {
             0x2d06_7856_9689_0846,
         ];
         let hex = |h: [u64; 5]| h.map(|h| format!("{h:#018x}"));
-        assert_eq!(hex(got), hex(want));
+        assert_eq!(hex(got.map(|h| h[0])), hex(want), "time_step_batched");
+        assert_eq!(hex(got.map(|h| h[1])), hex(want), "time_token_step");
+    }
+
+    #[test]
+    fn layers_repeat_only_once_their_whole_relative_state_does() {
+        // Two layers can start with equal register ready times yet with a
+        // unit busy for different spans, or with the makespan trailing the
+        // cursor by different amounts; their schedules then differ. The
+        // default parameters never show either, these slow variants do:
+        // timing the step part by part must still agree with the whole
+        // walk.
+        use dfx_isa::{BuilderOptions, QkvOrder};
+        let slow = |params: CoreParams, cores: u32, ddr: fn(&mut dfx_hw::DdrModel)| {
+            let core = TimingCore::new(params, cores);
+            let mut dma = core.dma().clone();
+            ddr(&mut dma.ddr);
+            core.with_dma(dma)
+        };
+        // The makespan trails the cursor under a slow issue rate.
+        let trailing = CoreParams {
+            issue_interval: 500,
+            ..CoreParams::default()
+        };
+        // DDR loads outlast the register writes behind heavy vector work.
+        let busy = CoreParams {
+            vector_overhead: 20_000,
+            ..CoreParams::default()
+        };
+        for (cfg, cores) in [
+            (GptConfig::tiny(), 1),
+            (GptConfig::tiny(), 2),
+            (GptConfig::small(), 1),
+            (GptConfig::small(), 3),
+        ] {
+            let variants = [
+                slow(trailing, cores as u32, |ddr| ddr.bytes_per_cycle = 1),
+                slow(busy, cores as u32, |ddr| ddr.request_setup = Cycles(5_000)),
+            ];
+            for qkv_order in [QkvOrder::ValueFirst, QkvOrder::ValueLast] {
+                let par = ParallelConfig::new(0, cores);
+                let b =
+                    ProgramBuilder::with_options(cfg.clone(), par, BuilderOptions { qkv_order })
+                        .unwrap();
+                for pos in [0, 7, 8, 15, 16, 31, 32, 127] {
+                    for lm in [false, true] {
+                        let p = b.token_step(pos, lm);
+                        for core in &variants {
+                            for batch in [1, 3, 8] {
+                                assert_eq!(
+                                    core.time_token_step(&b, pos, lm, batch),
+                                    core.time_step_batched(&p, batch),
+                                    "{} x{cores} {qkv_order:?} pos {pos} lm {lm} batch {batch}",
+                                    cfg.name
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
