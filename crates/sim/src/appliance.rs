@@ -18,7 +18,11 @@
 //! `(tile class, LM head, batch)` and keeps it in one step table that
 //! every timed path shares ([`Appliance::timed_step_programs`] counts
 //! it). Stage sums and prefill spans are summed from the table on each
-//! call, one lookup per run of positions that share an entry.
+//! call, one lookup per run of positions that share an entry. A table
+//! miss never builds the whole program: [`TimingCore::time_token_step`]
+//! emits the step part by part from the appliance's one
+//! [`ProgramBuilder`] (which also holds its model configuration) and
+//! walks decoder layers only until their schedule repeats.
 
 use crate::cluster::FunctionalCluster;
 use crate::error::SimError;
@@ -168,7 +172,6 @@ type StepKey = (usize, bool, u32);
 /// # }
 /// ```
 pub struct Appliance {
-    cfg: GptConfig,
     num_fpgas: usize,
     builder: ProgramBuilder,
     timing: TimingCore,
@@ -191,7 +194,7 @@ pub struct Appliance {
 impl std::fmt::Debug for Appliance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Appliance")
-            .field("model", &self.cfg.name)
+            .field("model", &self.config().name)
             .field("num_fpgas", &self.num_fpgas)
             .field(
                 "mode",
@@ -231,9 +234,8 @@ impl Appliance {
     ) -> Result<Self, SimError> {
         let par = ParallelConfig::new(0, num_fpgas);
         Self::check_capacity(&cfg, par)?;
-        let builder = ProgramBuilder::new(cfg.clone(), par).map_err(SimError::Partition)?;
+        let builder = ProgramBuilder::new(cfg, par).map_err(SimError::Partition)?;
         Ok(Appliance {
-            cfg,
             num_fpgas,
             builder,
             timing: TimingCore::new(params, num_fpgas as u32),
@@ -252,12 +254,11 @@ impl Appliance {
     /// Returns [`SimError::Partition`] if the model does not divide
     /// across `num_fpgas`.
     pub fn functional(weights: GptWeights<F16>, num_fpgas: usize) -> Result<Self, SimError> {
-        let cfg = weights.config.clone();
         let par = ParallelConfig::new(0, num_fpgas);
-        let builder = ProgramBuilder::new(cfg.clone(), par).map_err(SimError::Partition)?;
+        let builder =
+            ProgramBuilder::new(weights.config.clone(), par).map_err(SimError::Partition)?;
         let cluster = FunctionalCluster::new(weights, num_fpgas)?;
         Ok(Appliance {
-            cfg,
             num_fpgas,
             builder,
             timing: TimingCore::new(CoreParams::default(), num_fpgas as u32),
@@ -287,7 +288,7 @@ impl Appliance {
                 "{:.2} MB of HBM cannot hold {}'s {:.2} MB weight shard plus one token of K/V; \
                  use a larger capacity or a larger cluster",
                 capacity_bytes as f64 / 1e6,
-                self.cfg.name,
+                self.config().name,
                 model.weight_bytes as f64 / 1e6,
             )));
         }
@@ -341,11 +342,11 @@ impl Appliance {
     /// live member's `input + output` claim must fit next to the
     /// weights on *each* device.
     pub fn memory_model(&self) -> dfx_hw::MemoryModel {
-        let par = ParallelConfig::new(0, self.num_fpgas);
-        let map = dfx_isa::MemoryMap::for_model(&self.cfg, par);
-        let kv_bytes_per_token = (self.cfg.num_layers as u64)
-            * (par.heads_per_core(&self.cfg) as u64)
-            * (self.cfg.head_dim() as u64)
+        let (cfg, par) = (self.config(), self.builder.parallel());
+        let map = dfx_isa::MemoryMap::for_model(cfg, par);
+        let kv_bytes_per_token = (cfg.num_layers as u64)
+            * (par.heads_per_core(cfg) as u64)
+            * (cfg.head_dim() as u64)
             * 2 // keys and values
             * 2; // FP16
         dfx_hw::MemoryModel::new(
@@ -357,7 +358,7 @@ impl Appliance {
 
     /// The model configuration.
     pub fn config(&self) -> &GptConfig {
-        &self.cfg
+        self.builder.config()
     }
 
     /// Cluster size.
@@ -368,8 +369,9 @@ impl Appliance {
     /// Timing of one `token_step(pos, lm_head)` program run for `batch`
     /// requests, from the step table under `pos`'s tile class
     /// ([`TimingCore::tile_class_start`]). A miss times the class's first
-    /// position through [`TimingCore::time_step_batched`] outside the
-    /// lock.
+    /// position through [`TimingCore::time_token_step`] outside the lock:
+    /// part by part, walking decoder layers only until their schedule
+    /// repeats, and never building the whole program.
     fn step(&self, pos: usize, lm_head: bool, batch: u32) -> StepTiming {
         let class = self.timing.tile_class_start(pos);
         let key = (class, lm_head, batch);
@@ -377,8 +379,9 @@ impl Appliance {
         if let Some(timing) = hit {
             return timing;
         }
-        let program = self.builder.token_step(class, lm_head);
-        let timing = self.timing.time_step_batched(&program, batch);
+        let timing = self
+            .timing
+            .time_token_step(&self.builder, class, lm_head, batch);
         self.memo().insert(key, timing);
         timing
     }
@@ -535,11 +538,11 @@ impl Appliance {
         if w.input_len == 0 {
             return Err(SimError::InvalidRequest("empty context".into()));
         }
-        if w.input_len + w.output_len > self.cfg.max_seq_len {
+        let max_seq_len = self.config().max_seq_len;
+        if w.input_len + w.output_len > max_seq_len {
             return Err(SimError::InvalidRequest(format!(
-                "sequence of {} exceeds the model maximum {}",
+                "sequence of {} exceeds the model maximum {max_seq_len}",
                 w.input_len + w.output_len,
-                self.cfg.max_seq_len
             )));
         }
         Ok(())
