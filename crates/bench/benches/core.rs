@@ -38,6 +38,13 @@ fn bench_timing_engine(c: &mut Criterion) {
             g.bench_function(format!("time_step_batched/{name}_b8"), |bench| {
                 bench.iter(|| engine.time_step_batched(black_box(&program), 8))
             });
+            // The step table's miss path: builds and times the same step
+            // part by part.
+            for (suffix, batch) in [("", 1), ("_b8", 8)] {
+                g.bench_function(format!("time_token_step/{name}{suffix}"), |bench| {
+                    bench.iter(|| engine.time_token_step(&b, black_box(63), true, batch))
+                });
+            }
             let unchecked = engine.clone().without_scoreboard();
             g.bench_function(format!("time_step/{name}_without_scoreboard"), |bench| {
                 bench.iter(|| unchecked.time_step(black_box(&program)))
