@@ -173,25 +173,25 @@ impl Walk {
         }
     }
 
-    /// Adds `layers` more repeats of the layer walked from `last` to
-    /// `now` (equal relative states), each `layer_len` instructions long:
-    /// every absolute cycle moves by the layers' cursor advance and every
-    /// total grows by the layers' share.
-    fn repeat(&mut self, last: &LayerStart, now: &LayerStart, layers: usize, layer_len: usize) {
+    /// Adds `layers` more repeats of the layer walked since `last`, whose
+    /// relative state equals the walk's now, each `layer_len`
+    /// instructions long: every absolute cycle moves by the layers'
+    /// cursor advance and every total grows by the layers' share.
+    fn repeat(&mut self, last: &LayerStart, layers: usize, layer_len: usize) {
         let k = layers as u64;
-        let shift = now.issue_cursor.saturating_sub(last.issue_cursor) * k;
+        let shift = self.issue_cursor.saturating_sub(last.issue_cursor) * k;
         self.sb.delay(shift);
         let absolute = [&mut self.issue_cursor, &mut self.timing.total];
         for cycle in self.unit_free.iter_mut().chain(absolute) {
             *cycle += shift;
         }
-        let grow = |acc: &mut [Cycles], now: &[Cycles], last: &[Cycles]| {
-            for ((a, n), l) in acc.iter_mut().zip(now).zip(last) {
-                *a += n.saturating_sub(*l) * k;
+        let grow = |acc: &mut [Cycles], last: &[Cycles]| {
+            for (a, l) in acc.iter_mut().zip(last) {
+                *a += a.saturating_sub(*l) * k;
             }
         };
-        grow(&mut self.timing.by_class, &now.by_class, &last.by_class);
-        grow(&mut self.timing.unit_busy, &now.unit_busy, &last.unit_busy);
+        grow(&mut self.timing.by_class, &last.by_class);
+        grow(&mut self.timing.unit_busy, &last.unit_busy);
         self.timing.instructions += layers * layer_len;
     }
 }
@@ -394,7 +394,7 @@ impl TimingCore {
             let start = walk.layer_start();
             if let Some(last) = previous.filter(|last| last.state == start.state) {
                 // `part` still holds the last layer walked.
-                walk.repeat(&last, &start, cfg.num_layers - layer, part.len());
+                walk.repeat(&last, cfg.num_layers - layer, part.len());
                 break;
             }
             part.clear();
