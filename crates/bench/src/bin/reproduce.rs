@@ -19,13 +19,17 @@
 use dfx_bench::experiments::CATALOG;
 use dfx_bench::observability::{self, SERVING_IDS};
 use dfx_bench::table::ExperimentReport;
-use std::io::Write as _;
 
+/// Runs one experiment; this is the one place an experiment error is
+/// handled: it is reported and the process exits 1.
 fn run_one(id: &str, full: bool) -> ExperimentReport {
     // Dispatch through the catalog, so an id cannot exist without a
     // runner (and vice versa).
     match CATALOG.iter().find(|e| e.id == id) {
-        Some(e) => (e.run)(full),
+        Some(e) => (e.run)(full).unwrap_or_else(|e| {
+            eprintln!("[reproduce] {id} failed: {e}");
+            std::process::exit(1);
+        }),
         None => {
             eprintln!("unknown experiment `{id}`; known ids:");
             eprint_catalog();
@@ -55,9 +59,24 @@ fn usage() {
     eprint_catalog();
 }
 
+/// Writes `contents` to `path`; the error names the path and the I/O
+/// failure.
+fn write_output(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// [`write_output`], reporting a failure and exiting 1.
+fn write_or_exit(path: &str, contents: &str) {
+    if let Err(e) = write_output(path, contents) {
+        eprintln!("[reproduce] {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Captures and writes the telemetry dumps for the first serving-capable
-/// id among `selected`. Exits nonzero if no serving id was selected or
-/// the capture fails its in-process validation.
+/// id among `selected`. Exits nonzero if no serving id was selected,
+/// the capture fails its in-process validation or a file cannot be
+/// written.
 fn write_observability(
     selected: &[&str],
     full: bool,
@@ -79,14 +98,14 @@ fn write_observability(
         }
     };
     if let Some(path) = metrics_path {
-        std::fs::write(path, &dump.metrics_text).expect("write metrics file");
+        write_or_exit(path, &dump.metrics_text);
         eprintln!(
             "[reproduce] wrote {path} ({} samples, validated)",
             dump.metric_samples
         );
     }
     if let Some(path) = trace_path {
-        std::fs::write(path, &dump.trace_json).expect("write trace file");
+        write_or_exit(path, &dump.trace_json);
         eprintln!(
             "[reproduce] wrote {path} ({} trace events, round-tripped)",
             dump.trace_events
@@ -183,8 +202,7 @@ fn main() {
     }
 
     if let Some(path) = &args.write {
-        let mut f = std::fs::File::create(path).expect("create output file");
-        f.write_all(combined.as_bytes()).expect("write output file");
+        write_or_exit(path, &combined);
         eprintln!("[reproduce] wrote {path}");
     }
 
@@ -239,6 +257,16 @@ mod tests {
                 "{flag} before a flag"
             );
         }
+    }
+
+    #[test]
+    fn a_write_into_a_missing_directory_names_the_path() {
+        let path = std::env::temp_dir()
+            .join("reproduce-no-such-dir")
+            .join("out.md");
+        let path = path.to_str().unwrap();
+        let err = write_output(path, "x").unwrap_err();
+        assert!(err.contains(path), "{err}");
     }
 
     #[test]

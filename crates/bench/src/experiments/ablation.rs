@@ -39,21 +39,7 @@ fn step_ms(cfg: &GptConfig, cores: usize, order: QkvOrder) -> Result<f64, SimErr
 }
 
 /// Runs all ablations.
-///
-/// # Panics
-///
-/// Panics if a paper model does not partition over its fixed cluster
-/// size or a fixed workload does not fit it: the inputs are constants,
-/// so that is a bug.
-pub fn run() -> ExperimentReport {
-    match build() {
-        Ok(report) => report,
-        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
-        Err(e) => panic!("ablation failed: {e}"),
-    }
-}
-
-fn build() -> Result<ExperimentReport, SimError> {
+pub fn run() -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new("ablation", "Ablations of the paper's design choices");
 
     // 1. Transpose scheme.
@@ -223,7 +209,7 @@ mod tests {
 
     #[test]
     fn ablation_report_has_four_tables() {
-        let r = run();
+        let r = run().unwrap();
         assert_eq!(r.tables.len(), 4);
     }
 }

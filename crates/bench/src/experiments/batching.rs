@@ -25,35 +25,11 @@ use dfx_sim::{Appliance, SimError};
 /// [`Batching`] scheduler's maximum batch; `max_wait_ms` is how long the
 /// oldest queued request may be held while a batch fills.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the setup is invalid (an indivisible device count, a
-/// request stream the model cannot serve): experiment inputs are
-/// compile-time constants, so a failure is a bug in the caller, not an
-/// input error.
+/// Fails when the setup is invalid: an indivisible device count, or a
+/// request stream the model cannot serve.
 pub fn run_setup(
-    cfg: GptConfig,
-    devices: usize,
-    n_requests: usize,
-    batch_sizes: &[usize],
-    rates_per_s: &[f64],
-    max_wait_ms: f64,
-) -> ExperimentReport {
-    match build(
-        cfg,
-        devices,
-        n_requests,
-        batch_sizes,
-        rates_per_s,
-        max_wait_ms,
-    ) {
-        Ok(report) => report,
-        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
-        Err(e) => panic!("batching experiment failed: {e:?}"),
-    }
-}
-
-fn build(
     cfg: GptConfig,
     devices: usize,
     n_requests: usize,
@@ -124,7 +100,7 @@ fn build(
 /// The headline sweep: GPT-2 1.5B on 4 devices per appliance, the same
 /// stream/rates as the `serving` experiment, batch sizes 1–8 with a
 /// 500 ms batching window.
-pub fn run() -> ExperimentReport {
+pub fn run() -> Result<ExperimentReport, SimError> {
     run_setup(
         GptConfig::gpt2_1_5b(),
         4,
@@ -149,8 +125,8 @@ mod tests {
         // reproduces the `serving` experiment's single-request numbers
         // cell for cell (same stream, same seeds, same formatting).
         let rates = [5.0, 50.0];
-        let serving = super::super::serving_setup(smoke_cfg(), 1, 24, &rates);
-        let batching = run_setup(smoke_cfg(), 1, 24, &[1, 2], &rates, 20.0);
+        let serving = super::super::serving_setup(smoke_cfg(), 1, 24, &rates).unwrap();
+        let batching = run_setup(smoke_cfg(), 1, 24, &[1, 2], &rates, 20.0).unwrap();
         let s = &serving.tables[0];
         let b = &batching.tables[0];
         for (i, _rate) in rates.iter().enumerate() {

@@ -56,7 +56,7 @@ const BLOCK_TOKENS: usize = 16;
 /// Headline configuration: the paper's largest GPT-2 across four
 /// single-FPGA replicas, memory-bound to a 480-token K/V budget each,
 /// and a sharding sweep past the paper's 4-FPGA appliance.
-pub fn run() -> ExperimentReport {
+pub fn run() -> Result<ExperimentReport, SimError> {
     run_setup(
         GptConfig::gpt2_1_5b(),
         4,
@@ -68,42 +68,6 @@ pub fn run() -> ExperimentReport {
     )
 }
 
-/// Runs the four sweeps on one model/cluster setup. `kv_budget_tokens`
-/// caps every replica's HBM at "weight shard + that many K/V tokens"
-/// so placement decisions are memory-bound; `shard_counts` lists the
-/// per-replica FPGA counts of the wide-sharding table (each must
-/// divide the model's head count).
-///
-/// # Panics
-///
-/// Panics when the setup is invalid (indivisible shard count, a K/V
-/// budget no request fits, an empty grid): experiment inputs are
-/// compile-time constants, so a failure is a bug in the caller, not an
-/// input error.
-pub fn run_setup(
-    cfg: GptConfig,
-    n_replicas: usize,
-    n_requests: usize,
-    rate_per_s: f64,
-    kv_budget_tokens: usize,
-    max_batch: usize,
-    shard_counts: &[usize],
-) -> ExperimentReport {
-    match build(
-        cfg,
-        n_replicas,
-        n_requests,
-        rate_per_s,
-        kv_budget_tokens,
-        max_batch,
-        shard_counts,
-    ) {
-        Ok(report) => report,
-        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
-        Err(e) => panic!("cluster experiment failed: {e:?}"),
-    }
-}
-
 /// A memory-bound single-FPGA replica: HBM capped at the weight shard
 /// plus `kv_budget_tokens` of K/V.
 fn bounded_replica(cfg: &GptConfig, kv_budget_tokens: usize) -> Result<Appliance, SimError> {
@@ -113,7 +77,17 @@ fn bounded_replica(cfg: &GptConfig, kv_budget_tokens: usize) -> Result<Appliance
     base.with_hbm_capacity(capacity)
 }
 
-fn build(
+/// Runs the four sweeps on one model/cluster setup. `kv_budget_tokens`
+/// caps every replica's HBM at "weight shard + that many K/V tokens"
+/// so placement decisions are memory-bound; `shard_counts` lists the
+/// per-replica FPGA counts of the wide-sharding table (each must
+/// divide the model's head count).
+///
+/// # Errors
+///
+/// Fails when the setup is invalid: an indivisible shard count, a K/V
+/// budget no request fits, or an empty grid.
+pub fn run_setup(
     cfg: GptConfig,
     n_replicas: usize,
     n_requests: usize,
@@ -161,20 +135,19 @@ fn build(
     // The three placement sweeps share nothing (each builds its own
     // router over the same replica pool), so they fan out over the
     // work-stealing pool; results come back in placement order.
-    let mut placement_reports = rayon_lite::par_map(&[0usize, 1, 2], |&which| {
+    let placement_reports = rayon_lite::par_map(&[0usize, 1, 2], |&which| {
         let placement: Box<dyn Placement> = match which {
             0 => Box::new(RoundRobin::new()),
             1 => Box::new(LeastOutstanding),
             _ => Box::new(LeastKvLoaded),
         };
         run_placement(placement)
-    })
-    .into_iter();
-    // lint: allow(panic-policy, par_map returns exactly one result per input index)
-    let mut next_report = || placement_reports.next().expect("one report per placement");
-    let rr = next_report()?;
-    let lo = next_report()?;
-    let lkl = next_report()?;
+    });
+    let [rr, lo, lkl]: [ClusterReport; 3] = placement_reports
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?
+        .try_into()
+        .map_err(|_| SimError::Service("expected one report per placement".into()))?;
     for r in [&rr, &lo, &lkl] {
         placement_table.push_row(vec![
             r.placement.clone(),
@@ -491,7 +464,7 @@ mod tests {
 
     #[test]
     fn smoke_setup_produces_all_four_tables() {
-        let report = run_setup(smoke_cfg(), 2, 16, 200.0, 320, 4, &[1, 2]);
+        let report = run_setup(smoke_cfg(), 2, 16, 200.0, 320, 4, &[1, 2]).unwrap();
         assert_eq!(report.id, "cluster");
         assert_eq!(report.tables.len(), 4);
         assert_eq!(report.tables[0].rows.len(), 3);

@@ -35,35 +35,11 @@ use dfx_sim::{Appliance, SimError};
 /// the static discipline's batching window (continuous batching never
 /// waits — admission is greedy at token boundaries).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the setup is invalid (an indivisible device count, a
-/// request stream the model cannot serve): experiment inputs are
-/// compile-time constants, so a failure is a bug in the caller, not an
-/// input error.
+/// Fails when the setup is invalid: an indivisible device count, or a
+/// request stream the model cannot serve.
 pub fn run_setup(
-    cfg: GptConfig,
-    devices: usize,
-    n_requests: usize,
-    batch_sizes: &[usize],
-    rates_per_s: &[f64],
-    max_wait_ms: f64,
-) -> ExperimentReport {
-    match build(
-        cfg,
-        devices,
-        n_requests,
-        batch_sizes,
-        rates_per_s,
-        max_wait_ms,
-    ) {
-        Ok(report) => report,
-        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
-        Err(e) => panic!("continuous experiment failed: {e:?}"),
-    }
-}
-
-fn build(
     cfg: GptConfig,
     devices: usize,
     n_requests: usize,
@@ -168,7 +144,7 @@ fn build(
 /// The headline sweep: GPT-2 1.5B on 4 devices per appliance, the same
 /// stream/rates as the `serving` and `batching` experiments, batch
 /// sizes 1/4/8 with the 500 ms static batching window.
-pub fn run() -> ExperimentReport {
+pub fn run() -> Result<ExperimentReport, SimError> {
     run_setup(
         GptConfig::gpt2_1_5b(),
         4,
@@ -193,8 +169,8 @@ mod tests {
         // max batch 1 reproduces the `serving` experiment's FIFO numbers
         // cell for cell (same stream, same seeds, same formatting).
         let rates = [5.0, 50.0];
-        let serving = super::super::serving_setup(smoke_cfg(), 1, 24, &rates);
-        let continuous = run_setup(smoke_cfg(), 1, 24, &[1], &rates, 20.0);
+        let serving = super::super::serving_setup(smoke_cfg(), 1, 24, &rates).unwrap();
+        let continuous = run_setup(smoke_cfg(), 1, 24, &[1], &rates, 20.0).unwrap();
         let s = &serving.tables[0];
         let c = &continuous.tables[0];
         for (i, _rate) in rates.iter().enumerate() {

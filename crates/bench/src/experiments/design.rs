@@ -105,20 +105,7 @@ fn mha_flops(heads: f64, dh: f64, t: f64) -> f64 {
 }
 
 /// Figure 8a and 8b: the (d, l) design-space exploration.
-///
-/// # Panics
-///
-/// Panics if the fixed microbenchmark program fails validation: its
-/// shape is a compile-time constant, so that is a bug.
-pub fn fig8() -> ExperimentReport {
-    match build_fig8() {
-        Ok(report) => report,
-        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
-        Err(e) => panic!("fig8 failed: {e}"),
-    }
-}
-
-fn build_fig8() -> Result<ExperimentReport, SimError> {
+pub fn fig8() -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new(
         "fig8",
         "Figure 8: tile-dimension/lane-count design space exploration",
@@ -232,7 +219,7 @@ mod tests {
 
     #[test]
     fn fig8a_middle_candidates_tie_and_extremes_lose() {
-        let r = fig8();
+        let r = fig8().unwrap();
         let gflops: Vec<f64> = r.tables[0]
             .rows
             .iter()

@@ -11,10 +11,6 @@
 //! clusters, one row per cluster size; [`table2`] — the cost analysis
 //! (USD, tokens/s, tokens/s per million USD) with the paper's 8.21×
 //! cost-effectiveness headline.
-//!
-//! Each runner wraps a private `Result`-returning builder and panics
-//! only at its public entry: the models, cluster sizes and workloads
-//! are compile-time constants, so a failure there is a bug.
 
 use crate::paper;
 use crate::table::{fmt, fmt_ratio, ExperimentReport, MdTable};
@@ -24,19 +20,7 @@ use dfx_serve::{Backend, RunReport};
 use dfx_sim::{dfx_stage_gflops, Appliance, CostComparison, SimError};
 
 /// Figure 15: latency breakdown of 4 FPGAs on the 1.5B model.
-///
-/// # Panics
-///
-/// Panics only on a bug: the inputs are constants (see the module docs).
-pub fn fig15() -> ExperimentReport {
-    match build_fig15() {
-        Ok(report) => report,
-        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
-        Err(e) => panic!("fig15 failed: {e}"),
-    }
-}
-
-fn build_fig15() -> Result<ExperimentReport, SimError> {
+pub fn fig15() -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new(
         "fig15",
         "Figure 15: DFX latency breakdown (GPT-2 1.5B, 4 FPGAs)",
@@ -65,19 +49,7 @@ fn build_fig15() -> Result<ExperimentReport, SimError> {
 }
 
 /// Figure 16: throughput and energy efficiency on the 1.5B model.
-///
-/// # Panics
-///
-/// Panics only on a bug: the inputs are constants (see the module docs).
-pub fn fig16() -> ExperimentReport {
-    match build_fig16() {
-        Ok(report) => report,
-        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
-        Err(e) => panic!("fig16 failed: {e}"),
-    }
-}
-
-fn build_fig16() -> Result<ExperimentReport, SimError> {
+pub fn fig16() -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new(
         "fig16",
         "Figure 16: Throughput and energy efficiency, DFX vs GPU (GPT-2 1.5B)",
@@ -153,19 +125,7 @@ fn build_fig16() -> Result<ExperimentReport, SimError> {
 }
 
 /// Figure 17: GFLOPS of GPU, TPU and DFX on the 345M model at 64:64.
-///
-/// # Panics
-///
-/// Panics only on a bug: the inputs are constants (see the module docs).
-pub fn fig17() -> ExperimentReport {
-    match build_fig17() {
-        Ok(report) => report,
-        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
-        Err(e) => panic!("fig17 failed: {e}"),
-    }
-}
-
-fn build_fig17() -> Result<ExperimentReport, SimError> {
+pub fn fig17() -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new(
         "fig17",
         "Figure 17: GFLOPS of GPU, TPU and DFX (345M, 64:64)",
@@ -221,19 +181,7 @@ fn build_fig17() -> Result<ExperimentReport, SimError> {
 }
 
 /// Figure 18: DFX scalability on the 345M model at 64:64.
-///
-/// # Panics
-///
-/// Panics only on a bug: the inputs are constants (see the module docs).
-pub fn fig18() -> ExperimentReport {
-    match build_fig18() {
-        Ok(report) => report,
-        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
-        Err(e) => panic!("fig18 failed: {e}"),
-    }
-}
-
-fn build_fig18() -> Result<ExperimentReport, SimError> {
+pub fn fig18() -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new(
         "fig18",
         "Figure 18: DFX scalability (345M, 64:64, 1/2/4 FPGAs)",
@@ -278,19 +226,7 @@ fn build_fig18() -> Result<ExperimentReport, SimError> {
 }
 
 /// Table II: cost analysis.
-///
-/// # Panics
-///
-/// Panics only on a bug: the inputs are constants (see the module docs).
-pub fn table2() -> ExperimentReport {
-    match build_table2() {
-        Ok(report) => report,
-        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
-        Err(e) => panic!("table2 failed: {e}"),
-    }
-}
-
-fn build_table2() -> Result<ExperimentReport, SimError> {
+pub fn table2() -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new("table2", "Table II: Appliance cost analysis");
     let cfg = GptConfig::gpt2_1_5b();
     let w = Workload::chatbot();
@@ -344,7 +280,7 @@ mod tests {
 
     #[test]
     fn fig15_shares_resemble_paper_bands() {
-        let r = fig15();
+        let r = fig15().unwrap();
         let get = |row: usize| r.tables[0].rows[row][1].parse::<f64>().unwrap();
         let sa = get(0);
         let ffn = get(1);
@@ -360,7 +296,7 @@ mod tests {
 
     #[test]
     fn fig18_scaling_is_sublinear_but_positive() {
-        let r = fig18();
+        let r = fig18().unwrap();
         let tps: Vec<f64> = r.tables[0]
             .rows
             .iter()

@@ -60,21 +60,11 @@ pub fn grid_latencies_ms(backend: &(impl Backend + Sync)) -> Result<Vec<f64>, Si
 
 /// Simulates the full grid for one model.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the setup is invalid (an indivisible device count, a
-/// context window shorter than the grid): experiment inputs are
-/// compile-time constants, so a failure is a bug in the caller, not an
-/// input error.
-pub fn run_model(cfg: GptConfig, devices: usize) -> ModelGrid {
-    match build(cfg, devices) {
-        Ok(grid) => grid,
-        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
-        Err(e) => panic!("fig14 experiment failed: {e:?}"),
-    }
-}
-
-fn build(cfg: GptConfig, devices: usize) -> Result<ModelGrid, SimError> {
+/// Fails when the setup is invalid: an indivisible device count, or a
+/// context window shorter than the grid.
+pub fn run_model(cfg: GptConfig, devices: usize) -> Result<ModelGrid, SimError> {
     let gpu = GpuModel::new(cfg.clone(), devices);
     let dfx = Appliance::timing_only(cfg.clone(), devices)?;
     Ok(ModelGrid {
@@ -86,7 +76,7 @@ fn build(cfg: GptConfig, devices: usize) -> Result<ModelGrid, SimError> {
 }
 
 /// Regenerates Figure 14.
-pub fn run() -> ExperimentReport {
+pub fn run() -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new(
         "fig14",
         "Figure 14: Inference latency of DFX vs the GPU appliance",
@@ -118,7 +108,7 @@ pub fn run() -> ExperimentReport {
     ];
 
     for (i, (cfg, devices, paper_gpu, paper_dfx)) in setups.into_iter().enumerate() {
-        let grid = run_model(cfg.clone(), devices);
+        let grid = run_model(cfg.clone(), devices)?;
         let mut t = MdTable::new(
             format!("{} — {} device(s) per appliance", cfg.name, devices),
             &[
@@ -153,7 +143,7 @@ pub fn run() -> ExperimentReport {
         ]);
         report.table(t);
     }
-    report
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -165,7 +155,7 @@ mod tests {
         // Shape assertions on the smallest model to keep test time down:
         // DFX wins on generation-heavy points, the GPU wins at [128:1],
         // and the average speedup lands near the paper's 3.20x.
-        let grid = run_model(GptConfig::gpt2_345m(), 1);
+        let grid = run_model(GptConfig::gpt2_345m(), 1).unwrap();
         let idx =
             |inp: usize, out: usize| paper::GRID.iter().position(|&p| p == (inp, out)).unwrap();
         assert!(

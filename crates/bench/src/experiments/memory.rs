@@ -64,37 +64,11 @@ fn claim_point(cfg: &GptConfig) -> Workload {
 /// against unchunked admission; `max_batch` bounds the continuous live
 /// batch everywhere.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the setup is invalid (indivisible device count, a
-/// capacity that cannot hold the weight shard): experiment inputs are
-/// compile-time constants, so a failure is a bug in the caller, not an
-/// input error.
+/// Fails when the setup is invalid: an indivisible device count, or a
+/// capacity that cannot hold the weight shard.
 pub fn run_setup(
-    cfg: GptConfig,
-    devices: usize,
-    n_requests: usize,
-    capacity_claims: &[usize],
-    chunk_budgets: &[usize],
-    rates_per_s: &[f64],
-    max_batch: usize,
-) -> ExperimentReport {
-    match build(
-        cfg,
-        devices,
-        n_requests,
-        capacity_claims,
-        chunk_budgets,
-        rates_per_s,
-        max_batch,
-    ) {
-        Ok(report) => report,
-        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
-        Err(e) => panic!("memory experiment failed: {e:?}"),
-    }
-}
-
-fn build(
     cfg: GptConfig,
     devices: usize,
     n_requests: usize,
@@ -421,7 +395,7 @@ fn build(
 /// 16 concurrent chatbot claims next to the ~0.7 GiB weight shard,
 /// prefill chunks of 16 and 64 tokens, the serving experiments' rate
 /// grid, continuous max batch 16.
-pub fn run() -> ExperimentReport {
+pub fn run() -> Result<ExperimentReport, SimError> {
     run_setup(
         GptConfig::gpt2_1_5b(),
         4,
@@ -446,7 +420,7 @@ mod tests {
         // The acceptance shape of sweep 1: under a saturating backlog
         // the peak live batch equals the number of claims that fit,
         // up to the scheduler's max batch.
-        let report = run_setup(smoke_cfg(), 1, 12, &[1, 2, 4], &[8], &[50.0], 4);
+        let report = run_setup(smoke_cfg(), 1, 12, &[1, 2, 4], &[8], &[50.0], 4).unwrap();
         let rows = &report.tables[0].rows;
         assert_eq!(rows.len(), 4); // 3 capacities + unbounded
         for (row, want) in rows.iter().zip(["1", "2", "4", "4"]) {

@@ -1,14 +1,16 @@
 //! One runner per paper table/figure (plus the service-level
 //! experiments the paper argues but never measures).
 //!
-//! Every public runner returns an [`ExperimentReport`]; the `reproduce`
-//! binary maps experiment ids onto them via [`CATALOG`], which is the
-//! single source of truth for what ids exist, what they regenerate,
-//! and which runner executes them ([`CatalogEntry::run`]).
+//! Every public runner returns an [`ExperimentReport`], wrapped in a
+//! `Result` when its setup can fail; the `reproduce` binary maps
+//! experiment ids onto them via [`CATALOG`], which is the single source
+//! of truth for what ids exist, what they regenerate, and which runner
+//! executes them ([`CatalogEntry::run`]).
 //!
 //! [`ExperimentReport`]: crate::table::ExperimentReport
 
 use crate::table::ExperimentReport;
+use dfx_sim::SimError;
 
 mod ablation;
 mod batching;
@@ -43,8 +45,9 @@ pub struct CatalogEntry {
     /// What the experiment regenerates.
     pub what: &'static str,
     /// Runs the experiment. The flag is `--full` (paper-size task
-    /// sets); only the accuracy experiment consults it.
-    pub run: fn(bool) -> ExperimentReport,
+    /// sets); only the accuracy experiment consults it. An invalid
+    /// setup comes back as a [`SimError`] for the caller to report.
+    pub run: fn(bool) -> Result<ExperimentReport, SimError>,
 }
 
 /// Every experiment the `reproduce` binary accepts — the single source
@@ -60,12 +63,12 @@ pub const CATALOG: &[CatalogEntry] = &[
     CatalogEntry {
         id: "fig3",
         what: "Figure 3: GPU text-generation latency vs input/output size",
-        run: |_| fig3(),
+        run: |_| Ok(fig3()),
     },
     CatalogEntry {
         id: "fig4",
         what: "Figure 4: GPU per-layer latency and operation-count breakdown",
-        run: |_| fig4(),
+        run: |_| Ok(fig4()),
     },
     CatalogEntry {
         id: "fig8",
@@ -75,7 +78,7 @@ pub const CATALOG: &[CatalogEntry] = &[
     CatalogEntry {
         id: "fig13",
         what: "Figure 13: FPGA resource utilisation (Alveo U280)",
-        run: |_| fig13(),
+        run: |_| Ok(fig13()),
     },
     CatalogEntry {
         id: "fig14",

@@ -20,26 +20,11 @@ use dfx_sim::{Appliance, SimError};
 /// Runs the sweep on one model/cluster setup. `rates_per_s` should
 /// straddle the GPU appliance's capacity so the divergence is visible.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the setup is invalid (an indivisible device count, a
-/// request stream the model cannot serve): experiment inputs are
-/// compile-time constants, so a failure is a bug in the caller, not an
-/// input error.
+/// Fails when the setup is invalid: an indivisible device count, or a
+/// request stream the model cannot serve.
 pub fn run_setup(
-    cfg: GptConfig,
-    devices: usize,
-    n_requests: usize,
-    rates_per_s: &[f64],
-) -> ExperimentReport {
-    match build(cfg, devices, n_requests, rates_per_s) {
-        Ok(report) => report,
-        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
-        Err(e) => panic!("serving experiment failed: {e:?}"),
-    }
-}
-
-fn build(
     cfg: GptConfig,
     devices: usize,
     n_requests: usize,
@@ -98,7 +83,7 @@ fn build(
 }
 
 /// The headline sweep: GPT-2 1.5B on 4 devices per appliance.
-pub fn run() -> ExperimentReport {
+pub fn run() -> Result<ExperimentReport, SimError> {
     run_setup(GptConfig::gpt2_1_5b(), 4, 200, &[0.25, 0.5, 1.0, 2.0])
 }
 

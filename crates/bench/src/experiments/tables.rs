@@ -31,20 +31,7 @@ const ACCURACY_SEED: u64 = 0xACC0;
 const ACCURACY_CHUNKS: usize = 8;
 
 /// Table I: GPT-2 model configuration.
-///
-/// # Panics
-///
-/// Panics if a published configuration does not partition over its
-/// published cluster size: the inputs are constants, so that is a bug.
-pub fn table1() -> ExperimentReport {
-    match build_table1() {
-        Ok(report) => report,
-        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
-        Err(e) => panic!("table1 failed: {e}"),
-    }
-}
-
-fn build_table1() -> Result<ExperimentReport, SimError> {
+pub fn table1() -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new("table1", "Table I: GPT-2 model configuration");
     let mut t = MdTable::new(
         "",
@@ -114,29 +101,13 @@ fn build_table1() -> Result<ExperimentReport, SimError> {
 }
 
 /// §VII-A: inference accuracy of the FP16 DFX datapath.
-pub fn accuracy(full: bool) -> ExperimentReport {
+pub fn accuracy(full: bool) -> Result<ExperimentReport, SimError> {
     let tasks = if full { paper_tasks() } else { quick_tasks() };
-    let mut report = accuracy_with_tasks(&tasks);
+    let mut report = accuracy_with_tasks(&tasks)?;
     if !full {
         report.note("Quick mode: item counts scaled to 10% (run with --full for paper sizes).");
     }
-    report
-}
-
-/// §VII-A on an arbitrary task set. The paper runner delegates here; the
-/// smoke tests pass micro task sets so the functional simulation stays
-/// fast in debug builds.
-///
-/// # Panics
-///
-/// Panics if the functional simulation faults: the model and cluster are
-/// constants, so that is a bug.
-pub fn accuracy_with_tasks(tasks: &[AccuracyTask]) -> ExperimentReport {
-    match build_accuracy(tasks) {
-        Ok(report) => report,
-        // lint: allow(panic-policy, experiment inputs are compile-time constants; see rustdoc)
-        Err(e) => panic!("accuracy failed: {e}"),
-    }
+    Ok(report)
 }
 
 /// The accuracy results, the same as `run_accuracy` gives: the items are
@@ -162,7 +133,14 @@ fn accuracy_results(tasks: &[AccuracyTask]) -> Result<Vec<AccuracyResult>, SimEr
     Ok(AccuracyResult::from_counts(tasks, &totals))
 }
 
-fn build_accuracy(tasks: &[AccuracyTask]) -> Result<ExperimentReport, SimError> {
+/// §VII-A on an arbitrary task set. The paper runner delegates here; the
+/// smoke tests pass micro task sets so the functional simulation stays
+/// fast in debug builds.
+///
+/// # Errors
+///
+/// Fails if the functional simulation faults.
+pub fn accuracy_with_tasks(tasks: &[AccuracyTask]) -> Result<ExperimentReport, SimError> {
     let mut report = ExperimentReport::new(
         "accuracy",
         "Section VII-A: Inference accuracy (FP16 DFX vs FP32 reference)",
@@ -205,7 +183,7 @@ mod tests {
 
     #[test]
     fn table1_matches_paper() {
-        let r = table1();
+        let r = table1().unwrap();
         assert_eq!(r.tables[0].rows.len(), 3);
         assert_eq!(r.tables[0].rows[2][2], "1536");
         assert_eq!(r.tables[0].rows[2][5], "48");
@@ -236,7 +214,7 @@ mod tests {
         // §IV-A: 8 GB of HBM2 per U280; the 1.5B shard on 4 devices
         // costs 72 KiB of K/V per context token
         // (48 layers x 6 local heads x 64 dims x 2 x 2 B).
-        let r = table1();
+        let r = table1().unwrap();
         let hbm = &r.tables[1];
         assert_eq!(hbm.rows.len(), 3);
         for row in &hbm.rows {

@@ -13,7 +13,10 @@
 //! own component performance.
 //!
 //! Experiments produce [`table::ExperimentReport`]s — plain data that
-//! renders to GitHub-flavoured markdown:
+//! renders to GitHub-flavoured markdown. A runner whose setup can fail
+//! (an indivisible device count, a stream the model cannot serve)
+//! returns `Result<ExperimentReport, SimError>`; `reproduce` reports
+//! such an error and exits 1:
 //!
 //! ```
 //! use dfx_bench::experiments::CATALOG;

@@ -16,7 +16,7 @@ use dfx_sim::{Appliance, ContinuousStepper};
 fn continuous_sweep_is_bit_identical_across_runs() {
     let run = || {
         let cfg = GptConfig::new("continuous-smoke", 64, 2, 2, 512, 640);
-        experiments::continuous_setup(cfg, 1, 24, &[1, 4], &[5.0, 50.0], 20.0)
+        experiments::continuous_setup(cfg, 1, 24, &[1, 4], &[5.0, 50.0], 20.0).unwrap()
     };
     let first = run();
     let second = run();
@@ -30,7 +30,7 @@ fn continuous_sweep_is_bit_identical_across_runs() {
 fn memory_sweep_is_bit_identical_across_runs() {
     let run = || {
         let cfg = GptConfig::new("memory-smoke", 64, 2, 2, 512, 640);
-        experiments::memory_setup(cfg, 1, 12, &[1, 2], &[8], &[5.0, 50.0], 4)
+        experiments::memory_setup(cfg, 1, 12, &[1, 2], &[8], &[5.0, 50.0], 4).unwrap()
     };
     let first = run();
     let second = run();
@@ -44,7 +44,7 @@ fn memory_sweep_is_bit_identical_across_runs() {
 fn cluster_sweep_is_bit_identical_across_runs() {
     let run = || {
         let cfg = GptConfig::new("cluster-smoke", 64, 2, 2, 512, 640);
-        experiments::cluster_setup(cfg, 2, 16, 200.0, 320, 4, &[1, 2])
+        experiments::cluster_setup(cfg, 2, 16, 200.0, 320, 4, &[1, 2]).unwrap()
     };
     let first = run();
     let second = run();
@@ -63,15 +63,15 @@ fn sweeps_are_bit_identical_with_the_worker_pool_off() {
     // thread identity) — results must not depend on the thread count.
     let continuous = || {
         let cfg = GptConfig::new("continuous-smoke", 64, 2, 2, 512, 640);
-        experiments::continuous_setup(cfg, 1, 24, &[1, 4], &[5.0, 50.0], 20.0)
+        experiments::continuous_setup(cfg, 1, 24, &[1, 4], &[5.0, 50.0], 20.0).unwrap()
     };
     let memory = || {
         let cfg = GptConfig::new("memory-smoke", 64, 2, 2, 512, 640);
-        experiments::memory_setup(cfg, 1, 12, &[1, 2], &[8], &[5.0, 50.0], 4)
+        experiments::memory_setup(cfg, 1, 12, &[1, 2], &[8], &[5.0, 50.0], 4).unwrap()
     };
     let cluster = || {
         let cfg = GptConfig::new("cluster-smoke", 64, 2, 2, 512, 640);
-        experiments::cluster_setup(cfg, 2, 16, 200.0, 320, 4, &[1, 2])
+        experiments::cluster_setup(cfg, 2, 16, 200.0, 320, 4, &[1, 2]).unwrap()
     };
     let (pooled_c, pooled_m, pooled_k) = (continuous(), memory(), cluster());
     let serial_c = rayon_lite::with_max_threads(1, continuous);

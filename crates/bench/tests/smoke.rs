@@ -6,7 +6,7 @@
 use dfx_bench::experiments;
 use dfx_bench::table::ExperimentReport;
 use dfx_model::GptConfig;
-use dfx_sim::AccuracyTask;
+use dfx_sim::{AccuracyTask, SimError};
 
 /// A report is well-formed when it carries the expected id, at least one
 /// table with at least one row, and renders to markdown free of NaN/inf
@@ -40,22 +40,22 @@ fn motivation_experiments_produce_reports() {
 
 #[test]
 fn design_experiments_produce_reports() {
-    assert_well_formed(&experiments::fig8(), "fig8");
+    assert_well_formed(&experiments::fig8().unwrap(), "fig8");
     assert_well_formed(&experiments::fig13(), "fig13");
 }
 
 #[test]
 fn evaluation_experiments_produce_reports() {
-    assert_well_formed(&experiments::fig15(), "fig15");
-    assert_well_formed(&experiments::fig16(), "fig16");
-    assert_well_formed(&experiments::fig17(), "fig17");
-    assert_well_formed(&experiments::fig18(), "fig18");
-    assert_well_formed(&experiments::table2(), "table2");
+    assert_well_formed(&experiments::fig15().unwrap(), "fig15");
+    assert_well_formed(&experiments::fig16().unwrap(), "fig16");
+    assert_well_formed(&experiments::fig17().unwrap(), "fig17");
+    assert_well_formed(&experiments::fig18().unwrap(), "fig18");
+    assert_well_formed(&experiments::table2().unwrap(), "table2");
 }
 
 #[test]
 fn table_experiments_produce_reports() {
-    assert_well_formed(&experiments::table1(), "table1");
+    assert_well_formed(&experiments::table1().unwrap(), "table1");
     // Micro task sets: the accuracy harness runs the bit-level functional
     // simulator per item, so even quick mode (~500 items) takes minutes
     // in debug builds. A handful of items per task exercises the same
@@ -68,12 +68,15 @@ fn table_experiments_produce_reports() {
             context_len: 8,
         })
         .collect();
-    assert_well_formed(&experiments::accuracy_with_tasks(&micro), "accuracy");
+    assert_well_formed(
+        &experiments::accuracy_with_tasks(&micro).unwrap(),
+        "accuracy",
+    );
 }
 
 #[test]
 fn ablation_experiment_produces_report() {
-    assert_well_formed(&experiments::ablation(), "ablation");
+    assert_well_formed(&experiments::ablation().unwrap(), "ablation");
 }
 
 #[test]
@@ -83,9 +86,18 @@ fn serving_experiment_produces_report_on_a_tiny_config() {
     // test speed. The in-module 345M unit test covers the qualitative
     // divergence shape.
     let cfg = GptConfig::new("serving-smoke", 64, 2, 2, 512, 640);
-    let report = experiments::serving_setup(cfg, 1, 24, &[5.0, 50.0]);
+    let report = experiments::serving_setup(cfg, 1, 24, &[5.0, 50.0]).unwrap();
     assert_well_formed(&report, "serving");
     assert_eq!(report.tables[0].rows.len(), 2);
+}
+
+#[test]
+fn an_indivisible_device_count_is_a_partition_error() {
+    // Two heads do not split across three devices: the runner returns
+    // the appliance's typed error instead of panicking.
+    let cfg = GptConfig::new("serving-smoke", 64, 2, 2, 512, 640);
+    let err = experiments::serving_setup(cfg, 3, 24, &[5.0]).unwrap_err();
+    assert!(matches!(err, SimError::Partition(_)), "{err:?}");
 }
 
 #[test]
@@ -95,7 +107,7 @@ fn batching_experiment_produces_report_on_a_tiny_config() {
     // test speed. The in-module tests cover the batch-1 == `serving`
     // identity and the GPU goodput shape.
     let cfg = GptConfig::new("batching-smoke", 64, 2, 2, 512, 640);
-    let report = experiments::batching_setup(cfg, 1, 24, &[1, 4], &[5.0, 50.0], 20.0);
+    let report = experiments::batching_setup(cfg, 1, 24, &[1, 4], &[5.0, 50.0], 20.0).unwrap();
     assert_well_formed(&report, "batching");
     // 2 appliances x 2 batch sizes x 2 rates.
     assert_eq!(report.tables[0].rows.len(), 8);
@@ -109,7 +121,7 @@ fn continuous_experiment_produces_report_on_a_tiny_config() {
     // the continuous batch-1 == `serving` identity and the
     // continuous-dominates-static shape.
     let cfg = GptConfig::new("continuous-smoke", 64, 2, 2, 512, 640);
-    let report = experiments::continuous_setup(cfg, 1, 24, &[1, 4], &[5.0, 50.0], 20.0);
+    let report = experiments::continuous_setup(cfg, 1, 24, &[1, 4], &[5.0, 50.0], 20.0).unwrap();
     assert_well_formed(&report, "continuous");
     // 2 appliances x (1 batch-1 + 2x2 discipline/batch) x 2 rates.
     assert_eq!(report.tables[0].rows.len(), 20);
@@ -123,7 +135,7 @@ fn memory_experiment_produces_report_on_a_tiny_config() {
     // peak-batch shape, the chunked-prefill stall win and the PR-4
     // row-identity guarantee.
     let cfg = GptConfig::new("memory-smoke", 64, 2, 2, 512, 640);
-    let report = experiments::memory_setup(cfg, 1, 12, &[1, 2], &[8], &[5.0, 50.0], 4);
+    let report = experiments::memory_setup(cfg, 1, 12, &[1, 2], &[8], &[5.0, 50.0], 4).unwrap();
     assert_well_formed(&report, "memory");
     assert_eq!(report.tables.len(), 4);
     // 2 capacities + the unbounded row.
@@ -145,7 +157,7 @@ fn cluster_experiment_produces_report_on_a_tiny_config() {
     // session affinity lifting prefix hits, and the disaggregated
     // topology's nonzero transfer cost.
     let cfg = GptConfig::new("cluster-smoke", 64, 2, 2, 512, 640);
-    let report = experiments::cluster_setup(cfg, 2, 16, 200.0, 320, 4, &[1, 2]);
+    let report = experiments::cluster_setup(cfg, 2, 16, 200.0, 320, 4, &[1, 2]).unwrap();
     assert_well_formed(&report, "cluster");
     assert_eq!(report.tables.len(), 4);
     // round-robin, least-outstanding, least-kv-loaded.
@@ -196,7 +208,7 @@ fn fig14_grid_runs_on_a_tiny_config() {
     // grid reaches input 256 + output 256 tokens, so the smoke config
     // needs a longer context than `GptConfig::tiny()`'s 128.
     let cfg = GptConfig::new("fig14-smoke", 64, 2, 2, 512, 640);
-    let grid = experiments::run_model(cfg, 1);
+    let grid = experiments::run_model(cfg, 1).unwrap();
     assert_eq!(grid.gpu_ms.len(), grid.dfx_ms.len());
     assert!(!grid.gpu_ms.is_empty(), "empty fig14 grid");
     for (g, d) in grid.gpu_ms.iter().zip(&grid.dfx_ms) {
@@ -218,5 +230,5 @@ fn fig14_grid_runs_on_a_tiny_config() {
 #[test]
 #[ignore = "paper-scale grid; covered by the tiny-config test above"]
 fn fig14_full_report_is_well_formed() {
-    assert_well_formed(&experiments::fig14(), "fig14");
+    assert_well_formed(&experiments::fig14().unwrap(), "fig14");
 }

@@ -36,12 +36,6 @@ impl Cycles {
         self.to_seconds() * 1e6
     }
 
-    /// Builds from seconds, rounding up (a partial cycle still occupies a
-    /// whole cycle).
-    pub fn from_seconds(s: f64) -> Cycles {
-        Cycles((s * CORE_CLOCK_HZ).ceil() as u64)
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: Cycles) -> Cycles {
         Cycles(self.0.saturating_sub(rhs.0))
@@ -88,12 +82,6 @@ mod tests {
     fn conversion_roundtrip() {
         let c = Cycles(200); // 1 µs at 200 MHz
         assert!((c.to_micros() - 1.0).abs() < 1e-12);
-        assert_eq!(Cycles::from_seconds(1e-6), Cycles(200));
-    }
-
-    #[test]
-    fn from_seconds_rounds_up() {
-        assert_eq!(Cycles::from_seconds(1.2e-8), Cycles(3)); // 2.4 cycles -> 3
     }
 
     #[test]

@@ -58,13 +58,6 @@ impl DmaModel {
         self.hbm.stream_cycles(bytes)
     }
 
-    /// Cycles to read one head's K or V region for a context of `t`
-    /// tokens with `head_dim`-wide rows (one scattered request per head).
-    pub fn kv_read_cycles(&self, t: u32, head_dim: u32) -> Cycles {
-        let bytes = u64::from(t) * u64::from(head_dim) * 2;
-        self.hbm.scattered_cycles(bytes, 1)
-    }
-
     /// Cycles to append one K row (`head_dim` FP16) to the cache.
     pub fn kv_write_cycles(&self, head_dim: u32) -> Cycles {
         self.hbm.scattered_cycles(u64::from(head_dim) * 2, 1)
@@ -115,14 +108,6 @@ mod tests {
     fn transpose_write_costs_more_than_plain_write() {
         let dma = DmaModel::default();
         assert!(dma.kv_write_transposed_cycles(64) > dma.kv_write_cycles(64));
-    }
-
-    #[test]
-    fn kv_read_grows_with_context() {
-        let dma = DmaModel::default();
-        let short = dma.kv_read_cycles(16, 64);
-        let long = dma.kv_read_cycles(256, 64);
-        assert!(long > short);
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl HbmModel {
         f64::from(self.channels) * f64::from(self.bytes_per_channel_cycle)
     }
 
-    /// Peak bandwidth in GB/s at the kernel clock.
-    pub fn peak_gbps(&self) -> f64 {
-        self.peak_bytes_per_cycle() * crate::clock::CORE_CLOCK_HZ / 1e9
-    }
-
     /// Cycles to stream `bytes` sequentially (one request).
     pub fn stream_cycles(&self, bytes: u64) -> Cycles {
         if bytes == 0 {
@@ -224,7 +219,6 @@ mod tests {
         let hbm = HbmModel::default();
         // 32 channels x 512 bits @ 200 MHz = 409.6 GB/s kernel-visible.
         assert_eq!(hbm.peak_bytes_per_cycle(), 2048.0);
-        assert!((hbm.peak_gbps() - 409.6).abs() < 0.1);
     }
 
     #[test]

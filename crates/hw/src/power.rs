@@ -32,11 +32,6 @@ impl PowerModel {
     pub fn average_watts(&self, activity: f64) -> f64 {
         self.static_watts + self.dynamic_watts * activity.clamp(0.0, 1.0)
     }
-
-    /// Energy in joules for `seconds` of execution at `activity`.
-    pub fn energy_joules(&self, seconds: f64, activity: f64) -> f64 {
-        self.average_watts(activity) * seconds
-    }
 }
 
 #[cfg(test)]
@@ -55,12 +50,5 @@ mod tests {
         let p = PowerModel::u280_dfx();
         assert_eq!(p.average_watts(1.5), p.average_watts(1.0));
         assert_eq!(p.average_watts(-1.0), p.static_watts);
-    }
-
-    #[test]
-    fn energy_integrates_power() {
-        let p = PowerModel::u280_dfx();
-        let e = p.energy_joules(2.0, 0.75);
-        assert!((e - 90.0).abs() < 2.0);
     }
 }

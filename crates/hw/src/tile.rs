@@ -47,11 +47,6 @@ impl TileShape {
     pub fn tile_count(self, rows: u32, cols: u32) -> u64 {
         u64::from(rows.div_ceil(self.d)) * u64::from(cols.div_ceil(self.l))
     }
-
-    /// Number of vertical accumulation steps per output column stripe.
-    pub fn row_tiles(self, rows: u32) -> u32 {
-        rows.div_ceil(self.d)
-    }
 }
 
 /// Weight-matrix traversal directions (paper Fig 9 discussion, §V-B).
@@ -217,7 +212,6 @@ mod tests {
         assert_eq!(s.macs_per_cycle(), 1024);
         assert_eq!(s.bytes_per_cycle(), 2048); // exactly the HBM peak
         assert_eq!(s.tile_count(1536, 1536), 24 * 96);
-        assert_eq!(s.row_tiles(1536), 24);
     }
 
     #[test]

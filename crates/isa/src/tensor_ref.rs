@@ -132,14 +132,6 @@ pub enum TensorRef {
     TokenIo,
 }
 
-impl TensorRef {
-    /// `true` for tensors placed in HBM (weights and KV cache); `false`
-    /// for DDR residents (biases, norms, embeddings, token I/O).
-    pub fn is_hbm(self) -> bool {
-        matches!(self, TensorRef::Weight { .. } | TensorRef::Kv { .. })
-    }
-}
-
 impl std::fmt::Display for TensorRef {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -355,6 +347,5 @@ mod tests {
             kind: KvKind::Value,
         };
         assert_eq!(kv.to_string(), "hbm:V[L1.h2]");
-        assert!(!TensorRef::TokenIo.is_hbm());
     }
 }

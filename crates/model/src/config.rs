@@ -165,18 +165,6 @@ impl Workload {
         }
     }
 
-    /// The 15-point grid of Figure 14/16: inputs {32, 64, 128} ×
-    /// outputs {1, 4, 16, 64, 256}.
-    pub fn paper_grid() -> Vec<Workload> {
-        let mut grid = Vec::new();
-        for input in [32, 64, 128] {
-            for output in [1, 4, 16, 64, 256] {
-                grid.push(Workload::new(input, output));
-            }
-        }
-        grid
-    }
-
     /// The sweep of Figure 3: growing inputs `[128:1]`…`[32:1]`, then
     /// growing outputs `[32:2]`…`[32:4]`.
     pub fn fig3_sweep() -> Vec<Workload> {
@@ -278,10 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn paper_grid_has_15_workloads() {
-        let grid = Workload::paper_grid();
-        assert_eq!(grid.len(), 15);
-        assert!(grid.contains(&Workload::new(32, 256)));
+    fn workload_displays_as_input_colon_output() {
         assert_eq!(Workload::new(64, 64).to_string(), "[64:64]");
     }
 

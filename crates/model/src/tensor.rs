@@ -122,14 +122,6 @@ impl<T: Scalar> Matrix<T> {
         &self.data
     }
 
-    /// Extracts column `c` as an owned vector.
-    pub fn col_vec(&self, c: usize) -> Vec<T> {
-        assert!(c < self.cols, "col {c} out of bounds ({} cols)", self.cols);
-        (0..self.rows)
-            .map(|r| self.data[r * self.cols + c])
-            .collect()
-    }
-
     /// Returns the transposed matrix.
     pub fn transposed(&self) -> Matrix<T> {
         Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
@@ -150,22 +142,6 @@ impl<T: Scalar> Matrix<T> {
         );
         Matrix::from_fn(self.rows, col_end - col_start, |r, c| {
             self[(r, col_start + c)]
-        })
-    }
-
-    /// Extracts the sub-matrix of rows `[row_start, row_end)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or reversed.
-    pub fn row_slice(&self, row_start: usize, row_end: usize) -> Matrix<T> {
-        assert!(
-            row_start <= row_end && row_end <= self.rows,
-            "invalid row range {row_start}..{row_end} for {} rows",
-            self.rows
-        );
-        Matrix::from_fn(row_end - row_start, self.cols, |r, c| {
-            self[(row_start + r, c)]
         })
     }
 
@@ -289,7 +265,6 @@ mod tests {
         assert_eq!(m[(0, 0)], 0.0);
         assert_eq!(m[(1, 2)], 5.0);
         assert_eq!(m.row(1), &[3.0, 4.0, 5.0]);
-        assert_eq!(m.col_vec(1), vec![1.0, 4.0]);
     }
 
     #[test]
@@ -317,9 +292,6 @@ mod tests {
                 assert_eq!(right[(r, c)], m[(r, c + 3)]);
             }
         }
-        let top = m.row_slice(0, 2);
-        let bottom = m.row_slice(2, 4);
-        assert_eq!(top.rows() + bottom.rows(), m.rows());
     }
 
     #[test]

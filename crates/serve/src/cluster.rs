@@ -442,11 +442,6 @@ impl<'a> ClusterRouter<'a> {
         self
     }
 
-    /// Number of replicas behind the router.
-    pub fn num_replicas(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// Routes and serves a sessionless stream; see
     /// [`run_sessions`](ClusterRouter::run_sessions).
     ///

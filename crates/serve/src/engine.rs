@@ -177,12 +177,6 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
-    /// Mean sojourn time, ms.
-    pub fn mean_sojourn_ms(&self) -> f64 {
-        // lint: order-sensitive — summed in response completion order
-        self.responses.iter().map(Response::sojourn_ms).sum::<f64>() / self.responses.len() as f64
-    }
-
     /// Average realized batch size under the *static* policy: requests
     /// served per backend invocation (1.0 under a single-dispatch
     /// discipline). Not meaningful under the continuous policy, where
@@ -190,15 +184,6 @@ impl ServiceReport {
     /// token steps.
     pub fn mean_batch_size(&self) -> f64 {
         self.responses.len() as f64 / self.dispatches.max(1) as f64
-    }
-
-    /// Arbitrary sojourn percentile (fraction in `[0, 1]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Service`] for a fraction outside `[0, 1]`.
-    pub fn sojourn_percentile_ms(&self, p: f64) -> Result<f64, SimError> {
-        stats::percentile(&self.sorted_sojourns, p)
     }
 
     /// This report's sojourn samples, ascending — the seam cluster-level

@@ -361,9 +361,11 @@ impl Batching {
 
 /// Grows a batch from the queue head in arrival order, skipping members
 /// that would make the padded set infeasible for the backend. The head
-/// itself is always included: a single-member "batch" the backend
-/// rejects would be rejected as a lone dispatch too, and surfacing that
-/// error beats queueing it forever.
+/// itself is always included, feasible or not: a single-member batch
+/// dispatches through [`Backend::serve`](crate::Backend::serve), which
+/// checks the context window (and fails a request past it rather than
+/// queueing it forever) but not the K/V budget, so a lone request whose
+/// claim exceeds that budget is still served.
 fn grow_feasible(
     queue: &[Request],
     max_batch: usize,

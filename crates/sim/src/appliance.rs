@@ -369,21 +369,17 @@ impl Appliance {
     /// Timing of one `token_step(pos, lm_head)` program run for `batch`
     /// requests, from the step table under `pos`'s tile class
     /// ([`TimingCore::tile_class_start`]). A miss times the class's first
-    /// position through [`TimingCore::time_token_step`] outside the lock:
-    /// part by part, walking decoder layers only until their schedule
-    /// repeats, and never building the whole program.
+    /// position through [`TimingCore::time_token_step`] under the table's
+    /// lock, so workers missing the same class time it once: part by
+    /// part, walking decoder layers only until their schedule repeats,
+    /// and never building the whole program.
     fn step(&self, pos: usize, lm_head: bool, batch: u32) -> StepTiming {
         let class = self.timing.tile_class_start(pos);
-        let key = (class, lm_head, batch);
-        let hit = self.memo().get(&key).copied();
-        if let Some(timing) = hit {
-            return timing;
-        }
-        let timing = self
-            .timing
-            .time_token_step(&self.builder, class, lm_head, batch);
-        self.memo().insert(key, timing);
-        timing
+        let mut memo = self.memo();
+        *memo.entry((class, lm_head, batch)).or_insert_with(|| {
+            self.timing
+                .time_token_step(&self.builder, class, lm_head, batch)
+        })
     }
 
     /// Makespan of one `token_step(pos, lm_head)` program run for
